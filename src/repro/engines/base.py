@@ -714,16 +714,21 @@ class SimulatedEngine:
     # Preparation
     # ------------------------------------------------------------------
     def _prepare(self, task: TaskSpec) -> _PreparedGraph:
-        # Keyed by graph identity *and* the task's wire message size: the
-        # router inside the prep carries ``task.message_bytes``, so two
-        # kinds on one graph must not share a prep or whichever prepares
-        # first would donate its message size to the other (making the
-        # cost of a batch depend on preparation order — e.g. on whether
-        # probe training ran before the first serve batch). The heavy
-        # pieces (partition, mirror plan) are memoised task-independently
-        # in the artifact cache, so per-size preps only duplicate the
-        # cheap router wrapper.
-        key = (id(task.graph), float(task.message_bytes))
+        # Keyed by graph *content* and the task's wire message size. The
+        # fingerprint, not ``id(graph)``: a whole-graph prep holds no
+        # reference to its graph, so a collected graph's id can be
+        # recycled and a different graph would inherit its partition and
+        # plan (``partition_graph`` hashes the graph for its artifact key
+        # anyway, and the graph caches the digest). The message size,
+        # because the router inside the prep carries it: two kinds on
+        # one graph must not share a prep or whichever prepares first
+        # would donate its message size to the other (making the cost of
+        # a batch depend on preparation order — e.g. on whether probe
+        # training ran before the first serve batch). The heavy pieces
+        # (partition, mirror plan) are memoised task-independently in the
+        # artifact cache, so per-size preps only duplicate the cheap
+        # router wrapper.
+        key = (task.graph.fingerprint, float(task.message_bytes))
         if key in self._prepared:
             return self._prepared[key]
         graph = task.graph

@@ -16,6 +16,8 @@ Modules
     Shared-budget admission control over per-kind memory models.
 :mod:`repro.sched.policy`
     Priority lanes, aging, preemption, and shed-load policy.
+:mod:`repro.sched.queue`
+    The pending queue: per-class FIFO lanes merged lazily.
 :mod:`repro.sched.service`
     The queue-driven scheduler loop on persistent engine sessions.
 """

@@ -26,7 +26,9 @@ byte-identically (see :func:`run_degenerate` and the determinism
 suite).
 
 PR 7 layers a :class:`~repro.sched.policy.ServicePolicy` on top of
-that loop: priority lanes with aging replace strict FIFO selection, a
+that loop: priority lanes with aging replace strict FIFO selection
+(the pending requests live in a :class:`~repro.sched.queue.ReadyQueue`,
+which serves them in ``selection_key`` order without ranking them), a
 running batch can be *suspended at a superstep barrier* (the engine's
 :class:`~repro.engines.base.BatchCheckpoint`) when a more urgent
 cross-kind request would blow its deadline, the pending queue is
@@ -57,6 +59,7 @@ from repro.rng import SeedLike
 from repro.sched.admission import AdmissionController
 from repro.sched.arrivals import DEFAULT_KINDS, TaskRequest
 from repro.sched.policy import ServicePolicy
+from repro.sched.queue import Pending, ReadyQueue
 from repro.sim.metrics import (
     JobMetrics,
     ServiceMetrics,
@@ -82,25 +85,12 @@ STREAMING_STATE_BYTES_PER_VERTEX = 16.0
 
 
 @dataclass
-class _Pending:
-    """A queued request and how many of its units remain unscheduled."""
-
-    request: TaskRequest
-    remaining: float
-    #: clock time the batch containing the request's first unit started.
-    started_seconds: Optional[float] = None
-    #: units currently frozen inside a suspended batch — such a pending
-    #: must never be shed or double-scheduled.
-    inflight: float = 0.0
-
-
-@dataclass
 class _InFlight:
     """Service-side bookkeeping for one formed batch (running or
     suspended at a barrier)."""
 
     kind: str
-    parts: List[Tuple[_Pending, float]]
+    parts: List[Tuple[Pending, float]]
     batch_units: float
     admissible: float
     projected: float
@@ -434,15 +424,12 @@ class SchedulerService:
         return max(1.0, float(int(budget / per_unit)))
 
     def _quota_feasible(
-        self, kind: str, queue: List[_Pending], clock: float
+        self, kind: str, queue: ReadyQueue, clock: float
     ) -> bool:
         """Whether any queued ``kind`` request in the head scan prefix
         has tenant-quota headroom for at least one unit. Only called
         when tenant quotas are configured."""
-        policy = self.policy
-        for pending in sorted(
-            queue, key=lambda p: policy.selection_key(p.request, clock)
-        ):
+        for pending in queue.ranked(clock):
             if pending.request.kind != kind:
                 break
             allowed = self.admission.tenant_admissible_units(
@@ -490,7 +477,7 @@ class SchedulerService:
 
     def _finish_result(
         self,
-        pending: _Pending,
+        pending: Pending,
         clock: float,
         metrics: ServiceMetrics,
     ) -> None:
@@ -582,7 +569,7 @@ class SchedulerService:
     # ------------------------------------------------------------------
     # Queue admission, shedding, and preemption helpers
     # ------------------------------------------------------------------
-    def _retry_after_hint(self, queue: List[_Pending]) -> float:
+    def _retry_after_hint(self, queue: ReadyQueue) -> float:
         """Deterministic ``Retry-After`` estimate for a shed request:
         the queued backlog times the observed seconds-per-unit."""
         backlog = sum(p.remaining for p in queue)
@@ -599,7 +586,7 @@ class SchedulerService:
         request: TaskRequest,
         reason: str,
         now: float,
-        queue: List[_Pending],
+        queue: ReadyQueue,
         metrics: ServiceMetrics,
     ) -> None:
         """Record one shed request."""
@@ -634,7 +621,7 @@ class SchedulerService:
     def _enqueue(
         self,
         request: TaskRequest,
-        queue: List[_Pending],
+        queue: ReadyQueue,
         metrics: ServiceMetrics,
         now: float,
     ) -> None:
@@ -683,33 +670,18 @@ class SchedulerService:
                 cache.enlist(key, request)
                 return
             self._leaders[request.task_id] = key
-        queue.append(_Pending(request, remaining=request.units))
+        queue.append(Pending(request, remaining=request.units))
         if policy.max_queue is not None and len(queue) > policy.max_queue:
-            # Evict the least urgent *untouched* request — lowest
-            # static class first, then the youngest arrival (LIFO
-            # within the class, so earlier arrivals keep their place).
-            candidates = [
-                p
-                for p in queue
-                if p.inflight == 0 and p.remaining >= p.request.units
-            ]
-            if not candidates:
+            victim = queue.evictable()
+            if victim is None:
                 return  # everything is partially executed; keep it
-            victim = max(
-                candidates,
-                key=lambda p: (
-                    policy.static_class(p.request),
-                    p.request.arrival_seconds,
-                    p.request.task_id,
-                ),
-            )
-            queue.remove(victim)
+            queue.discard(victim)
             self._drop(victim.request, "queue-full", now, queue, metrics)
 
     def _admit_arrivals(
         self,
         arrivals: Deque[TaskRequest],
-        queue: List[_Pending],
+        queue: ReadyQueue,
         metrics: ServiceMetrics,
         now: float,
     ) -> None:
@@ -718,7 +690,7 @@ class SchedulerService:
 
     def _drop_expired(
         self,
-        queue: List[_Pending],
+        queue: ReadyQueue,
         metrics: ServiceMetrics,
         now: float,
     ) -> None:
@@ -726,13 +698,8 @@ class SchedulerService:
         their units started (``policy.drop_expired``)."""
         for pending in list(queue):
             deadline = pending.request.deadline_at
-            if (
-                deadline is not None
-                and now > deadline
-                and pending.inflight == 0
-                and pending.remaining >= pending.request.units
-            ):
-                queue.remove(pending)
+            if deadline is not None and now > deadline and pending.untouched:
+                queue.discard(pending)
                 self._drop(pending.request, "expired", now, queue, metrics)
 
     def _preempt_callback(
@@ -740,7 +707,7 @@ class SchedulerService:
         inflight: _InFlight,
         segment_clock: float,
         arrivals: Deque[TaskRequest],
-        queue: List[_Pending],
+        queue: ReadyQueue,
         metrics: ServiceMetrics,
     ):
         """Build the barrier callback for one batch segment, or
@@ -778,17 +745,13 @@ class SchedulerService:
                 < policy.preempt_after_rounds
             ):
                 return False
-            for pending in queue:
-                request = pending.request
-                if request.kind == kind or pending.inflight > 0:
-                    continue
-                if policy.effective_class(request, now) >= batch_class:
-                    continue
-                if policy.preempt_after_rounds is not None:
+            for pending in queue.urgent_waiters(batch_class, now, kind):
+                if (
+                    policy.preempt_after_rounds is not None
+                    or policy.preempt_rule == "eager"
+                ):
                     return True
-                if policy.preempt_rule == "eager":
-                    return True
-                deadline = request.deadline_at
+                deadline = pending.request.deadline_at
                 if (
                     deadline is not None
                     and deadline - now <= policy.preempt_margin_seconds
@@ -827,7 +790,7 @@ class SchedulerService:
         arrivals: Deque[TaskRequest] = deque(
             sorted(requests, key=lambda r: (r.arrival_seconds, r.task_id))
         )
-        queue: List[_Pending] = []
+        queue = ReadyQueue(policy)
         #: batches suspended at a barrier, by kind (at most one per
         #: kind — kernels share the session RNG stream).
         suspended: Dict[str, _InFlight] = {}
@@ -842,10 +805,7 @@ class SchedulerService:
                 self._drop_expired(queue, metrics, clock)
             resume_kind: Optional[str] = None
             if queue:
-                head = min(
-                    queue,
-                    key=lambda p: policy.selection_key(p.request, clock),
-                )
+                head = queue.head(clock)
                 kind = head.request.kind
                 if kind in suspended:
                     # The lane's kind has a frozen batch: it must
@@ -921,13 +881,10 @@ class SchedulerService:
                 # later same-kind requests from other tenants still
                 # fill the batch.
                 batch_units = 0.0
-                parts: List[Tuple[_Pending, float]] = []
+                parts: List[Tuple[Pending, float]] = []
                 tenant_units: Dict[str, float] = {}
                 quotas_on = self.admission.tenant_quotas is not None
-                for pending in sorted(
-                    queue,
-                    key=lambda p: policy.selection_key(p.request, clock),
-                ):
+                for pending in queue.ranked(clock):
                     if pending.request.kind != kind:
                         break
                     take = min(pending.remaining, admissible - batch_units)
@@ -1094,6 +1051,7 @@ class SchedulerService:
                         pending.started_seconds = start_clock
                     pending.remaining -= take
                     if pending.remaining <= 0:
+                        queue.discard(pending)
                         latency = TaskLatency(
                             task_id=pending.request.task_id,
                             kind=kind,
@@ -1117,7 +1075,6 @@ class SchedulerService:
                                 pending.request.task_id, None
                             )
                             self._finish_result(pending, clock, metrics)
-                queue[:] = [p for p in queue if p.remaining > 0]
 
             entry = {
                 "index": len(metrics.batch_log),

@@ -232,3 +232,38 @@ class TestMultiProcessingJob:
     def test_engine_by_name_needs_cluster(self):
         with pytest.raises(BatchingError):
             MultiProcessingJob("pregel+")
+
+
+class TestPrepareMemo:
+    """``SimulatedEngine._prepare`` memoises by graph *content*. It
+    used to key on ``id(task.graph)``; a whole-graph prep keeps no
+    reference to its graph, so once that graph was collected a new
+    graph could be handed the same id — and the old partition."""
+
+    @pytest.mark.parametrize("engine_name", ["pregel+(wholegraph)", "pregel+"])
+    def test_equal_content_shares_and_different_content_never(
+        self, cluster, engine_name
+    ):
+        from repro.graph.generators import erdos_renyi
+
+        engine = create_engine(engine_name, cluster)
+        first = erdos_renyi(60, 3.0, seed=1)
+        twin = erdos_renyi(60, 3.0, seed=1)
+        other = erdos_renyi(90, 3.0, seed=2)
+        assert first is not twin
+        assert first.fingerprint == twin.fingerprint != other.fingerprint
+
+        prep = engine._prepare(bppr_task(first, 4.0))
+        assert engine._prepare(bppr_task(first, 8.0)) is prep
+        assert engine._prepare(bppr_task(twin, 4.0)) is prep
+        other_prep = engine._prepare(bppr_task(other, 4.0))
+        assert other_prep is not prep
+        assert other_prep.partition.owner.shape == (other.num_vertices,)
+        assert prep.partition.owner.shape == (first.num_vertices,)
+        # No key mentions an object identity that could be recycled.
+        assert {key[0] for key in engine._prepared} == {
+            first.fingerprint,
+            other.fingerprint,
+        }
+        # A different wire message size still gets its own router.
+        assert engine._prepare(mssp_task(first, 4.0)) is not prep
