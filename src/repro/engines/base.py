@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +67,12 @@ from repro.units import OVERLOAD_CUTOFF_SECONDS
 
 #: Hard cap on rounds per batch, guarding against non-terminating kernels.
 MAX_ROUNDS_PER_BATCH = 5000
+
+#: Round tapes one session keeps, least recently used dropped first. The
+#: k-batch sweeps need one per distinct batch size (at most two per job);
+#: a long-lived serve session sees every admissible size, and a finished
+#: tape is a few hundred bytes per round.
+MAX_SESSION_TAPES = 32
 
 #: Fixed coordination cost of writing one checkpoint (barrier piggyback,
 #: metadata commit), on top of streaming the state to disk.
@@ -168,9 +174,10 @@ class BatchCheckpoint:
     ``should_suspend`` callback fires; consumed by
     :meth:`EngineSession.resume`. The object carries everything the
     round loop needs to continue — the partially-filled
-    :class:`BatchMetrics`, the live kernel (residual/frontier state),
-    and the crash-rollback window — so a suspend → resume cycle
-    replays *nothing* and the finished batch is byte-identical to an
+    :class:`BatchMetrics`, the live kernel (residual/frontier state;
+    for a deterministic batch, its round-tape cursor), and the
+    crash-rollback window — so a suspend → resume cycle replays
+    *nothing* and the finished batch is byte-identical to an
     uninterrupted run.
 
     Suspension piggybacks on the engine's checkpoint accounting: the
@@ -210,6 +217,70 @@ class BatchCheckpoint:
         return float(self.kernel.residual_bytes())
 
 
+class _RoundTape:
+    """The memoised rounds of one deterministic batch (a kernel whose
+    :meth:`~repro.tasks.base.TaskKernel.replay_key` is not ``None``).
+
+    Filled lazily: the tape owns the live kernel and steps it only when
+    a cursor asks for a round nobody has recorded yet, so a batch that
+    breaks early (overload, cutoff) executes nothing beyond its break
+    and a later equal batch that gets further continues the same
+    kernel. Each record pairs the round's summary with the kernel's
+    ``residual_bytes()`` right after it — the two things the round loop
+    reads. The final round drops the kernel; from then on the tape is a
+    list of small records nothing mutates.
+    """
+
+    __slots__ = ("kernel", "initial_residual_bytes", "rounds")
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+        self.initial_residual_bytes = kernel.residual_bytes()
+        self.rounds: List[Tuple[RoundSummary, float]] = []
+
+    def record_next(self) -> None:
+        """Execute the first round not yet on the tape."""
+        summary = self.kernel.step()
+        self.rounds.append((summary, self.kernel.residual_bytes()))
+        if summary.done:
+            self.kernel = None
+
+
+class _TapeCursor:
+    """One batch's read position on a :class:`_RoundTape`.
+
+    Stands in for the kernel in :class:`BatchCheckpoint`: it exposes
+    the two methods the engine calls on a kernel — ``step()`` and
+    ``residual_bytes()`` — so ``_drive`` runs replayed and executed
+    rounds alike, and a suspended batch resumes from its own position.
+    """
+
+    __slots__ = ("_tape", "_position", "_residual_bytes", "replayed")
+
+    def __init__(self, tape: _RoundTape) -> None:
+        self._tape = tape
+        self._position = 0
+        self._residual_bytes = tape.initial_residual_bytes
+        #: rounds this batch was served from the tape without executing.
+        self.replayed = 0
+
+    def step(self) -> RoundSummary:
+        """The batch's next round: recorded if the tape has it, else
+        executed (and recorded) now."""
+        rounds = self._tape.rounds
+        if self._position < len(rounds):
+            self.replayed += 1
+        else:
+            self._tape.record_next()
+        summary, self._residual_bytes = rounds[self._position]
+        self._position += 1
+        return summary
+
+    def residual_bytes(self) -> float:
+        """``kernel.residual_bytes()`` as of the last round served."""
+        return self._residual_bytes
+
+
 @dataclass
 class _PreparedGraph:
     """Partition-derived state cached per (graph, cluster) pair."""
@@ -230,6 +301,10 @@ class EngineSession:
     the RNG stream are prepared once and persist across every batch the
     session runs, along with the accumulated residual memory, elapsed
     simulated time, and the global round counter that fault plans index.
+    Batches whose kernel declares itself deterministic execute once per
+    session and are replayed from a round tape afterwards
+    (:class:`_RoundTape`); everything priced per round — cost model,
+    faults, checkpoints, suspension — still runs for every round.
 
     :meth:`SimulatedEngine.run_job` drives a session over a fixed
     schedule (the legacy offline path); the online scheduler
@@ -282,6 +357,11 @@ class EngineSession:
         self.batches_run = 0
         #: the in-flight batch frozen at a barrier, if any.
         self.suspended: Optional[BatchCheckpoint] = None
+        #: round tapes by kernel replay key, least recently used first.
+        #: Session-scoped on purpose: the records embed this session's
+        #: router counts, and a second service on the same engine must
+        #: run its own kernels.
+        self._tapes: Dict[Hashable, _RoundTape] = {}
         #: optional ask-tell calibrator (DESIGN.md §15): when set by the
         #: scheduler, every completed batch *tells* its observed
         #: (workload, peak, residual, seconds) back so the cost models
@@ -341,6 +421,9 @@ class EngineSession:
         kernel = self.task.make_kernel(
             self.prep.router, float(batch_workload), self.rng, arena=self.arena
         )
+        replay_key = kernel.replay_key()
+        if replay_key is not None:
+            kernel = self._tape_cursor(replay_key, kernel)
         batch.startup_seconds = self.engine.profile.per_batch_overhead_seconds
         self.elapsed += batch.startup_seconds
         state = BatchCheckpoint(
@@ -350,6 +433,22 @@ class EngineSession:
             residual_prev_bytes=self.residual_bytes,
         )
         return self._drive(state, should_suspend)
+
+    def _tape_cursor(self, key: Hashable, kernel) -> _TapeCursor:
+        """A cursor at round 0 of the session's tape for ``key``.
+
+        ``kernel`` is the batch's freshly started kernel: it becomes the
+        new tape's kernel on a miss and is discarded unstepped on a hit
+        (it declared itself deterministic, so building it drew nothing
+        from the session RNG).
+        """
+        tape = self._tapes.pop(key, None)
+        if tape is None:
+            tape = _RoundTape(kernel)
+            if len(self._tapes) >= MAX_SESSION_TAPES:
+                del self._tapes[next(iter(self._tapes))]
+        self._tapes[key] = tape
+        return _TapeCursor(tape)
 
     def resume(self, *, should_suspend=None):
         """Continue the suspended batch from its barrier checkpoint.
@@ -474,6 +573,8 @@ class EngineSession:
                 "kernel did not terminate"
             )
         batch.overloaded = overloaded
+        if isinstance(kernel, _TapeCursor):
+            timings.add("kernel.replayed", 0.0, count=kernel.replayed)
         self.residual_bytes += kernel.residual_bytes()
         batch.residual_memory_after_bytes = self.residual_bytes
         self.batches_run += 1

@@ -20,7 +20,7 @@ import tempfile
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,6 +164,23 @@ class TaskKernel(ABC):
     @property
     def finished(self) -> bool:
         return self._finished
+
+    def replay_key(self) -> Optional[Hashable]:
+        """Declare this started batch deterministic, or ``None`` (default).
+
+        A hashable key promises that the whole round sequence — every
+        :class:`RoundSummary` and every ``residual_bytes()`` value — is a
+        pure function of (graph, router, key): no RNG draw, no state
+        shared with another kernel. The engine session then executes
+        one kernel per key and serves every later batch with an equal
+        key from the recorded rounds (``DESIGN.md``, "Round tapes"). A
+        declaring kernel may sit half-run while its session steps other
+        kernels, so it must keep no arena-backed state across rounds.
+        Declare per *exact* class: a subclass that adds randomness
+        inherits this method, so a declaring kernel checks
+        ``type(self)`` rather than ``isinstance``.
+        """
+        return None
 
     # -- helpers for subclasses -----------------------------------------
     def shard_arenas(self, count: int) -> List[ScratchArena]:

@@ -110,6 +110,25 @@ class BPPRKernel(TaskKernel):
         growth = max(self._avg_degree, 1.0) ** max(self._round - 1, 0)
         return float(min(float(n), growth))
 
+    def replay_key(self):
+        """The untracked expected-mass batch is deterministic: it never
+        touches ``self.rng`` and its state is two private vectors.
+
+        Exact class only — :class:`~repro.tasks.bppr_query.BPPRQueryKernel`
+        runs this very mode but samples its sources from the session
+        RNG, so an inherited key would replay batch 1's sources for
+        every later batch. Monte-Carlo draws per walk; tracked mode is
+        just as deterministic but holds n x n matrices that an
+        unfinished tape would pin, and no sweep batches it.
+        """
+        if (
+            type(self) is BPPRKernel
+            and self.mode == "expected"
+            and not self.track_sources
+        ):
+            return (self.alpha, self.max_rounds, self._workload)
+        return None
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -78,6 +78,7 @@ class MSSPKernel(TaskKernel):
         # Frontier: (source-row, vertex) pairs improved last round.
         self._frontier_rows = np.arange(s, dtype=np.int64)
         self._frontier_verts = self._sources.copy()
+        self._reached_round = -1
 
     def _advance(self) -> RoundSummary:
         graph = self.graph
@@ -460,18 +461,29 @@ class MSSPKernel(TaskKernel):
             combined_messages=routed.wire_messages,
         )
 
+    def _reached_cells(self) -> float:
+        """Finite cells of the distance table, scanned once per round.
+
+        Every ``_advance*`` variant finishes its writes before it builds
+        the summary, and the engine reads ``residual_bytes()`` right
+        after ``step()``: both want the same count over the same
+        ``sources x n`` table.
+        """
+        if self._reached_round != self._round:
+            self._reached = float(np.isfinite(self._dist).sum())
+            self._reached_round = self._round
+        return self._reached
+
     def _state_bytes(self) -> float:
         """In-flight distance table + frontier for the whole batch."""
-        reached = np.isfinite(self._dist).sum()
         return (
-            float(reached) * FRONTIER_ENTRY_BYTES
+            self._reached_cells() * FRONTIER_ENTRY_BYTES
             + float(self._frontier_rows.size) * FRONTIER_ENTRY_BYTES
         ) * self._scale
 
     def residual_bytes(self) -> float:
         """Final distances stay resident per machine until the job ends."""
-        reached = float(np.isfinite(self._dist).sum())
-        return reached * RESIDUAL_RECORD_BYTES * self._scale
+        return self._reached_cells() * RESIDUAL_RECORD_BYTES * self._scale
 
     @property
     def result(self) -> dict:

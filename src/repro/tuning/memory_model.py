@@ -9,6 +9,7 @@ memory grows faster than the workload, ``b < 1`` slower.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,10 @@ class PowerLawModel:
     def invert(self, value: float) -> float:
         """Solve ``f(W) = value`` for ``W`` (Equation 6's inner step).
 
-        Returns 0 when even a zero workload exceeds ``value``.
+        Returns 0 when even a zero workload exceeds ``value``, and
+        saturates at ``sys.float_info.max`` when no finite workload
+        reaches it (a tiny fitted exponent makes ``1 / b`` huge), so
+        callers can truncate the answer to a unit count.
         """
         if self.a <= 0:
             raise TuningError("cannot invert a model with a <= 0")
@@ -41,7 +45,12 @@ class PowerLawModel:
         remaining = value - self.c
         if remaining <= 0:
             return 0.0
-        return float((remaining / self.a) ** (1.0 / self.b))
+        try:
+            workload = float((remaining / self.a) ** (1.0 / self.b))
+        except OverflowError:
+            return sys.float_info.max
+        # numpy scalars overflow to inf instead of raising.
+        return min(workload, sys.float_info.max)
 
     @classmethod
     def from_fit(cls, result: FitResult) -> "PowerLawModel":

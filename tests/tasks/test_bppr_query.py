@@ -116,3 +116,71 @@ class TestQueryTaskSpec:
         one = job.run(fresh(), num_batches=1, seed=2)
         four = job.run(fresh(), num_batches=4, seed=2)
         assert four.messages_per_round < one.messages_per_round
+
+
+class TestMultiBatchBytes:
+    """Every batch of a ``bppr-query`` job samples its own sources from
+    the session RNG. Nothing else in the suite fails if the batches are
+    collapsed into copies of the first one (the kernel inherits
+    BPPR's deterministic expected-mass mode), so the packed bytes are
+    pinned here — digests from commit ``c154351``."""
+
+    SPLITS = {
+        "w64-b4": [16.0] * 4,
+        "w66-b4": [17.0, 17.0, 16.0, 16.0],
+    }
+    #: blake2b-8 of ``pack_job(job)["payload"]``.
+    PINNED = {
+        "pregel+/w64-b4": "90c157650a69f24e",
+        "pregel+/w66-b4": "60a7b68c9dbacb5a",
+        "pregel+(mirror)/w64-b4": "a1554cd414909eae",
+        "pregel+(mirror)/w66-b4": "0cf70b14e6b5a2be",
+        "graphlab/w64-b4": "f7fd61fa936b6365",
+        "graphlab/w66-b4": "fac2bd26816cc341",
+    }
+
+    @staticmethod
+    def _job(graph, engine_name, sizes, task=None):
+        from repro.cluster.cluster import galaxy8
+        from repro.engines.registry import create_engine
+        from repro.perf.cache import clear_cache
+
+        clear_cache()
+        task = task or bppr_query_task(
+            graph, sum(sizes), walks_per_query=200, sample_limit=16
+        )
+        engine = create_engine(engine_name, galaxy8(scale=400))
+        return engine.run_job(task, sizes, seed=2)
+
+    @pytest.mark.parametrize(
+        "engine_name", ["pregel+", "pregel+(mirror)", "graphlab"]
+    )
+    def test_packed_bytes_match_pinned_digests(self, graph, engine_name):
+        import hashlib
+
+        from repro.sim.metrics import pack_job
+
+        for split, sizes in self.SPLITS.items():
+            job = self._job(graph, engine_name, sizes)
+            payload = bytes(pack_job(job)["payload"])
+            digest = hashlib.blake2b(payload, digest_size=8).hexdigest()
+            assert digest == self.PINNED[f"{engine_name}/{split}"], (
+                engine_name, split,
+            )
+
+    def test_each_batch_samples_its_own_sources(self, graph):
+        import dataclasses
+
+        kernels = []
+        task = bppr_query_task(graph, 64, walks_per_query=200, sample_limit=16)
+        factory = task.kernel_factory
+
+        def remembering(*args):
+            kernels.append(factory(*args))
+            return kernels[-1]
+
+        task = dataclasses.replace(task, kernel_factory=remembering)
+        self._job(graph, "pregel+", [16.0] * 4, task=task)
+        sources = [tuple(k.sources.tolist()) for k in kernels]
+        assert len(sources) == 4 and len(set(sources)) == 4
+        assert all(k.replay_key() is None for k in kernels)

@@ -51,6 +51,22 @@ class TestPowerLawModel:
         with pytest.raises(TuningError):
             PowerLawModel(a=0.0, b=1.0, c=0.0).invert(5.0)
 
+    def test_invert_saturates_for_a_tiny_exponent(self, machine):
+        """``(remaining / a) ** 1000`` used to raise a bare
+        OverflowError; both callers truncate the answer to units."""
+        import sys
+
+        from repro.tuning.planner import IncrementalPlanner
+
+        flat = PowerLawModel(a=1.0, b=1e-3, c=0.0)
+        assert flat.invert(5.0) == sys.float_info.max
+        assert flat.invert(1.0) == 1.0  # still exact where it is finite
+        planner = IncrementalPlanner(
+            MemoryCostModel(peak=flat, residual=flat), machine
+        )
+        assert planner.admissible_workload() == sys.float_info.max
+        assert planner.admits(1e12)
+
 
 class TestPlanner:
     def test_schedule_sums_to_workload(self, linear_model, machine):
