@@ -5,8 +5,8 @@ fresh set of candidate-length arrays (composite keys, gathered values,
 boundary masks, reduction outputs). On the steady state those arrays
 have near-constant sizes round over round, so the allocations — and the
 page faults that come with them — are pure overhead. :class:`ScratchArena`
-extends the grow-only ``arange`` trick of
-:class:`repro.graph.csr.FrontierScratch` into a general pool:
+extends the grow-only cached ``arange`` (:meth:`ScratchArena.arange`)
+into a general pool:
 
 * **size-classed** — buffers live in power-of-two byte classes, so a
   request is served by any free buffer of its class regardless of dtype
@@ -22,14 +22,16 @@ extends the grow-only ``arange`` trick of
 
 The engine creates one arena per job and threads it through every
 kernel batch (:meth:`repro.tasks.base.TaskSpec.make_kernel`), so batch
-boundaries reuse the same pool too.
+boundaries reuse the same pool too — and, through :meth:`children`,
+the per-slot arenas of pooled blocks.
 
-The block-streaming kernels (memory-mapped graphs under a ``--max-ram``
-budget) call :meth:`new_round` once per *frontier block* rather than
-once per round: with ``KEEPALIVE = 2`` the pool's resident footprint
-stays at roughly two blocks' worth of buffers however many blocks a
-round streams — the arena is what makes the per-block working set a
-bound instead of a high-water mark. :meth:`pool_bytes` reports that
+A round run as several inline blocks (memory-mapped graphs under a
+``--max-ram`` budget, :meth:`repro.tasks.base.TaskKernel.run_blocks`)
+gets :meth:`new_round` once per *frontier block* rather than once per
+round: with ``KEEPALIVE = 2`` the pool's resident footprint stays at
+roughly two blocks' worth of buffers however many blocks a round
+streams — the arena is what makes the per-block working set a bound
+instead of a high-water mark. :meth:`pool_bytes` reports that
 footprint for the memory accounting (:mod:`repro.perf.memory`).
 """
 
@@ -67,6 +69,7 @@ class ScratchArena:
         "_inuse",
         "_generation",
         "_iota",
+        "_children",
         "allocations",
         "reuses",
     )
@@ -77,6 +80,7 @@ class ScratchArena:
         self._inuse: List[Tuple[int, int, np.ndarray]] = []
         self._generation = 0
         self._iota = np.empty(0, dtype=np.int64)
+        self._children: List["ScratchArena"] = []
         #: fresh buffers created / requests served from the pool —
         #: steady-state rounds should be all reuses (asserted in tests).
         self.allocations = 0
@@ -137,11 +141,27 @@ class ScratchArena:
 
     def arange(self, size: int) -> np.ndarray:
         """A ``[0, size)`` int64 arange view from a grow-only cached buffer
-        (the :class:`~repro.graph.csr.FrontierScratch` trick, kept
-        separate from the generational pool because its contents are
-        immutable and shared by every round)."""
+        (kept separate from the generational pool because its contents
+        are immutable and shared by every round). The view is
+        read-only by convention: consume it before requesting a larger
+        size."""
         if self._iota.size < size:
             self._iota = np.arange(
                 max(size, 2 * self._iota.size), dtype=np.int64
             )
         return self._iota[:size]
+
+    def children(self, count: int) -> List["ScratchArena"]:
+        """Per-slot scratch arenas for a round's pooled blocks.
+
+        Grown lazily and reused round over round — and, because they
+        hang off the engine-injected job arena, batch over batch — so
+        sharded steady state allocates nothing: the same contract as
+        the parent arena, one pool per block slot. Pooled blocks must
+        never share an arena (or touch the parent): the pool free-lists
+        are not thread-safe, and per-slot ownership is what keeps them
+        contention-free without locks.
+        """
+        while len(self._children) < count:
+            self._children.append(ScratchArena())
+        return self._children[:count]

@@ -12,7 +12,7 @@ whole frontiers at once.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -295,28 +295,6 @@ class Graph:
 # ----------------------------------------------------------------------
 
 
-class FrontierScratch:
-    """Reusable buffers for :func:`expand_frontier` across rounds.
-
-    Holds a grow-only cached ``arange`` so per-round expansion skips the
-    (measurably hot) ``np.arange`` allocation. The slices handed out are
-    read-only views: consume them before requesting a larger size.
-    """
-
-    __slots__ = ("_iota",)
-
-    def __init__(self) -> None:
-        self._iota = np.empty(0, dtype=np.int64)
-
-    def arange(self, size: int) -> np.ndarray:
-        """A ``[0, size)`` arange view from the grow-only cached buffer."""
-        if self._iota.size < size:
-            self._iota = np.arange(
-                max(size, 2 * self._iota.size), dtype=np.int64
-            )
-        return self._iota[:size]
-
-
 def expand_frontier(
     graph: Graph,
     verts: np.ndarray,
@@ -324,8 +302,8 @@ def expand_frontier(
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Expand frontier vertices to all their out-arcs (vectorised gather).
 
-    ``scratch`` is anything exposing ``arange(size)`` — the legacy
-    :class:`FrontierScratch` or a :class:`repro.graph.arena.ScratchArena`.
+    ``scratch`` is anything exposing ``arange(size)`` — in practice a
+    :class:`repro.graph.arena.ScratchArena`.
 
     Returns ``(arc_positions, counts, kept)``:
 
@@ -385,6 +363,14 @@ def dedup_pairs(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     keys = composite_keys(rows, cols, num_cols, arena)
+    return _split_keys(_sorted_unique(keys, arena), num_cols, arena)
+
+
+def _sorted_unique(
+    keys: np.ndarray, arena: "Optional[ScratchArena]" = None
+) -> np.ndarray:
+    """Sort non-empty ``keys`` in place and return the distinct ones
+    (boundary elements of the sorted runs; a fresh array)."""
     boundary = (
         np.empty(keys.size, dtype=bool)
         if arena is None
@@ -393,7 +379,25 @@ def dedup_pairs(
     keys.sort()
     boundary[0] = True
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    return _split_keys(keys[boundary], num_cols, arena)
+    return keys[boundary]
+
+
+def merge_winner_keys(key_lists) -> np.ndarray:
+    """The single fold of a round's per-block winner keys.
+
+    Each block of a frontier round returns the flat ``row * n + col``
+    keys of the cells it won, row-major within the block. One
+    non-empty list is the round's frontier as is; several are
+    concatenated, sorted and de-duplicated — blocks that only read the
+    round-start state can win the same cell twice, and the sort
+    restores the row-major order a one-block round emits.
+    """
+    key_lists = [keys for keys in key_lists if keys.size]
+    if len(key_lists) == 1:
+        return key_lists[0]
+    if not key_lists:
+        return np.empty(0, dtype=np.int64)
+    return _sorted_unique(np.concatenate(key_lists))
 
 
 def dedup_pairs_dense(
@@ -490,11 +494,11 @@ def propagate_mass(graph: Graph, per_vertex: np.ndarray) -> np.ndarray:
 #
 # When the CSR arrays are ``np.memmap`` views over an on-disk file set
 # (:class:`repro.graph.io.MappedGraph`), the kernels must not gather or
-# repeat O(m) at once: the block helpers below walk the CSR in row
-# blocks whose arc totals respect the ``--max-ram`` budget, and the
-# streaming kernel variants reduce block-by-block with results that are
-# bit-identical to the monolithic paths (the accompanying docstrings
-# argue why per reduction; ``tests/graph/test_mmap.py`` asserts it).
+# repeat O(m) at once: the block helpers below cut the CSR rows (or a
+# round's frontier) into blocks whose arc totals respect the
+# ``--max-ram`` budget, and the kernels reduce block-by-block with
+# results bit-identical to a one-block run (``DESIGN.md`` §8 argues
+# why; ``tests/graph/test_mmap.py`` asserts it).
 # Vertex-proportional state (degrees, distance tables, rank vectors)
 # stays resident — the same semi-streaming model as the paper's GraphD,
 # which keeps O(n) vertex state in memory and streams the O(m) edges.
@@ -534,7 +538,7 @@ def streaming_budget_bytes() -> Optional[int]:
 
 def streaming_block_arcs(graph: Graph) -> Optional[int]:
     """Arcs per streaming block for ``graph``, or ``None`` for in-RAM
-    graphs (the monolithic fast paths run unchanged)."""
+    graphs (whose rounds run as one block)."""
     if not graph.mapped:
         return None
     budget = _STREAMING["max_ram_bytes"] or DEFAULT_STREAM_BUDGET_BYTES
@@ -604,71 +608,6 @@ def _propagate_mass_streaming(
     return out
 
 
-def segment_min_streaming(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    num_cols: int,
-    block_size: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chunked :func:`segment_min`: reduce ``block_size`` candidates at
-    a time and fold each chunk's per-cell minima into a running sorted
-    accumulator. ``min`` is order-independent, so the result is
-    bit-identical to the monolithic reduction regardless of chunking.
-    """
-    if rows.size <= block_size:
-        return segment_min(rows, cols, values, num_cols)
-    acc_keys: Optional[np.ndarray] = None
-    acc_vals: Optional[np.ndarray] = None
-    for start in range(0, rows.size, block_size):
-        stop = start + block_size
-        c_rows, c_cols, c_min = segment_min(
-            rows[start:stop], cols[start:stop], values[start:stop], num_cols
-        )
-        keys = c_rows * np.int64(num_cols) + c_cols
-        if acc_keys is None:
-            acc_keys, acc_vals = keys, c_min
-            continue
-        acc_keys, acc_vals = _merge_reduce(
-            acc_keys, acc_vals, keys, c_min, np.minimum
-        )
-    cell_rows, cell_cols = np.divmod(acc_keys, np.int64(num_cols))
-    return cell_rows, cell_cols, acc_vals
-
-
-def segment_sum_streaming(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    num_cols: int,
-    block_size: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chunked :func:`segment_sum` with the same exactness regime as the
-    monolithic reduction: per-cell sums of all-ones (walk counts) or
-    size-one cells are bit-identical; arbitrary float mixes can differ
-    in the last ulp across chunk boundaries (float addition is not
-    associative), mirroring the documented ``reduceat`` caveat.
-    """
-    if rows.size <= block_size:
-        return segment_sum(rows, cols, values, num_cols)
-    acc_keys = None
-    acc_vals = None
-    for start in range(0, rows.size, block_size):
-        stop = start + block_size
-        c_rows, c_cols, c_sum = segment_sum(
-            rows[start:stop], cols[start:stop], values[start:stop], num_cols
-        )
-        keys = c_rows * np.int64(num_cols) + c_cols
-        if acc_keys is None:
-            acc_keys, acc_vals = keys, c_sum
-            continue
-        acc_keys, acc_vals = _merge_reduce(
-            acc_keys, acc_vals, keys, c_sum, np.add
-        )
-    cell_rows, cell_cols = np.divmod(acc_keys, np.int64(num_cols))
-    return cell_rows, cell_cols, acc_vals
-
-
 def _merge_reduce(
     keys_a: np.ndarray,
     vals_a: np.ndarray,
@@ -692,17 +631,15 @@ def _merge_reduce(
 
 
 # ----------------------------------------------------------------------
-# Intra-task sharding (repro.perf.kernel_pool)
+# Chunked segment reductions and intra-task sharding
+# (repro.perf.kernel_pool)
 #
-# The sharded variants below cut the candidate list into contiguous
-# shards, reduce each shard on the persistent pinned thread pool, and
-# fold the per-shard results with :func:`_merge_reduce` in shard order —
-# exactly the accumulation the block-streaming kernels perform, so the
-# byte-identity arguments carry over verbatim: ``min`` is
-# order-independent (any split is bit-identical), and ``sum`` keeps the
-# documented exactness regime (all-ones walk counts or size-one cells).
-# The kernel_pool import stays lazy so serial processes never pay for —
-# or even load — the pool machinery.
+# A candidate list too long to reduce at once (``*_streaming``) or worth
+# spreading over the persistent pinned thread pool (``*_sharded``) is
+# cut into contiguous ranges, reduced range by range, and folded in
+# range order by one function, :func:`_segment_chunked`. The
+# kernel_pool import stays lazy so serial processes never pay for — or
+# even load — the pool machinery.
 # ----------------------------------------------------------------------
 
 
@@ -719,83 +656,44 @@ def kernel_shards(num_candidates: int) -> int:
     return pool_mod.choose_shards(num_candidates)
 
 
-def segment_min_sharded(
+def _segment_chunked(
+    reduce,
+    ufunc,
     rows: np.ndarray,
     cols: np.ndarray,
     values: np.ndarray,
     num_cols: int,
-    shards: int,
+    ranges,
+    pooled: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`segment_min` over candidate shards run in parallel.
+    """``reduce`` (:func:`segment_min` / :func:`segment_sum`) over the
+    contiguous candidate ``ranges``, the sorted-unique per-range runs
+    folded left to right with ``ufunc`` (:func:`_merge_reduce`).
 
-    Each contiguous shard reduces independently (fresh buffers — shard
-    workers never share an arena), then the sorted-unique runs fold left
-    to right with ``np.minimum``. Bit-identical to the monolithic
-    reduction at any shard count: per-cell minima of shard minima equal
-    the global minima, and the fold emits cells in row-major order.
+    ``pooled`` runs the ranges on the kernel pool (fresh buffers —
+    pool workers never share an arena); otherwise one at a time, so
+    one range's intermediates are resident. The fold sees the runs in
+    range order and emits cells row-major: ``min`` is
+    order-independent, so any cut is bit-identical to the monolithic
+    reduction; ``sum`` keeps :func:`segment_sum`'s exactness regime
+    (all-ones walk counts, size-one cells) and can differ in the last
+    ulp across range boundaries for arbitrary floats.
     """
-    if shards <= 1 or rows.size == 0:
-        return segment_min(rows, cols, values, num_cols)
-    from repro.perf import kernel_pool
-
-    ranges = [
-        (rows.size * k // shards, rows.size * (k + 1) // shards)
-        for k in range(shards)
-    ]
-    results = kernel_pool.run_sharded(
-        [
-            (
-                lambda lo=lo, hi=hi: segment_min(
-                    rows[lo:hi], cols[lo:hi], values[lo:hi], num_cols
-                )
+    thunks = [
+        (
+            lambda lo=lo, hi=hi: reduce(
+                rows[lo:hi], cols[lo:hi], values[lo:hi], num_cols
             )
-            for lo, hi in ranges
-            if hi > lo
-        ]
-    )
-    return _fold_segments(results, num_cols, np.minimum)
-
-
-def segment_sum_sharded(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    num_cols: int,
-    shards: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`segment_sum` over candidate shards run in parallel.
-
-    Same exactness regime as :func:`segment_sum_streaming`: all-ones
-    walk counts and size-one cells are bit-identical at any shard
-    count; arbitrary float mixes can differ in the last ulp across
-    shard boundaries (float addition is not associative).
-    """
-    if shards <= 1 or rows.size == 0:
-        return segment_sum(rows, cols, values, num_cols)
-    from repro.perf import kernel_pool
-
-    ranges = [
-        (rows.size * k // shards, rows.size * (k + 1) // shards)
-        for k in range(shards)
+        )
+        for lo, hi in ranges
+        if hi > lo
     ]
-    results = kernel_pool.run_sharded(
-        [
-            (
-                lambda lo=lo, hi=hi: segment_sum(
-                    rows[lo:hi], cols[lo:hi], values[lo:hi], num_cols
-                )
-            )
-            for lo, hi in ranges
-            if hi > lo
-        ]
-    )
-    return _fold_segments(results, num_cols, np.add)
+    if pooled:
+        from repro.perf import kernel_pool
 
-
-def _fold_segments(
-    results, num_cols: int, ufunc
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold per-shard ``(rows, cols, values)`` reductions in shard order."""
+        results = kernel_pool.run_sharded(thunks)
+    else:
+        results = (thunk() for thunk in thunks)
     acc_keys: Optional[np.ndarray] = None
     acc_vals: Optional[np.ndarray] = None
     for c_rows, c_cols, c_vals in results:
@@ -810,9 +708,55 @@ def _fold_segments(
             )
     if acc_keys is None:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=np.float64)
+        return empty, empty, np.empty(0, dtype=values.dtype)
     cell_rows, cell_cols = np.divmod(acc_keys, np.int64(num_cols))
     return cell_rows, cell_cols, acc_vals
+
+
+def _block_ranges(size: int, block_size: int) -> List[Tuple[int, int]]:
+    """``[0, size)`` in runs of ``block_size`` candidates."""
+    return [(lo, lo + block_size) for lo in range(0, size, block_size)]
+
+
+def _shard_ranges(size: int, shards: int) -> List[Tuple[int, int]]:
+    """``[0, size)`` in ``shards`` near-equal contiguous ranges."""
+    return [
+        (size * k // shards, size * (k + 1) // shards) for k in range(shards)
+    ]
+
+
+def segment_min_streaming(rows, cols, values, num_cols, block_size):
+    """:func:`segment_min`, ``block_size`` candidates at a time."""
+    ranges = _block_ranges(rows.size, block_size)
+    return _segment_chunked(
+        segment_min, np.minimum, rows, cols, values, num_cols, ranges, False
+    )
+
+
+def segment_sum_streaming(rows, cols, values, num_cols, block_size):
+    """:func:`segment_sum`, ``block_size`` candidates at a time."""
+    ranges = _block_ranges(rows.size, block_size)
+    return _segment_chunked(
+        segment_sum, np.add, rows, cols, values, num_cols, ranges, False
+    )
+
+
+def segment_min_sharded(rows, cols, values, num_cols, shards):
+    """:func:`segment_min` over ``shards`` candidate ranges in parallel."""
+    ranges = _shard_ranges(rows.size, shards)
+    return _segment_chunked(
+        segment_min, np.minimum, rows, cols, values, num_cols, ranges,
+        pooled=shards > 1,
+    )
+
+
+def segment_sum_sharded(rows, cols, values, num_cols, shards):
+    """:func:`segment_sum` over ``shards`` candidate ranges in parallel."""
+    ranges = _shard_ranges(rows.size, shards)
+    return _segment_chunked(
+        segment_sum, np.add, rows, cols, values, num_cols, ranges,
+        pooled=shards > 1,
+    )
 
 
 def _propagate_mass_sharded(op, per_vertex: np.ndarray, shards: int):

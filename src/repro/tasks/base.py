@@ -20,14 +20,21 @@ import tempfile
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TaskError
 from repro.graph.arena import ScratchArena
-from repro.graph.csr import Graph, streaming_budget_bytes
+from repro.graph.csr import (
+    Graph,
+    iter_frontier_blocks,
+    streaming_block_arcs,
+    streaming_budget_bytes,
+)
 from repro.messages.routing import MessageRouter, RoutedMessages
+from repro.perf import kernel_pool, timings
 
 #: Fraction of the ``--max-ram`` budget one dense state matrix may
 #: occupy before :func:`alloc_state_matrix` spills it to a mapped
@@ -121,7 +128,6 @@ class TaskKernel(ABC):
         self.graph = graph
         self.router = router
         self.arena = ScratchArena()
-        self._shard_arenas: List[ScratchArena] = []
         self._started = False
         self._finished = False
         self._round = 0
@@ -183,19 +189,66 @@ class TaskKernel(ABC):
         return None
 
     # -- helpers for subclasses -----------------------------------------
-    def shard_arenas(self, count: int) -> List[ScratchArena]:
-        """Per-shard scratch arenas for intra-task parallel rounds.
+    def block_plan(
+        self, verts: np.ndarray
+    ) -> Tuple[List[Tuple[int, int]], bool]:
+        """Cut the round's frontier ``verts`` into contiguous blocks and
+        say where they run: ``(cuts, pooled)``.
 
-        Grown lazily and reused round over round, so sharded steady
-        state allocates nothing — the same contract as ``self.arena``,
-        one pool per shard slot. Shard workers must never share an
-        arena (or touch ``self.arena``): the pool free-lists are not
-        thread-safe, and per-shard ownership is what keeps them
-        contention-free without locks.
+        Decided only from what the round can observe. A mapped graph is
+        cut so each block's arc gather fits the ``--max-ram`` budget,
+        the blocks run one after the other; with kernel workers
+        configured and arcs enough for more than one shard, the cuts
+        are degree-balanced shards for the kernel pool; else the whole
+        frontier is one block.
         """
-        while len(self._shard_arenas) < count:
-            self._shard_arenas.append(ScratchArena())
-        return self._shard_arenas[:count]
+        block_arcs = streaming_block_arcs(self.graph)
+        if block_arcs is not None or kernel_pool.kernel_workers() > 1:
+            degrees = self.graph.degrees[verts]
+            if block_arcs is not None:
+                return list(iter_frontier_blocks(degrees, block_arcs)), False
+            shards = kernel_pool.choose_shards(int(degrees.sum()))
+            if shards > 1:
+                return kernel_pool.shard_bounds(degrees, shards), True
+        return [(0, verts.size)], False
+
+    def run_blocks(
+        self, body: Callable[..., Any], verts: np.ndarray, *columns: np.ndarray
+    ) -> Tuple[List[Any], bool]:
+        """Run ``body(verts[lo:hi], *columns[lo:hi], arena, exclusive)``
+        over the round's :meth:`block_plan`; returns the results in
+        block order and whether the blocks were *exclusive*.
+
+        An exclusive block is the only code running: it gets
+        ``self.arena`` (advanced one generation per block, so a
+        many-block round keeps about two blocks of buffers resident),
+        may write kernel state and shared scratch masks, and records
+        ``kernel.*`` timings. Pooled blocks run concurrently, each on a
+        child arena of its own: they only read shared state and return
+        what they found for the caller to fold; the whole dispatch is
+        booked under ``kernel.expand`` here (the phase accumulators are
+        not thread-safe).
+        """
+
+        def block(lo: int, hi: int, arena: ScratchArena, exclusive: bool):
+            arena.new_round()
+            slices = [column[lo:hi] for column in columns]
+            return body(verts[lo:hi], *slices, arena, exclusive)
+
+        cuts, pooled = self.block_plan(verts)
+        if not pooled:
+            return [block(lo, hi, self.arena, True) for lo, hi in cuts], True
+        tick = perf_counter()
+        cuts = [(lo, hi) for lo, hi in cuts if hi > lo]
+        arenas = self.arena.children(len(cuts))
+        results = kernel_pool.run_sharded(
+            [
+                (lambda lo=lo, hi=hi, arena=arena: block(lo, hi, arena, False))
+                for (lo, hi), arena in zip(cuts, arenas)
+            ]
+        )
+        timings.add("kernel.expand", perf_counter() - tick)
+        return results, False
 
     def route_emissions(
         self,

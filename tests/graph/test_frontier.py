@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.graph.arena import ScratchArena
 from repro.graph.csr import (
-    FrontierScratch,
     dedup_pairs,
     dedup_pairs_dense,
     expand_frontier,
@@ -30,7 +30,7 @@ def naive_expand(graph, verts):
 class TestExpandFrontier:
     def test_matches_naive(self, skewed_graph):
         rng = np.random.default_rng(3)
-        scratch = FrontierScratch()
+        scratch = ScratchArena()
         for trial in range(10):
             verts = rng.choice(
                 skewed_graph.num_vertices, size=30, replace=False
@@ -68,7 +68,7 @@ class TestExpandFrontier:
         assert counts.size == 0
 
     def test_scratch_buffer_grows_and_reuses(self):
-        scratch = FrontierScratch()
+        scratch = ScratchArena()
         small = scratch.arange(4)
         np.testing.assert_array_equal(small, np.arange(4))
         big = scratch.arange(100)

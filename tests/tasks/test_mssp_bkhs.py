@@ -1,16 +1,28 @@
-"""Correctness tests for MSSP and BKHS kernels against references."""
+"""Correctness tests for MSSP and BKHS kernels against references.
+
+The exact-solver comparisons run on every block plan a round can take
+(``TaskKernel.block_plan``): byte-identity between the plans proves
+consistency, only ``tasks/exact.py`` proves truth.
+"""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import csr
 from repro.graph.build import from_edges
 from repro.graph.generators import chain, chung_lu, grid_2d
+from repro.graph.io import save_mapped
 from repro.graph.mirrors import build_mirror_plan
 from repro.graph.partition import hash_partition
 from repro.messages.routing import BroadcastRouter, PointToPointRouter
+from repro.perf import kernel_pool
 from repro.rng import make_rng
+from repro.tasks.base import TaskKernel
 from repro.tasks.bkhs import BKHSKernel, bkhs_task
 from repro.tasks.exact import (
     bfs_distances,
@@ -21,12 +33,108 @@ from repro.tasks.exact import (
 from repro.tasks.mssp import MSSPKernel, mssp_task
 
 
+#: one exclusive block / many exclusive blocks / read-only pooled blocks
+PLANS = ("inline", "mapped", "pooled")
+
+
+class ForcedPlan:
+    """While active, puts every kernel round on block plan ``name``
+    however small the graph, and records the plan each round took.
+    Every global touched is restored on exit."""
+
+    def __init__(self, name, directory):
+        self.name = name
+        self.directory = Path(directory)
+        self.rounds = []  # (number of blocks, pooled) per round
+
+    def __enter__(self):
+        self._saved = (
+            csr.MIN_STREAM_BLOCK_ARCS,
+            csr.streaming_budget_bytes(),
+            kernel_pool.kernel_workers(),
+            kernel_pool.min_shard_candidates(),
+            TaskKernel.block_plan,
+        )
+        original = TaskKernel.block_plan
+
+        def recording(kernel, verts):
+            cuts, pooled = original(kernel, verts)
+            self.rounds.append((len(cuts), pooled))
+            return cuts, pooled
+
+        TaskKernel.block_plan = recording
+        if self.name == "mapped":
+            csr.MIN_STREAM_BLOCK_ARCS = 1
+            csr.configure_streaming(max_ram_bytes=1)
+        elif self.name == "pooled":
+            kernel_pool.configure_kernel_workers(2, min_shard_candidates=1)
+        return self
+
+    def __exit__(self, *exc):
+        min_block, budget, workers, min_shard, block_plan = self._saved
+        TaskKernel.block_plan = block_plan
+        csr.MIN_STREAM_BLOCK_ARCS = min_block
+        csr.configure_streaming(budget)
+        kernel_pool.configure_kernel_workers(
+            workers, min_shard_candidates=min_shard
+        )
+
+    def graph(self, graph):
+        """``graph`` as this plan's kernels must see it."""
+        if self.name != "mapped":
+            return graph
+        return save_mapped(graph, tempfile.mkdtemp(dir=self.directory))
+
+    def taken(self):
+        """Did some round really run the way the plan's name says?"""
+        if self.name == "inline":
+            return set(self.rounds) == {(1, False)}
+        if self.name == "pooled":
+            return any(pooled for _, pooled in self.rounds)
+        return any(blocks > 1 and not pooled for blocks, pooled in self.rounds)
+
+
+@pytest.fixture
+def plan(request, tmp_path):
+    """The block plan the test's kernels take: ``inline`` unless the
+    test is parametrized over it (``indirect=True``)."""
+    with ForcedPlan(getattr(request, "param", "inline"), tmp_path) as forced:
+        yield forced
+
+
 def run_kernel(kernel, workload):
     kernel.start_batch(workload)
-    for _ in range(100_000):
-        if kernel.step().done:
-            break
+    for _ in rounds_of(kernel):
+        pass
     return kernel
+
+
+def rounds_of(kernel):
+    """Step a started kernel to its end, yielding the round index
+    after every round."""
+    for _ in range(100_000):
+        done = kernel.step().done
+        yield kernel.round_index
+        if done:
+            break
+
+
+def frontier_keys(kernel):
+    n = kernel.graph.num_vertices
+    return kernel._frontier_rows * n + kernel._frontier_verts
+
+
+def hop_limited_distances(graph, source, hops):
+    """Shortest distances over paths of at most ``hops`` arcs: the
+    synchronous Bellman-Ford invariant, as the plain reference loop."""
+    dist = np.full(graph.num_vertices, np.inf)
+    dist[source] = 0.0
+    for _ in range(hops):
+        relaxed = dist.copy()
+        for u, v, weight in graph.iter_edges():
+            relaxed[v] = min(relaxed[v], dist[u] + weight)
+        dist = relaxed
+    return dist
 
 
 def router_for(graph, machines=4):
@@ -36,29 +144,43 @@ def router_for(graph, machines=4):
 
 
 class TestMSSPCorrectness:
-    def test_unweighted_matches_bfs(self):
-        graph = chung_lu(150, 6.0, seed=5)
+    def test_unweighted_matches_bfs(self, plan):
+        graph = plan.graph(chung_lu(150, 6.0, seed=5))
         kernel = MSSPKernel(
             graph, router_for(graph), make_rng(2), sample_limit=None
         )
-        run_kernel(kernel, 10)
-        for source, dist in kernel.result.items():
+        kernel.start_batch(10)
+        truth = np.stack([bfs_distances(graph, s) for s in kernel._sources])
+        for level in rounds_of(kernel):
+            # Truth every round, not only at the end: the frontier is
+            # the BFS level, each cell once, in row-major order.
             np.testing.assert_array_equal(
-                dist, bfs_distances(graph, source)
+                frontier_keys(kernel), np.flatnonzero(truth == level)
             )
+        np.testing.assert_array_equal(kernel._dist, truth)
+        assert plan.taken()
 
-    def test_weighted_matches_dijkstra(self, weighted_graph):
+    def test_weighted_matches_dijkstra(self, weighted_graph, plan):
+        weighted_graph = plan.graph(weighted_graph)
         kernel = MSSPKernel(
             weighted_graph,
             router_for(weighted_graph, 2),
             make_rng(2),
             sample_limit=None,
         )
-        run_kernel(kernel, 3)
+        kernel.start_batch(3)
+        for hops in rounds_of(kernel):
+            # A round relaxes from the distances the round started
+            # with: after it, paths of at most ``hops`` arcs, no more.
+            for source, dist in kernel.result.items():
+                np.testing.assert_allclose(
+                    dist, hop_limited_distances(weighted_graph, source, hops)
+                )
         for source, dist in kernel.result.items():
             np.testing.assert_allclose(
                 dist, dijkstra_distances(weighted_graph, source)
             )
+        assert plan.taken()
 
     def test_chain_distances(self):
         graph = chain(20, directed=False)
@@ -101,10 +223,11 @@ class TestMSSPCorrectness:
             full_first.wire_messages, rel=0.6
         )
 
-    def test_unreachable_stays_infinite(self):
-        graph = from_edges(
+    def test_unreachable_stays_infinite(self, plan):
+        # One arc: too small for any plan to cut, so no ``taken()``.
+        graph = plan.graph(from_edges(
             np.array([0]), np.array([1]), num_vertices=4
-        )  # vertices 2, 3 unreachable from 0
+        ))  # vertices 2, 3 unreachable from 0
         kernel = MSSPKernel(
             graph, router_for(graph, 2), make_rng(0), sample_limit=None
         )
@@ -119,17 +242,24 @@ class TestMSSPCorrectness:
 
 
 class TestBKHSCorrectness:
-    def test_counts_match_bruteforce(self):
-        graph = chung_lu(120, 5.0, seed=9)
+    def test_counts_match_bruteforce(self, plan):
+        graph = plan.graph(chung_lu(120, 5.0, seed=9))
         kernel = BKHSKernel(
             graph, router_for(graph), make_rng(3), k=2, sample_limit=None
         )
-        run_kernel(kernel, 8)
+        kernel.start_batch(8)
+        truth = np.stack([bfs_distances(graph, s) for s in kernel._sources])
+        for level in rounds_of(kernel):
+            if level <= 2:  # round k + 1 only terminates
+                np.testing.assert_array_equal(
+                    frontier_keys(kernel), np.flatnonzero(truth == level)
+                )
         for source, count in kernel.result.items():
             assert count == int(k_hop_set(graph, source, 2).sum())
+        assert plan.taken()
 
-    def test_reachable_sets_match(self):
-        graph = grid_2d(5, 5, directed=False)
+    def test_reachable_sets_match(self, plan):
+        graph = plan.graph(grid_2d(5, 5, directed=False))
         kernel = BKHSKernel(
             graph, router_for(graph, 2), make_rng(3), k=3, sample_limit=None
         )
@@ -138,6 +268,7 @@ class TestBKHSCorrectness:
             np.testing.assert_array_equal(
                 mask, k_hop_set(graph, source, 3)
             )
+        assert plan.taken()
 
     def test_fixed_round_count(self):
         graph = chung_lu(100, 6.0, seed=4)
@@ -164,6 +295,19 @@ class TestBKHSCorrectness:
             assert count == int(k_hop_set(graph, source, 2).sum())
 
 
+@pytest.mark.parametrize("plan", PLANS[1:], indirect=True)
+class TestTruthOnEveryPlan:
+    """The exact-solver tests above (``inline`` there) on the plans that
+    cut the frontier."""
+
+    _mssp, _bkhs = TestMSSPCorrectness, TestBKHSCorrectness
+    test_unweighted_matches_bfs = _mssp.test_unweighted_matches_bfs
+    test_weighted_matches_dijkstra = _mssp.test_weighted_matches_dijkstra
+    test_unreachable_stays_infinite = _mssp.test_unreachable_stays_infinite
+    test_counts_match_bruteforce = _bkhs.test_counts_match_bruteforce
+    test_reachable_sets_match = _bkhs.test_reachable_sets_match
+
+
 class TestTaskSpecs:
     def test_mssp_task(self, random_graph):
         task = mssp_task(random_graph, 64)
@@ -179,17 +323,26 @@ class TestTaskSpecs:
     st.integers(min_value=2, max_value=30),
     st.integers(min_value=0, max_value=60),
     st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(PLANS),
 )
-@settings(max_examples=30, deadline=None)
-def test_mssp_property_matches_bfs(n, m, seed):
-    """Property test: MSSP distances equal BFS on random digraphs."""
+@settings(max_examples=60, deadline=None)
+def test_mssp_property_matches_bfs(n, m, seed, plan_name):
+    """Property test: MSSP distances equal BFS on random digraphs, on
+    every block plan (drawn with the example: a function-scoped fixture
+    would be shared by all of them)."""
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n, size=m)
     dst = rng.integers(0, n, size=m)
     graph = from_edges(src, dst, num_vertices=n, dedup=True)
-    kernel = MSSPKernel(
-        graph, router_for(graph, 2), make_rng(seed), sample_limit=None
-    )
-    run_kernel(kernel, min(3, n))
-    for source, dist in kernel.result.items():
+    with tempfile.TemporaryDirectory() as scratch:
+        with ForcedPlan(plan_name, scratch) as plan:
+            mapped = plan.graph(graph)
+            kernel = MSSPKernel(
+                mapped, router_for(mapped, 2), make_rng(seed),
+                sample_limit=None,
+            )
+            run_kernel(kernel, min(3, n))
+            result = kernel.result
+            del kernel, mapped  # unmap before the directory goes
+    for source, dist in result.items():
         np.testing.assert_array_equal(dist, bfs_distances(graph, source))
