@@ -291,7 +291,10 @@ class Graph:
 # ``repeat``/``cumsum`` CSR gather; the helpers below consolidate them
 # into one optimized implementation that reuses scratch buffers across
 # rounds and replaces ``np.unique`` on composite keys with a sort-based
-# reduction.
+# reduction. Since the unweighted rounds went bit-parallel
+# (:class:`repro.tasks.base.BitFrontier`) the two ``dedup_pairs*``
+# functions have no caller in ``src/``; they stay importable because
+# the frozen benchmark's span table resolves them by name.
 # ----------------------------------------------------------------------
 
 
@@ -833,8 +836,9 @@ DENSE_CANDIDATES_PER_CELL = 1.0 / 16.0
 def use_dense_cells(num_candidates: int, num_cells: int) -> bool:
     """True when the dense (mask/accumulator) scatter strategy should be
     used for ``num_candidates`` updates into a ``num_cells`` state
-    matrix; the single decision point shared by the dedup and
-    segment-reduction paths of every kernel."""
+    matrix; the single decision point of the per-cell reductions
+    (weighted MSSP's min-fold — the unweighted rounds keep no
+    ``sources x n`` matrix to scatter into)."""
     return num_candidates >= DENSE_CANDIDATES_PER_CELL * num_cells
 
 

@@ -29,6 +29,7 @@ from repro.errors import TaskError
 from repro.graph.arena import ScratchArena
 from repro.graph.csr import (
     Graph,
+    expand_frontier,
     iter_frontier_blocks,
     streaming_block_arcs,
     streaming_budget_bytes,
@@ -38,17 +39,20 @@ from repro.perf import kernel_pool, timings
 
 #: Fraction of the ``--max-ram`` budget one dense state matrix may
 #: occupy before :func:`alloc_state_matrix` spills it to a mapped
-#: scratch file. Half, because the kernels hold two comparable matrices
-#: (``dist`` + ``pair_mask`` / ``visited`` + ``pair_mask``) and the
-#: streaming arc blocks need the rest of the budget.
+#: scratch file. Half, because the kernels hold two matrices of like
+#: size (:class:`BitFrontier`'s ``visited`` + ``incoming`` bitsets,
+#: ``n x ceil(sources / 64)`` words each; weighted MSSP's
+#: ``sources x n`` ``dist`` + ``pair_mask``) and the streaming arc
+#: blocks need the rest of the budget.
 STATE_SPILL_FRACTION = 0.5
 
 
 def alloc_state_matrix(
     shape: Tuple[int, ...], dtype, fill: Any = None
 ) -> np.ndarray:
-    """A dense kernel-state matrix (``sources × n``), spilled to disk
-    when it would blow the ``--max-ram`` budget.
+    """A dense kernel-state matrix (a per-vertex source bitset, or
+    ``sources × n`` cells), spilled to disk when it would blow the
+    ``--max-ram`` budget.
 
     In-RAM is the default: without a streaming budget, or for matrices
     small against it, this is exactly ``np.full``/``np.zeros``. When the
@@ -268,6 +272,35 @@ class TaskKernel(ABC):
             return self.router.route(vertex_ids, blocks_per_vertex)
         return self.router.route(vertex_ids, point_messages_per_vertex)
 
+    def frontier_summary(
+        self,
+        verts: np.ndarray,
+        updates: np.ndarray,
+        scale: float,
+        state_bytes: float,
+        done: bool,
+    ) -> RoundSummary:
+        """Emission accounting of a source-driven frontier round
+        (MSSP/BKHS): the distinct vertices ``verts`` send this round,
+        ``verts[i]`` on behalf of ``updates[i]`` sources — one broadcast
+        block per (source, vertex) update, or one point message per
+        update and out-arc — all scaled by the sampling ``scale``."""
+        updates = updates.astype(np.float64)
+        blocks = updates * scale
+        point = updates * self.graph.degrees[verts].astype(np.float64) * scale
+        routed = self.route_emissions(verts, blocks, point)
+        # Combining keeps at most one message per (source, target) pair;
+        # in-round duplicates (several paths to the same neighbour in the
+        # same round) are rare for distinct arcs, so point count stands.
+        return RoundSummary(
+            routed=routed,
+            compute_ops=routed.delivered_messages + verts.size * scale,
+            task_state_bytes=state_bytes,
+            active_vertices=float(verts.size) * scale,
+            done=done,
+            combined_messages=routed.wire_messages,
+        )
+
     # -- subclass hooks ---------------------------------------------------
     @abstractmethod
     def _initialise(self, workload: float) -> None:
@@ -286,6 +319,147 @@ class TaskKernel(ABC):
     @abstractmethod
     def result(self) -> Any:
         """Task-specific result of the batch (valid once finished)."""
+
+
+class BitFrontier:
+    """Bit-parallel multi-source BFS state: the unweighted frontier
+    round of MSSP and BKHS (``DESIGN.md`` §8).
+
+    Source ``i`` of the batch owns bit ``i % 64`` of word ``i // 64``,
+    and every per-(source, vertex) fact is one bit of a per-vertex
+    ``uint64`` word row:
+
+    * ``visited`` — ``(n, words)``, bit set once the source reached the
+      vertex;
+    * the *union* frontier — ``verts`` (ascending, distinct) and
+      ``words`` (one non-zero row per vertex): the bits that arrived
+      last round. ``counts`` is each row's popcount — how many sources
+      hold the vertex on their frontier — ``frontier_cells`` their sum;
+    * ``reached`` — popcount of ``visited``, kept as a running total.
+
+    A round expands every arc of the union frontier once, carrying the
+    sender's whole word row, whatever the number of sources behind it.
+    """
+
+    def __init__(self, graph: Graph, sources: np.ndarray) -> None:
+        self.graph = graph
+        self.num_sources = sources.size
+        shape = (graph.num_vertices, -(-sources.size // 64))
+        self.visited = alloc_state_matrix(shape, np.uint64)
+        #: next round's arrivals; all-zero between rounds.
+        self._incoming = alloc_state_matrix(shape, np.uint64)
+        rows = np.arange(sources.size, dtype=np.uint64)
+        np.bitwise_or.at(
+            self.visited,
+            (sources, (rows >> np.uint64(6)).astype(np.int64)),
+            np.uint64(1) << (rows & np.uint64(63)),
+        )
+        self.reached = 0
+        verts = np.unique(sources)
+        self._set_frontier(verts, self.visited[verts])
+
+    def _set_frontier(self, verts: np.ndarray, words: np.ndarray) -> None:
+        """Install a round's newly set bits as the frontier."""
+        self.verts = verts
+        self.words = words
+        self.counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        self.frontier_cells = int(self.counts.sum())
+        self.reached += self.frontier_cells
+
+    def advance(self, run_blocks: Callable[..., Tuple[List[Any], bool]]) -> bool:
+        """One BFS round for every source at once; ``run_blocks`` is
+        the kernel's :meth:`TaskKernel.run_blocks`. Returns whether any
+        frontier vertex had an out-arc.
+
+        Byte-identical however the frontier is cut and wherever the
+        blocks run: a block only ORs its senders' rows into target
+        rows, and OR is commutative, associative and idempotent — any
+        grouping of the arcs, into the shared array or into private
+        ones folded later, lands the same words.
+        """
+        results, _ = run_blocks(self._scatter_block, self.verts, self.words)
+        tick = perf_counter()
+        incoming = self._incoming
+        expanded = False
+        for target in results:
+            if target is None:
+                continue
+            expanded = True
+            if target is not incoming:  # a pooled block's private array
+                np.bitwise_or(incoming, target, out=incoming)
+        # new = incoming & ~visited: mark it, hand it on as the next
+        # frontier, and leave the scratch all-zero again.
+        np.bitwise_and(incoming, ~self.visited, out=incoming)
+        verts = np.flatnonzero(incoming.any(axis=1))
+        words = incoming[verts]
+        np.bitwise_or(self.visited, incoming, out=self.visited)
+        incoming.fill(0)
+        self._set_frontier(verts, words)
+        timings.add("kernel.frontier", perf_counter() - tick)
+        return expanded
+
+    def _scatter_block(
+        self,
+        verts: np.ndarray,
+        words: np.ndarray,
+        arena: ScratchArena,
+        exclusive: bool,
+    ) -> Optional[np.ndarray]:
+        """OR the word rows of one frontier slice along its out-arcs.
+
+        Returns ``None`` when the slice has no out-arc, else the
+        ``(n, words)`` array it scattered into: the shared
+        ``_incoming`` for an *exclusive* block (which also times
+        itself), a zeroed private one from its own arena for a pooled
+        block — two concurrent blocks reaching one target would race
+        on the shared array — which the parent folds.
+        """
+        graph = self.graph
+        tick = perf_counter()
+        arc_pos, counts, kept = expand_frontier(graph, verts, arena)
+        if arc_pos.size == 0:
+            if exclusive:
+                timings.add("kernel.expand", perf_counter() - tick)
+            return None
+        if kept is not None:
+            words = words[kept]
+        nbr = np.take(graph.indices, arc_pos, out=arena.take(arc_pos.size))
+        arc_words = np.repeat(words, counts, axis=0)
+        if exclusive:
+            target = self._incoming
+            tock = perf_counter()
+            timings.add("kernel.expand", tock - tick)
+        else:
+            target = arena.take(self._incoming.size, np.uint64)
+            target = target.reshape(self._incoming.shape)
+            target.fill(0)
+        np.bitwise_or.at(target, nbr, arc_words)
+        if exclusive:
+            timings.add("kernel.reduce", perf_counter() - tock)
+        return target
+
+    def source_bits(self, words: np.ndarray) -> np.ndarray:
+        """Decode word rows ``(k, words)`` into a ``(k, sources)``
+        boolean table, column ``i`` for source ``i``."""
+        lanes = words.astype("<u8").view(np.uint8)
+        bits = np.unpackbits(lanes, axis=1, bitorder="little")
+        return bits[:, : self.num_sources].view(bool)
+
+    def cells(
+        self, verts: np.ndarray, words: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The set bits of ``words`` (one row per vertex of ``verts``)
+        as ``(source rows, vertices)`` pairs."""
+        at, rows = np.nonzero(self.source_bits(words))
+        return rows, verts[at]
+
+    def frontier_keys(self) -> np.ndarray:
+        """The frontier as flat ``source_row * n + vertex`` keys in
+        row-major order (the per-source pair list, for tests)."""
+        rows, verts = self.cells(self.verts, self.words)
+        keys = rows * np.int64(self.graph.num_vertices) + verts
+        keys.sort()
+        return keys
 
 
 #: Builds a kernel for one batch: (graph, router, batch_workload, rng).
@@ -356,11 +530,17 @@ def choose_sources(
     if workload <= 0:
         raise TaskError("workload must be positive")
     count = int(round(workload))
+    if count < 1:
+        raise TaskError(
+            f"workload {workload!r} rounds to zero sources; a batch needs "
+            "at least one"
+        )
+    if sample_limit is not None and sample_limit < 1:
+        raise TaskError("sample_limit must be at least 1 (or None)")
     simulated = count if sample_limit is None else min(count, sample_limit)
-    simulated = max(1, min(simulated, graph.num_vertices))
-    replace = simulated > graph.num_vertices
+    simulated = min(simulated, graph.num_vertices)
     sources = rng.choice(
-        graph.num_vertices, size=simulated, replace=replace
+        graph.num_vertices, size=simulated, replace=False
     ).astype(np.int64)
     return SampledSources(
         sources=sources, scale_factor=count / simulated, requested=count

@@ -4,9 +4,13 @@ Section 3's Pregel MSSP: messages ``(u, v, d)`` assert a length-``d``
 path from source ``u`` to ``v``; per round, a vertex keeps the minimum
 per source and relaxes its out-edges. The kernel executes exactly that —
 a synchronous multi-source Bellman-Ford — fully vectorised over the
-(source, vertex) frontier. Under the mirror/broadcast interface the
-per-neighbour message collapses to one ``(u, d)`` broadcast block per
-updated (source, vertex) pair, which :meth:`route_emissions` handles.
+(source, vertex) frontier. On an unweighted graph that is one BFS per
+source, and all of them run bit-parallel on per-vertex source bitsets
+(:class:`repro.tasks.base.BitFrontier`): a distance is the round in
+which the source's bit first reaches the vertex. Under the
+mirror/broadcast interface the per-neighbour message collapses to one
+``(u, d)`` broadcast block per updated (source, vertex) pair, which
+:meth:`route_emissions` handles.
 
 Workload is the *number of source nodes* (the paper's MSSP unit). For
 large workloads, ``sample_limit`` caps how many distinct sources are
@@ -33,6 +37,7 @@ from repro.graph.csr import (
 from repro.messages.routing import MessageRouter
 from repro.perf import timings
 from repro.tasks.base import (
+    BitFrontier,
     RoundSummary,
     TaskKernel,
     TaskSpec,
@@ -62,7 +67,6 @@ class MSSPKernel(TaskKernel):
         self.rng = rng
         self.sample_limit = sample_limit
         self.max_rounds = int(max_rounds)
-        self._degrees = graph.degrees
 
     def _initialise(self, workload: float) -> None:
         sampled = choose_sources(
@@ -70,8 +74,19 @@ class MSSPKernel(TaskKernel):
         )
         self._sources = sampled.sources
         self._scale = sampled.scale_factor
-        n = self.graph.num_vertices
         s = self._sources.size
+        self._frontier_cells = s
+        self._bits = (
+            BitFrontier(self.graph, self._sources)
+            if self.graph.weights is None
+            else None
+        )
+        if self._bits is not None:
+            # Level sets ``(verts, new word rows)``, one per round: the
+            # distance table, decoded only when it is read.
+            self._levels = [(self._bits.verts, self._bits.words)]
+            return
+        n = self.graph.num_vertices
         self._dist = alloc_state_matrix((s, n), np.float64, np.inf)
         self._dist[np.arange(s), self._sources] = 0.0
         self._pair_mask = alloc_state_matrix((s, n), bool)
@@ -81,6 +96,25 @@ class MSSPKernel(TaskKernel):
         self._reached_round = -1
 
     def _advance(self) -> RoundSummary:
+        if self._bits is not None:
+            return self._advance_unweighted()
+        return self._advance_weighted()
+
+    def _advance_unweighted(self) -> RoundSummary:
+        """One BFS level for every source (:meth:`BitFrontier.advance`);
+        what the round sent is the frontier it started with."""
+        bits = self._bits
+        verts, updates = bits.verts, bits.counts
+        if not bits.advance(self.run_blocks):
+            # No frontier vertex had an out-arc: a silent terminating
+            # round, priced with the frontier it could not expand.
+            return self._summary_for(verts[:0], updates[:0], done=True)
+        self._levels.append((bits.verts, bits.words))
+        self._frontier_cells = bits.frontier_cells
+        done = bits.frontier_cells == 0 or self._round >= self.max_rounds
+        return self._summary_for(verts, updates, done)
+
+    def _advance_weighted(self) -> RoundSummary:
         """One relaxation round: :meth:`_relax_block` over the round's
         block plan, read-only blocks' minima folded, winner keys merged
         into the next frontier.
@@ -104,7 +138,7 @@ class MSSPKernel(TaskKernel):
         )
         results = [res for res in results if res is not None]
         if not results:  # no frontier entry had an out-arc
-            return self._summary_for(np.empty(0, dtype=np.int64), done=True)
+            return self._summary_for(verts[:0], verts[:0], done=True)
         tick = perf_counter()
         if not exclusive:
             # Read-only blocks can win the same cell with different
@@ -117,9 +151,12 @@ class MSSPKernel(TaskKernel):
             tick = perf_counter()
         keys = merge_winner_keys([keys for keys, _ in results])
         self._frontier_rows, self._frontier_verts = np.divmod(keys, n)
+        self._frontier_cells = keys.size
         done = keys.size == 0 or self._round >= self.max_rounds
         timings.add("kernel.frontier", perf_counter() - tick)
-        return self._summary_for(verts, done)
+        updates = np.bincount(verts, minlength=self.graph.num_vertices)
+        active = np.flatnonzero(updates)
+        return self._summary_for(active, updates[active], done)
 
     def _relax_block(
         self,
@@ -155,11 +192,8 @@ class MSSPKernel(TaskKernel):
         nbr = np.take(graph.indices, arc_pos, out=arena.take(arc_pos.size))
         msg_rows = np.repeat(rows, counts)
         cand = np.repeat(dist, counts)
-        if graph.weights is not None:
-            weights = arena.take(arc_pos.size, np.float64)
-            cand += np.take(graph.weights, arc_pos, out=weights)
-        else:
-            cand += 1.0
+        weights = arena.take(arc_pos.size, np.float64)
+        cand += np.take(graph.weights, arc_pos, out=weights)
         if exclusive:
             tock = perf_counter()
             timings.add("kernel.expand", tock - tick)
@@ -197,52 +231,26 @@ class MSSPKernel(TaskKernel):
             timings.add("kernel.reduce", perf_counter() - tock)
         return keys, minima
 
-    def _summary_for(self, verts: np.ndarray, done: bool) -> RoundSummary:
-        """Emission accounting for *this* round's sends."""
-        if verts.size == 0:
-            routed = self.route_emissions(
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.float64),
-            )
-            return RoundSummary(
-                routed=routed,
-                compute_ops=0.0,
-                task_state_bytes=self._state_bytes(),
-                active_vertices=0.0,
-                done=done,
-            )
-        updates_per_vertex = np.bincount(
-            verts, minlength=self.graph.num_vertices
-        ).astype(np.float64)
-        active = np.flatnonzero(updates_per_vertex > 0)
-        blocks = updates_per_vertex[active] * self._scale
-        point = (
-            updates_per_vertex[active]
-            * self._degrees[active].astype(np.float64)
-            * self._scale
-        )
-        routed = self.route_emissions(active, blocks, point)
-        # Combining keeps at most one message per (source, target) pair;
-        # in-round duplicates (several paths to the same neighbour in the
-        # same round) are rare for distinct arcs, so point count stands.
-        return RoundSummary(
-            routed=routed,
-            compute_ops=routed.delivered_messages + active.size * self._scale,
-            task_state_bytes=self._state_bytes(),
-            active_vertices=float(active.size) * self._scale,
-            done=done,
-            combined_messages=routed.wire_messages,
+    def _summary_for(
+        self, verts: np.ndarray, updates: np.ndarray, done: bool
+    ) -> RoundSummary:
+        """Emission accounting for *this* round's sends (``verts[i]``
+        relays ``updates[i]`` sources' improved distances)."""
+        return self.frontier_summary(
+            verts, updates, self._scale, self._state_bytes(), done
         )
 
     def _reached_cells(self) -> float:
-        """Finite cells of the distance table, scanned once per round.
+        """Finite cells of the distance table.
 
-        ``_advance`` finishes its writes before it builds the summary,
-        and the engine reads ``residual_bytes()`` right after
-        ``step()``: both want the same count over the same
-        ``sources x n`` table.
+        A running popcount total on the bitset path. The weighted table
+        is scanned, once per round: ``_advance`` finishes its writes
+        before it builds the summary, and the engine reads
+        ``residual_bytes()`` right after ``step()`` — both want the
+        same count over the same ``sources x n`` table.
         """
+        if self._bits is not None:
+            return float(self._bits.reached)
         if self._reached_round != self._round:
             self._reached = float(np.isfinite(self._dist).sum())
             self._reached_round = self._round
@@ -252,20 +260,38 @@ class MSSPKernel(TaskKernel):
         """In-flight distance table + frontier for the whole batch."""
         return (
             self._reached_cells() * FRONTIER_ENTRY_BYTES
-            + float(self._frontier_rows.size) * FRONTIER_ENTRY_BYTES
+            + float(self._frontier_cells) * FRONTIER_ENTRY_BYTES
         ) * self._scale
 
     def residual_bytes(self) -> float:
         """Final distances stay resident per machine until the job ends."""
         return self._reached_cells() * RESIDUAL_RECORD_BYTES * self._scale
 
+    def frontier_keys(self) -> np.ndarray:
+        """The (source, vertex) pairs improved last round, as flat
+        ``source_row * n + vertex`` keys in row-major order."""
+        if self._bits is not None:
+            return self._bits.frontier_keys()
+        n = np.int64(self.graph.num_vertices)
+        return self._frontier_rows * n + self._frontier_verts
+
+    def reached_table(self) -> np.ndarray:
+        """The ``sources x n`` distance table so far (``inf`` where
+        unreached), row ``i`` for the batch's ``i``-th source; a copy."""
+        if self._bits is None:
+            return np.array(self._dist)
+        table = np.full(
+            (self._sources.size, self.graph.num_vertices), np.inf
+        )
+        for level, (verts, words) in enumerate(self._levels):
+            table[self._bits.cells(verts, words)] = level
+        return table
+
     @property
     def result(self) -> dict:
         """Map ``source id -> distance vector`` for simulated sources."""
-        return {
-            int(s): self._dist[i].copy()
-            for i, s in enumerate(self._sources)
-        }
+        table = self.reached_table()
+        return {int(s): table[i] for i, s in enumerate(self._sources)}
 
 
 def mssp_task(

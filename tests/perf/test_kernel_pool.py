@@ -185,6 +185,40 @@ class TestAllocStateMatrix:
         spilled[:] = np.minimum(spilled, updates)
         assert in_ram.tobytes() == np.asarray(spilled).tobytes()
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_kernel_state_falls_under_the_spill_rule(self, weighted):
+        """Unweighted batches keep two ``n x ceil(s / 64)`` bitsets,
+        weighted MSSP its ``s x n`` distance table and pair mask: both
+        are allocated through ``alloc_state_matrix``."""
+        from repro.graph.generators import chung_lu
+        from repro.graph.mirrors import build_mirror_plan
+        from repro.graph.partition import hash_partition
+        from repro.messages.routing import PointToPointRouter
+        from repro.rng import make_rng
+        from repro.tasks.exact import shortest_path_distances
+        from repro.tasks.mssp import MSSPKernel
+
+        graph = chung_lu(90, 4.0, seed=2)
+        if weighted:
+            lengths = np.random.default_rng(2).integers(1, 4, graph.num_arcs)
+            graph = type(graph)(graph.indptr, graph.indices, lengths * 0.5)
+        router = PointToPointRouter(
+            graph, build_mirror_plan(graph, hash_partition(graph, 2))
+        )
+        configure_streaming(max_ram_bytes=1)
+        kernel = MSSPKernel(graph, router, make_rng(4), sample_limit=None)
+        kernel.start_batch(70)
+        spills = memory.memory_stats()["state_spills"]
+        n, sources = graph.num_vertices, 70
+        expected = sources * n * (8 + 1) if weighted else 2 * n * 2 * 8
+        assert spills == {"count": 2, "bytes": expected}
+        while not kernel.step().done:
+            pass
+        for source, dist in kernel.result.items():
+            np.testing.assert_array_equal(
+                dist, shortest_path_distances(graph, source)
+            )
+
     def test_scratch_dir_removed_when_collected(self):
         import os
 

@@ -40,12 +40,7 @@ def random_cuts(kernel, rng):
 
 
 def state_bytes(kernel):
-    state = kernel._dist if hasattr(kernel, "_dist") else kernel._visited
-    return (
-        state.tobytes(),
-        kernel._frontier_rows.tobytes(),
-        kernel._frontier_verts.tobytes(),
-    )
+    return kernel.reached_table().tobytes(), kernel.frontier_keys().tobytes()
 
 
 @given(

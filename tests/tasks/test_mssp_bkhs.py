@@ -22,7 +22,8 @@ from repro.graph.partition import hash_partition
 from repro.messages.routing import BroadcastRouter, PointToPointRouter
 from repro.perf import kernel_pool
 from repro.rng import make_rng
-from repro.tasks.base import TaskKernel
+from repro.errors import TaskError
+from repro.tasks.base import TaskKernel, choose_sources
 from repro.tasks.bkhs import BKHSKernel, bkhs_task
 from repro.tasks.exact import (
     bfs_distances,
@@ -119,11 +120,6 @@ def rounds_of(kernel):
             break
 
 
-def frontier_keys(kernel):
-    n = kernel.graph.num_vertices
-    return kernel._frontier_rows * n + kernel._frontier_verts
-
-
 def hop_limited_distances(graph, source, hops):
     """Shortest distances over paths of at most ``hops`` arcs: the
     synchronous Bellman-Ford invariant, as the plain reference loop."""
@@ -155,9 +151,9 @@ class TestMSSPCorrectness:
             # Truth every round, not only at the end: the frontier is
             # the BFS level, each cell once, in row-major order.
             np.testing.assert_array_equal(
-                frontier_keys(kernel), np.flatnonzero(truth == level)
+                kernel.frontier_keys(), np.flatnonzero(truth == level)
             )
-        np.testing.assert_array_equal(kernel._dist, truth)
+        np.testing.assert_array_equal(kernel.reached_table(), truth)
         assert plan.taken()
 
     def test_weighted_matches_dijkstra(self, weighted_graph, plan):
@@ -252,7 +248,7 @@ class TestBKHSCorrectness:
         for level in rounds_of(kernel):
             if level <= 2:  # round k + 1 only terminates
                 np.testing.assert_array_equal(
-                    frontier_keys(kernel), np.flatnonzero(truth == level)
+                    kernel.frontier_keys(), np.flatnonzero(truth == level)
                 )
         for source, count in kernel.result.items():
             assert count == int(k_hop_set(graph, source, 2).sum())
@@ -306,6 +302,28 @@ class TestTruthOnEveryPlan:
     test_unreachable_stays_infinite = _mssp.test_unreachable_stays_infinite
     test_counts_match_bruteforce = _bkhs.test_counts_match_bruteforce
     test_reachable_sets_match = _bkhs.test_reachable_sets_match
+
+
+class TestChooseSources:
+    """Inputs that used to be mangled silently now fail loudly."""
+
+    @pytest.mark.parametrize("workload", [0.4, 0.5])
+    def test_workload_rounding_to_zero_sources(self, random_graph, workload):
+        # 0.5 rounds to 0 too (banker's rounding); either way the batch
+        # would be priced at scale 0.0, i.e. at zero messages.
+        with pytest.raises(TaskError, match="zero sources"):
+            choose_sources(random_graph, workload, 64, make_rng(0))
+
+    @pytest.mark.parametrize("sample_limit", [0, -3])
+    def test_non_positive_sample_limit(self, random_graph, sample_limit):
+        with pytest.raises(TaskError, match="sample_limit"):
+            choose_sources(random_graph, 8.0, sample_limit, make_rng(0))
+
+    def test_sources_are_distinct_and_scaled(self, random_graph):
+        n = random_graph.num_vertices
+        sampled = choose_sources(random_graph, 4.0 * n, None, make_rng(0))
+        assert np.array_equal(np.sort(sampled.sources), np.arange(n))
+        assert sampled.scale_factor == 4.0 and sampled.requested == 4 * n
 
 
 class TestTaskSpecs:
