@@ -161,9 +161,19 @@ class AdmissionController:
         """Largest admissible next batch for ``kind`` (integral units)."""
         return self._check_kind(kind).admissible_workload()
 
-    def admits(self, kind: str, units: float) -> bool:
-        """Whether a ``units``-sized batch of ``kind`` fits right now."""
-        return 0 < units <= self.admissible_units(kind)
+    def admits(
+        self,
+        kind: str,
+        units: float,
+        tenant_units: Optional[Mapping[str, float]] = None,
+    ) -> bool:
+        """Whether a ``units``-sized batch of ``kind`` fits right now —
+        under the shared budget and, for the ``tenant_units`` it would
+        charge (tenant → units), under every tenant's quota."""
+        return 0 < units <= self.admissible_units(kind) and all(
+            take <= self.tenant_admissible_units(kind, tenant)
+            for tenant, take in (tenant_units or {}).items()
+        )
 
     def admit(
         self,

@@ -59,8 +59,9 @@ class Pending:
     remaining: float
     #: clock time the batch containing the request's first unit started.
     started_seconds: Optional[float] = None
-    #: units currently frozen inside a suspended batch — such a pending
-    #: must never be shed or double-scheduled.
+    #: units claimed by a formed batch, running or frozen at a barrier,
+    #: until it settles — such a pending must never be shed or
+    #: double-scheduled.
     inflight: float = 0.0
     #: admission sequence number, assigned by :meth:`ReadyQueue.append`.
     #: It — not ``task_id`` — identifies the entry, so duplicate ids
@@ -69,7 +70,7 @@ class Pending:
 
     @property
     def untouched(self) -> bool:
-        """No unit has run or is frozen in a suspended batch."""
+        """No unit has run or is claimed by a formed batch."""
         return self.inflight == 0 and self.remaining >= self.request.units
 
 
@@ -160,7 +161,7 @@ class ReadyQueue:
     ) -> Iterator[Pending]:
         """Requests that could justify suspending a running batch of
         ``running_kind`` formed at ``batch_class``: other-kind, not
-        frozen in a suspended batch, effective class strictly more
+        claimed by a suspended batch, effective class strictly more
         urgent. Each lane is read from its oldest request and left at
         the first one that is not urgent enough — nothing behind it is."""
         effective_class = self.policy.effective_class

@@ -4,38 +4,30 @@ The service owns one persistent :class:`~repro.engines.base.EngineSession`
 per task kind (graph load, partitions, mirror plans and the scratch
 arena survive across batches) and an
 :class:`~repro.sched.admission.AdmissionController` over the fitted
-memory models. The loop is event-driven on a simulated clock:
+memory models. A :meth:`SchedulerService.run` call is one state record
+(:class:`_Run`) and three transitions over it on a simulated clock
+(DESIGN.md §10 tabulates them):
 
-1. requests whose arrival time has passed join the FIFO queue;
-2. the queue head's kind defines the next batch; admission control
-   sizes it (largest admissible batch first — the paper's front-loaded
-   insight falls out automatically, because residual memory accumulates
-   and the admissible size shrinks);
-3. the batch executes on the kind's session and the clock advances by
-   its simulated seconds;
-4. when admission cannot fit even one unit, the accumulated residual
-   memory is flushed to the callers (backpressure) and the budget
-   resets;
-5. a batch that overloads anyway (model error) is aborted and its
-   units retried under a re-split cap, reusing the
-   :class:`~repro.faults.recovery.OverloadRecovery` policy.
+* **select** — requests whose arrival time has passed join the
+  :class:`~repro.sched.queue.ReadyQueue` or are shed. The head's kind
+  defines the next batch and admission control sizes it, largest
+  admissible first — the paper's front-loaded insight falls out
+  automatically, because residual memory accumulates and the admissible
+  size shrinks. When not even one unit fits, the residual is flushed to
+  the callers (backpressure), the budget resets and the decision is
+  taken again. A kind with a batch frozen at a barrier resumes it.
+* **dispatch** — the batch runs on the kind's session, where a barrier
+  callback may suspend it for a more urgent cross-kind request.
+* **settle** — the clock advances by the segment's simulated seconds; a
+  suspended batch is pinned in admission, a completed one admitted and
+  its finished requests answered, one that overloads anyway (model
+  error) aborted and retried under a re-split cap
+  (:class:`~repro.faults.recovery.OverloadRecovery`).
 
 A degenerate schedule — every unit pre-queued at time zero, a single
 kind, a single planner pass — reproduces the legacy offline runner
 byte-identically (see :func:`run_degenerate` and the determinism
 suite).
-
-PR 7 layers a :class:`~repro.sched.policy.ServicePolicy` on top of
-that loop: priority lanes with aging replace strict FIFO selection
-(the pending requests live in a :class:`~repro.sched.queue.ReadyQueue`,
-which serves them in ``selection_key`` order without ranking them), a
-running batch can be *suspended at a superstep barrier* (the engine's
-:class:`~repro.engines.base.BatchCheckpoint`) when a more urgent
-cross-kind request would blow its deadline, the pending queue is
-bounded, and arrivals past a residual-memory watermark are shed
-deterministically with a ``Retry-After``-style hint. The
-default-constructed policy reproduces the legacy FIFO loop byte for
-byte.
 """
 
 from __future__ import annotations
@@ -113,10 +105,34 @@ class _InFlight:
     #: suspend/restore cost already charged to the service clock.
     charged_suspend_seconds: float = 0.0
     suspend_count: int = 0
+    #: kernel-pool share the latest segment was dispatched under.
+    worker_share: int = 0
 
     @property
     def pin_tag(self) -> str:
         return f"suspended:{self.kind}"
+
+
+@dataclass
+class _Run:
+    """Everything one :meth:`SchedulerService.run` call mutates; the
+    three transitions and their helpers take the record whole."""
+
+    metrics: ServiceMetrics
+    #: requests not yet arrived, in ``(arrival_seconds, task_id)`` order.
+    arrivals: Deque[TaskRequest]
+    queue: ReadyQueue
+    #: batches suspended at a barrier, by kind (at most one per kind —
+    #: kernels share the session RNG stream).
+    suspended: Dict[str, _InFlight] = field(default_factory=dict)
+    #: the service's simulated clock.
+    clock: float = 0.0
+    #: batches formed so far (the next batch's ``order``).
+    formed: int = 0
+    #: consecutive overloaded batches, and the unit cap their retry
+    #: runs under (``None`` once a batch completes).
+    failures: int = 0
+    resplit_cap: Optional[float] = None
 
 
 class SchedulerService:
@@ -423,22 +439,6 @@ class SchedulerService:
             return None
         return max(1.0, float(int(budget / per_unit)))
 
-    def _quota_feasible(
-        self, kind: str, queue: ReadyQueue, clock: float
-    ) -> bool:
-        """Whether any queued ``kind`` request in the head scan prefix
-        has tenant-quota headroom for at least one unit. Only called
-        when tenant quotas are configured."""
-        for pending in queue.ranked(clock):
-            if pending.request.kind != kind:
-                break
-            allowed = self.admission.tenant_admissible_units(
-                kind, pending.request.tenant
-            )
-            if allowed >= 1.0:
-                return True
-        return False
-
     # ------------------------------------------------------------------
     # Result cache (content-keyed, single-flight)
     # ------------------------------------------------------------------
@@ -475,19 +475,39 @@ class SchedulerService:
         job = self.engines[kind].run_canonical(task, seed=seed)
         return bytes(pack_job(job)["payload"])
 
-    def _finish_result(
+    def _answer(
         self,
-        pending: Pending,
-        clock: float,
-        metrics: ServiceMetrics,
+        run: _Run,
+        request: TaskRequest,
+        start: float,
+        finish: float,
+        served_by: str,
     ) -> None:
+        """Record one answered request — executed, cache hit or
+        coalesced — and count a missed deadline."""
+        latency = TaskLatency(
+            task_id=request.task_id,
+            kind=request.kind,
+            units=request.units,
+            arrival_seconds=request.arrival_seconds,
+            start_seconds=start,
+            finish_seconds=finish,
+            priority=request.priority,
+            deadline_seconds=request.deadline_seconds,
+            tenant=request.tenant,
+            served_by=served_by,
+        )
+        if latency.missed_deadline:
+            run.metrics.deadline_misses += 1
+        run.metrics.latencies.append(latency)
+
+    def _finish_result(self, run: _Run, pending: Pending) -> None:
         """Complete a leader request in the result cache: store its
         payload, fan the same bytes out to every coalesced joiner, and
-        record the joiners' latencies (they finish with the leader)."""
+        answer the joiners (they finish with the leader)."""
         cache = self.result_cache
-        if cache is None:
-            return
         request = pending.request
+        self._leaders.pop(request.task_id, None)
         key = self._result_key(request)
         payload = self._result_payload(request)
         store = True
@@ -509,41 +529,26 @@ class SchedulerService:
                 store = False
                 self._cache_skips += 1
         joiners = cache.complete(
-            key, payload, clock, tenant=request.tenant, store=store
+            key, payload, run.clock, tenant=request.tenant, store=store
         )
         self.responses[request.task_id] = payload
-        start = pending.started_seconds
-        if start is None:
-            start = clock
         for joiner in joiners:
             self.responses[joiner.task_id] = payload
-            latency = TaskLatency(
-                task_id=joiner.task_id,
-                kind=joiner.kind,
-                units=joiner.units,
-                arrival_seconds=joiner.arrival_seconds,
-                start_seconds=max(joiner.arrival_seconds, start),
-                finish_seconds=clock,
-                priority=joiner.priority,
-                deadline_seconds=joiner.deadline_seconds,
-                tenant=joiner.tenant,
-                served_by="coalesced",
+            self._answer(
+                run,
+                joiner,
+                max(joiner.arrival_seconds, pending.started_seconds),
+                run.clock,
+                "coalesced",
             )
-            if latency.missed_deadline:
-                metrics.deadline_misses += 1
-            metrics.latencies.append(latency)
 
-    def _flush(
-        self,
-        metrics: ServiceMetrics,
-        suspended: Optional[Dict[str, _InFlight]] = None,
-    ) -> float:
+    def _flush(self, run: _Run) -> None:
         """Backpressure: ship all residual results to their callers.
 
         Every session's residual memory is released and priced like the
         offline runner's final aggregation (the results cross the same
-        network paths); the admission budget resets. Returns the
-        simulated seconds the flush cost.
+        network paths); the admission budget resets and the clock
+        advances by the simulated seconds the flush cost.
 
         Suspended batches are untouched — their checkpointed state
         stays pinned in admission and their rounds keep pricing the
@@ -559,20 +564,19 @@ class SchedulerService:
                     session.task, freed
                 )
         self.admission.release_all()
-        if suspended:
-            for inflight in suspended.values():
-                inflight.residual_restore = 0.0
-        metrics.flushes += 1
-        metrics.flush_seconds += cost
-        return cost
+        for inflight in run.suspended.values():
+            inflight.residual_restore = 0.0
+        run.metrics.flushes += 1
+        run.metrics.flush_seconds += cost
+        run.clock += cost
 
     # ------------------------------------------------------------------
     # Queue admission, shedding, and preemption helpers
     # ------------------------------------------------------------------
-    def _retry_after_hint(self, queue: ReadyQueue) -> float:
+    def _retry_after_hint(self, run: _Run) -> float:
         """Deterministic ``Retry-After`` estimate for a shed request:
         the queued backlog times the observed seconds-per-unit."""
-        backlog = sum(p.remaining for p in queue)
+        backlog = sum(p.remaining for p in run.queue)
         if self._completed_units > 0:
             per_unit = self._completed_seconds / self._completed_units
         else:
@@ -582,14 +586,10 @@ class SchedulerService:
         )
 
     def _drop(
-        self,
-        request: TaskRequest,
-        reason: str,
-        now: float,
-        queue: ReadyQueue,
-        metrics: ServiceMetrics,
+        self, run: _Run, request: TaskRequest, reason: str, now: float
     ) -> None:
         """Record one shed request."""
+        metrics = run.metrics
         metrics.dropped_requests += 1
         if reason == "queue-full":
             metrics.drops_queue_full += 1
@@ -606,7 +606,7 @@ class SchedulerService:
                 "tenant": request.tenant,
                 "reason": reason,
                 "clock_seconds": now,
-                "retry_after_seconds": self._retry_after_hint(queue),
+                "retry_after_seconds": self._retry_after_hint(run),
             }
         )
         cache = self.result_cache
@@ -616,18 +616,13 @@ class SchedulerService:
                 # A dropped leader takes its coalesced joiners with it:
                 # nothing will execute their shared key any more.
                 for joiner in cache.abandon(key):
-                    self._drop(joiner, reason, now, queue, metrics)
+                    self._drop(run, joiner, reason, now)
 
-    def _enqueue(
-        self,
-        request: TaskRequest,
-        queue: ReadyQueue,
-        metrics: ServiceMetrics,
-        now: float,
-    ) -> None:
+    def _enqueue(self, run: _Run, request: TaskRequest, now: float) -> None:
         """Queue one arrival, shedding deterministically at the
         watermark and the queue-depth bound."""
         policy = self.policy
+        queue = run.queue
         if (
             policy.shed_watermark is not None
             and policy.priority_classes > 1
@@ -638,7 +633,7 @@ class SchedulerService:
                 + self.admission.pinned_bytes()
             )
             if used > policy.shed_watermark * self.admission.budget:
-                self._drop(request, "watermark", now, queue, metrics)
+                self._drop(run, request, "watermark", now)
                 return
         cache = self.result_cache
         if cache is not None:
@@ -648,21 +643,7 @@ class SchedulerService:
                 # Served from memory: the exact payload bytes a cold
                 # execution produced, at zero simulated cost.
                 self.responses[request.task_id] = hit
-                latency = TaskLatency(
-                    task_id=request.task_id,
-                    kind=request.kind,
-                    units=request.units,
-                    arrival_seconds=request.arrival_seconds,
-                    start_seconds=now,
-                    finish_seconds=now,
-                    priority=request.priority,
-                    deadline_seconds=request.deadline_seconds,
-                    tenant=request.tenant,
-                    served_by="cache-hit",
-                )
-                if latency.missed_deadline:
-                    metrics.deadline_misses += 1
-                metrics.latencies.append(latency)
+                self._answer(run, request, now, now, "cache-hit")
                 return
             if not cache.leader(key):
                 # Single-flight: an identical request is already
@@ -674,44 +655,29 @@ class SchedulerService:
         if policy.max_queue is not None and len(queue) > policy.max_queue:
             victim = queue.evictable()
             if victim is None:
-                return  # everything is partially executed; keep it
+                return  # everything is claimed or partially executed
             queue.discard(victim)
-            self._drop(victim.request, "queue-full", now, queue, metrics)
+            self._drop(run, victim.request, "queue-full", now)
 
-    def _admit_arrivals(
-        self,
-        arrivals: Deque[TaskRequest],
-        queue: ReadyQueue,
-        metrics: ServiceMetrics,
-        now: float,
-    ) -> None:
+    def _admit_arrivals(self, run: _Run, now: float) -> None:
+        arrivals = run.arrivals
         while arrivals and arrivals[0].arrival_seconds <= now:
-            self._enqueue(arrivals.popleft(), queue, metrics, now)
+            self._enqueue(run, arrivals.popleft(), now)
 
-    def _drop_expired(
-        self,
-        queue: ReadyQueue,
-        metrics: ServiceMetrics,
-        now: float,
-    ) -> None:
+    def _drop_expired(self, run: _Run) -> None:
         """Shed queued requests whose deadline passed before any of
         their units started (``policy.drop_expired``)."""
-        for pending in list(queue):
+        now = run.clock
+        for pending in list(run.queue):
             deadline = pending.request.deadline_at
             if deadline is not None and now > deadline and pending.untouched:
-                queue.discard(pending)
-                self._drop(pending.request, "expired", now, queue, metrics)
+                run.queue.discard(pending)
+                self._drop(run, pending.request, "expired", now)
 
-    def _preempt_callback(
-        self,
-        inflight: _InFlight,
-        segment_clock: float,
-        arrivals: Deque[TaskRequest],
-        queue: ReadyQueue,
-        metrics: ServiceMetrics,
-    ):
-        """Build the barrier callback for one batch segment, or
-        ``None`` when this batch can never be preempted.
+    def _preempt_callback(self, run: _Run, inflight: _InFlight):
+        """Build the barrier callback for one batch segment starting at
+        ``run.clock``, or ``None`` when this batch can never be
+        preempted.
 
         The callback runs at every superstep barrier: it advances the
         virtual clock by the batch's accrued seconds, admits arrivals
@@ -730,7 +696,7 @@ class SchedulerService:
             return None
         kind = inflight.kind
         batch_class = inflight.priority
-        segment_start = segment_clock
+        segment_start = run.clock
         seconds_before = inflight.charged_seconds
         rounds_before = (
             inflight.checkpoint.rounds_done if inflight.checkpoint else 0
@@ -738,14 +704,14 @@ class SchedulerService:
 
         def should_suspend(batch) -> bool:
             now = segment_start + (batch.seconds - seconds_before)
-            self._admit_arrivals(arrivals, queue, metrics, now)
+            self._admit_arrivals(run, now)
             if (
                 policy.preempt_after_rounds is not None
                 and len(batch.rounds) - rounds_before
                 < policy.preempt_after_rounds
             ):
                 return False
-            for pending in queue.urgent_waiters(batch_class, now, kind):
+            for pending in run.queue.urgent_waiters(batch_class, now, kind):
                 if (
                     policy.preempt_after_rounds is not None
                     or policy.preempt_rule == "eager"
@@ -762,8 +728,309 @@ class SchedulerService:
         return should_suspend
 
     # ------------------------------------------------------------------
-    # The scheduler loop
+    # The scheduler loop: select -> dispatch -> settle
     # ------------------------------------------------------------------
+    def _select(self, run: _Run) -> Optional[_InFlight]:
+        """Decide what runs next: a frozen batch to resume, a newly
+        formed one, or ``None`` once the stream is exhausted."""
+        flushed = False
+        while True:
+            self._admit_arrivals(run, run.clock)
+            if self.policy.drop_expired:
+                self._drop_expired(run)
+            if not run.queue:
+                if run.suspended:
+                    return self._thaw(run)
+                if not run.arrivals:
+                    # Drained, or the tail of the stream was shed
+                    # (watermark, expiry) without ever joining the queue.
+                    return None
+                # Idle: jump the clock to the next arrival.
+                run.clock = max(run.clock, run.arrivals[0].arrival_seconds)
+                continue
+            head = run.queue.head(run.clock)
+            kind = head.request.kind
+            if kind in run.suspended:
+                # The lane's kind has a frozen batch: it must finish
+                # before a new same-kind batch may start.
+                return self._thaw(run, kind)
+            inflight = self._form(run, head)
+            if inflight is not None:
+                return inflight
+            if not flushed:
+                # Backpressure: residual memory ate the budget (or
+                # every candidate tenant's quota). Flush results, reset
+                # the planners and decide again — a flush that costs
+                # simulated seconds can age another kind to the head.
+                self._flush(run)
+                flushed = True
+                continue
+            if run.suspended:
+                # Checkpointed state holds the remaining budget (and
+                # any tenant shares) pinned: finish a frozen batch to
+                # release it instead of giving up.
+                return self._thaw(run)
+            if self.admission.admissible_units(kind) < 1.0:
+                raise SchedulingError(
+                    f"memory budget below the {kind} model's "
+                    "constant terms; no admissible batch even "
+                    "after flushing all residual memory"
+                )
+            raise SchedulingError(
+                f"no tenant quota admits a single {kind} unit even after "
+                "flushing all residual memory"
+            )
+
+    def _thaw(self, run: _Run, kind: Optional[str] = None) -> _InFlight:
+        """Take ``kind``'s frozen batch (default: the oldest one) out
+        of suspension, re-admitted like a new batch: if the budget or a
+        tenant's quota shrank under it while it was frozen — urgent
+        batches added residual — flush that residual (if any) first, so
+        Equation 1 holds while the resumed segment runs instead of
+        failing ``admit`` once it completes."""
+        if kind is None:
+            kind = min(run.suspended, key=lambda k: run.suspended[k].order)
+        inflight = run.suspended[kind]
+        self.admission.unpin(inflight.pin_tag)
+        if (
+            not self.admission.admits(
+                kind, inflight.batch_units, inflight.tenant_units
+            )
+            and self.admission.residual_bytes() > 0
+        ):
+            # Still listed as suspended: its restore point drops too.
+            self._flush(run)
+        del run.suspended[kind]
+        run.metrics.resumes += 1
+        return inflight
+
+    def _form(self, run: _Run, head: Pending) -> Optional[_InFlight]:
+        """Form the largest admissible batch of the head's kind, in
+        priority order, and claim its units — or return ``None`` when
+        Equation 1 admits none of them: the shared budget cannot fit
+        one unit, or every candidate was skipped for tenant quota.
+
+        Requests are divisible into unit tasks, so the head may be
+        partially scheduled; a request finishes when the batch holding
+        its last unit completes. With one priority class the scan order
+        is exactly arrival order. Quota-blocked tenants are skipped,
+        not barriers: later same-kind requests from other tenants still
+        fill the batch.
+        """
+        kind = head.request.kind
+        admissible = self.admission.admissible_units(kind)
+        if run.resplit_cap is not None:
+            admissible = min(admissible, run.resplit_cap)
+        stream_cap = self._streaming_unit_cap()
+        if stream_cap is not None:
+            admissible = min(admissible, stream_cap)
+        batch_units = 0.0
+        parts: List[Tuple[Pending, float]] = []
+        tenant_units: Dict[str, float] = {}
+        quotas_on = self.admission.tenant_quotas is not None
+        quota_skips = False
+        for pending in run.queue.ranked(run.clock):
+            if pending.request.kind != kind:
+                break
+            take = min(pending.remaining, admissible - batch_units)
+            take = float(int(take))
+            if take < 1.0:
+                break
+            if quotas_on:
+                tenant = pending.request.tenant
+                allowed = self.admission.tenant_admissible_units(
+                    kind, tenant
+                ) - tenant_units.get(tenant, 0.0)
+                take = min(take, max(allowed, 0.0))
+                if take < 1.0:
+                    quota_skips = True
+                    continue
+                tenant_units[tenant] = tenant_units.get(tenant, 0.0) + take
+            # Claimed until the batch settles: a unit inside a running
+            # batch is as safe from eviction as one frozen in a
+            # suspended batch.
+            pending.inflight = take
+            parts.append((pending, take))
+            batch_units += take
+            if batch_units >= admissible:
+                break
+        if not parts and (admissible < 1.0 or quota_skips):
+            return None  # (a head with no units still fails at dispatch)
+        batch_units = float(int(batch_units))
+        residual = self._session(kind).residual_bytes
+        inflight = _InFlight(
+            kind=kind,
+            parts=parts,
+            batch_units=batch_units,
+            admissible=admissible,
+            projected=self.admission.projected_bytes(kind, batch_units),
+            residual_log=residual,
+            residual_restore=residual,
+            start_clock=run.clock,
+            priority=self.policy.effective_class(head.request, run.clock),
+            order=run.formed,
+            tenant_units=tenant_units,
+        )
+        run.formed += 1
+        return inflight
+
+    def _dispatch(self, run: _Run, inflight: _InFlight):
+        """Run the selected batch's next segment on its kind's session:
+        a ``BatchCheckpoint`` if the barrier callback suspended it, its
+        ``BatchMetrics`` once it ran to the end."""
+        session = self._session(inflight.kind)
+        callback = self._preempt_callback(run, inflight)
+        inflight.worker_share = self._apply_worker_share(
+            1 + len(run.suspended), inflight=inflight, clock=run.clock
+        )
+        if inflight.checkpoint is None:
+            return session.run_batch(
+                inflight.batch_units, should_suspend=callback
+            )
+        return session.resume(should_suspend=callback)
+
+    def _settle(self, run: _Run, inflight: _InFlight, result) -> None:
+        """Book one dispatched segment's outcome — suspended, aborted
+        or completed (DESIGN.md §10 tabulates what each one writes)."""
+        metrics = run.metrics
+        kind = inflight.kind
+        suspended = isinstance(result, BatchCheckpoint)
+        checkpoint = result if suspended else inflight.checkpoint
+        batch = checkpoint.batch if suspended else result
+        # Charge this segment's rounds, plus whatever suspend/restore
+        # checkpointing it paid, to the clock.
+        suspend_cost = 0.0
+        if checkpoint is not None:
+            paid = checkpoint.suspend_resume_seconds
+            suspend_cost = paid - inflight.charged_suspend_seconds
+            inflight.charged_suspend_seconds = paid
+            metrics.preempt_seconds += suspend_cost
+        run.clock += (
+            max(0.0, batch.seconds - inflight.charged_seconds) + suspend_cost
+        )
+        inflight.charged_seconds = batch.seconds
+
+        if suspended:
+            # Suspended at a barrier: pin the frozen state in admission
+            # and go serve the urgent lane; the claims stay. No
+            # batch_log entry yet — the batch is not done.
+            inflight.checkpoint = checkpoint
+            inflight.suspend_count = checkpoint.suspends
+            pinned = (
+                checkpoint.state_bytes() / self.engine.cluster.num_machines
+            )
+            shares: Optional[Dict[str, float]] = None
+            if self.admission.tenant_quotas is not None:
+                shares = {
+                    tenant: pinned * take / inflight.batch_units
+                    for tenant, take in inflight.tenant_units.items()
+                }
+            self.admission.pin(inflight.pin_tag, pinned, tenants=shares)
+            run.suspended[kind] = inflight
+            metrics.preemptions += 1
+            return
+
+        for pending, _ in inflight.parts:
+            pending.inflight = 0.0
+        session = self._session(kind)
+        batch_units = inflight.batch_units
+        if batch.overloaded:
+            # The memory model under-predicted: abort the batch (partial
+            # results discarded, units stay queued) and retry under a
+            # re-split cap.
+            run.failures += 1
+            batch.aborted = True
+            batch.abort_seconds = self.recovery.abort_overhead_seconds
+            session.residual_bytes = inflight.residual_restore
+            metrics.resplits += 1
+            run.resplit_cap = max(
+                1.0, float(int(batch_units / self.recovery.split_factor))
+            )
+            if run.failures > self.recovery.max_retries:
+                raise RecoveryError(
+                    f"{kind} batch of {batch_units:g} units kept "
+                    f"overloading after {run.failures} attempts",
+                    history=[dict(b) for b in metrics.batch_log],
+                )
+        else:
+            self.admission.admit(
+                kind, batch_units, tenant_units=inflight.tenant_units or None
+            )
+            if self.policy.calibrate:
+                # The session just told this batch's observation back;
+                # if the calibrator bumped or refitted, swap the
+                # refreshed model into the kind's planner so the *next*
+                # admission re-prices against it (``_check_kind``
+                # recomputes budgets per call).
+                calibrator = self.calibrators.get(kind)
+                if (
+                    calibrator is not None
+                    and calibrator.version != self._model_versions.get(kind)
+                ):
+                    self.admission.planners[kind].model = calibrator.model
+                    self._model_versions[kind] = calibrator.version
+            run.failures = 0
+            run.resplit_cap = None
+            self._completed_units += batch_units
+            self._completed_seconds += batch.seconds
+            for pending, take in inflight.parts:
+                if pending.started_seconds is None:
+                    pending.started_seconds = inflight.start_clock
+                pending.remaining -= take
+                if pending.remaining <= 0:
+                    run.queue.discard(pending)
+                    self._answer(
+                        run,
+                        pending.request,
+                        pending.started_seconds,
+                        run.clock,
+                        "executed",
+                    )
+                    if self.result_cache is not None:
+                        self._finish_result(run, pending)
+
+        entry = {
+            "index": len(metrics.batch_log),
+            "kind": kind,
+            "engine": session.engine.name,
+            "workload": batch.workload,
+            "admissible_units": inflight.admissible,
+            "projected_bytes": inflight.projected,
+            "budget_bytes": self.admission.budget,
+            "start_seconds": inflight.start_clock,
+            "finish_seconds": run.clock,
+            "seconds": batch.seconds,
+            "rounds": batch.num_rounds,
+            "peak_memory_bytes": batch.peak_memory_bytes,
+            "residual_before_bytes": inflight.residual_log,
+            "residual_after_bytes": session.residual_bytes,
+            "overloaded": batch.overloaded,
+            "aborted": batch.aborted,
+            "priority": inflight.priority,
+            "preemptions": inflight.suspend_count,
+            "preempt_seconds": inflight.charged_suspend_seconds,
+        }
+        if self.policy.intra_workers > 0:
+            # Share applied to the batch's final segment; omitted
+            # entirely when the policy grants no workers so the
+            # legacy batch-log shape is byte-identical.
+            entry["intra_workers"] = inflight.worker_share
+        if self.admission.tenant_quotas is not None:
+            entry["tenants"] = dict(inflight.tenant_units)
+        if self.record_rounds:
+            entry["round_trace"] = [
+                {
+                    "round": r.round_index,
+                    "seconds": r.seconds,
+                    "network_messages": r.network_messages,
+                    "local_messages": r.local_messages,
+                    "peak_memory_bytes": r.peak_memory_bytes,
+                }
+                for r in batch.rounds
+            ]
+        metrics.batch_log.append(entry)
+        self.executed_batches.append((kind, batch))
+
     def run(
         self,
         requests: Sequence[TaskRequest],
@@ -778,8 +1045,6 @@ class SchedulerService:
         whatever ``requests`` holds — pre-queueing everything at time
         zero gives the degenerate offline schedule).
         """
-        policy = self.policy
-        machines = self.engine.cluster.num_machines
         metrics = ServiceMetrics(
             engine=self.engine.name,
             cluster=self.engine.cluster.name,
@@ -787,342 +1052,24 @@ class SchedulerService:
             duration_rounds=int(duration_rounds),
             seed=self.seed if isinstance(self.seed, int) else None,
         )
-        arrivals: Deque[TaskRequest] = deque(
-            sorted(requests, key=lambda r: (r.arrival_seconds, r.task_id))
+        run = _Run(
+            metrics=metrics,
+            arrivals=deque(
+                sorted(requests, key=lambda r: (r.arrival_seconds, r.task_id))
+            ),
+            queue=ReadyQueue(self.policy),
         )
-        queue = ReadyQueue(policy)
-        #: batches suspended at a barrier, by kind (at most one per
-        #: kind — kernels share the session RNG stream).
-        suspended: Dict[str, _InFlight] = {}
-        formed = 0
-        clock = 0.0
-        failures = 0
-        resplit_cap: Optional[float] = None
-
-        while arrivals or queue or suspended:
-            self._admit_arrivals(arrivals, queue, metrics, clock)
-            if policy.drop_expired:
-                self._drop_expired(queue, metrics, clock)
-            resume_kind: Optional[str] = None
-            if queue:
-                head = queue.head(clock)
-                kind = head.request.kind
-                if kind in suspended:
-                    # The lane's kind has a frozen batch: it must
-                    # finish before a new same-kind batch may start.
-                    resume_kind = kind
-            elif suspended:
-                resume_kind = min(
-                    suspended, key=lambda k: suspended[k].order
-                )
-                kind = resume_kind
-            else:
-                if not arrivals:
-                    # The tail of the stream was shed (watermark or
-                    # expiry) without ever joining the queue.
-                    break
-                # Idle: jump the clock to the next arrival.
-                clock = max(clock, arrivals[0].arrival_seconds)
-                continue
-
-            if resume_kind is None:
-                admissible = self.admission.admissible_units(kind)
-                feasible = admissible >= 1.0
-                if feasible and self.admission.tenant_quotas is not None:
-                    feasible = self._quota_feasible(kind, queue, clock)
-                if not feasible:
-                    # Backpressure: residual memory ate the budget (or
-                    # every candidate tenant's quota). Flush results,
-                    # reset the planners, try again.
-                    clock += self._flush(metrics, suspended)
-                    admissible = self.admission.admissible_units(kind)
-                    feasible = admissible >= 1.0
-                    if feasible and self.admission.tenant_quotas is not None:
-                        feasible = self._quota_feasible(kind, queue, clock)
-                    if not feasible:
-                        if suspended:
-                            # Checkpointed state holds the remaining
-                            # budget (and any tenant shares) pinned:
-                            # finish a frozen batch to release it
-                            # instead of giving up.
-                            resume_kind = min(
-                                suspended,
-                                key=lambda k: suspended[k].order,
-                            )
-                            kind = resume_kind
-                        elif admissible < 1.0:
-                            raise SchedulingError(
-                                f"memory budget below the {kind} model's "
-                                "constant terms; no admissible batch even "
-                                "after flushing all residual memory"
-                            )
-                        else:
-                            raise SchedulingError(
-                                f"no tenant quota admits a single {kind} "
-                                "unit even after flushing all residual "
-                                "memory"
-                            )
-
-            session = self._session(kind)
-            if resume_kind is None:
-                if resplit_cap is not None:
-                    admissible = min(admissible, resplit_cap)
-                stream_cap = self._streaming_unit_cap()
-                if stream_cap is not None:
-                    admissible = min(admissible, stream_cap)
-
-                # Form the largest admissible batch of this kind, in
-                # priority order. Requests are divisible into unit
-                # tasks, so the head may be partially scheduled; a
-                # request finishes when the batch holding its last
-                # unit completes. With one priority class the scan
-                # order is exactly the legacy FIFO queue order.
-                # Quota-blocked tenants are skipped, not barriers:
-                # later same-kind requests from other tenants still
-                # fill the batch.
-                batch_units = 0.0
-                parts: List[Tuple[Pending, float]] = []
-                tenant_units: Dict[str, float] = {}
-                quotas_on = self.admission.tenant_quotas is not None
-                for pending in queue.ranked(clock):
-                    if pending.request.kind != kind:
-                        break
-                    take = min(pending.remaining, admissible - batch_units)
-                    take = float(int(take))
-                    if take < 1.0:
-                        break
-                    if quotas_on:
-                        tenant = pending.request.tenant
-                        allowed = self.admission.tenant_admissible_units(
-                            kind, tenant
-                        ) - tenant_units.get(tenant, 0.0)
-                        take = min(take, max(allowed, 0.0))
-                        if take < 1.0:
-                            continue
-                        tenant_units[tenant] = (
-                            tenant_units.get(tenant, 0.0) + take
-                        )
-                    parts.append((pending, take))
-                    batch_units += take
-                    if batch_units >= admissible:
-                        break
-                batch_units = float(int(batch_units))
-                projected = self.admission.projected_bytes(kind, batch_units)
-                inflight = _InFlight(
-                    kind=kind,
-                    parts=parts,
-                    batch_units=batch_units,
-                    admissible=admissible,
-                    projected=projected,
-                    residual_log=session.residual_bytes,
-                    residual_restore=session.residual_bytes,
-                    start_clock=clock,
-                    priority=policy.effective_class(head.request, clock),
-                    order=formed,
-                    tenant_units=tenant_units,
-                )
-                formed += 1
-                callback = self._preempt_callback(
-                    inflight, clock, arrivals, queue, metrics
-                )
-                share = self._apply_worker_share(
-                    1 + len(suspended), inflight=inflight, clock=clock
-                )
-                result = session.run_batch(
-                    inflight.batch_units, should_suspend=callback
-                )
-            else:
-                inflight = suspended.pop(resume_kind)
-                self.admission.unpin(inflight.pin_tag)
-                metrics.resumes += 1
-                callback = self._preempt_callback(
-                    inflight, clock, arrivals, queue, metrics
-                )
-                share = self._apply_worker_share(
-                    1 + len(suspended), inflight=inflight, clock=clock
-                )
-                result = session.resume(should_suspend=callback)
-
-            if isinstance(result, BatchCheckpoint):
-                # Suspended at a barrier: charge this segment's rounds
-                # plus the suspension checkpoint to the clock, pin the
-                # frozen state in admission, and go serve the urgent
-                # lane. No batch_log entry yet — the batch is not done.
-                checkpoint = result
-                batch = checkpoint.batch
-                segment = max(0.0, batch.seconds - inflight.charged_seconds)
-                suspend_cost = (
-                    checkpoint.suspend_resume_seconds
-                    - inflight.charged_suspend_seconds
-                )
-                clock += segment + suspend_cost
-                inflight.charged_seconds = batch.seconds
-                inflight.charged_suspend_seconds = (
-                    checkpoint.suspend_resume_seconds
-                )
-                inflight.checkpoint = checkpoint
-                inflight.suspend_count = checkpoint.suspends
-                for pending, take in inflight.parts:
-                    pending.inflight = take
-                pinned = checkpoint.state_bytes() / machines
-                shares: Optional[Dict[str, float]] = None
-                if (
-                    self.admission.tenant_quotas is not None
-                    and inflight.batch_units > 0
-                ):
-                    shares = {
-                        tenant: pinned * take / inflight.batch_units
-                        for tenant, take in inflight.tenant_units.items()
-                    }
-                self.admission.pin(inflight.pin_tag, pinned, tenants=shares)
-                suspended[kind] = inflight
-                metrics.preemptions += 1
-                metrics.preempt_seconds += suspend_cost
-                continue
-
-            batch = result
-            checkpoint = inflight.checkpoint
-            suspend_cost = 0.0
-            if checkpoint is not None:
-                suspend_cost = (
-                    checkpoint.suspend_resume_seconds
-                    - inflight.charged_suspend_seconds
-                )
-                metrics.preempt_seconds += suspend_cost
-            for pending, take in inflight.parts:
-                pending.inflight = 0.0
-            batch_units = inflight.batch_units
-            start_clock = inflight.start_clock
-
-            if batch.overloaded:
-                # The memory model under-predicted: abort the batch
-                # (partial results discarded, units stay queued) and
-                # retry under a re-split cap.
-                failures += 1
-                batch.aborted = True
-                batch.abort_seconds = self.recovery.abort_overhead_seconds
-                session.residual_bytes = inflight.residual_restore
-                clock += (
-                    max(0.0, batch.seconds - inflight.charged_seconds)
-                    + suspend_cost
-                )
-                metrics.resplits += 1
-                resplit_cap = max(
-                    1.0, float(int(batch_units / self.recovery.split_factor))
-                )
-                if failures > self.recovery.max_retries:
-                    raise RecoveryError(
-                        f"{kind} batch of {batch_units:g} units kept "
-                        f"overloading after {failures} attempts",
-                        history=[dict(b) for b in metrics.batch_log],
-                    )
-            else:
-                self.admission.admit(
-                    kind,
-                    batch_units,
-                    tenant_units=inflight.tenant_units or None,
-                )
-                if self.policy.calibrate:
-                    # The session just told this batch's observation
-                    # back; if the calibrator bumped or refitted, swap
-                    # the refreshed model into the kind's planner so
-                    # the *next* admission re-prices against it
-                    # (``_check_kind`` recomputes budgets per call).
-                    calibrator = self.calibrators.get(kind)
-                    if (
-                        calibrator is not None
-                        and calibrator.version
-                        != self._model_versions.get(kind)
-                    ):
-                        self.admission.planners[kind].model = (
-                            calibrator.model
-                        )
-                        self._model_versions[kind] = calibrator.version
-                clock += (
-                    max(0.0, batch.seconds - inflight.charged_seconds)
-                    + suspend_cost
-                )
-                failures = 0
-                resplit_cap = None
-                self._completed_units += batch_units
-                self._completed_seconds += batch.seconds
-                for pending, take in inflight.parts:
-                    if pending.started_seconds is None:
-                        pending.started_seconds = start_clock
-                    pending.remaining -= take
-                    if pending.remaining <= 0:
-                        queue.discard(pending)
-                        latency = TaskLatency(
-                            task_id=pending.request.task_id,
-                            kind=kind,
-                            units=pending.request.units,
-                            arrival_seconds=(
-                                pending.request.arrival_seconds
-                            ),
-                            start_seconds=pending.started_seconds,
-                            finish_seconds=clock,
-                            priority=pending.request.priority,
-                            deadline_seconds=(
-                                pending.request.deadline_seconds
-                            ),
-                            tenant=pending.request.tenant,
-                        )
-                        if latency.missed_deadline:
-                            metrics.deadline_misses += 1
-                        metrics.latencies.append(latency)
-                        if self.result_cache is not None:
-                            self._leaders.pop(
-                                pending.request.task_id, None
-                            )
-                            self._finish_result(pending, clock, metrics)
-
-            entry = {
-                "index": len(metrics.batch_log),
-                "kind": kind,
-                "engine": session.engine.name,
-                "workload": batch.workload,
-                "admissible_units": inflight.admissible,
-                "projected_bytes": inflight.projected,
-                "budget_bytes": self.admission.budget,
-                "start_seconds": start_clock,
-                "finish_seconds": clock,
-                "seconds": batch.seconds,
-                "rounds": batch.num_rounds,
-                "peak_memory_bytes": batch.peak_memory_bytes,
-                "residual_before_bytes": inflight.residual_log,
-                "residual_after_bytes": session.residual_bytes,
-                "overloaded": batch.overloaded,
-                "aborted": batch.aborted,
-                "priority": inflight.priority,
-                "preemptions": inflight.suspend_count,
-                "preempt_seconds": (
-                    checkpoint.suspend_resume_seconds
-                    if checkpoint is not None
-                    else 0.0
-                ),
-            }
-            if self.policy.intra_workers > 0:
-                # Share applied to the batch's final segment; omitted
-                # entirely when the policy grants no workers so the
-                # legacy batch-log shape is byte-identical.
-                entry["intra_workers"] = share
-            if self.admission.tenant_quotas is not None:
-                entry["tenants"] = dict(inflight.tenant_units)
-            if self.record_rounds:
-                entry["round_trace"] = [
-                    {
-                        "round": r.round_index,
-                        "seconds": r.seconds,
-                        "network_messages": r.network_messages,
-                        "local_messages": r.local_messages,
-                        "peak_memory_bytes": r.peak_memory_bytes,
-                    }
-                    for r in batch.rounds
-                ]
-            metrics.batch_log.append(entry)
-            self.executed_batches.append((kind, batch))
-
-        metrics.elapsed_seconds = clock
+        while (inflight := self._select(run)) is not None:
+            self._settle(run, inflight, self._dispatch(run, inflight))
+        metrics.elapsed_seconds = run.clock
+        answered = len(metrics.latencies) + len(metrics.drop_log)
+        if answered != len(requests):
+            # Request conservation: every request ends completed
+            # (executed, cache hit, coalesced) or dropped, exactly once.
+            raise SchedulingError(
+                f"{len(requests)} requests in, {answered} answers out: "
+                "the loop lost a request or answered one twice"
+            )
         if self.result_cache is not None:
             summary = self.result_cache.stats.to_dict()
             summary["cached_entries"] = len(self.result_cache)

@@ -6,11 +6,12 @@ streams prove that for the common path; the scenarios here reach the
 rest — ``max_queue`` eviction with partially executed and suspended
 requests queued, expiry sweeps, watermark shedding, deadline-margin
 and round-count preemption, tenant-quota skipping — each on a small
-seeded stream. Every digest below was recorded on the last commit
-whose service loop still ranked a flat list (PR 11, ``3fdc17d``) and is
-the blake2b of ``ServiceMetrics.to_dict(include_latencies=True)``; the
-plain counters beside it say which path a scenario exists to reach, so
-a drifted digest can be told from a scenario that stopped biting.
+seeded stream. Every digest in ``SCENARIOS`` was recorded on the last
+commit whose service loop still ranked a flat list (PR 11, ``3fdc17d``)
+and is the blake2b of ``ServiceMetrics.to_dict(include_latencies=True)``;
+the plain counters beside it say which path a scenario exists to reach,
+so a drifted digest can be told from a scenario that stopped biting.
+``REPAIRS``, at the end, holds the streams that loop got wrong.
 """
 
 from __future__ import annotations
@@ -156,9 +157,8 @@ def engine():
     return create_engine("pregel+", cluster_by_name("galaxy-8", scale=SCALE))
 
 
-def run_scenario(engine, graph, name):
-    policy, stream_args, _, _ = SCENARIOS[name]
-    service = SchedulerService(
+def make_service(engine, graph, policy):
+    return SchedulerService(
         engine,
         graph,
         kinds=KINDS,
@@ -169,7 +169,11 @@ def run_scenario(engine, graph, name):
             "bkhs": {"sample_limit": 16},
         },
     )
-    return service.run(stream(**stream_args))
+
+
+def run_scenario(engine, graph, name):
+    policy, stream_args, _, _ = SCENARIOS[name]
+    return make_service(engine, graph, policy).run(stream(**stream_args))
 
 
 def digest(metrics) -> str:
@@ -183,6 +187,73 @@ def digest(metrics) -> str:
 def test_digest_matches_the_list_based_loop(engine, graph, name):
     _, _, pinned, must_bite = SCENARIOS[name]
     metrics = run_scenario(engine, graph, name)
+    for counter in must_bite:
+        assert getattr(metrics, counter) > 0, (name, counter)
+    assert digest(metrics) == pinned
+
+
+#: A 4-deep queue under eager preemption: the smallest policy that
+#: reaches the first two repairs below.
+TIGHT_QUEUE = dict(
+    priority_classes=3,
+    aging_seconds=400.0,
+    preempt=True,
+    preempt_rule="eager",
+    max_queue=4,
+)
+
+#: Streams the loop of PR 12 got wrong, pinned on the loop that repaired
+#: them (PR 17): name -> (engine, policy, stream arguments, digest,
+#: counters that show the repaired path was reached). At the parent
+#: commit the first answers task 107 twice (121 answers to 120
+#: requests), the second raises ``TuningError`` from ``admit`` and the
+#: third ``BatchingError`` from an empty batch.
+REPAIRS = {
+    # A whole request inside a batch's *first* segment was still the
+    # ``max_queue`` victim of an arrival admitted at a barrier: dropped,
+    # then completed. Units are claimed at formation now.
+    "claimed_at_formation": (
+        "pregel+",
+        TIGHT_QUEUE,
+        dict(seed=203, count=120, units=UNITS, span=3000.0),
+        "51392e065df113f5aaa08fba97bf487c",
+        ("drops_queue_full", "preemptions"),
+    ),
+    # A batch formed at the full admissible size, suspended, and
+    # resumed after urgent batches added residual no longer fitted the
+    # budget when it completed. A frozen batch is re-admitted (flush
+    # first) when it resumes.
+    "readmitted_at_resume": (
+        "pregel+",
+        TIGHT_QUEUE,
+        dict(seed=235, count=120, units=UNITS, span=3000.0),
+        "7378361ea38e603376b9d8c7ffe1ec19",
+        ("resumes", "flushes"),
+    ),
+    # On a whole-graph engine a flush costs simulated seconds, which
+    # can age another kind's request to the head; the loop went on to
+    # form a batch of the old head's kind and found nothing to put in
+    # it. A flush is followed by a fresh decision.
+    "decides_again_after_flush": (
+        "pregel+(wholegraph)",
+        dict(priority_classes=3, aging_seconds=60.0),
+        dict(seed=304, count=150, units=UNITS, span=2000.0),
+        "fc9f98e08fb6fd1f4eed2c83405db771",
+        ("flushes", "flush_seconds"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPAIRS))
+def test_repaired_stream_answers_every_request_once(graph, name):
+    engine_name, policy, stream_args, pinned, must_bite = REPAIRS[name]
+    engine = create_engine(
+        engine_name, cluster_by_name("galaxy-8", scale=SCALE)
+    )
+    metrics = make_service(engine, graph, policy).run(stream(**stream_args))
+    answered = [t.task_id for t in metrics.latencies]
+    answered += [entry["task_id"] for entry in metrics.drop_log]
+    assert sorted(answered) == list(range(stream_args["count"]))
     for counter in must_bite:
         assert getattr(metrics, counter) > 0, (name, counter)
     assert digest(metrics) == pinned
