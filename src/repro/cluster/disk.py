@@ -12,8 +12,7 @@ paper's Table 3), overuse duration, and I/O queue length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.units import MB
@@ -83,12 +82,15 @@ class DiskModel:
     ``saturation_penalty_exponent`` controls how sharply latency grows
     once demanded bandwidth exceeds what the disk provides; Table 3's
     jump from 201 s (27 % util) to 285 s (>100 % util, queue 20256)
-    calibrates it.
+    calibrates it. Rounds fold into running aggregates as they are
+    priced: no per-round history.
     """
 
     spec: DiskSpec
     saturation_penalty_exponent: float = 1.35
-    rounds: List[RoundDiskUsage] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.reset()
 
     def round_time(
         self, spilled_bytes: float, other_seconds: float, message_bytes: float
@@ -106,17 +108,16 @@ class DiskModel:
             average message size, used to report queue length in
             *messages* as Table 3 does.
 
-        Returns the usage record (also appended to ``rounds``). The
+        Returns the usage record (also folded into the aggregates). The
         caller adds ``round_seconds - other_seconds`` — the
         non-overlapped disk time, inflated by the saturation penalty —
         to the round time.
         """
         if spilled_bytes <= 0:
-            usage = RoundDiskUsage(
+            # Idle disk: nothing any aggregate counts.
+            return RoundDiskUsage(
                 0.0, max(other_seconds, 1e-12), 0.0, 0.0, 0.0
             )
-            self.rounds.append(usage)
-            return usage
         busy = (
             spilled_bytes / self.spec.bandwidth_bytes_per_second
             + self.spec.seek_overhead_seconds
@@ -143,7 +144,12 @@ class DiskModel:
             queue_length=queue_length,
             demand_ratio=demand_ratio,
         )
-        self.rounds.append(usage)
+        if usage.saturated:
+            self._overuse_seconds += round_seconds
+        self._max_utilization = max(self._max_utilization, demand_ratio)
+        self._active_rounds += 1
+        self._queue_length += queue_length
+        self._spilled_bytes += spilled_bytes
         return usage
 
     # ------------------------------------------------------------------
@@ -151,25 +157,28 @@ class DiskModel:
     # ------------------------------------------------------------------
     def overuse_seconds(self) -> float:
         """Total duration spent at 100 % utilisation ("Overuse Time I/O")."""
-        return sum(r.round_seconds for r in self.rounds if r.saturated)
+        return self._overuse_seconds
 
     def max_utilization(self) -> float:
         """Peak per-round demand ratio across the run (may exceed 1.0)."""
-        if not self.rounds:
-            return 0.0
-        return max(r.demand_ratio for r in self.rounds)
+        return self._max_utilization
 
     def mean_queue_length(self) -> float:
         """Average I/O queue length over rounds that touched the disk."""
-        active = [r for r in self.rounds if r.spilled_bytes > 0]
-        if not active:
+        if not self._active_rounds:
             return 0.0
-        return sum(r.queue_length for r in active) / len(active)
+        return self._queue_length / self._active_rounds
 
     def total_spilled_bytes(self) -> float:
         """Bytes streamed through the disk across all rounds."""
-        return sum(r.spilled_bytes for r in self.rounds)
+        return self._spilled_bytes
 
     def reset(self) -> None:
-        """Clear accumulated per-round history."""
-        self.rounds.clear()
+        """Clear the accumulated aggregates."""
+        # Integer zero, as ``sum`` over no rounds gave: a run that never
+        # saturates the disk packs ``0``, and job payloads keep the byte.
+        self._overuse_seconds = 0
+        self._max_utilization = 0.0
+        self._active_rounds = 0
+        self._queue_length = 0.0
+        self._spilled_bytes = 0

@@ -14,8 +14,8 @@ the model tracks per round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.units import GB, MB
@@ -102,7 +102,8 @@ class RoundNetworkUsage:
     penalty_seconds: float
     bytes_moved: float
     saturated: bool
-    cluster_bytes: float = 0.0
+    #: this round's share of :meth:`NetworkModel.overuse_seconds`.
+    overuse_seconds: float = 0.0
 
     @property
     def total_seconds(self) -> float:
@@ -112,18 +113,25 @@ class RoundNetworkUsage:
 @dataclass
 class NetworkModel:
     """Accumulates network activity across rounds for the bottleneck
-    machine of each round (the synchronous barrier waits for it)."""
+    machine of each round (the synchronous barrier waits for it).
+
+    Pricing a round (:meth:`price`, pure) is apart from booking it
+    (:meth:`book`), so a caller may book a usage it priced earlier.
+    Booked rounds fold into running totals: no per-round history.
+    """
 
     spec: NetworkSpec
     num_machines: int = 1
-    rounds: List[RoundNetworkUsage] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.reset()
 
     @property
     def cluster_threshold_bytes(self) -> float:
         """Cluster-wide congestion knee (per-machine budget x machines)."""
         return self.spec.congestion_threshold_bytes * self.num_machines
 
-    def round_time(
+    def price(
         self, bytes_moved: float, cluster_bytes: Optional[float] = None
     ) -> RoundNetworkUsage:
         """Time to move ``bytes_moved`` through one machine's link.
@@ -134,11 +142,16 @@ class NetworkModel:
         effect (incast, switch buffers): once the cluster-wide volume
         exceeds the threshold, the bottleneck link pays
         ``coeff · base_time · excess_ratio^knee`` extra.
+
+        The round's overuse share is the duration its link spends at
+        maximum bandwidth ("Overuse Time Network"): any round that
+        actually moves bytes runs the link flat-out for its transfer
+        portion, so a saturated round counts in full and an unsaturated
+        one in proportion to its load, matching how the paper's
+        monitors sample bandwidth caps.
         """
         if bytes_moved <= 0:
-            usage = RoundNetworkUsage(0.0, 0.0, 0.0, False, 0.0)
-            self.rounds.append(usage)
-            return usage
+            return RoundNetworkUsage(0.0, 0.0, 0.0, False)
         if cluster_bytes is None:
             cluster_bytes = bytes_moved
         base = bytes_moved / self.spec.bandwidth_bytes_per_second
@@ -151,40 +164,41 @@ class NetworkModel:
                 * (excess_ratio ** self.spec.knee_exponent)
             )
             saturated = True
+            overuse = base + penalty
         else:
             penalty = 0.0
             saturated = False
-        usage = RoundNetworkUsage(
+            overuse = base * min(1.0, cluster_bytes / threshold)
+        return RoundNetworkUsage(
             transfer_seconds=base,
             penalty_seconds=penalty,
             bytes_moved=bytes_moved,
             saturated=saturated,
-            cluster_bytes=cluster_bytes,
+            overuse_seconds=overuse,
         )
-        self.rounds.append(usage)
+
+    def book(self, usage: RoundNetworkUsage) -> None:
+        """Fold one priced round into the running totals."""
+        self._overuse_seconds += usage.overuse_seconds
+        self._total_bytes += usage.bytes_moved
+
+    def round_time(
+        self, bytes_moved: float, cluster_bytes: Optional[float] = None
+    ) -> RoundNetworkUsage:
+        """Price one round and book it."""
+        usage = self.price(bytes_moved, cluster_bytes)
+        self.book(usage)
         return usage
 
     def overuse_seconds(self) -> float:
-        """Duration spent at maximum bandwidth ("Overuse Time Network").
-
-        Any round that actually moves bytes runs the link flat-out for
-        its transfer portion; we report the transfer time of saturated
-        rounds plus a fraction of unsaturated ones proportional to their
-        load, matching how the paper's monitors sample bandwidth caps.
-        """
-        total = 0.0
-        for r in self.rounds:
-            if r.saturated:
-                total += r.transfer_seconds + r.penalty_seconds
-            else:
-                load = r.cluster_bytes / self.cluster_threshold_bytes
-                total += r.transfer_seconds * min(1.0, load)
-        return total
+        """Duration spent at maximum bandwidth ("Overuse Time Network")."""
+        return self._overuse_seconds
 
     def total_bytes(self) -> float:
         """Bytes moved by the bottleneck machine across all rounds."""
-        return sum(r.bytes_moved for r in self.rounds)
+        return self._total_bytes
 
     def reset(self) -> None:
-        """Clear accumulated per-round history."""
-        self.rounds.clear()
+        """Clear the accumulated totals."""
+        self._overuse_seconds = 0.0
+        self._total_bytes = 0

@@ -22,6 +22,11 @@ The per-round translation implements the paper's accounting:
 * asynchronous engines drop the barrier but pay locking overhead that
   grows with the machine count and do not combine messages
   (Section 4.8).
+
+It runs in two stages (DESIGN.md §10.2): what a round *demands*
+(:meth:`EngineSession._demand`, a pure function of its summary) and
+where that *lands* in memory (:meth:`EngineSession._land`, which adds
+the residual). A replayed round reads the first from its tape.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from repro.messages.routing import (
 from repro.perf import timings
 from repro.perf.cache import get_cache
 from repro.rng import SeedLike, make_rng
-from repro.sim.cost import CostModel, RoundLoad
+from repro.sim.cost import CostModel, RoundDemand, RoundLoad
 from repro.sim.memory import MemoryModel
 from repro.sim.metrics import (
     JOB_SERIALIZER,
@@ -225,10 +230,11 @@ class _RoundTape:
     a cursor asks for a round nobody has recorded yet, so a batch that
     breaks early (overload, cutoff) executes nothing beyond its break
     and a later equal batch that gets further continues the same
-    kernel. Each record pairs the round's summary with the kernel's
-    ``residual_bytes()`` right after it — the two things the round loop
-    reads. The final round drops the kernel; from then on the tape is a
-    list of small records nothing mutates.
+    kernel. Each record holds the round's summary, the kernel's
+    ``residual_bytes()`` right after it and the summary's
+    :class:`~repro.sim.cost.RoundDemand` — the three things the round
+    loop reads. The final round drops the kernel; from then on the tape
+    is a list of small records nothing mutates.
     """
 
     __slots__ = ("kernel", "initial_residual_bytes", "rounds")
@@ -236,12 +242,15 @@ class _RoundTape:
     def __init__(self, kernel) -> None:
         self.kernel = kernel
         self.initial_residual_bytes = kernel.residual_bytes()
-        self.rounds: List[Tuple[RoundSummary, float]] = []
+        self.rounds: List[Tuple[RoundSummary, float, RoundDemand]] = []
 
-    def record_next(self) -> None:
-        """Execute the first round not yet on the tape."""
+    def record_next(self, demand_of) -> None:
+        """Execute the first round not yet on the tape; ``demand_of``
+        is the session's stage 1."""
         summary = self.kernel.step()
-        self.rounds.append((summary, self.kernel.residual_bytes()))
+        self.rounds.append(
+            (summary, self.kernel.residual_bytes(), demand_of(summary))
+        )
         if summary.done:
             self.kernel = None
 
@@ -253,26 +262,33 @@ class _TapeCursor:
     the two methods the engine calls on a kernel — ``step()`` and
     ``residual_bytes()`` — so ``_drive`` runs replayed and executed
     rounds alike, and a suspended batch resumes from its own position.
+    On top it carries ``demand``, the last served round's stage-1
+    record, which ``_drive`` computes itself for a live kernel.
     """
 
-    __slots__ = ("_tape", "_position", "_residual_bytes", "replayed")
+    __slots__ = (
+        "_tape", "_demand_of", "_position", "_residual_bytes", "demand",
+        "replayed",
+    )
 
-    def __init__(self, tape: _RoundTape) -> None:
+    def __init__(self, tape: _RoundTape, demand_of) -> None:
         self._tape = tape
+        self._demand_of = demand_of
         self._position = 0
         self._residual_bytes = tape.initial_residual_bytes
+        self.demand: Optional[RoundDemand] = None
         #: rounds this batch was served from the tape without executing.
         self.replayed = 0
 
     def step(self) -> RoundSummary:
         """The batch's next round: recorded if the tape has it, else
-        executed (and recorded) now."""
+        executed, priced for demand and recorded now."""
         rounds = self._tape.rounds
         if self._position < len(rounds):
             self.replayed += 1
         else:
-            self._tape.record_next()
-        summary, self._residual_bytes = rounds[self._position]
+            self._tape.record_next(self._demand_of)
+        summary, self._residual_bytes, self.demand = rounds[self._position]
         self._position += 1
         return summary
 
@@ -448,7 +464,7 @@ class EngineSession:
             if len(self._tapes) >= MAX_SESSION_TAPES:
                 del self._tapes[next(iter(self._tapes))]
         self._tapes[key] = tape
-        return _TapeCursor(tape)
+        return _TapeCursor(tape, self._demand)
 
     def resume(self, *, should_suspend=None):
         """Continue the suspended batch from its barrier checkpoint.
@@ -480,29 +496,33 @@ class EngineSession:
         engine = self.engine
         batch = state.batch
         kernel = state.kernel
-        overloaded = False
+        # A replayed round reads its demand off the tape; a live kernel's
+        # is computed here. Nothing else tells the two apart.
+        cursor = kernel if isinstance(kernel, _TapeCursor) else None
+        overloaded = suspended = False
         # Rollback window: seconds of the rounds executed since the
         # last checkpoint — what a crash forces the engine to replay.
         since_checkpoint = state.since_checkpoint
         last_checkpoint_cost = state.last_checkpoint_cost
         disk_full_pending = state.disk_full_pending
-        for round_index in range(state.next_round, MAX_ROUNDS_PER_BATCH):
-            tick = time.perf_counter()
+        kernel_seconds = pricing_seconds = 0.0
+        perf_counter = time.perf_counter
+        first_round = state.next_round
+        for round_index in range(first_round, MAX_ROUNDS_PER_BATCH):
+            tick = perf_counter()
             summary = kernel.step()
-            tock = time.perf_counter()
-            timings.add("kernel", tock - tick)
-            load, splits = engine._round_load(
-                self.task, self.prep, summary, state.residual_prev_bytes,
-                kernel,
+            tock = perf_counter()
+            kernel_seconds += tock - tick
+            demand = self._demand(summary) if cursor is None else cursor.demand
+            metrics, memory_overloaded = self._land(
+                demand,
+                round_index,
+                state.residual_prev_bytes + kernel.residual_bytes(),
             )
-            cost = self.cost_model.round_cost(load)
-            timings.add("cost-model", time.perf_counter() - tock)
-            if splits > 1:
-                cost = _repeat_cost(cost, splits)
-            metrics = engine._round_metrics(round_index, load, cost, splits)
+            pricing_seconds += perf_counter() - tock
             batch.rounds.append(metrics)
             self.elapsed += metrics.seconds
-            if cost.overloaded:
+            if memory_overloaded:
                 overloaded = True
                 batch.overload_reason = "memory"
                 break
@@ -566,15 +586,23 @@ class EngineSession:
                 state.suspend_resume_seconds += suspend_cost
                 self.elapsed += suspend_cost
                 self.suspended = state
-                return state
+                suspended = True
+                break
         else:
             raise EngineError(
                 f"batch exceeded {MAX_ROUNDS_PER_BATCH} rounds; "
                 "kernel did not terminate"
             )
+        # One booking per phase per exit, not per round: the table (and
+        # its RSS sampling) is off the round loop.
+        driven = round_index + 1 - first_round
+        timings.add("kernel", kernel_seconds, count=driven)
+        timings.add("cost-model", pricing_seconds, count=driven)
+        if suspended:
+            return state
         batch.overloaded = overloaded
-        if isinstance(kernel, _TapeCursor):
-            timings.add("kernel.replayed", 0.0, count=kernel.replayed)
+        if cursor is not None:
+            timings.add("kernel.replayed", 0.0, count=cursor.replayed)
         self.residual_bytes += kernel.residual_bytes()
         batch.residual_memory_after_bytes = self.residual_bytes
         self.batches_run += 1
@@ -588,6 +616,195 @@ class EngineSession:
                 done_workload=self.told_workload,
             )
         return batch
+
+    # ------------------------------------------------------------------
+    # Per-round translation (DESIGN.md §10.2)
+    # ------------------------------------------------------------------
+    def _demand(self, summary: RoundSummary) -> RoundDemand:
+        """Stage 1: what the round ``summary`` describes demands of the
+        bottleneck machine, wherever it lands in memory."""
+        task = self.task
+        prep = self.prep
+        cluster = self.engine.cluster
+        machines = cluster.num_machines
+        profile = self.engine.profile
+
+        routed = summary.routed
+        wire = routed.wire_messages
+        if profile.combining and summary.combined_messages is not None:
+            wire = min(wire, summary.combined_messages)
+
+        # Superstep splitting: slice a message-heavy round into
+        # sub-steps so each moves at most the threshold's worth of
+        # traffic (memory and congestion see the per-sub-step volume;
+        # the round's total cost is the sum over sub-steps).
+        splits = 1
+        if (
+            profile.superstep_split_threshold_messages
+            and wire > profile.superstep_split_threshold_messages
+        ):
+            splits = int(
+                np.ceil(wire / profile.superstep_split_threshold_messages)
+            )
+            wire /= splits
+        combine_ratio = wire / routed.wire_messages if routed.wire_messages else 1.0
+        # Asynchronous engines with dynamic scheduling skip redundant
+        # updates on fixed-point tasks (delta caching); multi-processing
+        # tasks get no such discount (factor 1.0).
+        update_factor = 1.0
+        if profile.is_async:
+            update_factor = float(task.params.get("async_update_factor", 1.0))
+        network_messages = (
+            routed.network_messages
+            * combine_ratio
+            * profile.async_message_factor
+            * update_factor
+        ) / splits
+        local_messages = (
+            routed.local_messages
+            * combine_ratio
+            * profile.async_message_factor
+            * update_factor
+        ) / splits
+        if profile.gas_routing:
+            # GAS over an edge-cut: gathers/scatters run on local edge
+            # replicas; only per-replica vertex synchronisation crosses
+            # the network — one sync per replica instead of one message
+            # per out-edge.
+            replication = max(prep.partition.replication_factor, 1.0)
+            avg_degree = max(
+                task.graph.num_arcs / max(task.graph.num_vertices, 1), 1.0
+            )
+            gas_factor = min(1.0, (replication - 1.0) / avg_degree)
+            network_messages *= gas_factor
+
+        message_bytes = prep.router.message_bytes
+        bottleneck_network = network_messages / machines * prep.imbalance
+        # In + out at the bottleneck machine.
+        bottleneck_bytes = 2.0 * bottleneck_network * message_bytes
+
+        lock_ops = (
+            profile.lock_ops_per_active_vertex
+            * summary.active_vertices
+            * machines
+        )
+        compute_ops = (
+            (summary.compute_ops * update_factor / splits + lock_ops)
+            / machines
+            * prep.imbalance
+        )
+
+        # Memory at the bottleneck machine. Combining shrinks receive
+        # buffers by the same ratio it shrinks wire traffic.
+        delivered = (
+            routed.delivered_messages
+            * combine_ratio
+            * profile.async_message_factor
+            * update_factor
+        ) / splits
+        buffered_messages = (
+            (delivered + network_messages + local_messages)
+            / machines
+            * prep.imbalance
+        )
+        task_state_per_machine = (
+            summary.task_state_bytes / machines * prep.imbalance
+        )
+        # The round's own footprint — Equation 1's in-flight summand.
+        # With no residual the breakdown's total is the left-to-right
+        # sum of its first three terms; stage 2 adds the residual last.
+        breakdown = profile.memory.breakdown(
+            vertices=prep.max_vertices,
+            arcs=prep.max_arcs,
+            messages_in=buffered_messages / 2.0,
+            messages_out=buffered_messages / 2.0,
+            task_state_bytes=task_state_per_machine,
+            message_bytes=message_bytes,
+        )
+        peak_memory = breakdown.total
+
+        spilled = 0.0
+        if profile.out_of_core:
+            # GraphD's distributed semi-streaming model: vertex states
+            # stay in memory within a fixed message-buffer budget;
+            # message traffic streams through the disk (the buffer
+            # footprint already counts each message on both the send and
+            # receive side, i.e. one write plus one read). Demand beyond
+            # the budget forces extra external-memory merge passes,
+            # which is what drives Table 3's >100 % disk utilisation at
+            # small batch counts.
+            budget = profile.out_of_core_budget_bytes / cluster.scale
+            buffered = breakdown.buffer_bytes
+            # External-memory merge passes grow with the log of the
+            # overflow ratio (k-way merges), not polynomially.
+            ratio = max(1.0, buffered / budget)
+            amplification = 1.0 + 4.0 * float(np.log(ratio))
+            spilled = buffered * amplification
+            peak_memory = breakdown.graph_bytes + min(
+                buffered + breakdown.task_state_bytes, budget
+            )
+
+        load = RoundLoad(
+            network_messages=network_messages,
+            local_messages=local_messages,
+            bottleneck_bytes=bottleneck_bytes,
+            cluster_bytes=network_messages * message_bytes,
+            compute_ops=compute_ops,
+            peak_memory_bytes=peak_memory,
+            spilled_bytes=spilled,
+            message_bytes=message_bytes,
+            splits=splits,
+        )
+        return self.cost_model.demand(load)
+
+    def _land(
+        self, demand: RoundDemand, round_index: int, residual_bytes: float
+    ) -> Tuple[RoundMetrics, bool]:
+        """Stage 2: price ``demand`` where it lands — on top of
+        ``residual_bytes`` of results kept cluster-wide (every earlier
+        batch's plus this batch's so far, Equation 1's residual
+        summand). Returns the round's metrics and whether the landing
+        overloaded memory."""
+        load = demand.load
+        splits = load.splits
+        profile = self.engine.profile
+        if profile.out_of_core or profile.ignore_residual_memory:
+            # An out-of-core peak is capped in stage 1 and never sees
+            # the results; the ablation pretends they weigh nothing.
+            residual_bytes = 0.0
+        elif profile.aggregated_residual:
+            # Vertex-state aggregation bounds residual memory by the
+            # number of distinct (vertex, endpoint-bucket) counters.
+            task = self.task
+            residual_bytes = min(
+                residual_bytes,
+                task.graph.num_vertices
+                * AGGREGATED_ENDPOINTS_PER_VERTEX
+                * task.residual_record_bytes,
+            )
+        cost = self.cost_model.round_cost(
+            load, demand, residual_bytes / self.engine.cluster.num_machines
+        )
+        # Positional, in field order (see ``round_cost``).
+        metrics = RoundMetrics(
+            round_index,
+            load.network_messages * splits,
+            load.local_messages * splits,
+            load.bottleneck_bytes,
+            load.compute_ops,
+            cost.peak_memory_bytes,
+            load.spilled_bytes,
+            cost.seconds,
+            cost.compute_seconds,
+            cost.network_seconds,
+            cost.disk_seconds,
+            cost.barrier_seconds,
+            cost.thrash_multiplier,
+            cost.disk_utilization,
+            cost.io_queue_length,
+            cost.network_saturated,
+        )
+        return metrics, cost.overloaded
 
 
 class SimulatedEngine:
@@ -1002,181 +1219,6 @@ class SimulatedEngine:
                 )
         return extra, disk_full_pending
 
-    # ------------------------------------------------------------------
-    # Per-round translation
-    # ------------------------------------------------------------------
-    def _round_load(
-        self,
-        task: TaskSpec,
-        prep: _PreparedGraph,
-        summary: RoundSummary,
-        residual_prev_batches: float,
-        kernel,
-    ) -> RoundLoad:
-        machines = self.cluster.num_machines
-        profile = self.profile
-
-        routed = summary.routed
-        wire = routed.wire_messages
-        if profile.combining and summary.combined_messages is not None:
-            wire = min(wire, summary.combined_messages)
-
-        # Superstep splitting: slice a message-heavy round into
-        # sub-steps so each moves at most the threshold's worth of
-        # traffic (memory and congestion see the per-sub-step volume;
-        # the round's total cost is the sum over sub-steps).
-        splits = 1
-        if (
-            profile.superstep_split_threshold_messages
-            and wire > profile.superstep_split_threshold_messages
-        ):
-            splits = int(
-                np.ceil(wire / profile.superstep_split_threshold_messages)
-            )
-            wire /= splits
-        combine_ratio = wire / routed.wire_messages if routed.wire_messages else 1.0
-        # Asynchronous engines with dynamic scheduling skip redundant
-        # updates on fixed-point tasks (delta caching); multi-processing
-        # tasks get no such discount (factor 1.0).
-        update_factor = 1.0
-        if profile.is_async:
-            update_factor = float(task.params.get("async_update_factor", 1.0))
-        network_messages = (
-            routed.network_messages
-            * combine_ratio
-            * profile.async_message_factor
-            * update_factor
-        ) / splits
-        local_messages = (
-            routed.local_messages
-            * combine_ratio
-            * profile.async_message_factor
-            * update_factor
-        ) / splits
-        if profile.gas_routing:
-            # GAS over an edge-cut: gathers/scatters run on local edge
-            # replicas; only per-replica vertex synchronisation crosses
-            # the network — one sync per replica instead of one message
-            # per out-edge.
-            replication = max(prep.partition.replication_factor, 1.0)
-            avg_degree = max(
-                task.graph.num_arcs / max(task.graph.num_vertices, 1), 1.0
-            )
-            gas_factor = min(1.0, (replication - 1.0) / avg_degree)
-            network_messages *= gas_factor
-
-        message_bytes = prep.router.message_bytes
-        bottleneck_network = network_messages / machines * prep.imbalance
-        # In + out at the bottleneck machine.
-        bottleneck_bytes = 2.0 * bottleneck_network * message_bytes
-
-        lock_ops = (
-            profile.lock_ops_per_active_vertex
-            * summary.active_vertices
-            * machines
-        )
-        compute_ops = (
-            (summary.compute_ops * update_factor / splits + lock_ops)
-            / machines
-            * prep.imbalance
-        )
-
-        # Memory at the bottleneck machine. Combining shrinks receive
-        # buffers by the same ratio it shrinks wire traffic.
-        delivered = (
-            routed.delivered_messages
-            * combine_ratio
-            * profile.async_message_factor
-            * update_factor
-        ) / splits
-        buffered_messages = (
-            (delivered + network_messages + local_messages)
-            / machines
-            * prep.imbalance
-        )
-        residual_current = kernel.residual_bytes()
-        residual_total = residual_prev_batches + residual_current
-        if profile.ignore_residual_memory:
-            residual_total = 0.0
-        if profile.aggregated_residual:
-            # Vertex-state aggregation bounds residual memory by the
-            # number of distinct (vertex, endpoint-bucket) counters.
-            cap = (
-                task.graph.num_vertices
-                * AGGREGATED_ENDPOINTS_PER_VERTEX
-                * task.residual_record_bytes
-            )
-            residual_total = min(residual_total, cap)
-        residual_per_machine = residual_total / machines
-        task_state_per_machine = (
-            summary.task_state_bytes / machines * prep.imbalance
-        )
-        breakdown = profile.memory.breakdown(
-            vertices=prep.max_vertices,
-            arcs=prep.max_arcs,
-            messages_in=buffered_messages / 2.0,
-            messages_out=buffered_messages / 2.0,
-            task_state_bytes=task_state_per_machine,
-            residual_bytes=residual_per_machine,
-            message_bytes=message_bytes,
-        )
-        peak_memory = breakdown.total
-
-        spilled = 0.0
-        if profile.out_of_core:
-            # GraphD's distributed semi-streaming model: vertex states
-            # stay in memory within a fixed message-buffer budget;
-            # message traffic streams through the disk (the buffer
-            # footprint already counts each message on both the send and
-            # receive side, i.e. one write plus one read). Demand beyond
-            # the budget forces extra external-memory merge passes,
-            # which is what drives Table 3's >100 % disk utilisation at
-            # small batch counts.
-            budget = profile.out_of_core_budget_bytes / self.cluster.scale
-            demand = breakdown.buffer_bytes
-            # External-memory merge passes grow with the log of the
-            # overflow ratio (k-way merges), not polynomially.
-            ratio = max(1.0, demand / budget)
-            amplification = 1.0 + 4.0 * float(np.log(ratio))
-            spilled = demand * amplification
-            peak_memory = breakdown.graph_bytes + min(
-                demand + breakdown.task_state_bytes, budget
-            )
-
-        load = RoundLoad(
-            network_messages=network_messages,
-            local_messages=local_messages,
-            bottleneck_bytes=bottleneck_bytes,
-            cluster_bytes=network_messages * message_bytes,
-            compute_ops=compute_ops,
-            peak_memory_bytes=peak_memory,
-            spilled_bytes=spilled,
-            message_bytes=message_bytes,
-        )
-        return load, splits
-
-    def _round_metrics(
-        self, round_index: int, load, cost, splits: int = 1
-    ) -> RoundMetrics:
-        return RoundMetrics(
-            round_index=round_index,
-            network_messages=load.network_messages * splits,
-            local_messages=load.local_messages * splits,
-            bottleneck_bytes=load.bottleneck_bytes,
-            compute_ops=load.compute_ops,
-            peak_memory_bytes=load.peak_memory_bytes,
-            spilled_bytes=load.spilled_bytes,
-            seconds=cost.seconds,
-            compute_seconds=cost.compute_seconds,
-            network_seconds=cost.network_seconds,
-            disk_seconds=cost.disk_seconds,
-            barrier_seconds=cost.barrier_seconds,
-            thrash_multiplier=cost.thrash_multiplier,
-            disk_utilization=cost.disk_utilization,
-            io_queue_length=cost.io_queue_length,
-            network_saturated=cost.network_saturated,
-        )
-
     def _aggregation_seconds(self, task: TaskSpec, residual_bytes: float) -> float:
         """Final result-aggregation step (significant for whole-graph mode)."""
         if not self.profile.whole_graph:
@@ -1188,21 +1230,6 @@ class SimulatedEngine:
             bytes_to_move / network.bandwidth_bytes_per_second
             + 0.05 * self.cluster.num_machines
         )
-
-
-def _repeat_cost(cost, splits: int):
-    """Total cost of running ``splits`` identical sub-steps."""
-    import dataclasses
-
-    return dataclasses.replace(
-        cost,
-        seconds=cost.seconds * splits,
-        compute_seconds=cost.compute_seconds * splits,
-        network_seconds=cost.network_seconds * splits,
-        disk_seconds=cost.disk_seconds * splits,
-        barrier_seconds=cost.barrier_seconds * splits,
-        overhead_seconds=cost.overhead_seconds * splits,
-    )
 
 
 class _LocalOnlyRouter(MessageRouter):

@@ -7,9 +7,9 @@ overhead (one ``perf_counter`` pair per span). ``vcrepro report``
 surfaces the table and dumps it as ``BENCH_perf.json`` so successive
 PRs accumulate a performance trajectory to regress against.
 
-Hot paths (the engine's per-round kernel/cost loop) use the raw
-:func:`add` accumulator instead of the :func:`span` context manager to
-keep per-call overhead at two ``perf_counter`` reads.
+Hot paths use the raw :func:`add` accumulator instead of the
+:func:`span` context manager; the engine's round loop sums its two
+phases in locals and books them once per batch (``count`` = rounds).
 """
 
 from __future__ import annotations

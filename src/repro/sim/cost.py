@@ -14,6 +14,11 @@ synchronisation barrier that grows with the machine count — the term that
 makes *too many* batches slow (Table 3 rows past the optimum; "the
 running time can increase because of the round-synchronization
 overheads").
+
+Pricing runs in two stages (DESIGN.md §10.2): everything left of
+``* thrash`` follows from the load alone (:meth:`CostModel.demand`, a
+record a caller may keep and hand back); the rest depends on the memory
+the round lands on, which only :meth:`CostModel.round_cost` sees.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Optional
 
 from repro.cluster.disk import DiskModel, DiskSpec
 from repro.cluster.machine import MachineSpec
-from repro.cluster.network import NetworkModel, NetworkSpec
+from repro.cluster.network import NetworkModel, NetworkSpec, RoundNetworkUsage
 from repro.errors import ConfigurationError
 from repro.sim.overload import MemoryState, OverloadPolicy, classify_memory
 
@@ -40,7 +45,9 @@ class RoundLoad:
     bottleneck_bytes: float
     #: compute work units at the most loaded machine.
     compute_ops: float
-    #: peak memory at the most loaded machine.
+    #: peak memory the round itself needs at the most loaded machine
+    #: (Equation 1's in-flight term); the residual memory it lands on
+    #: is :meth:`CostModel.round_cost`'s ``residual_bytes``.
     peak_memory_bytes: float
     #: bytes streamed through the disk at the most loaded machine.
     spilled_bytes: float = 0.0
@@ -49,6 +56,23 @@ class RoundLoad:
     #: total network bytes moved cluster-wide this round (drives the
     #: fabric-level congestion knee).
     cluster_bytes: float = 0.0
+    #: identical sub-steps the round runs as (superstep splitting): the
+    #: other fields describe one, the cost is ``splits`` times one's.
+    splits: int = 1
+
+
+@dataclass(frozen=True)
+class RoundDemand:
+    """Stage 1 of a round's price: a :class:`RoundLoad` and the cost
+    terms it alone decides — the same wherever the round lands in
+    memory, so a caller may price once and land many times."""
+
+    load: RoundLoad
+    compute_seconds: float
+    #: the priced (not yet booked) network transfer.
+    network: RoundNetworkUsage
+    #: ``compute + network + per-round overhead``, before thrash.
+    worked_seconds: float
 
 
 @dataclass
@@ -66,6 +90,8 @@ class RoundCost:
     disk_utilization: float = 0.0
     io_queue_length: float = 0.0
     network_saturated: bool = False
+    #: the load's own peak plus the residual memory it landed on.
+    peak_memory_bytes: float = 0.0
 
     @property
     def overloaded(self) -> bool:
@@ -143,25 +169,47 @@ class CostModel:
         ) / self.cpu_factor
         return compute_ops / throughput
 
-    def round_cost(self, load: RoundLoad) -> RoundCost:
-        """Price one round. See the module docstring for the composition."""
+    def demand(self, load: RoundLoad) -> RoundDemand:
+        """Stage 1: price what ``load`` demands, wherever it lands.
+
+        Pure — reads neither ``load.peak_memory_bytes`` nor any
+        accumulated state, and books nothing.
+        """
         compute = self.compute_seconds(load.compute_ops)
-        net_usage = self._network.round_time(
-            load.bottleneck_bytes, cluster_bytes=load.cluster_bytes
+        network = self._network.price(load.bottleneck_bytes, load.cluster_bytes)
+        worked = (
+            compute + network.total_seconds + self.per_round_overhead_seconds
         )
+        return RoundDemand(load, compute, network, worked)
+
+    def round_cost(
+        self,
+        load: RoundLoad,
+        demand: Optional[RoundDemand] = None,
+        residual_bytes: float = 0.0,
+    ) -> RoundCost:
+        """Price one round. See the module docstring for the composition.
+
+        ``demand`` is ``self.demand(load)`` when the caller kept it from
+        an earlier pricing of the same load (computed here otherwise).
+        ``residual_bytes`` is the per-machine residual memory the round
+        lands on: Equation 1's sum of the two decides the memory state.
+        """
+        if demand is None:
+            demand = self.demand(load)
+        network = demand.network
+        self._network.book(network)
         barrier = self.barrier_seconds()
-        overhead = self.per_round_overhead_seconds
+        peak = load.peak_memory_bytes + residual_bytes
 
         if self.memory_capped:
             state = MemoryState.OK
             thrash = 1.0
         else:
-            state = classify_memory(load.peak_memory_bytes, self.machine)
-            thrash = self.overload_policy.thrash_multiplier(
-                load.peak_memory_bytes, self.machine
-            )
+            state = classify_memory(peak, self.machine)
+            thrash = self.overload_policy.thrash_multiplier(peak, self.machine)
 
-        worked = (compute + net_usage.total_seconds + overhead) * thrash
+        worked = demand.worked_seconds * thrash
 
         disk_seconds = 0.0
         disk_utilization = 0.0
@@ -175,22 +223,24 @@ class CostModel:
             disk_seconds = max(0.0, usage.round_seconds - (worked + barrier))
             disk_utilization = usage.utilization
             io_queue = usage.queue_length
-        elif self._disk is not None:
-            self._disk.round_time(0.0, worked + barrier, load.message_bytes)
 
-        total = worked + barrier + disk_seconds
+        # The finished sub-step, ``splits`` times over. Positional, in
+        # field order: this runs once per simulated round, and keyword
+        # binding is a third of the call.
+        splits = load.splits
         return RoundCost(
-            seconds=total,
-            compute_seconds=compute,
-            network_seconds=net_usage.total_seconds,
-            disk_seconds=disk_seconds,
-            barrier_seconds=barrier,
-            overhead_seconds=overhead,
-            thrash_multiplier=thrash,
-            memory_state=state,
-            disk_utilization=disk_utilization,
-            io_queue_length=io_queue,
-            network_saturated=net_usage.saturated,
+            (worked + barrier + disk_seconds) * splits,
+            demand.compute_seconds * splits,
+            network.total_seconds * splits,
+            disk_seconds * splits,
+            barrier * splits,
+            self.per_round_overhead_seconds * splits,
+            thrash,
+            state,
+            disk_utilization,
+            io_queue,
+            network.saturated,
+            peak,
         )
 
     def overuse_totals(self) -> dict:

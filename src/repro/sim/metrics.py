@@ -437,9 +437,17 @@ def clone_job(job: JobMetrics) -> JobMetrics:
     clone.batches = []
     for batch in job.batches:
         batch_clone = copy.copy(batch)
-        batch_clone.rounds = [copy.copy(r) for r in batch.rounds]
+        batch_clone.rounds = [_clone_round(r) for r in batch.rounds]
         batch_clone.fault_log = list(batch.fault_log)
         clone.batches.append(batch_clone)
+    return clone
+
+
+def _clone_round(r: RoundMetrics) -> RoundMetrics:
+    """``copy.copy(r)`` without its pickle protocol, which costs several
+    times the copy; fields keep ``r``'s order (:func:`pack_job`)."""
+    clone = RoundMetrics.__new__(RoundMetrics)
+    clone.__dict__ = vars(r).copy()
     return clone
 
 
@@ -455,7 +463,6 @@ def _json_safe(obj):
 #: ~100x more on the same data: it recurses through every per-round
 #: record and deep-copies each scalar before ``json.dumps`` immediately
 #: renders the copy anyway.
-_ROUND_FIELDS = tuple(f.name for f in dataclasses.fields(RoundMetrics))
 _BATCH_FIELDS = tuple(f.name for f in dataclasses.fields(BatchMetrics))
 _JOB_FIELDS = tuple(f.name for f in dataclasses.fields(JobMetrics))
 
@@ -465,16 +472,21 @@ def pack_job(job: JobMetrics) -> Dict[str, np.ndarray]:
 
     The payload is built with shallow attribute reads in dataclass
     field order — byte-identical JSON to the ``dataclasses.asdict``
-    rendering it replaces, without the recursive deep copies.
-    """
+    rendering it replaced, without the recursive deep copies. Rounds,
+    the bulk of it, are not read field by field: the encoder walks
+    their own attribute mapping, in field order on every construction
+    path (``__init__``, :func:`unpack_job`, :func:`clone_job`).
 
-    def round_row(r: RoundMetrics) -> dict:
-        return {name: getattr(r, name) for name in _ROUND_FIELDS}
+    The bytes are a contract, not merely the values: the payload's
+    length is the response size the serving tier's result cache budgets
+    (:class:`repro.perf.cache.ResultCache`), so a format change would
+    move evictions, hit ratios and every simulated serve metric.
+    """
 
     def batch_row(b: BatchMetrics) -> dict:
         return {
             name: (
-                [round_row(r) for r in b.rounds]
+                [vars(r) for r in b.rounds]
                 if name == "rounds"
                 else getattr(b, name)
             )
