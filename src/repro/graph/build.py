@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, sorted_unique
 
 EdgeLike = Union[Tuple[int, int], Tuple[int, int, float], Sequence[float]]
 
@@ -71,6 +71,16 @@ def from_edges(
             f"{inferred_n - 1}"
         )
 
+    if dedup and weights is None and src.size:
+        # Fresh key arrays: the caller's endpoints are never written.
+        stride = np.int64(num_vertices)
+        keys = src * stride + dst
+        if not directed:
+            keys = np.concatenate([keys, dst * stride + src])
+        return _graph_from_keys(
+            sorted_unique(keys), num_vertices, directed, drop_self_loops, name
+        )
+
     if drop_self_loops and src.size:
         keep = src != dst
         src, dst = src[keep], dst[keep]
@@ -93,6 +103,66 @@ def from_edges(
     counts = np.bincount(src, minlength=num_vertices)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return Graph(indptr, dst, weights, directed=directed, name=name)
+
+
+def from_owned_endpoints(
+    src: np.ndarray,
+    dst: np.ndarray,
+    num_vertices: int,
+    directed: bool = True,
+    name: str = "graph",
+) -> Graph:
+    """:func:`from_edges` with ``dedup=True, drop_self_loops=True`` for
+    unweighted endpoint arrays the caller gives up.
+
+    ``src`` and ``dst`` must be ``int64`` arrays of ids in
+    ``[0, num_vertices)`` that nobody else reads afterwards (the
+    generators' own draws): the composite keys are formed *in* them, so
+    the build holds no second copy of the arc list. Pass them as
+    temporaries and they are freed as soon as the keys exist.
+    """
+    stride = np.int64(num_vertices)
+    if directed:
+        keys = src
+        keys *= stride
+        keys += dst
+    else:
+        keys = np.concatenate([src, dst])
+        keys *= stride
+        keys[: src.size] += dst
+        keys[src.size :] += src
+    del src, dst
+    arcs = sorted_unique(keys)
+    del keys  # the sampled list is dead weight from here on
+    return _graph_from_keys(arcs, num_vertices, directed, True, name)
+
+
+def _graph_from_keys(
+    keys: np.ndarray,
+    num_vertices: int,
+    directed: bool,
+    drop_self_loops: bool,
+    name: str,
+) -> Graph:
+    """Unweighted graph from its sorted, distinct composite
+    ``src * n + dst`` arc keys (an owned array, split in place).
+
+    Sorted unique keys *are* the arcs in ``(src, dst)`` order, so one
+    split yields the CSR columns. Self loops go after the de-dup: the
+    same arcs survive as when dropping them first, and the filter runs
+    over the distinct arcs instead of every listed one.
+    """
+    stride = np.int64(num_vertices)
+    src = keys // stride
+    dst = keys
+    dst -= src * stride
+    if drop_self_loops:
+        keep = src != dst
+        if not keep.all():
+            src, dst = src[keep], dst[keep]
+    counts = np.bincount(src, minlength=num_vertices)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return Graph(indptr, dst, None, directed=directed, name=name)
 
 
 def from_edge_list(
@@ -150,26 +220,17 @@ def _symmetrise(
 def _dedup_min_weight(
     src: np.ndarray,
     dst: np.ndarray,
-    weights: Optional[np.ndarray],
+    weights: np.ndarray,
     num_vertices: int,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Collapse duplicate arcs, keeping the smallest weight per pair.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse duplicate weighted arcs, keeping the smallest weight per
+    pair (unweighted edge lists de-duplicate in key space,
+    :func:`_graph_from_keys`).
 
     Output arcs are sorted by ``(src, dst)`` — i.e. by composite key —
-    which lets :func:`from_edges` skip its lexsort after dedup. The
-    unweighted path sorts explicitly rather than calling ``np.unique``:
-    numpy's hash-based unique is ~50x slower than sort+mask on these
-    millions-of-random-int64 key arrays, and both return the same
-    sorted uniques.
+    which lets :func:`from_edges` skip its lexsort after dedup.
     """
     keys = src * np.int64(num_vertices) + dst
-    if weights is None:
-        keys = np.sort(keys)
-        first = np.empty(keys.size, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        unique_keys = keys[first]
-        return unique_keys // num_vertices, unique_keys % num_vertices, None
     order = np.lexsort((weights, keys))
     keys_sorted = keys[order]
     first = np.concatenate(([True], keys_sorted[1:] != keys_sorted[:-1]))
@@ -182,8 +243,9 @@ def _dedup_min_weight(
 # ----------------------------------------------------------------------
 
 #: Working bytes one in-flight edge costs inside the chunked builder:
-#: the endpoint draws, composite keys, the sort copy, and the boundary
-#: mask (undirected graphs double it for the symmetrised reverse arcs).
+#: the endpoint draws, their cleaned copies, composite keys, the
+#: distinct-key copy and the boundary mask (undirected graphs double it
+#: for the symmetrised reverse arcs).
 BUILD_BYTES_PER_EDGE = 48
 
 #: Elements loaded per run per refill during the K-way merge.
@@ -302,11 +364,7 @@ def build_csr_on_disk(
         keys = src * np.int64(num_vertices) + dst
         base = os.path.join(runs_dir, f"run-{run_id:06d}")
         if weights is None:
-            keys = np.sort(keys)
-            first = np.empty(keys.size, dtype=bool)
-            first[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            np.save(base + "-keys.npy", keys[first])
+            np.save(base + "-keys.npy", sorted_unique(keys))
         else:
             order = np.lexsort((weights, keys))
             keys_sorted = keys[order]
@@ -491,28 +549,17 @@ def _merge_sorted_runs(
             if weighted:
                 weight_parts.append(wbuffers[i][:take])
                 wbuffers[i] = wbuffers[i][take:]
-        batch_keys = (
-            batch_parts[0]
-            if len(batch_parts) == 1
-            else np.concatenate(batch_parts)
-        )
-        if weighted:
-            batch_weights = (
-                weight_parts[0]
-                if len(weight_parts) == 1
-                else np.concatenate(weight_parts)
-            )
+        if len(batch_parts) == 1:
+            # One run's slice: sorted and unique as it was spilled.
+            yield batch_parts[0], weight_parts[0] if weighted else None
+        elif not weighted:
+            yield sorted_unique(np.concatenate(batch_parts)), None
+        else:
+            batch_keys = np.concatenate(batch_parts)
+            batch_weights = np.concatenate(weight_parts)
             order = np.lexsort((batch_weights, batch_keys))
             batch_keys = batch_keys[order]
-            batch_weights = batch_weights[order]
-        else:
-            batch_keys = np.sort(batch_keys)
-            batch_weights = None
-        first = np.empty(batch_keys.size, dtype=bool)
-        first[0] = True
-        np.not_equal(batch_keys[1:], batch_keys[:-1], out=first[1:])
-        if not first.all():
-            batch_keys = batch_keys[first]
-            if weighted:
-                batch_weights = batch_weights[first]
-        yield batch_keys, batch_weights
+            first = np.empty(batch_keys.size, dtype=bool)
+            first[0] = True
+            np.not_equal(batch_keys[1:], batch_keys[:-1], out=first[1:])
+            yield batch_keys[first], batch_weights[order][first]

@@ -150,10 +150,12 @@ class Graph:
         if self._fingerprint is None:
             digest = hashlib.blake2b(digest_size=16)
             digest.update(b"directed" if self.directed else b"undirected")
-            digest.update(self.indptr.tobytes())
-            digest.update(self.indices.tobytes())
+            # Arrays go in through the buffer protocol: same bytes as
+            # ``tobytes()`` without the transient O(m) copy.
+            digest.update(np.ascontiguousarray(self.indptr))
+            digest.update(np.ascontiguousarray(self.indices))
             if self.weights is not None:
-                digest.update(self.weights.tobytes())
+                digest.update(np.ascontiguousarray(self.weights))
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -366,21 +368,23 @@ def dedup_pairs(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     keys = composite_keys(rows, cols, num_cols, arena)
-    return _split_keys(_sorted_unique(keys, arena), num_cols, arena)
+    return _split_keys(sorted_unique(keys, arena), num_cols, arena)
 
 
-def _sorted_unique(
+def sorted_unique(
     keys: np.ndarray, arena: "Optional[ScratchArena]" = None
 ) -> np.ndarray:
-    """Sort non-empty ``keys`` in place and return the distinct ones
-    (boundary elements of the sorted runs; a fresh array)."""
+    """Sort ``keys`` in place and return the distinct ones (boundary
+    elements of the sorted runs; a fresh array). The one sort-and-mask
+    of the graph layer: ``np.unique`` hashes int64 keys since numpy
+    2.3 and is several times slower on arc-sized arrays."""
     boundary = (
         np.empty(keys.size, dtype=bool)
         if arena is None
         else arena.take(keys.size, dtype=bool)
     )
     keys.sort()
-    boundary[0] = True
+    boundary[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
     return keys[boundary]
 
@@ -400,7 +404,7 @@ def merge_winner_keys(key_lists) -> np.ndarray:
         return key_lists[0]
     if not key_lists:
         return np.empty(0, dtype=np.int64)
-    return _sorted_unique(np.concatenate(key_lists))
+    return sorted_unique(np.concatenate(key_lists))
 
 
 def dedup_pairs_dense(
@@ -436,11 +440,15 @@ _NO_SPREAD = object()
 def _spread_operator(graph: Graph):
     """Lazy per-graph ``A^T`` CSR operator for :func:`propagate_mass`.
 
-    Rows are in-neighbour lists sorted by original arc position (stable
-    sort), so a CSR matvec accumulates each target's contributions in
-    exactly the arc order ``np.bincount`` uses — bit-identical results,
-    at ~2-3x the throughput. Returns ``None`` when scipy is missing
-    (the bincount fallback then runs, producing the same bits).
+    Rows are in-neighbour lists in original arc-position order, so a
+    CSR matvec accumulates each target's contributions in exactly the
+    arc order ``np.bincount`` uses — bit-identical results, at ~2-3x
+    the throughput. The order comes from scipy's ``csr -> csc``
+    conversion, one counting pass that walks the arcs in position order
+    and appends each to its target's list (what a stable sort by target
+    would produce, without sorting); it keeps parallel arcs apart.
+    Returns ``None`` when scipy is missing (the bincount fallback then
+    runs, producing the same bits).
     """
     op = graph._spread
     if op is _NO_SPREAD:
@@ -452,14 +460,11 @@ def _spread_operator(graph: Graph):
             graph._spread = _NO_SPREAD
             return None
         n, m = graph.num_vertices, graph.num_arcs
-        order = np.argsort(graph.indices, kind="stable")
-        rev_src = graph.edge_sources()[order]
-        in_deg = np.bincount(graph.indices, minlength=n)
-        rev_indptr = np.concatenate(([0], np.cumsum(in_deg)))
-        op = sparse.csr_matrix(
-            (np.ones(m, dtype=np.float64), rev_src, rev_indptr),
+        forward = sparse.csr_matrix(
+            (np.ones(m, dtype=np.float64), graph.indices, graph.indptr),
             shape=(n, n),
         )
+        op = forward.tocsc().T
         graph._spread = op
     return op
 

@@ -31,9 +31,13 @@ from repro.rng import DEFAULT_SEED, SeedLike, derive_seed
 #: numpy while preserving workload-to-memory ratios.
 DEFAULT_SCALE = 400
 
-#: Transient working-set bytes per sampled arc of the in-RAM build path
-#: (both endpoint draws, composite keys, the dedup sort copy and mask);
-#: used to predict whether a profile fits the ``--max-ram`` budget.
+#: Transient working-set bytes per sampled arc of the in-RAM build path;
+#: used to predict whether a profile fits the ``--max-ram`` budget. The
+#: arc-proportional part measures 17-26 B (both endpoint draws, then the
+#: keys formed in them, their distinct copy and the split); the rest
+#: covers the sampler's guide table, up to ~270 B per *vertex* while it
+#: is built, on the sparse profiles (web-st: 9 sampled arcs a vertex).
+#: Measured peaks: 20 B/arc twitter@400, 47 livejournal@400, 55 web-st@400.
 IN_RAM_BUILD_BYTES_PER_ARC = 72
 
 

@@ -314,9 +314,7 @@ def fingerprint_csr_dir(directory: PathLike, chunk_bytes: int = 1 << 24) -> str:
         array = np.load(os.path.join(directory, file_name), mmap_mode="r")
         step = max(1, chunk_bytes // array.itemsize)
         for start in range(0, array.size, step):
-            digest.update(
-                np.ascontiguousarray(array[start : start + step]).tobytes()
-            )
+            digest.update(np.ascontiguousarray(array[start : start + step]))
     return digest.hexdigest()
 
 

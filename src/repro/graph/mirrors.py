@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.graph.csr import Graph, iter_row_blocks, streaming_block_arcs
+from repro.graph.csr import (
+    Graph,
+    iter_row_blocks,
+    sorted_unique,
+    streaming_block_arcs,
+)
 from repro.graph.partition import Partition
 from repro.perf import timings
 from repro.perf.cache import get_cache
@@ -152,7 +157,7 @@ def _build_mirror_plan(
             src_per_arc[is_remote] * np.int64(num_machines)
             + dst_owner_per_arc[is_remote]
         )
-        unique_pairs = np.unique(remote_pairs)
+        unique_pairs = sorted_unique(remote_pairs)
         remote_machines = np.bincount(
             (unique_pairs // num_machines).astype(np.int64), minlength=n
         ).astype(np.int64)
@@ -182,7 +187,7 @@ def _build_mirror_plan(
                 blk_src[is_remote] * np.int64(num_machines)
                 + blk_dst_owner[is_remote]
             )
-            unique_pairs = np.unique(remote_pairs)
+            unique_pairs = sorted_unique(remote_pairs)
             remote_machines[lo:hi] += np.bincount(
                 (unique_pairs // num_machines).astype(np.int64) - lo,
                 minlength=hi - lo,

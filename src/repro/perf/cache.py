@@ -66,7 +66,7 @@ def _checksum_array(arrays: Dict[str, np.ndarray]) -> np.ndarray:
         digest.update(name.encode("utf-8"))
         digest.update(str(array.dtype).encode("utf-8"))
         digest.update(repr(array.shape).encode("utf-8"))
-        digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(np.ascontiguousarray(array))
     return np.frombuffer(
         digest.hexdigest().encode("ascii"), dtype=np.uint8
     ).copy()
