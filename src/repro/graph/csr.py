@@ -52,6 +52,7 @@ class Graph:
         "_degrees",
         "_fingerprint",
         "_spread",
+        "_transpose",
     )
 
     #: True on memory-mapped subclasses (:class:`repro.graph.io.MappedGraph`);
@@ -95,6 +96,7 @@ class Graph:
         self._degrees = None
         self._fingerprint = None
         self._spread = None
+        self._transpose = None
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
         if self.weights is not None:
@@ -195,17 +197,57 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
+    def transposition(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``A^T`` as in-neighbour lists, built once and cached:
+        ``(indptr, sources, weights)``.
+
+        The arcs into vertex ``v`` are ``sources[indptr[v]:indptr[v + 1]]``
+        in original arc-position order — what a stable sort of the arcs
+        by target yields, parallel arcs kept apart — with ``weights``
+        carried along (``None`` when unweighted). The order comes from
+        scipy's ``csr -> csc`` conversion, one counting pass that walks
+        the arcs in position order and appends each to its target's
+        list; without scipy the stable sort itself runs. The one
+        transposition behind :meth:`reverse`, :func:`_spread_operator`
+        and the pull rounds of :class:`repro.tasks.base.BitFrontier`.
+        """
+        if self._transpose is None:
+            n = self.num_vertices
+            # The conversion carries one value per arc along: the
+            # weights, or the cheapest stand-in for them.
+            data = self.weights
+            if data is None:
+                data = np.ones(self.num_arcs, dtype=np.int8)
+            try:
+                from scipy import sparse
+            except ImportError:
+                order = np.argsort(self.indices, kind="stable")
+                in_degrees = np.bincount(self.indices, minlength=n)
+                indptr = np.concatenate(([0], np.cumsum(in_degrees)))
+                sources, data = self.edge_sources()[order], data[order]
+            else:
+                csc = sparse.csr_matrix(
+                    (data, self.indices, self.indptr), shape=(n, n)
+                ).tocsc()
+                indptr = csc.indptr.astype(np.int64, copy=False)
+                sources = csc.indices.astype(np.int64, copy=False)
+                data = csc.data
+            for array in (indptr, sources, data):
+                array.setflags(write=False)
+            self._transpose = (
+                indptr, sources, None if self.weights is None else data
+            )
+        return self._transpose
+
     def reverse(self) -> "Graph":
         """Return the graph with every arc reversed (CSR of in-edges)."""
-        order = np.argsort(self.indices, kind="stable")
-        rev_indices = self.edge_sources()[order]
-        counts = np.bincount(self.indices, minlength=self.num_vertices)
-        rev_indptr = np.concatenate(([0], np.cumsum(counts)))
-        rev_weights = None if self.weights is None else self.weights[order]
+        indptr, sources, weights = self.transposition()
         return Graph(
-            rev_indptr,
-            rev_indices,
-            rev_weights,
+            indptr,
+            sources,
+            weights,
             directed=self.directed,
             name=f"{self.name}^T",
         )
@@ -261,9 +303,10 @@ class Graph:
         )
 
     def __getstate__(self) -> dict:
-        # Derived caches (degrees, the spread operator) are dropped so
-        # pickles carry only the CSR arrays; the fingerprint rides along
-        # because recomputing it hashes every array.
+        # Derived caches (degrees, the transposition, the spread
+        # operator) are dropped so pickles carry only the CSR arrays; the
+        # fingerprint rides along because recomputing it hashes every
+        # array.
         return {
             "indptr": self.indptr,
             "indices": self.indices,
@@ -279,6 +322,7 @@ class Graph:
         self._degrees = None
         self._fingerprint = state.get("_fingerprint")
         self._spread = None
+        self._transpose = None
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
         if self.weights is not None:
@@ -440,15 +484,12 @@ _NO_SPREAD = object()
 def _spread_operator(graph: Graph):
     """Lazy per-graph ``A^T`` CSR operator for :func:`propagate_mass`.
 
-    Rows are in-neighbour lists in original arc-position order, so a
-    CSR matvec accumulates each target's contributions in exactly the
-    arc order ``np.bincount`` uses — bit-identical results, at ~2-3x
-    the throughput. The order comes from scipy's ``csr -> csc``
-    conversion, one counting pass that walks the arcs in position order
-    and appends each to its target's list (what a stable sort by target
-    would produce, without sorting); it keeps parallel arcs apart.
-    Returns ``None`` when scipy is missing (the bincount fallback then
-    runs, producing the same bits).
+    Rows are the in-neighbour lists of :meth:`Graph.transposition`, in
+    original arc-position order, so a CSR matvec accumulates each
+    target's contributions in exactly the arc order ``np.bincount``
+    uses — bit-identical results, at ~2-3x the throughput. Returns
+    ``None`` when scipy is missing (the bincount fallback then runs,
+    producing the same bits).
     """
     op = graph._spread
     if op is _NO_SPREAD:
@@ -459,12 +500,12 @@ def _spread_operator(graph: Graph):
         except ImportError:  # pragma: no cover - scipy is baked in
             graph._spread = _NO_SPREAD
             return None
-        n, m = graph.num_vertices, graph.num_arcs
-        forward = sparse.csr_matrix(
-            (np.ones(m, dtype=np.float64), graph.indices, graph.indptr),
+        n = graph.num_vertices
+        indptr, sources, _ = graph.transposition()
+        op = sparse.csr_matrix(
+            (np.ones(graph.num_arcs, dtype=np.float64), sources, indptr),
             shape=(n, n),
         )
-        op = forward.tocsc().T
         graph._spread = op
     return op
 
@@ -884,7 +925,15 @@ def _sorted_segments(
     if arena is None:
         sorted_keys = keys[order]
     else:
-        sorted_keys = np.take(keys, order, out=arena.take(size))
+        # ``mode="clip"``, here and at every buffered gather of the
+        # kernels: under the default ``"raise"`` numpy stages ``out``
+        # through a full-size temporary and copies it over. Nothing is
+        # ever clipped — the indices come from ``argsort``, or from
+        # ``indptr`` / ``indices``, which ``Graph.__init__`` validates
+        # (a shared-memory copy holds a validated graph's bytes) and
+        # ``open_mapped`` re-checks for ``indptr``, the one array a
+        # mapped graph's gathers are positioned by.
+        sorted_keys = np.take(keys, order, out=arena.take(size), mode="clip")
     boundary = (
         np.empty(size, dtype=bool)
         if arena is None
@@ -941,7 +990,8 @@ def segment_min(
         minima = np.minimum.reduceat(sorted_values, starts)
     else:
         sorted_values = np.take(
-            values, order, out=arena.take(values.size, dtype=values.dtype)
+            values, order, out=arena.take(values.size, dtype=values.dtype),
+            mode="clip",
         )
         minima = np.minimum.reduceat(
             sorted_values, starts, out=arena.take(starts.size, values.dtype)
@@ -979,7 +1029,8 @@ def segment_sum(
         sums = np.add.reduceat(sorted_values, starts)
     else:
         sorted_values = np.take(
-            values, order, out=arena.take(values.size, dtype=values.dtype)
+            values, order, out=arena.take(values.size, dtype=values.dtype),
+            mode="clip",
         )
         sums = np.add.reduceat(
             sorted_values, starts, out=arena.take(starts.size, values.dtype)
@@ -1021,10 +1072,12 @@ def scatter_min_dense(
         after = flat_state[cells]
     else:
         before = np.take(
-            flat_state, cells, out=arena.take(cells.size, state.dtype)
+            flat_state, cells, out=arena.take(cells.size, state.dtype),
+            mode="clip",
         )
         np.minimum.at(flat_state, keys, values)
         after = np.take(
-            flat_state, cells, out=arena.take(cells.size, state.dtype)
+            flat_state, cells, out=arena.take(cells.size, state.dtype),
+            mode="clip",
         )
     return cells, before, after

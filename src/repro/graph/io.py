@@ -349,6 +349,16 @@ def open_mapped(directory: PathLike) -> MappedGraph:
             f"{directory}: weights.npy holds {weights.size} entries, "
             f"graph.json promises {meta['num_arcs']}"
         )
+    # The kernels gather arcs by position along ``indptr`` without a
+    # range check (``mode="clip"``): one pass over the vertex-sized
+    # array proves here what ``Graph.__init__`` proves in RAM.
+    if indptr[0] != 0 or indptr[-1] != indices.size or (
+        np.any(np.diff(indptr) < 0)
+    ):
+        raise GraphFormatError(
+            f"{directory}: indptr.npy is not a non-decreasing run from 0 "
+            f"to {indices.size}"
+        )
     graph = MappedGraph.__new__(MappedGraph)
     graph.indptr = indptr
     graph.indices = indices
@@ -358,6 +368,7 @@ def open_mapped(directory: PathLike) -> MappedGraph:
     graph._degrees = None
     graph._fingerprint = str(meta["fingerprint"])
     graph._spread = None
+    graph._transpose = None
     graph.directory = directory
     return graph
 

@@ -433,6 +433,7 @@ class SharedGraphRegistry:
         graph._degrees = None
         graph._fingerprint = handle.fingerprint
         graph._spread = None
+        graph._transpose = None
         for array in views:
             if array is not None:
                 array.setflags(write=False)

@@ -46,6 +46,19 @@ from repro.perf import kernel_pool, timings
 #: blocks need the rest of the budget.
 STATE_SPILL_FRACTION = 0.5
 
+#: Measured crossover between the two directions of a bit-parallel
+#: round (:meth:`BitFrontier.advance`): a round pulls once its
+#: frontier's out-arcs times this reach ``m``. Per word, push costs
+#: 12-16 ns per frontier arc (expand, gather, ``np.bitwise_or.at``),
+#: pull 2.7-4.5 ns per arc of the graph (gather, ``reduceat``) whatever
+#: the frontier: livejournal@100 (360 k arcs) push 1.0 ms at ``m / 4.4``
+#: arcs and 4.6-5.6 ms on the heavy rounds, pull 1.4-1.7 ms; twitter@400
+#: (2.2 M arcs) push 8.3 ms at ``m / 3.3`` and 35-37 ms heavy, pull
+#: 6-10 ms (2-CPU shared VM, best of three). The curves cross between
+#: ``m / 5`` and ``m / 3`` and a ``jobs_traversal`` pass reads the same
+#: from 3 to 10 (``DESIGN.md`` §8 has both tables).
+PULL_ARC_RATIO = 4
+
 
 def alloc_state_matrix(
     shape: Tuple[int, ...], dtype, fill: Any = None
@@ -337,8 +350,11 @@ class BitFrontier:
       hold the vertex on their frontier — ``frontier_cells`` their sum;
     * ``reached`` — popcount of ``visited``, kept as a running total.
 
-    A round expands every arc of the union frontier once, carrying the
-    sender's whole word row, whatever the number of sources behind it.
+    A round does per-arc work once per word, whatever the number of
+    sources behind it, in one of two directions: *push* expands the
+    arcs of the union frontier and ORs the sender's word row into each
+    target, *pull* walks every arc of ``A^T`` and ORs into each target
+    the rows of its in-neighbours.
     """
 
     def __init__(self, graph: Graph, sources: np.ndarray) -> None:
@@ -348,6 +364,9 @@ class BitFrontier:
         self.visited = alloc_state_matrix(shape, np.uint64)
         #: next round's arrivals; all-zero between rounds.
         self._incoming = alloc_state_matrix(shape, np.uint64)
+        #: what pull rounds reduce: ``(vertices with in-arcs, where the
+        #: in-list of each starts)``.
+        self._targets = None
         rows = np.arange(sources.size, dtype=np.uint64)
         np.bitwise_or.at(
             self.visited,
@@ -366,18 +385,35 @@ class BitFrontier:
         self.frontier_cells = int(self.counts.sum())
         self.reached += self.frontier_cells
 
-    def advance(self, run_blocks: Callable[..., Tuple[List[Any], bool]]) -> bool:
-        """One BFS round for every source at once; ``run_blocks`` is
-        the kernel's :meth:`TaskKernel.run_blocks`. Returns whether any
-        frontier vertex had an out-arc.
+    def advance(self, kernel: TaskKernel) -> bool:
+        """One BFS round for every source at once, for the ``kernel``
+        that owns this state (its block plan cuts a push round, its
+        arena lends the buffers). Returns whether any frontier vertex
+        had an out-arc.
 
-        Byte-identical however the frontier is cut and wherever the
-        blocks run: a block only ORs its senders' rows into target
-        rows, and OR is commutative, associative and idempotent — any
-        grouping of the arcs, into the shared array or into private
-        ones folded later, lands the same words.
+        The round pulls when its frontier owns at least
+        ``1 / PULL_ARC_RATIO`` of the graph's arcs — pull costs ``m``
+        whatever the frontier, push its arcs at several times the price
+        each — and pushes below that; a mapped graph keeps no ``A^T``
+        resident and always pushes.
+
+        Byte-identical in either direction, however a push round is
+        cut and wherever its blocks run: the round only ORs senders'
+        rows into target rows, and OR is commutative, associative and
+        idempotent — any grouping of the arcs, by sender or by target,
+        into the shared array or into private ones folded later, lands
+        the same words.
         """
-        results, _ = run_blocks(self._scatter_block, self.verts, self.words)
+        graph = self.graph
+        if not graph.mapped and 0 < graph.num_arcs <= PULL_ARC_RATIO * int(
+            graph.degrees[self.verts].sum()
+        ):
+            kernel.arena.new_round()
+            results = [self._gather(kernel.arena)]
+        else:
+            results, _ = kernel.run_blocks(
+                self._scatter_block, self.verts, self.words
+            )
         tick = perf_counter()
         incoming = self._incoming
         expanded = False
@@ -405,7 +441,8 @@ class BitFrontier:
         arena: ScratchArena,
         exclusive: bool,
     ) -> Optional[np.ndarray]:
-        """OR the word rows of one frontier slice along its out-arcs.
+        """Push: OR the word rows of one frontier slice along its
+        out-arcs.
 
         Returns ``None`` when the slice has no out-arc, else the
         ``(n, words)`` array it scattered into: the shared
@@ -423,7 +460,9 @@ class BitFrontier:
             return None
         if kept is not None:
             words = words[kept]
-        nbr = np.take(graph.indices, arc_pos, out=arena.take(arc_pos.size))
+        nbr = np.take(
+            graph.indices, arc_pos, out=arena.take(arc_pos.size), mode="clip"
+        )
         arc_words = np.repeat(words, counts, axis=0)
         if exclusive:
             target = self._incoming
@@ -437,6 +476,40 @@ class BitFrontier:
         if exclusive:
             timings.add("kernel.reduce", perf_counter() - tock)
         return target
+
+    def _gather(self, arena: ScratchArena) -> np.ndarray:
+        """Pull: OR into the row of every vertex that has in-arcs the
+        ``visited`` rows of its in-neighbours, one word column at a
+        time — gather the column along ``A^T``'s source list, reduce
+        each target's segment — and return ``_incoming``, as an
+        exclusive push block does.
+
+        Gathering ``visited`` gathers the frontier: a bit visited at
+        ``u`` and not on the frontier was on it in an earlier round,
+        which sent it — in either direction — to every out-neighbour
+        of ``u``, where ``& ~visited`` now drops it; so there is no
+        frontier table to write and clear. ``reduceat`` hands back the
+        *element at* a start that repeats, not the identity, so a
+        vertex without in-arcs must not be reduced. One inline block
+        whatever the workers: cut over the kernel pool the round read
+        8 % slower (``DESIGN.md`` §8).
+        """
+        indptr, sources, _ = self.graph.transposition()
+        if self._targets is None:
+            targets = np.flatnonzero(np.diff(indptr))
+            self._targets = targets, indptr[targets]
+        targets, starts = self._targets
+        arc_words = arena.take(sources.size, np.uint64)
+        for column in range(self.visited.shape[1]):
+            tick = perf_counter()
+            np.take(self.visited[:, column], sources, out=arc_words, mode="clip")
+            tock = perf_counter()
+            self._incoming[targets, column] = np.bitwise_or.reduceat(
+                arc_words, starts
+            )
+            timings.add("kernel.expand", tock - tick)
+            timings.add("kernel.reduce", perf_counter() - tock)
+        return self._incoming
 
     def source_bits(self, words: np.ndarray) -> np.ndarray:
         """Decode word rows ``(k, words)`` into a ``(k, sources)``

@@ -80,7 +80,7 @@ class BKHSKernel(TaskKernel):
         # frontier it started with.
         bits = self._bits
         verts, updates = bits.verts, bits.counts
-        bits.advance(self.run_blocks)
+        bits.advance(self)
         return self.frontier_summary(
             verts, updates, self._scale, self._state_bytes(), done=False
         )

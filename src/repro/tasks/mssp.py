@@ -105,7 +105,7 @@ class MSSPKernel(TaskKernel):
         what the round sent is the frontier it started with."""
         bits = self._bits
         verts, updates = bits.verts, bits.counts
-        if not bits.advance(self.run_blocks):
+        if not bits.advance(self):
             # No frontier vertex had an out-arc: a silent terminating
             # round, priced with the frontier it could not expand.
             return self._summary_for(verts[:0], updates[:0], done=True)
@@ -189,11 +189,13 @@ class MSSPKernel(TaskKernel):
             return None
         if kept is not None:
             rows, dist = rows[kept], dist[kept]
-        nbr = np.take(graph.indices, arc_pos, out=arena.take(arc_pos.size))
+        nbr = np.take(
+            graph.indices, arc_pos, out=arena.take(arc_pos.size), mode="clip"
+        )
         msg_rows = np.repeat(rows, counts)
         cand = np.repeat(dist, counts)
         weights = arena.take(arc_pos.size, np.float64)
-        cand += np.take(graph.weights, arc_pos, out=weights)
+        cand += np.take(graph.weights, arc_pos, out=weights, mode="clip")
         if exclusive:
             tock = perf_counter()
             timings.add("kernel.expand", tock - tick)

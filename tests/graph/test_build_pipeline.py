@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import tracemalloc
 import warnings
 
@@ -412,6 +413,115 @@ class TestTransposedOperator:
             minlength=graph.num_vertices,
         )
         assert csr.propagate_mass(graph, x).tobytes() == fallback.tobytes()
+
+
+def stable_argsort_reverse(graph):
+    """``Graph.reverse``'s arrays the way they were built before: a
+    stable argsort of the arcs by target."""
+    order = np.argsort(graph.indices, kind="stable")
+    in_degrees = np.bincount(graph.indices, minlength=graph.num_vertices)
+    weights = None if graph.weights is None else graph.weights[order]
+    return (
+        np.concatenate(([0], np.cumsum(in_degrees))),
+        graph.edge_sources()[order],
+        weights,
+    )
+
+
+def weighted_parallel_arc_graph():
+    rng = make_rng(6)
+    src = rng.integers(0, 30, size=400)
+    dst = rng.integers(0, 30, size=400)
+    # Distinct weights, a few of them zero: parallel arcs are told
+    # apart and an explicit zero is still an arc.
+    weights = rng.permutation(400).astype(np.float64) // 8
+    return from_edges(src, dst, weights, num_vertices=30)
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: chung_lu(500, 9.0, seed=4),
+        lambda: chung_lu(300, 12.0, directed=False, seed=4),
+        parallel_arc_graph,
+        weighted_parallel_arc_graph,
+        lambda: from_edges(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            num_vertices=3,
+        ),
+    ],
+    ids=["directed", "undirected", "parallel-arcs", "weighted", "edgeless"],
+)
+class TestSharedTransposition:
+    """One cached ``A^T`` per graph behind ``reverse``, the spread
+    operator and the pull rounds — derived state, like ``degrees``."""
+
+    def test_reverse_equals_the_stable_argsort_construction(self, make_graph):
+        graph = make_graph()
+        rev = graph.reverse()
+        indptr, sources, weights = stable_argsort_reverse(graph)
+        assert rev.directed == graph.directed and rev.name == f"{graph.name}^T"
+        for ours, theirs in (
+            (rev.indptr, indptr), (rev.indices, sources), (rev.weights, weights)
+        ):
+            if theirs is None:
+                assert ours is None
+            else:
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs)
+        assert rev.reverse() == graph
+
+    def test_without_scipy_the_stable_sort_builds_the_same_lists(
+        self, make_graph, monkeypatch
+    ):
+        pytest.importorskip("scipy.sparse")
+        counted, sorted_ = make_graph(), make_graph()
+        lists = counted.transposition()  # scipy's counting pass
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import now fails
+        for ours, theirs in zip(sorted_.transposition(), lists):
+            if theirs is None:
+                assert ours is None
+            else:
+                assert ours.dtype == theirs.dtype and not ours.flags.writeable
+                assert np.array_equal(ours, theirs)
+        assert sorted_.reverse() == counted.reverse()
+
+    def test_one_conversion_however_many_ask(self, make_graph, monkeypatch):
+        sparse = pytest.importorskip("scipy.sparse")
+        conversions = []
+        tocsc = sparse.csr_matrix.tocsc
+
+        def counting(matrix, *args, **kwargs):
+            conversions.append(matrix.shape)
+            return tocsc(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.csr_matrix, "tocsc", counting)
+        graph = make_graph()
+        assert graph._transpose is None  # lazy: nothing built yet
+        x = make_rng(9).random(graph.num_vertices)
+        csr.propagate_mass(graph, x)  # BPPR's operator
+        graph.reverse()
+        lists = graph.transposition()  # what a pull round asks for
+        csr.propagate_mass(graph, x)
+        assert graph.reverse().indices is lists[1]
+        assert len(conversions) == 1
+
+    def test_the_cache_is_no_part_of_the_graphs_identity(self, make_graph):
+        import pickle
+
+        graph, twin = make_graph(), make_graph()
+        before = graph.fingerprint, hash(graph)
+        graph.transposition()
+        assert graph == twin and twin == graph
+        assert (graph.fingerprint, hash(graph)) == before
+        assert graph.fingerprint == twin.fingerprint
+        # Dropped from the pickle, reset on the way back in, lazily
+        # rebuilt equal.
+        assert "_transpose" not in graph.__getstate__()
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone._transpose is None and clone == graph
+        for ours, theirs in zip(clone.transposition(), graph.transposition()):
+            assert (ours is None and theirs is None) or np.array_equal(ours, theirs)
 
 
 # ----------------------------------------------------------------------

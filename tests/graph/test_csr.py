@@ -56,6 +56,8 @@ class TestConstruction:
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(GraphFormatError):
             Graph(np.array([0, 1]), np.array([7], dtype=np.int64))
+        with pytest.raises(GraphFormatError):
+            Graph(np.array([0, 1]), np.array([-1], dtype=np.int64))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphFormatError):

@@ -90,6 +90,14 @@ class TestTornDirectories:
         np.save(os.path.join(csr_dir, "weights.npy"), np.zeros(2))
         self.assert_quarantined(csr_dir)
 
+    def test_indptr_pointing_outside_the_arcs_quarantines(self, graph, csr_dir):
+        # Right size, wrong content: the kernels gather arcs by these
+        # positions unchecked, so the loader is where they are proved.
+        indptr = graph.indptr.copy()
+        indptr[2] = graph.num_arcs + 3
+        np.save(os.path.join(csr_dir, "indptr.npy"), indptr)
+        self.assert_quarantined(csr_dir)
+
     def test_sidecar_disagreeing_with_arrays_quarantines(self, csr_dir):
         meta_path = os.path.join(csr_dir, "graph.json")
         with open(meta_path, "r", encoding="utf-8") as fh:

@@ -7,8 +7,9 @@ rounds are the BFS level sets and on a weighted one the hop-limited
 Bellman-Ford tables — weighted MSSP, which keeps the per-cell min-fold,
 rides along as the control. Every ``RoundSummary`` field, the frontier
 and ``residual_bytes()`` are compared round by round, final results
-against ``tasks/exact.py``, on every block plan and on both sides of
-the 64-source word boundary.
+against ``tasks/exact.py``, on every block plan, in both forced
+directions of the round (push along ``A``, pull along ``A^T``) and on
+both sides of the 64-source word boundary.
 """
 
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.build import from_edge_list, from_edges
+from repro.graph.generators import chung_lu
 from repro.rng import make_rng
 from repro.tasks import base as tasks_base
 from repro.tasks import bkhs as bkhs_mod
@@ -28,7 +30,12 @@ from repro.tasks.bkhs import BKHSKernel
 from repro.tasks.exact import k_hop_set, shortest_path_distances
 from repro.tasks.mssp import MSSPKernel
 
-from tests.tasks.test_mssp_bkhs import PLANS, ForcedPlan, router_for
+from tests.tasks.test_mssp_bkhs import (
+    DIRECTED_PLANS,
+    PLANS,
+    ForcedPlan,
+    router_for,
+)
 
 #: one source, and both sides of the one- and two-word boundaries
 SOURCE_COUNTS = (1, 63, 64, 65, 130)
@@ -164,15 +171,18 @@ def batches(draw):
     graph = from_edges(src, dst, weights, num_vertices=n)
     # MSSP: sometimes stop mid-flight; BKHS: sometimes past the diameter.
     limit = draw(st.integers(min_value=1, max_value=12))
-    return graph, task, sources, seed, limit, draw(st.sampled_from(PLANS))
+    # Each plan in both forced directions, and as the round itself
+    # would choose.
+    plans = DIRECTED_PLANS + tuple((name, None) for name in PLANS)
+    return graph, task, sources, seed, limit, draw(st.sampled_from(plans))
 
 
-@given(batches())
-@settings(max_examples=120, deadline=None)
-def test_rounds_match_the_per_source_reference(batch):
-    graph, task, sources, seed, limit, plan_name = batch
+def check_batch(graph, task, sources, seed, limit, plan_name, direction):
+    """One batch of ``sources`` unit tasks on the named block plan and
+    forced direction, every round against the per-source reference and
+    the end against ``tasks/exact.py``; returns the plan's record."""
     with tempfile.TemporaryDirectory() as scratch:
-        with ForcedPlan(plan_name, scratch) as plan:
+        with ForcedPlan(plan_name, scratch, direction) as plan:
             seen = plan.graph(graph)
             router = router_for(seen, 3)
             if task == "bkhs":
@@ -202,7 +212,167 @@ def test_rounds_match_the_per_source_reference(batch):
                         kernel.result[int(source)], table[row]
                     )
             assert kernel._sources.size == sources
+            # (the weighted min-fold has one direction: it always pushes)
+            assert plan.forced() or "weighted" in task
+            if plan_name == "mapped":  # edges on disk: no resident A^T
+                assert seen._transpose is None
             del kernel, router, seen  # unmap before the directory goes
+    return plan
+
+
+@given(batches())
+@settings(max_examples=200, deadline=None)
+def test_rounds_match_the_per_source_reference(batch):
+    graph, task, sources, seed, limit, (plan_name, direction) = batch
+    check_batch(graph, task, sources, seed, limit, plan_name, direction)
+
+
+@pytest.mark.parametrize("sources", [65, 130])
+@pytest.mark.parametrize("task", ["mssp", "bkhs"])
+@pytest.mark.parametrize("plan_name, direction", DIRECTED_PLANS)
+def test_both_directions_really_run_on_every_plan(
+    plan_name, direction, task, sources
+):
+    """The differential check on a graph big enough for every plan to
+    cut, past the one- and the two-word boundary — and the plan's
+    record proves the rounds ran as named: cut, pooled, pulled."""
+    graph = chung_lu(140, 5.0, seed=11)
+    plan = check_batch(graph, task, sources, 3, 4, plan_name, direction)
+    assert plan.taken()
+
+
+# ----------------------------------------------------------------------
+# Adversarial fixtures of the pull direction, each run both ways.
+# ----------------------------------------------------------------------
+BOTH_WAYS = pytest.mark.parametrize(
+    "plan_name, direction",
+    [plan for plan in DIRECTED_PLANS if plan[0] != "mapped"],
+)
+
+
+@BOTH_WAYS
+def test_pull_walks_in_arcs_on_an_asymmetric_digraph(plan_name, direction):
+    """No arc has its reverse: a pull along ``A`` instead of ``A^T``
+    reaches backwards from the sources and nothing forwards."""
+    arcs = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 0), (6, 5), (4, 7)]
+    graph = from_edge_list(arcs, num_vertices=8)
+    for task in ("mssp", "bkhs"):
+        plan = check_batch(graph, task, 3, 1, 6, plan_name, direction)
+        assert plan.pulls or direction == "push"
+
+
+@BOTH_WAYS
+def test_vertices_without_in_arcs_receive_nothing(plan_name, direction):
+    """``reduceat`` gives an empty segment the element at its start —
+    the first in-arc of the *next* vertex, or an index error past the
+    last arc — so pull must skip vertices without in-arcs: here 0, 3
+    (between two that have them) and the last one."""
+    arcs = [(0, 1), (0, 2), (3, 2), (3, 4), (5, 4), (5, 1), (0, 4)]
+    graph = from_edge_list(arcs, num_vertices=6)
+    assert set(np.flatnonzero(np.bincount(graph.indices, minlength=6) == 0)) == {0, 3, 5}
+    for task in ("mssp", "bkhs"):
+        plan = check_batch(graph, task, 6, 2, 4, plan_name, direction)
+        assert plan.pulls or direction == "push"
+
+
+@BOTH_WAYS
+def test_a_graph_of_isolated_vertices_has_nothing_to_pull(plan_name, direction):
+    graph = from_edges(
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), num_vertices=70
+    )
+    for task in ("mssp", "bkhs"):
+        plan = check_batch(graph, task, 65, 5, 3, plan_name, direction)
+        assert plan.pulls == 0 and plan.pushed_arcs == 0
+
+
+@BOTH_WAYS
+@pytest.mark.parametrize("sources", [65, 130])
+def test_word_columns_stay_apart_across_words_and_rounds(
+    plan_name, direction, sources
+):
+    """A cycle with chords, every vertex a source: each word column
+    carries different bits through each vertex every round, so a
+    column gathered into another's row, or an arc buffer left over
+    from the word or the round before, lands wrong bits."""
+    n = sources + 3
+    ring = np.arange(n)
+    graph = from_edges(
+        np.concatenate([ring, ring]),
+        np.concatenate([(ring + 1) % n, (ring * 7 + 3) % n]),
+        num_vertices=n,
+    )
+    for task in ("mssp", "bkhs"):
+        plan = check_batch(graph, task, sources, 9, 6, plan_name, direction)
+        assert plan.pulls or direction == "push"
+
+
+@BOTH_WAYS
+def test_a_frontier_of_sinks_ends_the_batch_silently(plan_name, direction):
+    """Every source is a sink: the first round has no arc to walk in
+    either direction, pushes nothing, and is priced with the frontier
+    it could not expand (``check_mssp``'s silent terminating round)."""
+    graph = from_edge_list([(3, 0), (3, 1), (4, 2), (4, 0)], num_vertices=5)
+
+    class Sinks:
+        """Stands in for the batch RNG: sources 0, 1, 2."""
+
+        def choice(self, n, size, replace):
+            return np.arange(size)
+
+    with ForcedPlan(plan_name, ".", direction) as plan:
+        kernel = MSSPKernel(graph, router_for(graph, 2), Sinks(), sample_limit=None)
+        kernel.start_batch(3)
+        check_mssp(kernel, 10)
+        assert kernel.round_index == 1 and kernel.finished
+        assert plan.pulls == 0 and plan.pushed_arcs == 0
+
+
+@BOTH_WAYS
+def test_self_loops_and_parallel_arcs(plan_name, direction):
+    arcs = [(0, 0), (0, 1), (0, 1), (1, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 3)]
+    graph = from_edge_list(arcs, num_vertices=5)
+    assert graph.num_arcs == len(arcs)  # nothing deduplicated
+    for task in ("mssp", "bkhs"):
+        plan = check_batch(graph, task, 4, 0, 5, plan_name, direction)
+        assert plan.pulls or direction == "push"
+
+
+@pytest.mark.parametrize("task", ["mssp", "bkhs"])
+def test_a_mapped_graph_never_builds_a_transposition(task):
+    """Edges on disk, vertex state in RAM: with the direction left to
+    the round — the heavy rounds of this batch pull in RAM — a mapped
+    graph pushes every round and its ``A^T`` slot stays empty
+    (``check_batch`` asserts it after the last round)."""
+    graph = chung_lu(140, 5.0, seed=11)
+    assert check_batch(graph, task, 65, 3, 4, "inline", None).pulls
+    plan = check_batch(graph, task, 65, 3, 4, "mapped", None)
+    assert plan.pulls == 0 and plan.taken()
+
+
+def test_clip_mode_is_not_what_guards_the_index_range(tmp_path):
+    """The buffered gathers run ``mode="clip"`` for speed; what keeps
+    an arc position in range is the validation of ``indptr`` — by
+    ``Graph`` in RAM, by ``open_mapped`` on disk, where a mapped
+    graph's push rounds gather ``indices`` by it. An ``indptr.npy``
+    pointing past the last arc never becomes a graph whose rounds
+    would clip silently."""
+    from repro.errors import GraphFormatError
+    from repro.graph.io import open_mapped, save_mapped
+
+    graph = chung_lu(140, 5.0, seed=11)
+    directory = save_mapped(graph, tmp_path / "g.csr").directory
+    for corrupt in (
+        lambda indptr: indptr.__setitem__(70, graph.num_arcs + 9),
+        lambda indptr: indptr.__setitem__(-1, graph.num_arcs + 9),
+        lambda indptr: indptr.__setitem__(0, -1),
+    ):
+        indptr = graph.indptr.copy()
+        corrupt(indptr)
+        np.save(f"{directory}/indptr.npy", indptr)
+        with pytest.raises(GraphFormatError, match="indptr"):
+            open_mapped(directory)
+    np.save(f"{directory}/indptr.npy", graph.indptr)
+    assert open_mapped(directory) == graph
 
 
 @pytest.mark.parametrize(
@@ -211,21 +381,29 @@ def test_rounds_match_the_per_source_reference(batch):
     ids=["mssp", "bkhs"],
 )
 def test_a_round_expands_the_union_frontier_once(make, monkeypatch):
-    """Sources 0 and 1 both reach hub 2 in round 1; in round 2 the
-    hub's five arcs are expanded once, not once per source."""
+    """Sources 0 and 1 both reach hub 2 in round 1; round 2 does the
+    hub's per-arc work once per word, never once per source. Pushing,
+    a round expands exactly the union frontier's arcs (the hub's five,
+    once); pulling, it gathers exactly the graph's ``m`` per word. The
+    leaves go nowhere: round 3 has no arc to walk in either direction.
+    """
     graph = from_edge_list(
         [(0, 2), (1, 2)] + [(2, leaf) for leaf in range(3, 8)],
         num_vertices=8,
     )
-    expanded = []
-    expand = tasks_base.expand_frontier
+    expanded, gathered = [], []
+    expand, take = tasks_base.expand_frontier, np.take
 
-    def counting(*args, **kwargs):
+    def counting_expand(*args, **kwargs):
         result = expand(*args, **kwargs)
         expanded.append(int(result[0].size))
         return result
 
-    monkeypatch.setattr(tasks_base, "expand_frontier", counting)
+    def counting_take(array, indices, **kwargs):
+        gathered.append(int(indices.size))
+        return take(array, indices, **kwargs)
+
+    monkeypatch.setattr(tasks_base, "expand_frontier", counting_expand)
 
     class FirstTwo:
         """Stands in for the batch RNG: sources 0 and 1."""
@@ -233,9 +411,17 @@ def test_a_round_expands_the_union_frontier_once(make, monkeypatch):
         def choice(self, n, size, replace):
             return np.arange(size)
 
-    kernel = make(graph, router_for(graph, 2), FirstTwo())
-    kernel.start_batch(2)
-    for _ in range(3):
-        kernel.step()
-    assert kernel.frontier_keys().size == 0  # the leaves go nowhere
-    assert expanded == [2, 5, 0]
+    for direction, arcs_expanded, arcs_gathered in (
+        ("push", [2, 5, 0], [2, 5]),
+        ("pull", [0], [graph.num_arcs] * 2),
+    ):
+        with ForcedPlan("inline", ".", direction):
+            kernel = make(graph, router_for(graph, 2), FirstTwo())
+            kernel.start_batch(2)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "take", counting_take)
+                for _ in range(3):
+                    kernel.step()
+        assert kernel.frontier_keys().size == 0  # the leaves go nowhere
+        assert (expanded, gathered) == (arcs_expanded, arcs_gathered)
+        expanded.clear(), gathered.clear()

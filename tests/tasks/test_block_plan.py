@@ -16,6 +16,7 @@ from repro.graph.partition import hash_partition
 from repro.messages.routing import PointToPointRouter
 from repro.perf import kernel_pool
 from repro.rng import make_rng
+from repro.tasks import base as tasks_base
 from repro.tasks.bkhs import BKHSKernel
 from repro.tasks.mssp import MSSPKernel
 
@@ -94,14 +95,15 @@ class TestPooledArenasLivePerJob:
             workers, min_shard_candidates=min_shard
         )
 
-    @pytest.mark.parametrize("kernel_type", [MSSPKernel, BKHSKernel])
-    def test_later_batches_reuse_the_first_ones_buffers(self, kernel_type):
+    @staticmethod
+    def batches(kernel_type):
+        """A job's batches, one per call (same seed: the same rounds
+        every time); each returns the buffers the pooled slots have
+        allocated so far."""
         graph = chung_lu(300, 6.0, seed=3)
         job_arena = ScratchArena()
 
         def batch():
-            """One batch (same seed: the same rounds every time);
-            returns the buffers the pooled slots have allocated so far."""
             kernel = kernel_type(
                 graph, router_for(graph, 4), make_rng(5), sample_limit=8
             )
@@ -111,6 +113,16 @@ class TestPooledArenasLivePerJob:
                 pass
             return sum(child.allocations for child in job_arena.children(2))
 
+        return batch
+
+    @pytest.mark.parametrize("kernel_type", [MSSPKernel, BKHSKernel])
+    def test_later_batches_reuse_the_first_ones_buffers(
+        self, kernel_type, monkeypatch
+    ):
+        # Every round pushes, so every round that can be is pooled (a
+        # pull round is one inline block and takes nothing from a slot).
+        monkeypatch.setattr(tasks_base, "PULL_ARC_RATIO", 0)
+        batch = self.batches(kernel_type)
         first = batch()
         assert first > 0, "no round was pooled"
         # The tail of a batch is still inside the keepalive window when
@@ -118,6 +130,18 @@ class TestPooledArenasLivePerJob:
         # from then on a batch allocates nothing.
         second = batch()
         assert second - first < first
+        assert batch() == second
+
+    @pytest.mark.parametrize("kernel_type", [MSSPKernel, BKHSKernel])
+    def test_pooled_slots_settle_when_the_heavy_rounds_pull(self, kernel_type):
+        """With the direction left to the round, the heavy rounds pull
+        inline and only the thin ones are pooled: fewer pooled rounds
+        to spread the keepalive window over, the same steady state."""
+        batch = self.batches(kernel_type)
+        first = batch()
+        assert first > 0, "no round was pooled"
+        second = batch()
+        assert second - first <= first
         assert batch() == second
 
     def test_children_are_distinct_and_stable(self):

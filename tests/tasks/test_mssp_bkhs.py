@@ -23,7 +23,8 @@ from repro.messages.routing import BroadcastRouter, PointToPointRouter
 from repro.perf import kernel_pool
 from repro.rng import make_rng
 from repro.errors import TaskError
-from repro.tasks.base import TaskKernel, choose_sources
+from repro.tasks import base as tasks_base
+from repro.tasks.base import BitFrontier, TaskKernel, choose_sources
 from repro.tasks.bkhs import BKHSKernel, bkhs_task
 from repro.tasks.exact import (
     bfs_distances,
@@ -37,16 +38,29 @@ from repro.tasks.mssp import MSSPKernel, mssp_task
 #: one exclusive block / many exclusive blocks / read-only pooled blocks
 PLANS = ("inline", "mapped", "pooled")
 
+#: every (block plan, forced direction) a bit-parallel round can take;
+#: a mapped graph keeps no A^T and only ever pushes.
+DIRECTED_PLANS = (
+    ("inline", "push"), ("inline", "pull"),
+    ("pooled", "push"), ("pooled", "pull"),
+    ("mapped", "push"),
+)
+
 
 class ForcedPlan:
     """While active, puts every kernel round on block plan ``name``
-    however small the graph, and records the plan each round took.
-    Every global touched is restored on exit."""
+    however small the graph — and, with ``direction``, every
+    bit-parallel round that has an arc to walk on ``"push"`` or
+    ``"pull"`` — and records what each round took. Every global
+    touched is restored on exit."""
 
-    def __init__(self, name, directory):
+    def __init__(self, name, directory, direction=None):
         self.name = name
         self.directory = Path(directory)
-        self.rounds = []  # (number of blocks, pooled) per round
+        self.direction = direction
+        self.rounds = []  # (number of blocks, pooled) per pushed round
+        self.pulls = 0  # rounds that pulled
+        self.pushed_arcs = 0  # out-arcs of the frontiers that pushed
 
     def __enter__(self):
         self._saved = (
@@ -55,26 +69,43 @@ class ForcedPlan:
             kernel_pool.kernel_workers(),
             kernel_pool.min_shard_candidates(),
             TaskKernel.block_plan,
+            BitFrontier._gather,
+            tasks_base.PULL_ARC_RATIO,
         )
-        original = TaskKernel.block_plan
+        block_plan, gather = TaskKernel.block_plan, BitFrontier._gather
 
         def recording(kernel, verts):
-            cuts, pooled = original(kernel, verts)
+            cuts, pooled = block_plan(kernel, verts)
             self.rounds.append((len(cuts), pooled))
+            self.pushed_arcs += int(kernel.graph.degrees[verts].sum())
             return cuts, pooled
 
+        def recording_gather(bits, arena):
+            self.pulls += 1
+            return gather(bits, arena)
+
         TaskKernel.block_plan = recording
+        BitFrontier._gather = recording_gather
         if self.name == "mapped":
             csr.MIN_STREAM_BLOCK_ARCS = 1
             csr.configure_streaming(max_ram_bytes=1)
         elif self.name == "pooled":
             kernel_pool.configure_kernel_workers(2, min_shard_candidates=1)
+        if self.direction is not None:
+            # frontier arcs x ratio >= m: never, or whenever there is one
+            tasks_base.PULL_ARC_RATIO = 0 if self.direction == "push" else 1 << 40
         return self
 
     def __exit__(self, *exc):
-        min_block, budget, workers, min_shard, block_plan = self._saved
-        TaskKernel.block_plan = block_plan
-        csr.MIN_STREAM_BLOCK_ARCS = min_block
+        (
+            csr.MIN_STREAM_BLOCK_ARCS,
+            budget,
+            workers,
+            min_shard,
+            TaskKernel.block_plan,
+            BitFrontier._gather,
+            tasks_base.PULL_ARC_RATIO,
+        ) = self._saved
         csr.configure_streaming(budget)
         kernel_pool.configure_kernel_workers(
             workers, min_shard_candidates=min_shard
@@ -86,8 +117,22 @@ class ForcedPlan:
             return graph
         return save_mapped(graph, tempfile.mkdtemp(dir=self.directory))
 
+    def forced(self):
+        """Did every round go the forced direction? (A frontier without
+        an out-arc has nothing to pull and 'pushes' zero arcs.)"""
+        if self.direction == "pull":
+            return self.pushed_arcs == 0
+        return self.direction is None or self.pulls == 0
+
     def taken(self):
-        """Did some round really run the way the plan's name says?"""
+        """Did some round really run the way the plan's name says —
+        and, with a forced direction, all of them that way? A pull
+        round is one inline block on every plan, so under ``"pull"``
+        that is all there is to take."""
+        if not self.forced():
+            return False
+        if self.direction == "pull":
+            return self.pulls > 0
         if self.name == "inline":
             return set(self.rounds) == {(1, False)}
         if self.name == "pooled":
