@@ -13,8 +13,9 @@ an ~30 M-arc graph whose in-RAM build needs ~2.2 GiB of peak heap):
   exceeds the cap and dies with ``MemoryError`` (exit code 3); if it
   survives, the cap is meaningless and the smoke test fails;
 * the **mapped leg** must *succeed* — with a 256 MiB ``--max-ram``
-  streaming budget the same profile auto-dispatches to the chunked
-  on-disk builder and block-streaming kernels, runs a BKHS batch
+  streaming budget the same profile is built by the chunked on-disk
+  builder and, its arcs exceeding one block of that budget
+  (``streaming_block_arcs(graph) is not None``), runs a BKHS batch
   end-to-end under the cap, and reports its peak RSS as JSON.
 
 Exit status is non-zero unless both legs behave as required, making
@@ -78,7 +79,7 @@ def _child_in_ram(scale: int, cap_bytes: int) -> int:
 def _child_mapped(scale: int, cap_bytes: int) -> int:
     """Out-of-core path end-to-end: build mapped, stream a BKHS batch."""
     _cap_address_space(cap_bytes)
-    from repro.graph.csr import configure_streaming
+    from repro.graph.csr import configure_streaming, streaming_block_arcs
     from repro.graph.datasets import load_dataset
     from repro.graph.mirrors import build_mirror_plan
     from repro.graph.partition import hash_partition
@@ -90,8 +91,8 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
     configure_streaming(max_ram_bytes=STREAM_BUDGET_BYTES)
     memory.note_phase("start")
     graph = load_dataset("twitter", scale=scale)
-    if not graph.mapped:
-        print("mapped: load_dataset did not dispatch out-of-core")
+    if graph.directory is None or streaming_block_arcs(graph) is None:
+        print("mapped: load_dataset did not build on disk, or will not stream")
         return 1
     memory.note_phase("build")
     spec = make_task("bkhs", graph, 32.0)

@@ -130,8 +130,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="resident-memory budget (e.g. 512M, 2G; default: the "
         "REPRO_MAX_RAM environment variable, else unlimited). Datasets "
         "whose in-RAM build would exceed it are built out-of-core into "
-        "a memory-mapped CSR directory and processed with the "
-        "block-streaming kernels; results are byte-identical",
+        "a CSR directory, and graphs whose arcs exceed one block of it "
+        "are processed with the block-streaming kernels; results are "
+        "byte-identical",
     )
     parser.add_argument(
         "--kernel-workers",

@@ -25,7 +25,7 @@ kernel batch (:meth:`repro.tasks.base.TaskSpec.make_kernel`), so batch
 boundaries reuse the same pool too — and, through :meth:`children`,
 the per-slot arenas of pooled blocks.
 
-A round run as several inline blocks (memory-mapped graphs under a
+A round run as several inline blocks (graphs larger than the
 ``--max-ram`` budget, :meth:`repro.tasks.base.TaskKernel.run_blocks`)
 gets :meth:`new_round` once per *frontier block* rather than once per
 round: with ``KEEPALIVE = 2`` the pool's resident footprint stays at

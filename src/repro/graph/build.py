@@ -257,17 +257,12 @@ def choose_block_edges(
 ) -> int:
     """Edges per generation block honouring the ``--max-ram`` budget
     (half the budget goes to the block in flight, half to the merge
-    buffers and counts array)."""
-    from repro.graph.csr import (
-        DEFAULT_STREAM_BUDGET_BYTES,
-        streaming_budget_bytes,
-    )
+    buffers and counts array); the largest block when none is set."""
+    from repro.graph.csr import streaming_budget_bytes
 
-    budget = (
-        budget_bytes
-        or streaming_budget_bytes()
-        or DEFAULT_STREAM_BUDGET_BYTES
-    )
+    budget = budget_bytes or streaming_budget_bytes()
+    if budget is None:
+        return 1 << 23
     per_edge = BUILD_BYTES_PER_EDGE * (1 if directed else 2)
     return int(min(max(budget // (per_edge * 2), 1 << 16), 1 << 23))
 
@@ -302,14 +297,10 @@ def build_csr_on_disk(
     rejected — a merge of sorted runs cannot reproduce the undeduped
     input order.
 
-    Returns the finished :class:`repro.graph.io.MappedGraph`.
+    Returns the finished directory, opened
+    (:func:`repro.graph.io.open_mapped`).
     """
-    from repro.graph.io import (
-        NpyStreamWriter,
-        fingerprint_csr_dir,
-        open_mapped,
-        write_csr_meta,
-    )
+    from repro.graph.io import NpyStreamWriter, open_mapped, write_csr_meta
 
     if not dedup:
         raise GraphFormatError(
@@ -475,16 +466,6 @@ def build_csr_on_disk(
         num_vertices=num_vertices,
         num_arcs=num_arcs,
         weighted=weighted,
-        fingerprint="",
-    )
-    write_csr_meta(
-        directory,
-        name=name,
-        directed=directed,
-        num_vertices=num_vertices,
-        num_arcs=num_arcs,
-        weighted=weighted,
-        fingerprint=fingerprint_csr_dir(directory),
     )
     return open_mapped(directory)
 

@@ -11,6 +11,7 @@ whole frontiers at once.
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
 from typing import Iterator, List, Optional, Tuple
 
@@ -41,6 +42,11 @@ class Graph:
         ``num_edges`` reports arc count / 2.
     name:
         optional label used in reports.
+
+    ``directory`` names the CSR directory the arrays are maps of
+    (:func:`repro.graph.io.open_mapped`; ``None`` in RAM), so a pickle
+    ships a path instead of bytes — a fact about storage that no kernel
+    reads: whether a round streams is :func:`streaming_block_arcs`'s.
     """
 
     __slots__ = (
@@ -49,16 +55,12 @@ class Graph:
         "weights",
         "directed",
         "name",
+        "directory",
         "_degrees",
         "_fingerprint",
         "_spread",
         "_transpose",
     )
-
-    #: True on memory-mapped subclasses (:class:`repro.graph.io.MappedGraph`);
-    #: the streaming kernel dispatch keys off this single attribute so the
-    #: in-RAM fast paths pay one class-attribute read and nothing else.
-    mapped = False
 
     def __init__(
         self,
@@ -88,19 +90,25 @@ class Graph:
                 raise GraphFormatError("weights must align with indices")
             if np.any(weights < 0):
                 raise GraphFormatError("edge weights must be non-negative")
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.directed = bool(directed)
-        self.name = name
-        self._degrees = None
-        self._fingerprint = None
-        self._spread = None
-        self._transpose = None
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
-        if self.weights is not None:
-            self.weights.setflags(write=False)
+        self._adopt(indptr, indices, weights, directed, name)
+
+    def _adopt(
+        self, indptr, indices, weights, directed, name,
+        fingerprint=None, directory=None,
+    ) -> "Graph":
+        """Install arrays already proven valid — by ``__init__``, or by
+        whoever built the bytes a pickle, a shared segment or a checked
+        CSR directory holds — read-only, every derived cache empty.
+        The one place a slot is initialised."""
+        self.indptr, self.indices, self.weights = indptr, indices, weights
+        self.directed, self.name = bool(directed), name
+        self.directory = directory
+        self._fingerprint = fingerprint
+        self._degrees = self._spread = self._transpose = None
+        for array in (indptr, indices, weights):
+            if array is not None:
+                array.setflags(write=False)
+        return self
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -302,6 +310,14 @@ class Graph:
             (self.num_vertices, self.num_arcs, self.directed, self.is_weighted)
         )
 
+    def __reduce__(self):
+        # Ship the path of a CSR directory, the arrays of anything else.
+        if self.directory is not None:
+            from repro.graph.io import open_mapped
+
+            return open_mapped, (self.directory,)
+        return copyreg.__newobj__, (type(self),), self.__getstate__()
+
     def __getstate__(self) -> dict:
         # Derived caches (degrees, the transposition, the spread
         # operator) are dropped so pickles carry only the CSR arrays; the
@@ -317,16 +333,11 @@ class Graph:
         }
 
     def __setstate__(self, state: dict) -> None:
-        for slot in ("indptr", "indices", "weights", "directed", "name"):
-            object.__setattr__(self, slot, state[slot])
-        self._degrees = None
-        self._fingerprint = state.get("_fingerprint")
-        self._spread = None
-        self._transpose = None
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
-        if self.weights is not None:
-            self.weights.setflags(write=False)
+        arrays = ("indptr", "indices", "weights", "directed", "name")
+        self._adopt(
+            *(state[slot] for slot in arrays),
+            fingerprint=state.get("_fingerprint"),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -519,9 +530,10 @@ def propagate_mass(graph: Graph, per_vertex: np.ndarray) -> np.ndarray:
     cached CSR matvec (:func:`_spread_operator`); without scipy it
     falls back to ``np.repeat`` + weighted ``np.bincount`` — a fused
     sequential scatter-add with the identical accumulation order, so
-    both paths produce the same bits. Mapped graphs dispatch to the
-    block-streaming scatter *before* the operator path so the O(m)
-    scipy matrix is never materialised for an out-of-core graph.
+    both paths produce the same bits. A graph that streams
+    (:func:`streaming_block_arcs`) dispatches to the block-streaming
+    scatter *before* the operator path, so the O(m) scipy matrix is
+    never materialised for a graph over the budget.
     """
     block_arcs = streaming_block_arcs(graph)
     if block_arcs is not None:
@@ -539,22 +551,19 @@ def propagate_mass(graph: Graph, per_vertex: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Block streaming (out-of-core graphs)
+# Block streaming (graphs larger than the ``--max-ram`` budget)
 #
-# When the CSR arrays are ``np.memmap`` views over an on-disk file set
-# (:class:`repro.graph.io.MappedGraph`), the kernels must not gather or
-# repeat O(m) at once: the block helpers below cut the CSR rows (or a
-# round's frontier) into blocks whose arc totals respect the
-# ``--max-ram`` budget, and the kernels reduce block-by-block with
-# results bit-identical to a one-block run (``DESIGN.md`` §8 argues
-# why; ``tests/graph/test_mmap.py`` asserts it).
+# Under a ``--max-ram`` budget a graph whose arcs exceed one block must
+# not be gathered or repeated O(m) at once, wherever its arrays live:
+# the block helpers below cut the CSR rows (or a round's frontier) into
+# blocks whose arc totals respect the budget, and the kernels reduce
+# block by block with results bit-identical to a one-block run
+# (``DESIGN.md`` §8 argues why; ``tests/graph/test_mmap.py`` asserts
+# it).
 # Vertex-proportional state (degrees, distance tables, rank vectors)
 # stays resident — the same semi-streaming model as the paper's GraphD,
 # which keeps O(n) vertex state in memory and streams the O(m) edges.
 # ----------------------------------------------------------------------
-
-#: Budget assumed for mapped graphs when no ``--max-ram`` was given.
-DEFAULT_STREAM_BUDGET_BYTES = 256 << 20
 
 #: Working-set bytes one in-flight candidate arc costs in the frontier
 #: kernels: arc position, neighbour id, source row, candidate value and
@@ -586,12 +595,30 @@ def streaming_budget_bytes() -> Optional[int]:
 
 
 def streaming_block_arcs(graph: Graph) -> Optional[int]:
-    """Arcs per streaming block for ``graph``, or ``None`` for in-RAM
-    graphs (whose rounds run as one block)."""
-    if not graph.mapped:
+    """Arcs per streaming block for ``graph``, or ``None`` when its
+    rounds run as one block: no ``--max-ram`` budget, or arcs that fit
+    one block of it. Budget and size are all it reads, and every
+    streaming decision asks here."""
+    budget = _STREAMING["max_ram_bytes"]
+    if budget is None:
         return None
-    budget = _STREAMING["max_ram_bytes"] or DEFAULT_STREAM_BUDGET_BYTES
-    return max(MIN_STREAM_BLOCK_ARCS, budget // STREAM_BYTES_PER_ARC)
+    block_arcs = max(MIN_STREAM_BLOCK_ARCS, budget // STREAM_BYTES_PER_ARC)
+    return block_arcs if graph.num_arcs > block_arcs else None
+
+
+def row_blocks(graph: Graph) -> Iterator[Tuple[int, int, int, int]]:
+    """``(row_lo, row_hi, arc_lo, arc_hi)`` of each non-empty CSR row
+    block: :func:`streaming_block_arcs` arcs each when ``graph``
+    streams, else the one block ``(0, n, 0, m)`` — the same code path."""
+    block_arcs = streaming_block_arcs(graph)
+    indptr = graph.indptr
+    cuts = [(0, graph.num_vertices)]
+    if block_arcs is not None:
+        cuts = iter_row_blocks(indptr, block_arcs)
+    for lo, hi in cuts:
+        arc_lo, arc_hi = int(indptr[lo]), int(indptr[hi])
+        if arc_hi > arc_lo:
+            yield lo, hi, arc_lo, arc_hi
 
 
 def iter_row_blocks(
@@ -633,7 +660,7 @@ def iter_frontier_blocks(
 def _propagate_mass_streaming(
     graph: Graph, per_vertex: np.ndarray, block_arcs: int
 ) -> np.ndarray:
-    """Block-streaming :func:`propagate_mass` over a mapped graph.
+    """Block-streaming :func:`propagate_mass`.
 
     Accumulates with ``np.add.at`` over sequential row blocks: the
     candidate order seen by the accumulator is exactly the arc order of
@@ -651,9 +678,8 @@ def _propagate_mass_streaming(
         arc_lo, arc_hi = int(indptr[lo]), int(indptr[hi])
         if arc_hi == arc_lo:
             continue
-        targets = np.asarray(graph.indices[arc_lo:arc_hi])
         per_arc = np.repeat(per_vertex[lo:hi], degrees[lo:hi])
-        np.add.at(out, targets, per_arc)
+        np.add.at(out, graph.indices[arc_lo:arc_hi], per_arc)
     return out
 
 
@@ -931,8 +957,8 @@ def _sorted_segments(
         # ever clipped — the indices come from ``argsort``, or from
         # ``indptr`` / ``indices``, which ``Graph.__init__`` validates
         # (a shared-memory copy holds a validated graph's bytes) and
-        # ``open_mapped`` re-checks for ``indptr``, the one array a
-        # mapped graph's gathers are positioned by.
+        # ``open_mapped`` re-checks: ``indptr`` always, ``indices`` and
+        # ``weights`` whenever the graph does not stream.
         sorted_keys = np.take(keys, order, out=arena.take(size), mode="clip")
     boundary = (
         np.empty(size, dtype=bool)

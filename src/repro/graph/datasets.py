@@ -12,18 +12,18 @@ memory-pressure ratios that drive every experiment in the paper.
 from __future__ import annotations
 
 import atexit
+import functools
 import shutil
 import tempfile
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.graph.csr import Graph, streaming_budget_bytes
 from repro.graph.generators import chung_lu
+from repro.graph.io import load_csr_dir, save_mapped
 from repro.perf import timings
-from repro.perf.cache import ArraySerializer, clear_cache, get_cache
+from repro.perf.cache import clear_cache, get_cache
 from repro.rng import DEFAULT_SEED, SeedLike, derive_seed
 
 #: Default graph-and-memory scale factor. 1/400 keeps the largest profile
@@ -82,8 +82,9 @@ class DatasetProfile:
         return graph
 
     def estimated_build_bytes(self, scale: int) -> int:
-        """Predicted transient peak of :meth:`instantiate` — what the
-        ``--max-ram`` auto-dispatch compares against the budget."""
+        """Predicted transient peak of :meth:`instantiate` — what
+        :func:`load_dataset` compares against the ``--max-ram`` budget
+        to choose the builder."""
         n = self.scaled_nodes(scale)
         arcs = int(round(n * self.avg_degree * 1.12))
         if not self.directed:
@@ -97,11 +98,11 @@ class DatasetProfile:
         directory: Optional[str] = None,
         block_edges: Optional[int] = None,
     ) -> Graph:
-        """Out-of-core twin of :meth:`instantiate`: chunked generation
-        through the external-merge builder into a CSR directory,
-        byte-identical to the in-RAM graph (same seed stream, same
-        dedup order — ``tests/perf/test_determinism.py`` asserts it at
-        the default scale)."""
+        """:meth:`instantiate` without the O(m) transient: chunked
+        generation through the external-merge builder into a CSR
+        directory, byte-identical to the in-RAM graph (same seed
+        stream, same dedup order — ``tests/perf/test_determinism.py``
+        asserts it at the default scale)."""
         from repro.graph.build import build_csr_on_disk, choose_block_edges
         from repro.graph.generators import chung_lu_edge_blocks
 
@@ -187,108 +188,17 @@ PAPER_DATASETS: Dict[str, DatasetProfile] = {
     ),
 }
 
-def _pack_graph(graph: Graph) -> Dict[str, np.ndarray]:
-    arrays = {
-        "indptr": graph.indptr,
-        "indices": graph.indices,
-        "directed": np.asarray([graph.directed]),
-        "name": np.asarray([graph.name]),
-    }
-    if graph.weights is not None:
-        arrays["weights"] = graph.weights
-    return arrays
-
-
-def _unpack_graph(arrays: Dict[str, np.ndarray]) -> Graph:
-    return Graph(
-        arrays["indptr"],
-        arrays["indices"],
-        arrays.get("weights"),
-        directed=bool(arrays["directed"][0]),
-        name=str(arrays["name"][0]),
-    )
-
-
-#: Serializer persisting dataset stand-ins in the shared artifact cache
-#: (same layout as :func:`repro.graph.io.save_npz`).
-GRAPH_SERIALIZER = ArraySerializer(pack=_pack_graph, unpack=_unpack_graph)
-
-
 # ----------------------------------------------------------------------
-# Out-of-core dispatch
+# Loading: one cache key, one on-disk format
 # ----------------------------------------------------------------------
 
-_OOC: Dict[str, Optional[str]] = {"force": None, "directory": None}
-_SESSION_TMP: Dict[str, Optional[str]] = {"path": None}
-
-
-def configure_out_of_core(
-    force: Optional[bool] = None, directory: Optional[str] = None
-) -> None:
-    """Override the out-of-core auto-dispatch.
-
-    ``force=True`` always builds mapped, ``force=False`` never does,
-    ``None`` restores the budget-based decision (:func:`_use_mapped`).
-    ``directory`` pins where CSR directories land (tests point it at a
-    tmpdir); ``None`` falls back to the cache directory or a session
-    tempdir. Worker processes inherit the setting over ``fork``.
-    """
-    _OOC["force"] = force
-    _OOC["directory"] = directory
-
-
-def _use_mapped(profile: DatasetProfile, scale: int) -> bool:
-    """Mapped iff forced, or a ``--max-ram`` budget is set and the
-    in-RAM build's predicted peak exceeds it."""
-    force = _OOC["force"]
-    if force is not None:
-        return bool(force)
-    budget = streaming_budget_bytes()
-    if budget is None:
-        return False
-    return profile.estimated_build_bytes(scale) > budget
-
-
+@functools.lru_cache(maxsize=None)
 def _session_tmp() -> str:
-    """Lazy per-process scratch root for CSR directories when no cache
-    directory is configured; removed at interpreter exit."""
-    if _SESSION_TMP["path"] is None:
-        path = tempfile.mkdtemp(prefix="repro-mapped-")
-        atexit.register(shutil.rmtree, path, ignore_errors=True)
-        _SESSION_TMP["path"] = path
-    return _SESSION_TMP["path"]
-
-
-def _load_mapped(
-    profile: DatasetProfile,
-    key_name: str,
-    scale: int,
-    seed: Optional[int],
-    cache: bool,
-    cache_dir: Optional[str],
-) -> Graph:
-    from repro.graph.io import load_csr_dir
-
-    key = ("dataset-mapped", key_name, scale, seed)
-    cache_obj = get_cache()
-    root = _OOC["directory"] or cache_dir or cache_obj.directory
-    directory = cache_obj.artifact_directory(
-        key, stem=key_name, directory=root or _session_tmp()
-    )
-
-    def build() -> Graph:
-        # Warm disk: the CSR file set persists like an .npz artifact
-        # and re-opens in milliseconds. A torn directory (crash mid
-        # build) is quarantined as ``<dir>.corrupt`` and rebuilt fresh.
-        mapped = load_csr_dir(directory)
-        if mapped is not None:
-            return mapped
-        with timings.span("graph-gen"):
-            return profile.instantiate_mapped(
-                scale=scale, seed=seed, directory=directory
-            )
-
-    return cache_obj.get_or_build(key, build, use_memory=cache)
+    """Per-process scratch root for CSR directories when no cache
+    directory is configured: made on first use, removed at exit."""
+    path = tempfile.mkdtemp(prefix="repro-mapped-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
 
 
 def load_dataset(
@@ -305,51 +215,68 @@ def load_dataset(
     (:mod:`repro.perf.cache`): the in-memory LRU makes experiment sweeps
     cheap — pass ``cache=False`` for an independent copy — and a cache
     directory (``cache_dir``, ``--cache-dir``, or the ``REPRO_CACHE_DIR``
-    / legacy ``REPRO_DATASET_CACHE`` environment variables) additionally
-    persists ``.npz`` archives so the large stand-ins (Twitter,
-    Friendster) load in milliseconds across processes.
+    environment variable) additionally persists each graph as a CSR
+    directory (:mod:`repro.graph.io`: plain ``.npy`` files opened as
+    maps, verified against their fingerprint, quarantined and rebuilt
+    when damaged), so the large stand-ins (Twitter, Friendster) open in
+    milliseconds across processes.
 
-    With a ``--max-ram`` budget the in-RAM build cannot meet (or when
-    forced via :func:`configure_out_of_core`), the profile is built
-    out-of-core instead — chunked generation through the external merge
-    into a CSR directory — and served as a byte-identical
-    :class:`repro.graph.io.MappedGraph`; the streaming kernels then
-    dispatch automatically.
+    The builder is chosen by size: with a ``--max-ram`` budget the
+    in-RAM build's predicted peak exceeds, the profile is built out of
+    core — chunked generation through the external merge, straight
+    into the directory (a session scratch one without a cache
+    directory); otherwise in RAM and, given a cache directory, written
+    out. Same bytes, same class either way.
     """
     key_name = name.strip().lower().replace("_", "-")
     if key_name not in PAPER_DATASETS:
         known = ", ".join(sorted(PAPER_DATASETS))
         raise ConfigurationError(f"unknown dataset {name!r}; known: {known}")
+    key = ("dataset", key_name, scale, seed)
 
     if cache:
         # Pool workers: the parent may have exported this graph into
         # shared memory (repro.perf.shm); attaching is a zero-copy mmap
-        # (or a re-opened CSR directory for mapped graphs), so it beats
-        # even a warm LRU rebuild-from-disk. A miss falls through to
-        # the regular cache path.
+        # (or a re-opened CSR directory), so it beats even a warm LRU
+        # rebuild-from-disk. A miss falls through to the regular cache
+        # path.
         from repro.perf.shm import lookup_shared
 
-        shared = lookup_shared(("dataset", key_name, scale, seed))
+        shared = lookup_shared(key)
         if shared is not None:
             return shared
 
     profile = PAPER_DATASETS[key_name]
-    if _use_mapped(profile, scale):
-        return _load_mapped(profile, key_name, scale, seed, cache, cache_dir)
+    budget = streaming_budget_bytes()
+    out_of_core = (
+        budget is not None and profile.estimated_build_bytes(scale) > budget
+    )
+    cache_obj = get_cache()
+    root = cache_dir or cache_obj.directory
+    if not root and out_of_core:
+        root = _session_tmp()
+    directory = cache_obj.artifact_path(key, ".csr", key_name, root)
+
+    def load() -> Optional[Graph]:
+        # A torn or bit-rotted directory is quarantined as
+        # ``<dir>.corrupt`` and ``None`` sends the cache on to ``build``.
+        with timings.span("cache-load"):
+            return load_csr_dir(directory)
 
     def build() -> Graph:
         with timings.span("graph-gen"):
-            return PAPER_DATASETS[key_name].instantiate(
-                scale=scale, seed=seed
-            )
+            if out_of_core:
+                return profile.instantiate_mapped(
+                    scale=scale, seed=seed, directory=directory
+                )
+            graph = profile.instantiate(scale=scale, seed=seed)
+        return graph if directory is None else save_mapped(graph, directory)
 
-    return get_cache().get_or_build(
-        ("dataset", key_name, scale, seed),
+    return cache_obj.get_or_build(
+        key,
         build,
-        serializer=GRAPH_SERIALIZER,
         use_memory=cache,
-        directory=cache_dir,
-        stem=key_name,
+        load=None if directory is None else load,
     )
 
 

@@ -1,19 +1,17 @@
-"""Graph serialization: edge-list text, ``.npz``, and on-disk CSR.
+"""Graph serialization: edge-list text and the on-disk CSR directory.
 
 The text format matches what the paper's systems ingest from SNAP dumps:
-one ``src dst [weight]`` triple per line, ``#`` comments allowed. The
-``.npz`` format round-trips the CSR arrays losslessly and loads orders of
-magnitude faster, which the experiment harness relies on when caching
-synthetic datasets on disk.
+one ``src dst [weight]`` triple per line, ``#`` comments allowed.
 
-The third format is the out-of-core one: a *CSR directory* holding the
-raw arrays as plain ``.npy`` files (``indptr.npy`` / ``indices.npy`` /
-``weights.npy``) plus a ``graph.json`` sidecar with the metadata and the
-content fingerprint. :class:`MappedGraph` serves such a directory
-through ``np.memmap`` views behind the ordinary :class:`Graph`
-interface, so kernels, caches and worker pools handle mapped and
-resident graphs interchangeably — the streaming kernel variants in
-:mod:`repro.graph.csr` dispatch on ``graph.mapped``.
+The binary format — the only one graphs are cached in — is a *CSR
+directory* holding the raw arrays as plain ``.npy`` files
+(``indptr.npy`` / ``indices.npy`` / ``weights.npy``) plus a
+``graph.json`` sidecar, written last, with the metadata and the content
+fingerprint. :func:`open_mapped` serves such a directory as a plain
+:class:`Graph` over read-only views of the file maps: the page cache
+decides what is resident, and whether a round streams is decided by
+size (:func:`repro.graph.csr.streaming_block_arcs`), not by where the
+arrays live.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.build import from_edges
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, streaming_block_arcs
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -133,36 +131,8 @@ def read_edge_list(
     )
 
 
-def save_npz(graph: Graph, path: PathLike) -> None:
-    """Save the CSR arrays to a compressed ``.npz`` archive."""
-    payload = {
-        "indptr": graph.indptr,
-        "indices": graph.indices,
-        "directed": np.asarray([graph.directed]),
-        "name": np.asarray([graph.name]),
-    }
-    if graph.weights is not None:
-        payload["weights"] = graph.weights
-    np.savez_compressed(path, **payload)
-
-
-def load_npz(path: PathLike) -> Graph:
-    """Load a graph previously written by :func:`save_npz`."""
-    with np.load(path, allow_pickle=False) as data:
-        if "indptr" not in data or "indices" not in data:
-            raise GraphFormatError(f"{path}: not a repro graph archive")
-        weights = data["weights"] if "weights" in data else None
-        return Graph(
-            data["indptr"],
-            data["indices"],
-            weights,
-            directed=bool(data["directed"][0]),
-            name=str(data["name"][0]),
-        )
-
-
 # ----------------------------------------------------------------------
-# On-disk CSR directories and memory-mapped graphs
+# On-disk CSR directories
 # ----------------------------------------------------------------------
 
 
@@ -229,31 +199,6 @@ class NpyStreamWriter:
         self.close()
 
 
-class MappedGraph(Graph):
-    """A :class:`Graph` whose CSR arrays are read-only ``np.memmap``
-    views over a CSR directory.
-
-    Construction bypasses ``Graph.__init__`` — its O(m) validation
-    would fault every page in — and trusts the builder-verified
-    ``graph.json`` metadata instead, the same trick
-    ``SharedGraphRegistry.attach`` uses for shared segments. The
-    fingerprint is computed once at build time by streaming the files
-    in the exact byte order :attr:`Graph.fingerprint` hashes, so
-    cache keys match the equivalent in-RAM graph exactly.
-
-    Pickling carries only the directory path: workers re-open the maps,
-    so handing a mapped graph to a ``--jobs N`` pool ships a path, not
-    a graph.
-    """
-
-    __slots__ = ("directory",)
-
-    mapped = True
-
-    def __reduce__(self):
-        return (open_mapped, (self.directory,))
-
-
 def _meta_path(directory: PathLike) -> str:
     return os.path.join(os.fspath(directory), GRAPH_META_NAME)
 
@@ -276,9 +221,10 @@ def write_csr_meta(
     num_vertices: int,
     num_arcs: int,
     weighted: bool,
-    fingerprint: str,
+    fingerprint: Optional[str] = None,
 ) -> None:
-    """Write the ``graph.json`` sidecar of a CSR directory."""
+    """Write the ``graph.json`` sidecar of a CSR directory, last of its
+    files; without a ``fingerprint`` the arrays on disk are hashed."""
     meta = {
         "format": CSR_DIR_FORMAT,
         "name": name,
@@ -286,8 +232,8 @@ def write_csr_meta(
         "num_vertices": int(num_vertices),
         "num_arcs": int(num_arcs),
         "weighted": bool(weighted),
-        "fingerprint": fingerprint,
     }
+    meta["fingerprint"] = fingerprint or fingerprint_csr_dir(directory, meta)
     path = _meta_path(directory)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -295,16 +241,22 @@ def write_csr_meta(
     os.replace(tmp, path)
 
 
-def fingerprint_csr_dir(directory: PathLike, chunk_bytes: int = 1 << 24) -> str:
+def fingerprint_csr_dir(
+    directory: PathLike,
+    meta: Optional[dict] = None,
+    chunk_bytes: int = 1 << 24,
+) -> str:
     """Content hash of a CSR directory's arrays, streamed file by file
-    in the exact byte order :attr:`Graph.fingerprint` hashes, so mapped
-    and resident twins share one fingerprint (and thus every cached
-    derived artifact)."""
+    in the exact byte order :attr:`Graph.fingerprint` hashes, so a
+    graph has one fingerprint (and thus one set of cached derived
+    artifacts) wherever its arrays live. ``meta`` stands in for a
+    sidecar not written yet."""
     import hashlib
 
     directory = os.fspath(directory)
-    with open(_meta_path(directory), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    if meta is None:
+        with open(_meta_path(directory), "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
     digest = hashlib.blake2b(digest_size=16)
     digest.update(b"directed" if meta["directed"] else b"undirected")
     names = ["indptr.npy", "indices.npy"]
@@ -318,8 +270,16 @@ def fingerprint_csr_dir(directory: PathLike, chunk_bytes: int = 1 << 24) -> str:
     return digest.hexdigest()
 
 
-def open_mapped(directory: PathLike) -> MappedGraph:
-    """Open a CSR directory as a :class:`MappedGraph` (zero-copy)."""
+def open_mapped(directory: PathLike) -> Graph:
+    """Open a CSR directory as a :class:`Graph` over read-only views of
+    its file maps (zero-copy; ``graph.directory`` names it).
+
+    Bypasses ``Graph.__init__`` — the sidecar carries the fingerprint
+    the builder computed — but proves what that proves: sizes and
+    ``indptr`` always (vertex-sized work); neighbour ids and weights
+    unless the graph streams, where faulting every page in is the cost
+    the budget exists to avoid.
+    """
     directory = os.fspath(directory)
     meta_path = _meta_path(directory)
     if not os.path.isfile(meta_path):
@@ -331,13 +291,15 @@ def open_mapped(directory: PathLike) -> MappedGraph:
             f"{directory}: unsupported CSR directory format "
             f"{meta.get('format')!r}"
         )
-    indptr = np.load(os.path.join(directory, "indptr.npy"), mmap_mode="r")
-    indices = np.load(os.path.join(directory, "indices.npy"), mmap_mode="r")
-    weights = None
-    if meta["weighted"]:
-        weights = np.load(
-            os.path.join(directory, "weights.npy"), mmap_mode="r"
-        )
+
+    def view(name: str) -> np.ndarray:
+        # Base-class views: no ``np.memmap`` subclass work per slice.
+        mapped = np.load(os.path.join(directory, name), mmap_mode="r")
+        return mapped.view(np.ndarray)
+
+    indptr = view("indptr.npy")
+    indices = view("indices.npy")
+    weights = view("weights.npy") if meta["weighted"] else None
     if indptr.size != meta["num_vertices"] + 1 or (
         indices.size != meta["num_arcs"]
     ):
@@ -359,17 +321,21 @@ def open_mapped(directory: PathLike) -> MappedGraph:
             f"{directory}: indptr.npy is not a non-decreasing run from 0 "
             f"to {indices.size}"
         )
-    graph = MappedGraph.__new__(MappedGraph)
-    graph.indptr = indptr
-    graph.indices = indices
-    graph.weights = weights
-    graph.directed = bool(meta["directed"])
-    graph.name = str(meta["name"])
-    graph._degrees = None
-    graph._fingerprint = str(meta["fingerprint"])
-    graph._spread = None
-    graph._transpose = None
-    graph.directory = directory
+    graph = Graph.__new__(Graph)._adopt(
+        indptr, indices, weights, meta["directed"], str(meta["name"]),
+        str(meta["fingerprint"]), directory,
+    )
+    if streaming_block_arcs(graph) is None:
+        n = graph.num_vertices
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise GraphFormatError(
+                f"{directory}: indices.npy holds a neighbour id outside "
+                f"[0, {n})"
+            )
+        if weights is not None and np.any(weights < 0):
+            raise GraphFormatError(
+                f"{directory}: weights.npy holds a negative weight"
+            )
     return graph
 
 
@@ -398,13 +364,15 @@ def quarantine_csr_dir(directory: PathLike) -> str:
     return target
 
 
-def load_csr_dir(directory: PathLike) -> Optional[MappedGraph]:
+def load_csr_dir(directory: PathLike) -> Optional[Graph]:
     """Tolerant :func:`open_mapped`: quarantine-and-``None`` on damage.
 
     A readable, consistent CSR directory opens as usual. A *torn* one —
     truncated arrays, sizes disagreeing with ``graph.json``, unparsable
     metadata (a crash mid-write; the sidecar is written last exactly so
-    this window is detectable) — is moved aside via
+    this window is detectable) — or one whose bytes no longer hash to
+    the sidecar's fingerprint (checked unless the graph streams: else
+    its pages are about to be read anyway) is moved aside via
     :func:`quarantine_csr_dir` and ``None`` is returned: callers
     rebuild into a clean directory. A directory that simply does not
     exist also returns ``None``, with nothing to quarantine.
@@ -413,23 +381,36 @@ def load_csr_dir(directory: PathLike) -> Optional[MappedGraph]:
     if not is_csr_dir(directory):
         return None
     try:
-        return open_mapped(directory)
+        graph = open_mapped(directory)
+        if streaming_block_arcs(graph) is None and (
+            fingerprint_csr_dir(directory) != graph.fingerprint
+        ):
+            raise GraphFormatError(
+                f"{directory}: content does not match its fingerprint"
+            )
+        return graph
     except (OSError, ValueError, KeyError, GraphFormatError):
         quarantine_csr_dir(directory)
         return None
 
 
-def save_mapped(graph: Graph, directory: PathLike) -> MappedGraph:
-    """Write ``graph``'s CSR arrays into ``directory`` and open the
-    result as a :class:`MappedGraph` (for converting resident graphs —
-    the out-of-core builder writes directories without ever holding the
-    arrays, see :func:`repro.graph.build.build_csr_on_disk`)."""
+def save_mapped(graph: Graph, directory: PathLike) -> Graph:
+    """Write ``graph``'s CSR arrays into ``directory`` (sidecar last)
+    and open the result (for graphs built in RAM — the out-of-core
+    builder writes directories without ever holding the arrays, see
+    :func:`repro.graph.build.build_csr_on_disk`). Each file is renamed
+    into place, so a live map of an earlier copy keeps its bytes and
+    two processes filling one cache directory swap identical files."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
-    np.save(os.path.join(directory, "indptr.npy"), graph.indptr)
-    np.save(os.path.join(directory, "indices.npy"), graph.indices)
+    arrays = {"indptr.npy": graph.indptr, "indices.npy": graph.indices}
     if graph.weights is not None:
-        np.save(os.path.join(directory, "weights.npy"), graph.weights)
+        arrays["weights.npy"] = graph.weights
+    for file_name, array in arrays.items():
+        path = os.path.join(directory, file_name)
+        with open(f"{path}.tmp-{os.getpid()}", "wb") as fh:
+            np.save(fh, array)
+        os.replace(fh.name, path)
     write_csr_meta(
         directory,
         name=graph.name,

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.graph.csr import (
-    Graph,
-    iter_row_blocks,
-    sorted_unique,
-    streaming_block_arcs,
-)
+from repro.graph.csr import Graph, row_blocks, sorted_unique
 from repro.graph.partition import Partition
 from repro.perf import timings
 from repro.perf.cache import get_cache
@@ -136,62 +131,32 @@ def _build_mirror_plan(
     owner = partition.owner
     num_machines = partition.num_machines
 
-    block_arcs = streaming_block_arcs(graph)
-    if block_arcs is None:
-        src_per_arc = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        dst_owner_per_arc = (
-            partition.arc_dst_owner
-            if partition.arc_dst_owner is not None
-            else owner[graph.indices]
+    # One CSR row block at a time (a single block unless the graph
+    # streams), so no per-arc array outgrows a block. Any cut gives the
+    # same plan: per-block remote counts are exact integers, and the
+    # (src, dst_owner) pair sets of different blocks are *disjoint* —
+    # blocks partition the source rows — so per-block uniques add up to
+    # exactly the global unique-pair tally.
+    remote_neighbors = np.zeros(n, dtype=np.int64)
+    remote_machines = np.zeros(n, dtype=np.int64)
+    for lo, hi, a, b in row_blocks(graph):
+        blk_src = np.repeat(np.arange(lo, hi, dtype=np.int64), degrees[lo:hi])
+        blk_dst_owner = owner[graph.indices[a:b]]
+        is_remote = blk_dst_owner != owner[blk_src]
+        remote_neighbors[lo:hi] += np.bincount(
+            blk_src[is_remote] - lo, minlength=hi - lo
         )
-        src_owner_per_arc = owner[src_per_arc]
-        is_remote = dst_owner_per_arc != src_owner_per_arc
-
-        remote_neighbors = np.bincount(
-            src_per_arc, weights=is_remote, minlength=n
-        ).astype(np.int64)
-
-        # Distinct remote machines per source: count unique
-        # (src, dst_owner) pairs restricted to remote arcs.
+        # Distinct remote machines per source: the unique
+        # (src, dst_owner) pairs among the remote arcs.
         remote_pairs = (
-            src_per_arc[is_remote] * np.int64(num_machines)
-            + dst_owner_per_arc[is_remote]
+            blk_src[is_remote] * np.int64(num_machines)
+            + blk_dst_owner[is_remote]
         )
         unique_pairs = sorted_unique(remote_pairs)
-        remote_machines = np.bincount(
-            (unique_pairs // num_machines).astype(np.int64), minlength=n
-        ).astype(np.int64)
-    else:
-        # Mapped graphs: stream the plan in CSR row blocks so no O(m)
-        # per-arc array is ever resident. Bit-identical to the
-        # monolithic pass: per-block remote counts are exact integers
-        # (the block sums equal the global bincount), and the
-        # (src, dst_owner) pair sets of different blocks are *disjoint*
-        # — blocks partition the source rows — so per-block uniques add
-        # up to exactly the global unique-pair tally.
-        remote_neighbors = np.zeros(n, dtype=np.int64)
-        remote_machines = np.zeros(n, dtype=np.int64)
-        for lo, hi in iter_row_blocks(graph.indptr, block_arcs):
-            a, b = int(graph.indptr[lo]), int(graph.indptr[hi])
-            if a == b:
-                continue
-            blk_src = np.repeat(
-                np.arange(lo, hi, dtype=np.int64), degrees[lo:hi]
-            )
-            blk_dst_owner = owner[np.asarray(graph.indices[a:b])]
-            is_remote = blk_dst_owner != owner[blk_src]
-            remote_neighbors[lo:hi] += np.bincount(
-                blk_src[is_remote] - lo, minlength=hi - lo
-            )
-            remote_pairs = (
-                blk_src[is_remote] * np.int64(num_machines)
-                + blk_dst_owner[is_remote]
-            )
-            unique_pairs = sorted_unique(remote_pairs)
-            remote_machines[lo:hi] += np.bincount(
-                (unique_pairs // num_machines).astype(np.int64) - lo,
-                minlength=hi - lo,
-            )
+        remote_machines[lo:hi] += np.bincount(
+            (unique_pairs // num_machines).astype(np.int64) - lo,
+            minlength=hi - lo,
+        )
     local_neighbors = degrees - remote_neighbors
 
     mirrored = degrees > degree_threshold

@@ -9,18 +9,12 @@ vertex/arc tallies the memory model needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import (
-    Graph,
-    _merge_reduce,
-    iter_row_blocks,
-    streaming_block_arcs,
-)
+from repro.graph.csr import Graph, _merge_reduce, row_blocks
 from repro.perf import timings
 from repro.perf.cache import get_cache
 
@@ -59,8 +53,6 @@ class Partition:
     cut_arcs: int
     replication_factor: float = 1.0
     strategy: str = "hash"
-    #: owner of the *destination* side per arc; cached for message routing.
-    arc_dst_owner: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -91,49 +83,38 @@ class Partition:
 
 
 def _finish(
-    graph: Graph, owner: np.ndarray, num_machines: int, strategy: str
+    graph: Graph,
+    owner: np.ndarray,
+    num_machines: int,
+    strategy: str,
+    replication_factor: float = 1.0,
 ) -> Partition:
     """Compute the per-machine tallies shared by all vertex partitioners.
 
-    Mapped graphs stream the cut-arc count in CSR row blocks instead of
-    materialising the two O(m) per-arc owner arrays — per-block cut
-    counts are exact integers, so the block sum equals the monolithic
-    ``count_nonzero`` — and leave ``arc_dst_owner`` unset (consumers
-    like the mirror builder recompute it per block the same way).
+    The cut-arc count runs over the graph's CSR row blocks
+    (:func:`repro.graph.csr.row_blocks` — one block unless the graph
+    streams), so the two per-arc owner arrays are never larger than a
+    block; per-block cut counts are exact integers, so any cut sums to
+    the same count.
     """
     vertices_per_machine = np.bincount(owner, minlength=num_machines)
     degrees = np.diff(graph.indptr)
     arcs_per_machine = np.bincount(
         owner, weights=degrees, minlength=num_machines
     ).astype(np.int64)
-    block_arcs = streaming_block_arcs(graph)
-    if block_arcs is None:
-        src_owner_per_arc = np.repeat(owner, degrees)
-        dst_owner_per_arc = owner[graph.indices]
-        cut_arcs = int(
-            np.count_nonzero(src_owner_per_arc != dst_owner_per_arc)
-        )
-        arc_dst_owner: Optional[np.ndarray] = dst_owner_per_arc
-    else:
-        cut_arcs = 0
-        for lo, hi in iter_row_blocks(graph.indptr, block_arcs):
-            a, b = int(graph.indptr[lo]), int(graph.indptr[hi])
-            if a == b:
-                continue
-            blk_dst_owner = owner[np.asarray(graph.indices[a:b])]
-            blk_src_owner = np.repeat(owner[lo:hi], degrees[lo:hi])
-            cut_arcs += int(
-                np.count_nonzero(blk_src_owner != blk_dst_owner)
-            )
-        arc_dst_owner = None
+    cut_arcs = 0
+    for lo, hi, a, b in row_blocks(graph):
+        blk_dst_owner = owner[graph.indices[a:b]]
+        blk_src_owner = np.repeat(owner[lo:hi], degrees[lo:hi])
+        cut_arcs += int(np.count_nonzero(blk_src_owner != blk_dst_owner))
     return Partition(
         owner=owner,
         num_machines=num_machines,
         vertices_per_machine=vertices_per_machine,
         arcs_per_machine=arcs_per_machine,
         cut_arcs=cut_arcs,
+        replication_factor=replication_factor,
         strategy=strategy,
-        arc_dst_owner=arc_dst_owner,
     )
 
 
@@ -172,66 +153,35 @@ def edge_partition(graph: Graph, num_machines: int) -> Partition:
     n = graph.num_vertices
     if graph.num_arcs == 0:
         owner = np.zeros(n, dtype=np.int64)
-        part = _finish(graph, owner, num_machines, "edge-cut")
-        return Partition(
-            owner=part.owner,
-            num_machines=num_machines,
-            vertices_per_machine=part.vertices_per_machine,
-            arcs_per_machine=part.arcs_per_machine,
-            cut_arcs=part.cut_arcs,
-            replication_factor=1.0,
-            strategy="edge-cut",
-            arc_dst_owner=part.arc_dst_owner,
-        )
+        return _finish(graph, owner, num_machines, "edge-cut")
     # Replica presence matrix footprint: count distinct (vertex, machine)
-    # pairs among arc endpoints. Mapped graphs stream the pass in CSR
-    # row blocks, folding per-block (unique key, count) runs with an
-    # exact integer merge — the fold of per-block uniques equals the
-    # global ``np.unique(..., return_counts=True)`` bit for bit, and at
-    # most O(n · machines) accumulated pairs are ever resident instead
-    # of the 2m endpoint keys.
-    block_arcs = streaming_block_arcs(graph)
-    if block_arcs is None:
-        src = graph.edge_sources()
-        dst = graph.indices
-        arc_ids = np.arange(graph.num_arcs, dtype=np.uint64)
-        arc_machine = ((arc_ids * _HASH_MULT) >> np.uint64(33)) % np.uint64(
+    # pairs among arc endpoints, one CSR row block at a time, folding
+    # the per-block (unique key, count) runs with an exact integer
+    # merge — the fold of per-block uniques equals one global
+    # ``np.unique(..., return_counts=True)`` bit for bit, and a graph
+    # that streams keeps at most O(n · machines) accumulated pairs
+    # resident instead of the 2m endpoint keys.
+    degrees = np.diff(graph.indptr)
+    unique_pairs = np.empty(0, dtype=np.int64)
+    pair_counts = np.empty(0, dtype=np.int64)
+    for lo, hi, a, b in row_blocks(graph):
+        blk_src = np.repeat(
+            np.arange(lo, hi, dtype=np.int64), degrees[lo:hi]
+        )
+        arc_ids = np.arange(a, b, dtype=np.uint64)
+        blk_machine = (
+            ((arc_ids * _HASH_MULT) >> np.uint64(33)) % np.uint64(num_machines)
+        ).astype(np.int64)
+        keys = np.concatenate([blk_src, graph.indices[a:b]]) * np.int64(
             num_machines
-        )
-        arc_machine = arc_machine.astype(np.int64)
-        endpoint_vertex = np.concatenate([src, dst])
-        endpoint_machine = np.concatenate([arc_machine, arc_machine])
-        pair_keys = (
-            endpoint_vertex * np.int64(num_machines) + endpoint_machine
-        )
-        unique_pairs, pair_counts = np.unique(pair_keys, return_counts=True)
-    else:
-        degrees = np.diff(graph.indptr)
-        unique_pairs = np.empty(0, dtype=np.int64)
-        pair_counts = np.empty(0, dtype=np.int64)
-        for lo, hi in iter_row_blocks(graph.indptr, block_arcs):
-            a, b = int(graph.indptr[lo]), int(graph.indptr[hi])
-            if a == b:
-                continue
-            blk_dst = np.asarray(graph.indices[a:b], dtype=np.int64)
-            blk_src = np.repeat(
-                np.arange(lo, hi, dtype=np.int64), degrees[lo:hi]
+        ) + np.concatenate([blk_machine, blk_machine])
+        blk_unique, blk_counts = np.unique(keys, return_counts=True)
+        if unique_pairs.size == 0:
+            unique_pairs, pair_counts = blk_unique, blk_counts
+        else:
+            unique_pairs, pair_counts = _merge_reduce(
+                unique_pairs, pair_counts, blk_unique, blk_counts, np.add
             )
-            arc_ids = np.arange(a, b, dtype=np.uint64)
-            blk_machine = (
-                ((arc_ids * _HASH_MULT) >> np.uint64(33))
-                % np.uint64(num_machines)
-            ).astype(np.int64)
-            keys = np.concatenate([blk_src, blk_dst]) * np.int64(
-                num_machines
-            ) + np.concatenate([blk_machine, blk_machine])
-            blk_unique, blk_counts = np.unique(keys, return_counts=True)
-            if unique_pairs.size == 0:
-                unique_pairs, pair_counts = blk_unique, blk_counts
-            else:
-                unique_pairs, pair_counts = _merge_reduce(
-                    unique_pairs, pair_counts, blk_unique, blk_counts, np.add
-                )
     # Isolated vertices have no incident arcs but still hold one master
     # replica each. ``unique_pairs`` is sorted, so distinct touched
     # vertices are the distinct pair prefixes.
@@ -254,17 +204,7 @@ def edge_partition(graph: Graph, num_machines: int) -> Partition:
     is_best = pair_counts == best[pair_vertex]
     owner[pair_vertex[is_best][::-1]] = pair_machine[is_best][::-1]
 
-    part = _finish(graph, owner, num_machines, "edge-cut")
-    return Partition(
-        owner=part.owner,
-        num_machines=num_machines,
-        vertices_per_machine=part.vertices_per_machine,
-        arcs_per_machine=part.arcs_per_machine,
-        cut_arcs=part.cut_arcs,
-        replication_factor=float(replication_factor),
-        strategy="edge-cut",
-        arc_dst_owner=part.arc_dst_owner,
-    )
+    return _finish(graph, owner, num_machines, "edge-cut", replication_factor)
 
 
 _STRATEGIES = {

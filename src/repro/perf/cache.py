@@ -1,4 +1,4 @@
-"""Content-addressed artifact cache (in-memory LRU + optional on-disk npz).
+"""Content-addressed artifact cache (in-memory LRU + optional disk store).
 
 Experiment sweeps regenerate the same artifacts over and over: the same
 Chung-Lu graph for every experiment touching a dataset, the same hash
@@ -13,8 +13,10 @@ identity matters (see :meth:`repro.graph.csr.Graph.fingerprint`).
 Values are cached in an in-memory LRU; artifact kinds that provide an
 array serializer are additionally persisted to an on-disk ``.npz``
 store, enabled by the ``REPRO_CACHE_DIR`` environment variable or the
-``--cache-dir`` CLI flag, which makes the expensive stand-ins (Twitter,
-Friendster) load in milliseconds across processes.
+``--cache-dir`` CLI flag; graphs persist beside them as one ``.csr``
+directory each (:mod:`repro.graph.io`, through ``get_or_build``'s
+``load`` hook), which makes the expensive stand-ins (Twitter,
+Friendster) open in milliseconds across processes.
 
 Determinism contract: every builder routed through the cache is a pure
 function of its key, so cached and uncached results are bit-identical —
@@ -138,8 +140,7 @@ class ArtifactCache:
         build: Callable[[], Any],
         serializer: Optional[ArraySerializer] = None,
         use_memory: bool = True,
-        directory: Optional[str] = None,
-        stem: Optional[str] = None,
+        load: Optional[Callable[[], Any]] = None,
     ) -> Any:
         """Return the cached value for ``key``, building it on a miss.
 
@@ -149,9 +150,10 @@ class ArtifactCache:
         fresh builds are inserted into the LRU; fresh builds are also
         persisted to disk.
 
-        ``directory`` overrides the cache-wide disk directory for this
-        artifact; ``stem`` overrides the on-disk filename prefix
-        (default: ``key[0]``).
+        ``load`` is the disk store of an artifact that persists itself
+        (a graph's CSR directory, see :meth:`artifact_path`): it
+        returns the stored value, or ``None`` to go on to ``build()``,
+        which then writes the store itself.
         """
         if use_memory:
             with self._lock:
@@ -159,14 +161,19 @@ class ArtifactCache:
                     self._entries.move_to_end(key)
                     self.stats.hits += 1
                     return self._entries[key]
-        path = self._disk_path(key, serializer, directory, stem)
-        if path is not None and os.path.exists(path):
+        path = None
+        if serializer is not None:
+            path = self.artifact_path(key, ".npz")
+        value = None
+        if load is not None:
+            value = load()
+        elif path is not None and os.path.exists(path):
             value = self._load(path, serializer)
-            if value is not None:
-                self.stats.disk_hits += 1
-                if use_memory:
-                    self._insert(key, value)
-                return value
+        if value is not None:
+            self.stats.disk_hits += 1
+            if use_memory:
+                self._insert(key, value)
+            return value
         self.stats.misses += 1
         value = build()
         if use_memory:
@@ -208,33 +215,18 @@ class ArtifactCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def _disk_path(
+    def artifact_path(
         self,
         key: Tuple,
-        serializer: Optional[ArraySerializer],
-        directory: Optional[str] = None,
-        stem: Optional[str] = None,
-    ) -> Optional[str]:
-        directory = directory or self.directory
-        if serializer is None or not directory:
-            return None
-        digest = hashlib.blake2b(
-            repr(key).encode("utf-8"), digest_size=16
-        ).hexdigest()
-        kind = stem or (str(key[0]) if key else "artifact")
-        return os.path.join(directory, f"{kind}-{digest}.npz")
-
-    def artifact_directory(
-        self,
-        key: Tuple,
+        suffix: str,
         stem: Optional[str] = None,
         directory: Optional[str] = None,
     ) -> Optional[str]:
-        """Deterministic ``.csr`` directory path for directory-shaped
-        artifacts (the on-disk CSR file sets behind
-        :class:`repro.graph.io.MappedGraph`), addressed like the npz
-        store: same key digest, ``.csr`` suffix. Returns ``None`` when
-        no disk directory is configured."""
+        """Deterministic on-disk name of ``key``'s artifact — the key's
+        digest behind ``stem`` (default ``key[0]``), ``suffix`` by kind:
+        ``.npz`` archives, a ``.csr`` directory per graph — under
+        ``directory`` (default: the cache's). ``None`` when no disk
+        directory is configured."""
         directory = directory or self.directory
         if not directory:
             return None
@@ -242,7 +234,7 @@ class ArtifactCache:
             repr(key).encode("utf-8"), digest_size=16
         ).hexdigest()
         kind = stem or (str(key[0]) if key else "artifact")
-        return os.path.join(directory, f"{kind}-{digest}.csr")
+        return os.path.join(directory, f"{kind}-{digest}{suffix}")
 
     def _store(
         self, path: str, value: Any, serializer: ArraySerializer
@@ -609,15 +601,11 @@ def get_cache() -> ArtifactCache:
     """The process-wide cache (created on first use from environment).
 
     ``REPRO_CACHE_DIR`` enables the on-disk store; ``REPRO_CACHE_SIZE``
-    overrides the in-memory LRU capacity. The legacy
-    ``REPRO_DATASET_CACHE`` variable is honoured as a fallback
-    directory for backwards compatibility.
+    overrides the in-memory LRU capacity.
     """
     global _GLOBAL
     if _GLOBAL is None:
-        directory = os.environ.get("REPRO_CACHE_DIR") or os.environ.get(
-            "REPRO_DATASET_CACHE"
-        )
+        directory = os.environ.get("REPRO_CACHE_DIR")
         raw_size = os.environ.get("REPRO_CACHE_SIZE", "").strip()
         try:
             capacity = int(raw_size) if raw_size else DEFAULT_CAPACITY

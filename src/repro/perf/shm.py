@@ -259,31 +259,6 @@ class SharedGraphRegistry:
             self.counters["export_reuses"] += 1
             self._handles[key] = cached[1]
             return cached[1]
-        if graph.mapped:
-            # Memory-mapped graph: the CSR files *are* the shared
-            # segment (page cache), so export records a path, copies
-            # nothing, and workers re-open the maps.
-            handle = GraphHandle(
-                segment="",
-                fingerprint=fingerprint,
-                name=graph.name,
-                directed=graph.directed,
-                indptr_len=graph.indptr.size,
-                indices_len=graph.indices.size,
-                weighted=graph.weights is not None,
-                placement="mapped",
-                mapped_dir=getattr(graph, "directory", None),
-            )
-            if handle.mapped_dir is None:
-                return None
-            self._segments[fingerprint] = (None, handle)
-            self._handles[key] = handle
-            self.counters["mapped_exports"] += 1
-            return handle
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - always present on Linux
-            return None
         stem = f"repro-graph-{os.getpid()}-{fingerprint[:16]}"
         handle = GraphHandle(
             segment=stem,
@@ -294,6 +269,22 @@ class SharedGraphRegistry:
             indices_len=graph.indices.size,
             weighted=graph.weights is not None,
         )
+        if graph.directory is not None:
+            # Backed by a CSR directory: the files *are* the shared
+            # segment (page cache), so export records a path, copies
+            # nothing, and workers re-open the maps.
+            handle = dataclasses.replace(
+                handle, segment="", placement="mapped",
+                mapped_dir=graph.directory,
+            )
+            self._segments[fingerprint] = (None, handle)
+            self._handles[key] = handle
+            self.counters["mapped_exports"] += 1
+            return handle
+        try:
+            from multiprocessing import shared_memory
+        except ImportError:  # pragma: no cover - always present on Linux
+            return None
         placement = numa.segment_placement(handle.nbytes, len(nodes))
         try:
             segment = shared_memory.SharedMemory(
@@ -424,19 +415,9 @@ class SharedGraphRegistry:
                 return None
             attached = ((segment,), _segment_views(segment, handle))
         keepalive, views = attached
-        graph = Graph.__new__(Graph)
-        graph.indptr = views[0]
-        graph.indices = views[1]
-        graph.weights = views[2] if handle.weighted else None
-        graph.directed = handle.directed
-        graph.name = handle.name
-        graph._degrees = None
-        graph._fingerprint = handle.fingerprint
-        graph._spread = None
-        graph._transpose = None
-        for array in views:
-            if array is not None:
-                array.setflags(write=False)
+        graph = Graph.__new__(Graph)._adopt(
+            *views, handle.directed, handle.name, handle.fingerprint
+        )
         # The SharedMemory objects must outlive every numpy view, so
         # they ride in the process-lifetime cache alongside the Graph.
         self._attached[handle.fingerprint] = (keepalive, graph)

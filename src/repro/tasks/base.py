@@ -212,8 +212,8 @@ class TaskKernel(ABC):
         """Cut the round's frontier ``verts`` into contiguous blocks and
         say where they run: ``(cuts, pooled)``.
 
-        Decided only from what the round can observe. A mapped graph is
-        cut so each block's arc gather fits the ``--max-ram`` budget,
+        Decided only from what the round can observe. A graph over the
+        ``--max-ram`` budget is cut so each block's arc gather fits it,
         the blocks run one after the other; with kernel workers
         configured and arcs enough for more than one shard, the cuts
         are degree-balanced shards for the kernel pool; else the whole
@@ -394,7 +394,8 @@ class BitFrontier:
         The round pulls when its frontier owns at least
         ``1 / PULL_ARC_RATIO`` of the graph's arcs — pull costs ``m``
         whatever the frontier, push its arcs at several times the price
-        each — and pushes below that; a mapped graph keeps no ``A^T``
+        each — and pushes below that; a graph that streams
+        (:func:`repro.graph.csr.streaming_block_arcs`) keeps no ``A^T``
         resident and always pushes.
 
         Byte-identical in either direction, however a push round is
@@ -405,8 +406,9 @@ class BitFrontier:
         the same words.
         """
         graph = self.graph
-        if not graph.mapped and 0 < graph.num_arcs <= PULL_ARC_RATIO * int(
-            graph.degrees[self.verts].sum()
+        if streaming_block_arcs(graph) is None and (
+            0 < graph.num_arcs
+            <= PULL_ARC_RATIO * int(graph.degrees[self.verts].sum())
         ):
             kernel.arena.new_round()
             results = [self._gather(kernel.arena)]

@@ -13,6 +13,7 @@ other would let both drift together.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tracemalloc
@@ -40,7 +41,7 @@ from repro.graph.generators import (
 )
 from repro.graph.mirrors import DEFAULT_DEGREE_THRESHOLD, build_mirror_plan
 from repro.graph.partition import partition_graph
-from repro.perf.cache import CHECKSUM_KEY, _checksum_array, clear_cache
+from repro.perf.cache import _checksum_array, clear_cache
 from repro.rng import make_rng
 
 
@@ -137,6 +138,157 @@ class TestPinnedMirrorPlans:
         ) == PINNED_PLANS[machines]
 
 
+#: The four datasets of ``vcrepro report --quick`` at scale 400:
+#: (dataset, strategy, machines) -> (partition digest, mirror-plan
+#: digest at the default threshold), taken at the commit before the
+#: monolithic plan bodies were deleted — there the in-RAM branch built
+#: these, here the row-block body does, in one block or many.
+PINNED_PARTITIONS = {
+    ('dblp', 'edge-cut', 8): (
+        '7a4b9ae4788ed2d29c3370171823809b',
+        'ddf0315c4eb847b57924b89c2530dc25',
+    ),
+    ('dblp', 'edge-cut', 27): (
+        '5a9c802c14e5cfed5c83f3013e4522b3',
+        'b3d5b9cab98b8a6669141ca34c41b96c',
+    ),
+    ('dblp', 'hash', 8): (
+        'b089cc1827a5a6a36523296b36b42d90',
+        'f61636589c57632d44d52944a0463c6a',
+    ),
+    ('dblp', 'hash', 27): (
+        '0a99212470ea87a166e7bbc5bade7bff',
+        '81f8cfb738f2529a1e50cd0b404cf530',
+    ),
+    ('dblp', 'range', 8): (
+        '710a4e396c740dbc70f29d4a150571b4',
+        'c97e4b9ca97b5c00bf672ae740db93fa',
+    ),
+    ('dblp', 'range', 27): (
+        '1969dff582ae0beb183e7850f18ba3cd',
+        '517e5a8d2bc2007f8fe2e4110be08299',
+    ),
+    ('orkut', 'edge-cut', 8): (
+        'cad7b1d884c560fbdfb695e9c803940f',
+        '9e49e8d6d4a42a2c5e4841b976b67d38',
+    ),
+    ('orkut', 'edge-cut', 27): (
+        'cdbc4d442e2a8068cda2b504a1c28a9b',
+        '81452a0f68048cf14afbc273cf0952f2',
+    ),
+    ('orkut', 'hash', 8): (
+        'e0026913d708e18b0c8ae98f48c7b6a0',
+        '6cd5151f4e3f8f882a6aca20b1b80f27',
+    ),
+    ('orkut', 'hash', 27): (
+        'a8b9d887894ceda7a1083626101ee347',
+        '342a4f08e2cd0d73ae11a9c349311f12',
+    ),
+    ('orkut', 'range', 8): (
+        'f29b7443b3d5cb84d8b6c4df0c58a386',
+        '2281a30518e8aa9b9f043984114c6e53',
+    ),
+    ('orkut', 'range', 27): (
+        'f5af33a1f9f8f4364fdcfbca59f125c6',
+        'e46008498cb798b3400be29b4dba49b9',
+    ),
+    ('twitter', 'edge-cut', 8): (
+        'b5556e85fd471cd6680fdd833577f2f8',
+        '3aff5c16b89de0ebd28e20877e2067b1',
+    ),
+    ('twitter', 'edge-cut', 27): (
+        '249daef98126335eb2ae98b7ff41e4a6',
+        'cda8241a5fc8273eacc3cd17b5ad891d',
+    ),
+    ('twitter', 'hash', 8): (
+        'fedff6df360d77961e71a95f6da79ef8',
+        '92cd487211b4322abeeb6d1d14c96d7d',
+    ),
+    ('twitter', 'hash', 27): (
+        '4318c57ff975e463be36025f1c5c3a95',
+        '7412e34e248c4a6c282e5ddf8c65d3c1',
+    ),
+    ('twitter', 'range', 8): (
+        '3d4b9b9418388f592c506a6376ce6be7',
+        'd6066f84492c0d533e7b37720b066873',
+    ),
+    ('twitter', 'range', 27): (
+        '712c4f3512a2cd6d1d276c3991302b30',
+        '84fbdb98e18cb8bd5dc77165ff5e29ee',
+    ),
+    ('web-st', 'edge-cut', 8): (
+        'e505c2d37c7c39c11dfdec1c52ab25a2',
+        '46910f18cd807d19a66bf0a6db6820d7',
+    ),
+    ('web-st', 'edge-cut', 27): (
+        '16f471bd5ee5d8b785ef77e1393bcb73',
+        'dd584b1959ed6d1a44e5a5c45617d6ec',
+    ),
+    ('web-st', 'hash', 8): (
+        '25573c252ac47a3866d4f7fba36a89c0',
+        'b83c31bbd21021c6d357dacfbd2234fe',
+    ),
+    ('web-st', 'hash', 27): (
+        'd01d5411dedaec75f70871fa8ce80385',
+        'e540e63a52bb9d711af3697f1742515d',
+    ),
+    ('web-st', 'range', 8): (
+        '1978b1f492d4e6b386d829647c190e8d',
+        '190fb164faed309a77a69e313a2caeda',
+    ),
+    ('web-st', 'range', 27): (
+        'b5f71ab46af78cddcf5ae15b91a919ad',
+        '2b8b7441dba483fbe0b971afbced86a5',
+    ),
+}
+
+
+def content_digest(*parts) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            digest.update(str(part.dtype).encode())
+            digest.update(np.ascontiguousarray(part))
+        else:
+            digest.update(repr(part).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedPartitionsAndPlans:
+    @pytest.mark.parametrize("blocks", ["one-block", "streamed"])
+    @pytest.mark.parametrize(
+        "name,strategy", sorted({key[:2] for key in PINNED_PARTITIONS})
+    )
+    def test_every_field(self, name, strategy, blocks):
+        graph = load_dataset(name, scale=400)
+        if blocks == "streamed":
+            csr.MIN_STREAM_BLOCK_ARCS = 1 << 10
+            csr.configure_streaming(max_ram_bytes=1)
+            assert csr.streaming_block_arcs(graph) == 1 << 10
+        for machines in (8, 27):
+            part = partition_graph(graph, machines, strategy)
+            plan = build_mirror_plan(graph, part, DEFAULT_DEGREE_THRESHOLD)
+            assert (
+                content_digest(
+                    part.owner,
+                    part.num_machines,
+                    part.vertices_per_machine,
+                    part.arcs_per_machine,
+                    part.cut_arcs,
+                    part.replication_factor,
+                    part.strategy,
+                ),
+                content_digest(
+                    plan.mirrored,
+                    plan.remote_machines,
+                    plan.remote_neighbors,
+                    plan.local_neighbors,
+                    plan.degree_threshold,
+                    plan.num_mirrors,
+                ),
+            ) == PINNED_PARTITIONS[(name, strategy, machines)]
+
+
 def test_plan_without_remote_arcs(tmp_path):
     """One machine: no (source, owner) pair to de-duplicate, in either
     branch."""
@@ -161,11 +313,23 @@ class TestPinnedHashes:
     def test_artifact_name_and_stored_checksum(self, tmp_path):
         graph = load_dataset("dblp", scale=4000, cache_dir=str(tmp_path))
         assert graph.fingerprint == PINNED_GRAPHS[("dblp", 4000)][0]
+        # The key digest the ``.npz`` store named this graph by, on the
+        # one format graphs are stored in now.
         assert os.listdir(tmp_path) == [
-            "dblp-4fb6e2f5df6e2e2929517bb9690774f3.npz"
+            "dblp-4fb6e2f5df6e2e2929517bb9690774f3.csr"
         ]
-        with np.load(tmp_path / os.listdir(tmp_path)[0]) as data:
-            stored = bytes(data[CHECKSUM_KEY]).decode("ascii")
+        assert graph.directory == str(tmp_path / os.listdir(tmp_path)[0])
+        with open(os.path.join(graph.directory, "graph.json")) as fh:
+            assert json.load(fh)["fingerprint"] == graph.fingerprint
+        # ...and the checksum that store kept of it: what every other
+        # artifact's ``.npz`` still carries, pinned on the same arrays.
+        arrays = {
+            "indptr": graph.indptr,
+            "indices": graph.indices,
+            "directed": np.asarray([graph.directed]),
+            "name": np.asarray([graph.name]),
+        }
+        stored = bytes(_checksum_array(arrays)).decode("ascii")
         assert stored == "c7972ce8b10f6aa8a69431908f22e5f6"
         clear_cache()
         again = load_dataset("dblp", scale=4000, cache_dir=str(tmp_path))

@@ -188,14 +188,16 @@ class TestStats:
 
 class TestDiskCache:
     def test_npz_round_trip_via_cache_dir(self, tmp_path):
+        """(Named for the archive graphs were first cached in; the one
+        on-disk graph format is the CSR directory now.)"""
         from repro.graph.datasets import clear_dataset_cache
 
         clear_dataset_cache()
         first = load_dataset(
             "web-st", scale=2000, cache=False, cache_dir=str(tmp_path)
         )
-        files = list(tmp_path.glob("web-st-*.npz"))
-        assert len(files) == 1
+        assert [path.suffix for path in tmp_path.iterdir()] == [".csr"]
+        assert first.directory == str(next(tmp_path.glob("web-st-*.csr")))
         clear_dataset_cache()
         second = load_dataset(
             "web-st", scale=2000, cache=False, cache_dir=str(tmp_path)

@@ -1,9 +1,10 @@
-"""Round-trip tests for graph serialization."""
+"""Round-trip tests for the text edge-list format (the binary format,
+the CSR directory, is covered by ``test_mmap.py`` / ``test_quarantine.py``)."""
 
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph.io import load_npz, read_edge_list, save_npz, write_edge_list
+from repro.graph.io import read_edge_list, write_edge_list
 
 
 class TestEdgeListText:
@@ -42,27 +43,3 @@ class TestEdgeListText:
         path.write_text("0 1 2 3\n")
         with pytest.raises(GraphFormatError):
             read_edge_list(path)
-
-
-class TestNpz:
-    def test_round_trip(self, tiny_graph, tmp_path):
-        path = tmp_path / "tiny.npz"
-        save_npz(tiny_graph, path)
-        loaded = load_npz(path)
-        assert loaded == tiny_graph
-        assert loaded.name == tiny_graph.name
-
-    def test_round_trip_weighted(self, weighted_graph, tmp_path):
-        path = tmp_path / "w.npz"
-        save_npz(weighted_graph, path)
-        loaded = load_npz(path)
-        assert loaded == weighted_graph
-        assert loaded.is_weighted
-
-    def test_non_graph_archive_rejected(self, tmp_path):
-        import numpy as np
-
-        path = tmp_path / "other.npz"
-        np.savez(path, foo=np.arange(3))
-        with pytest.raises(GraphFormatError):
-            load_npz(path)

@@ -1,10 +1,13 @@
-"""Out-of-core pipeline tests: chunked build, CSR directories, mapped
-graphs and the block-streaming kernels.
+"""Out-of-core pipeline tests: chunked build, CSR directories, graphs
+opened from them and the block-streaming kernels.
 
 The contract under test is *byte-identity*: the chunked generator, the
-external-merge on-disk builder, and the streaming kernel variants must
-reproduce the in-RAM path bit for bit at every block size — the
-out-of-core layer changes where bytes live, never what they are.
+external-merge on-disk builder, and the streaming kernel rounds must
+reproduce the in-RAM, one-block path bit for bit at every block size —
+the out-of-core layer changes where bytes live and how many are in
+flight, never what they are. Where a graph's arrays live and whether
+its rounds stream are independent facts: the first is ``directory``,
+the second is ``streaming_block_arcs`` (budget and size).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from repro.graph.csr import (
 from repro.graph.datasets import PAPER_DATASETS, DatasetProfile
 from repro.graph.generators import chung_lu, chung_lu_edge_blocks
 from repro.graph.io import (
-    MappedGraph,
     NpyStreamWriter,
     fingerprint_csr_dir,
     is_csr_dir,
@@ -195,10 +197,12 @@ class TestOnDiskBuild:
         assert choose_block_edges(directed=True) == 1 << 16  # clamped floor
         csr.configure_streaming(max_ram_bytes=1 << 40)
         assert choose_block_edges(directed=True) == 1 << 23  # clamped cap
+        csr.configure_streaming(max_ram_bytes=256 << 20)
+        budgeted = choose_block_edges(directed=True)
+        assert 1 << 16 < budgeted < 1 << 23
+        assert choose_block_edges(directed=False) < budgeted
         csr.configure_streaming(None)
-        default = choose_block_edges(directed=True)
-        assert 1 << 16 <= default <= 1 << 23
-        assert choose_block_edges(directed=False) <= default
+        assert choose_block_edges(directed=True) == 1 << 23  # no budget
 
 
 class TestMappedGraph:
@@ -210,8 +214,11 @@ class TestMappedGraph:
 
     def test_interface_matches(self, pair):
         graph, mapped = pair
-        assert isinstance(mapped, MappedGraph)
-        assert mapped.mapped and not graph.mapped
+        assert type(mapped) is Graph  # storage is no second class
+        assert mapped.directory is not None and graph.directory is None
+        assert not isinstance(mapped.indices, np.memmap)
+        assert not mapped.indices.flags.writeable
+        assert mapped == graph
         assert mapped.num_vertices == graph.num_vertices
         assert mapped.num_arcs == graph.num_arcs
         assert np.array_equal(mapped.degrees, graph.degrees)
@@ -234,6 +241,14 @@ class TestMappedGraph:
         assert len(payload) < 4096  # the path, not the arrays
         clone = pickle.loads(payload)
         assert_same_graph(mapped, clone)
+        assert clone.directory == mapped.directory
+
+    def test_pickle_of_a_resident_graph_ships_the_arrays(self, pair):
+        graph, _ = pair
+        graph.transposition()  # derived caches stay behind
+        clone = pickle.loads(pickle.dumps(graph))
+        assert_same_graph(graph, clone)
+        assert clone.directory is None and clone._transpose is None
 
     def test_open_mapped_rejects_torn_directory(self, pair):
         _, mapped = pair
@@ -245,15 +260,31 @@ class TestMappedGraph:
 
 class TestStreamingDispatch:
     def test_in_ram_graphs_never_stream(self):
+        """...for being in RAM: under one block of the budget no graph
+        streams, and without a budget none does at any size."""
         graph = chung_lu(100, 4.0, seed=1)
         csr.configure_streaming(max_ram_bytes=1)
+        assert graph.num_arcs <= csr.MIN_STREAM_BLOCK_ARCS
+        assert streaming_block_arcs(graph) is None
+        csr.configure_streaming(None)
+        csr.MIN_STREAM_BLOCK_ARCS = 1
         assert streaming_block_arcs(graph) is None
 
     def test_mapped_graphs_stream_with_budgeted_blocks(self, tmp_path):
-        mapped = save_mapped(chung_lu(100, 4.0, seed=1), tmp_path / "g.csr")
-        assert streaming_block_arcs(mapped) is not None
+        """...exactly when a resident graph of their size does."""
+        graph = chung_lu(100, 4.0, seed=1)
+        mapped = save_mapped(graph, tmp_path / "g.csr")
+        assert streaming_block_arcs(mapped) is None  # no budget
         csr.configure_streaming(max_ram_bytes=1)
-        assert streaming_block_arcs(mapped) == csr.MIN_STREAM_BLOCK_ARCS
+        assert streaming_block_arcs(mapped) is None  # fits one block
+        csr.MIN_STREAM_BLOCK_ARCS = graph.num_arcs
+        assert streaming_block_arcs(mapped) is None  # exactly one block
+        csr.MIN_STREAM_BLOCK_ARCS = graph.num_arcs - 1
+        for twin in (mapped, graph):
+            assert streaming_block_arcs(twin) == graph.num_arcs - 1
+        csr.MIN_STREAM_BLOCK_ARCS = 1
+        csr.configure_streaming(max_ram_bytes=150 * csr.STREAM_BYTES_PER_ARC)
+        assert streaming_block_arcs(graph) == 150  # over the floor
 
     def test_configure_rejects_nonpositive(self):
         with pytest.raises(GraphFormatError):
@@ -278,13 +309,13 @@ class TestStreamingDispatch:
     def test_propagate_mass_streams_identically(self, tmp_path):
         graph = chung_lu(400, 7.0, seed=23)
         mapped = save_mapped(graph, tmp_path / "g.csr")
+        per_vertex = make_rng(29).random(graph.num_vertices)
+        one_block = propagate_mass(graph, per_vertex).tobytes()
+        assert propagate_mass(mapped, per_vertex).tobytes() == one_block
         csr.MIN_STREAM_BLOCK_ARCS = 64
         csr.configure_streaming(max_ram_bytes=1)  # many tiny row blocks
-        per_vertex = make_rng(29).random(graph.num_vertices)
-        assert (
-            propagate_mass(graph, per_vertex).tobytes()
-            == propagate_mass(mapped, per_vertex).tobytes()
-        )
+        for twin in (graph, mapped):
+            assert propagate_mass(twin, per_vertex).tobytes() == one_block
 
 
 class TestStreamingSegmentReductions:
@@ -325,16 +356,20 @@ class TestStreamingSegmentReductions:
 
 
 class TestStreamingKernels:
-    """Mapped-graph kernel rounds vs in-RAM, forced multi-block."""
+    """Kernel rounds forced multi-block on a graph opened from disk vs
+    one-block rounds on the same graph in RAM."""
 
     @pytest.fixture()
     def pair(self, tmp_path):
         profile = PAPER_DATASETS["livejournal"]
         graph = profile.instantiate(scale=2000)
         mapped = save_mapped(graph, tmp_path / "lj.csr")
+        return graph, mapped
+
+    @staticmethod
+    def _stream():
         csr.MIN_STREAM_BLOCK_ARCS = 128
         csr.configure_streaming(max_ram_bytes=1)
-        return graph, mapped
 
     @staticmethod
     def _run(kernel, workload=32):
@@ -362,6 +397,7 @@ class TestStreamingKernels:
             MSSPKernel(graph, self._router(graph), make_rng(7),
                        sample_limit=8)
         )
+        self._stream()
         streamed = self._run(
             MSSPKernel(mapped, self._router(mapped), make_rng(7),
                        sample_limit=8)
@@ -378,6 +414,7 @@ class TestStreamingKernels:
             BKHSKernel(graph, self._router(graph), make_rng(9), k=3,
                        sample_limit=8)
         )
+        self._stream()
         streamed = self._run(
             BKHSKernel(mapped, self._router(mapped), make_rng(9), k=3,
                        sample_limit=8)

@@ -16,10 +16,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.errors import GraphFormatError
+from repro.graph import csr
 from repro.graph.build import from_edges
 from repro.graph.io import (
     is_csr_dir,
     load_csr_dir,
+    open_mapped,
     quarantine_csr_dir,
     save_mapped,
 )
@@ -142,3 +145,54 @@ class TestTornDirectories:
         assert not os.path.exists(
             os.path.join(quarantined, "marker-first")
         )
+
+
+class TestHostileContent:
+    """Right sizes, well-formed files, values ``Graph.__init__`` rejects:
+    ``open_mapped`` proves the same ranges (numpy indexing would wrap a
+    ``-1`` neighbour to the last vertex without a word) unless the
+    graph streams, where every page would have to be faulted in."""
+
+    def overwrite(self, graph, csr_dir, name, index, value):
+        array = np.array(getattr(graph, name))
+        array[index] = value
+        np.save(os.path.join(csr_dir, f"{name}.npy"), array)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("indices", -1), ("indices", 4), ("weights", -0.5)],
+        ids=["negative-neighbour", "neighbour-past-n", "negative-weight"],
+    )
+    def test_open_rejects_and_load_quarantines(
+        self, graph, csr_dir, name, value
+    ):
+        self.overwrite(graph, csr_dir, name, 3, value)
+        with pytest.raises(GraphFormatError, match=f"{name}.npy"):
+            open_mapped(csr_dir)
+        before = corruptions()
+        assert load_csr_dir(csr_dir) is None
+        assert os.path.isdir(csr_dir + ".corrupt")
+        assert corruptions() == before + 1
+
+    def test_flipped_content_fails_the_fingerprint(self, graph, csr_dir):
+        # In range, so only the content hash can tell: the arc 3 -> 1
+        # now reads 3 -> 0.
+        self.overwrite(graph, csr_dir, "indices", 4, 0)
+        assert open_mapped(csr_dir).fingerprint == graph.fingerprint
+        before = corruptions()
+        assert load_csr_dir(csr_dir) is None
+        assert corruptions() == before + 1
+
+    def test_a_streaming_graph_is_trusted_as_built(
+        self, graph, csr_dir, monkeypatch
+    ):
+        # Over the budget the O(m) proofs are skipped, as before this
+        # format carried every graph: reading each page is the cost the
+        # budget exists to avoid.
+        self.overwrite(graph, csr_dir, "indices", 3, -1)
+        monkeypatch.setattr(csr, "MIN_STREAM_BLOCK_ARCS", 1)
+        csr.configure_streaming(max_ram_bytes=1)
+        try:
+            assert load_csr_dir(csr_dir) is not None
+        finally:
+            csr.configure_streaming(None)

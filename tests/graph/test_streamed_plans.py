@@ -1,10 +1,13 @@
-"""Streamed mirror-plan and partition construction for mapped graphs.
+"""Streamed mirror-plan and partition construction.
 
-Mapped graphs build their partitions and mirror plans in CSR row blocks
-(:func:`repro.graph.csr.iter_row_blocks`) instead of materialising the
-O(m) per-arc owner arrays. The contract is the same byte-identity the
-streaming kernels promise: every tally, replication factor and owner
-array must equal the in-RAM pass exactly, at any block size.
+Partitions and mirror plans are built over CSR row blocks
+(:func:`repro.graph.csr.row_blocks`): one block covering the graph
+when it does not stream, blocks of the ``--max-ram`` budget when it
+does, so a graph over the budget never materialises the O(m) per-arc
+owner arrays. One body, so the contract holds by construction — and
+is still asserted: every tally, replication factor and owner array of
+a many-block pass must equal the one-block pass exactly, at any block
+size, wherever the arrays live.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ from repro.graph import csr
 from repro.graph.generators import chung_lu
 from repro.graph.io import save_mapped
 from repro.graph.mirrors import build_mirror_plan
-from repro.graph.partition import (
-    edge_partition,
-    hash_partition,
-    partition_graph,
-    range_partition,
-)
+from repro.graph.partition import edge_partition, partition_graph
 from repro.perf.cache import clear_cache
 
 STRATEGIES = ("hash", "range", "edge-cut")
@@ -39,14 +37,19 @@ def _fresh_state():
 
 @pytest.fixture()
 def graphs(tmp_path):
-    """The same graph twice: in-RAM and memory-mapped with tiny blocks,
-    so every plan pass streams multiple row blocks."""
+    """The same graph twice: in RAM, its plans built before any budget
+    is set (one block), and opened from disk under a budget of tiny
+    blocks, so every plan pass streams multiple row blocks."""
     in_ram = chung_lu(600, 9.0, seed=42, name="plans")
     mapped = save_mapped(in_ram, tmp_path / "plans.csr")
-    csr.MIN_STREAM_BLOCK_ARCS = 256
-    csr.configure_streaming(max_ram_bytes=1)  # clamp to the floor
-    assert csr.streaming_block_arcs(mapped) is not None
+    assert csr.streaming_block_arcs(in_ram) is None
     return in_ram, mapped
+
+
+def stream(block_arcs: int = 256) -> None:
+    """From here on every graph over ``block_arcs`` arcs streams."""
+    csr.MIN_STREAM_BLOCK_ARCS = block_arcs
+    csr.configure_streaming(max_ram_bytes=1)  # clamp to the floor
 
 
 def assert_same_partition(a, b) -> None:
@@ -65,22 +68,24 @@ class TestStreamedPartitions:
     def test_mapped_matches_in_ram(self, graphs, strategy):
         in_ram, mapped = graphs
         for machines in (1, 4, 7):
+            csr.configure_streaming(None)
             expected = partition_graph(in_ram, machines, strategy)
             clear_cache()  # the fingerprints match; force a rebuild
+            stream()
+            assert csr.streaming_block_arcs(mapped) == 256
             streamed = partition_graph(mapped, machines, strategy)
             assert_same_partition(expected, streamed)
-
-    def test_mapped_leaves_arc_dst_owner_unset(self, graphs):
-        in_ram, mapped = graphs
-        assert hash_partition(in_ram, 4).arc_dst_owner is not None
-        assert hash_partition(mapped, 4).arc_dst_owner is None
-        assert range_partition(mapped, 4).arc_dst_owner is None
-        assert edge_partition(mapped, 4).arc_dst_owner is None
+            clear_cache()
+            # Storage is no part of it: the resident graph streams too.
+            assert_same_partition(
+                expected, partition_graph(in_ram, machines, strategy)
+            )
 
     def test_block_size_does_not_change_plans(self, graphs):
         _in_ram, mapped = graphs
+        stream(256)
         small = edge_partition(mapped, 5)
-        csr.MIN_STREAM_BLOCK_ARCS = 1024
+        stream(1024)
         large = edge_partition(mapped, 5)
         assert_same_partition(small, large)
 
@@ -92,6 +97,7 @@ class TestStreamedMirrorPlans:
         expected_part = partition_graph(in_ram, 4, strategy)
         expected = build_mirror_plan(in_ram, expected_part, 12)
         clear_cache()
+        stream()
         streamed_part = partition_graph(mapped, 4, strategy)
         streamed = build_mirror_plan(mapped, streamed_part, 12)
         assert (
@@ -120,8 +126,7 @@ class TestStreamedMirrorPlans:
         dst = np.array([1, 0], dtype=np.int64)
         in_ram = from_edges(src, dst, num_vertices=6, name="isolated")
         mapped = save_mapped(in_ram, tmp_path / "isolated.csr")
-        csr.MIN_STREAM_BLOCK_ARCS = 1
-        csr.configure_streaming(max_ram_bytes=1)
         expected = edge_partition(in_ram, 3)
+        stream(1)
         streamed = edge_partition(mapped, 3)
         assert expected.replication_factor == streamed.replication_factor

@@ -1,4 +1,10 @@
-"""On-disk cache hardening: checksums, quarantine, transparent rebuild."""
+"""On-disk cache hardening: checksums, quarantine, transparent rebuild.
+
+Two stores, one contract — a damaged artifact is moved aside as
+``*.corrupt``, counted, and rebuilt, never served: the ``.npz`` archives
+of array artifacts carry a checksum of their own; a graph's ``.csr``
+directory is checked against the content fingerprint in its sidecar.
+"""
 
 import glob
 import os
@@ -6,6 +12,8 @@ import os
 import numpy as np
 import pytest
 
+from repro.graph.datasets import PAPER_DATASETS, load_dataset
+from repro.perf import cache as cache_module
 from repro.perf.cache import ArtifactCache, ArraySerializer, CHECKSUM_KEY
 
 SERIALIZER = ArraySerializer(
@@ -98,3 +106,75 @@ class TestCorruptionRecovery:
         other = ArtifactCache()
         other.stats.merge(snapshot)
         assert other.stats.corruptions == 3
+
+
+class TestGraphDirectoryRecovery:
+    """The graph cases, on the one format graphs are stored in."""
+
+    @pytest.fixture()
+    def cached(self, tmp_path, monkeypatch):
+        """``(graph, directory, load)``: dblp@400 built in RAM, the CSR
+        directory a first ``load()`` stored it in, and ``load()`` itself
+        — ``load_dataset`` through a fresh process-wide cache over that
+        one cache directory, returning the graph and the cache's stats.
+        (Damage done to the files shows through a graph mapped from
+        them, so the resident twin is what results are compared to.)"""
+
+        def load():
+            cache = ArtifactCache(directory=str(tmp_path))
+            monkeypatch.setattr(cache_module, "_GLOBAL", cache)
+            return load_dataset("dblp", scale=400), cache.stats
+
+        first, stats = load()
+        assert (stats.misses, stats.disk_hits, stats.corruptions) == (1, 0, 0)
+        graph = PAPER_DATASETS["dblp"].instantiate(scale=400)
+        assert first == graph and first.fingerprint == graph.fingerprint
+        return graph, first.directory, load
+
+    @staticmethod
+    def assert_rebuilt(graph, directory, load, corruptions):
+        rebuilt, stats = load()
+        assert rebuilt == graph
+        assert rebuilt.fingerprint == graph.fingerprint
+        assert rebuilt.directory == directory
+        assert (stats.misses, stats.disk_hits) == (1, 0)  # not served
+        assert stats.corruptions == corruptions
+        assert os.path.isdir(directory + ".corrupt") == bool(corruptions)
+        warm, stats = load()  # the fresh copy was persisted again
+        assert warm == graph and stats.disk_hits == 1
+
+    def test_clean_directory_is_a_disk_hit(self, cached):
+        graph, _, load = cached
+        warm, stats = load()
+        assert warm == graph
+        assert (stats.misses, stats.disk_hits, stats.corruptions) == (0, 1, 0)
+
+    def test_one_flipped_byte_in_indices(self, cached):
+        graph, directory, load = cached
+        path = os.path.join(directory, "indices.npy")
+        # Low byte of the last neighbour id: still a vertex of the graph,
+        # every size as promised — only the content hash can tell.
+        with open(path, "r+b") as fh:
+            fh.seek(-8, os.SEEK_END)
+            byte = fh.read(1)[0]
+            fh.seek(-8, os.SEEK_END)
+            fh.write(bytes([byte ^ 0x01]))
+        flipped = int(np.load(path)[-1])
+        assert 0 <= flipped < graph.num_vertices
+        assert flipped != int(graph.indices[-1])
+        self.assert_rebuilt(graph, directory, load, corruptions=1)
+
+    def test_truncated_indptr(self, cached):
+        graph, directory, load = cached
+        path = os.path.join(directory, "indptr.npy")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) // 2)
+        self.assert_rebuilt(graph, directory, load, corruptions=1)
+
+    def test_missing_sidecar(self, cached):
+        # The sidecar is written last, so its absence is a build that
+        # never committed: nothing to preserve, rebuilt in place
+        # (``tests/graph/test_quarantine.py`` says why it is not counted).
+        graph, directory, load = cached
+        os.unlink(os.path.join(directory, "graph.json"))
+        self.assert_rebuilt(graph, directory, load, corruptions=0)

@@ -136,39 +136,65 @@ class TestNumaInvariance:
         assert replicated == interleaved
 
 
+#: ``--max-ram`` of the streaming runs: twitter@4000 (~370 K arcs,
+#: predicted build peak ~30 MB) is built out of core and streams six
+#: blocks of the production floor; web-st@4000 is built in RAM and
+#: fits one block.
+BUDGET = 1 << 20
+
+
 class TestMappedGraphInvariance:
-    """Out-of-core graphs (memory-mapped CSR directories plus the
-    block-streaming kernel variants they dispatch to) vs the in-RAM
-    path: same Markdown rows, same metric streams, same graph bits."""
+    """Graphs opened from CSR directories and rounds streamed in blocks
+    vs arrays in RAM and one-block rounds: same Markdown rows, same
+    metric streams, same graph bits. The budget is also a modelled
+    quantity (GraphD's buffer cap follows it), so runs are compared
+    under one budget; what differs is the block floor — whether
+    anything streams — and where the graphs live."""
 
     @pytest.fixture(autouse=True)
-    def _restore_out_of_core(self):
-        from repro.graph import datasets
-        from repro.graph.csr import configure_streaming
+    def _restore_streaming(self):
+        from repro.graph import csr
+        from repro.perf import shm
 
+        # An earlier pooled test leaves its exported graphs in this
+        # process's registry, where ``load_dataset`` would find them
+        # before it looked at any directory.
+        shm.shutdown_shared_graphs()
+        floor = csr.MIN_STREAM_BLOCK_ARCS
         yield
-        datasets.configure_out_of_core(None, None)
-        configure_streaming(None)
+        csr.MIN_STREAM_BLOCK_ARCS = floor
+        csr.configure_streaming(None)
 
-    def _mapped_run(self, jobs, directory):
-        from repro.graph import datasets
+    def _budget_run(self, jobs, directory=None, streams=True):
+        """A run under ``BUDGET``: with ``directory`` every graph is
+        opened from it, ``streams=False`` lifts the block floor over
+        every graph so each round is one block."""
+        from repro.graph import csr
 
-        datasets.configure_out_of_core(force=True, directory=str(directory))
-        try:
-            return _run(jobs=jobs)
-        finally:
-            datasets.configure_out_of_core(None, None)
+        csr.configure_streaming(BUDGET)
+        if not streams:
+            csr.MIN_STREAM_BLOCK_ARCS = 1 << 40
+        configure_cache(directory="" if directory is None else str(directory))
+        markdown = _run(jobs=jobs)
+        twitter = load_dataset("twitter", scale=SCALE)  # fig8's, from the LRU
+        assert (csr.streaming_block_arcs(twitter) is not None) == streams
+        return markdown
 
     def test_mapped_vs_in_ram_serial(self, tmp_path):
-        assert self._mapped_run(1, tmp_path) == _run(jobs=1)
+        streamed = self._budget_run(1, tmp_path)
+        assert list(tmp_path.glob("twitter-*.csr/graph.json"))
+        assert streamed == self._budget_run(1, streams=False)
 
     def test_mapped_vs_in_ram_pool(self, tmp_path):
-        assert self._mapped_run(JOBS, tmp_path) == _run(jobs=JOBS)
+        assert self._budget_run(JOBS, tmp_path) == self._budget_run(
+            JOBS, streams=False
+        )
 
     def test_mapped_cold_vs_warm(self, tmp_path):
-        cold = self._mapped_run(1, tmp_path)
+        cold = self._budget_run(1, tmp_path)
         # Same directory: the second run reopens the CSR files on disk.
-        warm = self._mapped_run(1, tmp_path)
+        warm = self._budget_run(1, tmp_path)
+        assert get_cache().stats.disk_hits > 0
         assert cold == warm
 
     def test_chunked_build_bits_at_scale_400(self, tmp_path):
@@ -192,7 +218,7 @@ class TestMappedGraphInvariance:
         assert in_ram.fingerprint == mapped.fingerprint
 
     def test_engine_outputs_at_scale_400(self, tmp_path):
-        from repro.graph import datasets
+        from repro.graph.csr import configure_streaming, streaming_block_arcs
 
         def metrics():
             graph = load_dataset("twitter", scale=400)
@@ -200,17 +226,21 @@ class TestMappedGraphInvariance:
             job = MultiProcessingJob("pregel+", cluster)
             run = job.run(make_task("mssp", graph, 64.0),
                           num_batches=2, seed=5)
-            return json.dumps(
+            return graph, json.dumps(
                 run.to_dict(include_rounds=True), sort_keys=True
             )
 
-        in_ram = metrics()
+        graph, in_ram = metrics()
+        assert graph.directory is None
+        assert streaming_block_arcs(graph) is None
         clear_cache()
-        datasets.configure_out_of_core(force=True, directory=str(tmp_path))
-        try:
-            mapped = metrics()
-        finally:
-            datasets.configure_out_of_core(None, None)
+        # pregel+ models no budget of its own, so the budgeted run may
+        # be compared with the unbudgeted one.
+        configure_streaming(BUDGET)
+        configure_cache(directory=str(tmp_path))
+        graph, mapped = metrics()
+        assert graph.directory is not None
+        assert streaming_block_arcs(graph) == 1 << 16
         assert in_ram == mapped
 
 
@@ -648,16 +678,21 @@ class TestKernelShardInvariance:
             for a, b in zip(inline, pooled):
                 assert a.tobytes() == b.tobytes()
 
-    def test_mapped_graphs_with_shards(self, tmp_path):
-        from repro.graph import datasets
+    def test_mapped_graphs_with_shards(self, tmp_path, monkeypatch):
+        from repro.graph import csr
 
-        baseline = _run(jobs=1)
-        kernel_pool.configure_kernel_workers(7, min_shard_candidates=1)
-        datasets.configure_out_of_core(force=True, directory=str(tmp_path))
+        # One budget on both sides (GraphD models it): first no graph
+        # streams and none is on disk, then the large ones do and all are.
+        csr.configure_streaming(BUDGET)
         try:
+            monkeypatch.setattr(csr, "MIN_STREAM_BLOCK_ARCS", 1 << 40)
+            baseline = _run(jobs=1)
+            monkeypatch.undo()
+            kernel_pool.configure_kernel_workers(7, min_shard_candidates=1)
+            configure_cache(directory=str(tmp_path))
             mapped_sharded = _run(jobs=1)
         finally:
-            datasets.configure_out_of_core(None, None)
+            csr.configure_streaming(None)
         assert mapped_sharded == baseline
 
     @pytest.mark.parametrize("mode", ["auto", "replicate", "interleave"])

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.build import from_edge_list, from_edges
+from repro.graph.csr import streaming_block_arcs
 from repro.graph.generators import chung_lu
 from repro.rng import make_rng
 from repro.tasks import base as tasks_base
@@ -214,8 +215,10 @@ def check_batch(graph, task, sources, seed, limit, plan_name, direction):
             assert kernel._sources.size == sources
             # (the weighted min-fold has one direction: it always pushes)
             assert plan.forced() or "weighted" in task
-            if plan_name == "mapped":  # edges on disk: no resident A^T
-                assert seen._transpose is None
+            # Over the budget (this plan's: more than one arc), edges
+            # stay on disk: no resident A^T.
+            if streaming_block_arcs(seen) is not None:
+                assert plan_name == "mapped" and seen._transpose is None
             del kernel, router, seen  # unmap before the directory goes
     return plan
 
@@ -340,9 +343,10 @@ def test_self_loops_and_parallel_arcs(plan_name, direction):
 @pytest.mark.parametrize("task", ["mssp", "bkhs"])
 def test_a_mapped_graph_never_builds_a_transposition(task):
     """Edges on disk, vertex state in RAM: with the direction left to
-    the round — the heavy rounds of this batch pull in RAM — a mapped
-    graph pushes every round and its ``A^T`` slot stays empty
-    (``check_batch`` asserts it after the last round)."""
+    the round — the heavy rounds of this batch pull when it runs in one
+    block — a graph over the ``--max-ram`` budget (the ``mapped`` plan)
+    pushes every round and its ``A^T`` slot stays empty (``check_batch``
+    asserts it after the last round)."""
     graph = chung_lu(140, 5.0, seed=11)
     assert check_batch(graph, task, 65, 3, 4, "inline", None).pulls
     plan = check_batch(graph, task, 65, 3, 4, "mapped", None)
@@ -352,7 +356,7 @@ def test_a_mapped_graph_never_builds_a_transposition(task):
 def test_clip_mode_is_not_what_guards_the_index_range(tmp_path):
     """The buffered gathers run ``mode="clip"`` for speed; what keeps
     an arc position in range is the validation of ``indptr`` — by
-    ``Graph`` in RAM, by ``open_mapped`` on disk, where a mapped
+    ``Graph`` in RAM, by ``open_mapped`` on disk, where a streamed
     graph's push rounds gather ``indices`` by it. An ``indptr.npy``
     pointing past the last arc never becomes a graph whose rounds
     would clip silently."""
