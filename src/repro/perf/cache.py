@@ -239,18 +239,21 @@ class ArtifactCache:
     def _store(
         self, path: str, value: Any, serializer: ArraySerializer
     ) -> None:
+        # Write-then-rename: a crash mid-write leaves only a stale tmp
+        # file, never a truncated artifact under the real name.
+        tmp = f"{path}.tmp-{os.getpid()}"
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             arrays = dict(serializer.pack(value))
             arrays[CHECKSUM_KEY] = _checksum_array(arrays)
-            # Write-then-rename: a crash mid-write leaves only a stale
-            # tmp file, never a truncated artifact under the real name.
-            tmp = f"{path}.tmp-{os.getpid()}"
             with open(tmp, "wb") as fh:
                 self._write_npz(fh, arrays)
             os.replace(tmp, path)
-        except OSError:  # disk store is best-effort
-            pass
+        except OSError:  # best-effort, but leave no torn tmp file
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
     @staticmethod
     def _write_npz(fh, arrays: Dict[str, np.ndarray]) -> None:

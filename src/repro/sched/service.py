@@ -46,7 +46,7 @@ from repro.errors import RecoveryError, SchedulingError
 from repro.faults.recovery import OverloadRecovery
 from repro.graph.csr import Graph, streaming_budget_bytes
 from repro.perf import kernel_pool
-from repro.perf.cache import ResultCache
+from repro.perf.cache import ResultCache, get_cache
 from repro.rng import SeedLike
 from repro.sched.admission import AdmissionController
 from repro.sched.arrivals import DEFAULT_KINDS, TaskRequest
@@ -238,8 +238,6 @@ class SchedulerService:
                     # Warm restarts load the persisted coefficients and
                     # probe samples from the artifact cache — zero probe
                     # training runs, identical refit trajectory.
-                    from repro.perf.cache import get_cache
-
                     calibrator = Calibrator.load_or_train(
                         self.engines[kind],
                         self._task_factory(kind),
@@ -466,14 +464,26 @@ class SchedulerService:
         session via :meth:`SimulatedEngine.run_canonical` and is
         memoised in the artifact cache by ``run_job``; it never touches
         the serving sessions, the admission state, or the service
-        clock."""
+        clock. The rendered bytes are immutable, so they are memoised
+        too (memory LRU only): a result the result cache expired or
+        evicted is answered again without cloning or re-packing the
+        job. That LRU is process-wide, hence profile and cluster
+        beside the content key."""
         key = self._result_key(request)
-        digest = hashlib.blake2b(repr(key).encode(), digest_size=8)
-        seed = int.from_bytes(digest.digest(), "big") % (2**63)
         kind = request.kind
-        task = self._task_factory(kind)(float(request.units))
-        job = self.engines[kind].run_canonical(task, seed=seed)
-        return bytes(pack_job(job)["payload"])
+        engine = self.engines[kind]
+
+        def render() -> bytes:
+            digest = hashlib.blake2b(repr(key).encode(), digest_size=8)
+            seed = int.from_bytes(digest.digest(), "big") % (2**63)
+            task = self._task_factory(kind)(float(request.units))
+            job = engine.run_canonical(task, seed=seed)
+            return bytes(pack_job(job)["payload"])
+
+        return get_cache().get_or_build(
+            ("payload", repr(engine.profile), repr(engine.cluster)) + key[1:],
+            render,
+        )
 
     def _answer(
         self,

@@ -15,8 +15,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import marshal
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -445,7 +448,7 @@ def clone_job(job: JobMetrics) -> JobMetrics:
 
 def _clone_round(r: RoundMetrics) -> RoundMetrics:
     """``copy.copy(r)`` without its pickle protocol, which costs several
-    times the copy; fields keep ``r``'s order (:func:`pack_job`)."""
+    times the copy."""
     clone = RoundMetrics.__new__(RoundMetrics)
     clone.__dict__ = vars(r).copy()
     return clone
@@ -458,51 +461,97 @@ def _json_safe(obj):
     raise TypeError(f"not JSON-serialisable: {type(obj)!r}")
 
 
-#: Field-name tuples captured once so :func:`pack_job` can build its
-#: JSON payload with plain attribute reads. ``dataclasses.asdict`` costs
-#: ~100x more on the same data: it recurses through every per-round
-#: record and deep-copies each scalar before ``json.dumps`` immediately
-#: renders the copy anyway.
+#: Declared field names, captured once: :func:`pack_job` renders exactly
+#: these with plain attribute reads (``dataclasses.asdict`` costs ~100x
+#: more: it deep-copies every per-round scalar before ``json.dumps``
+#: renders the copy anyway).
+_ROUND_FIELDS = tuple(f.name for f in dataclasses.fields(RoundMetrics))
 _BATCH_FIELDS = tuple(f.name for f in dataclasses.fields(BatchMetrics))
 _JOB_FIELDS = tuple(f.name for f in dataclasses.fields(JobMetrics))
+#: A round's fields without its peak: what a round replayed from a tape
+#: shares with the executed round it replays.
+_ROUND_TWIN = operator.attrgetter(
+    *(name for name in _ROUND_FIELDS if name != "peak_memory_bytes")
+)
+_PEAK_KEY = '"peak_memory_bytes": '
+_PLAIN = frozenset({float, int, bool})
+_ENCODE = json.JSONEncoder(default=_json_safe).encode
+
+
+def _encode_round(r: RoundMetrics) -> str:
+    """Whole-record JSON of one round, declared fields only."""
+    return _ENCODE({f: getattr(r, f) for f in _ROUND_FIELDS})
+
+
+def _encode_rounds(rounds: List[RoundMetrics], twins: Dict) -> str:
+    """JSON array of ``rounds``, encoding each distinct record once.
+
+    ``twins`` maps a round's fields-but-peak to the text on either side
+    of its peak; every further round with those fields costs one
+    ``repr`` and a splice. Equal values are not equal JSON (``0 == 0.0
+    == -0.0 == False``), so the key is the fields' ``marshal`` form —
+    exact type, sign and bits — and only records whose fields are all
+    plain ``float`` / ``int`` / ``bool`` are admitted: ``marshal``
+    flattens numpy scalars to their buffers, under a type code no plain
+    value uses, so a key that hits was written by plain fields too.
+    Any other record, or a peak that is not a finite ``float`` (JSON
+    spells those its own way), gets a whole encode.
+    """
+    records = []
+    for r in rounds:
+        peak, twin = r.peak_memory_bytes, _ROUND_TWIN(r)
+        key = None
+        if type(peak) is float and math.isfinite(peak):
+            try:
+                key = marshal.dumps(twin, 2)
+            except ValueError:  # a type marshal does not know
+                pass
+        sides = twins.get(key)
+        if sides is None:
+            text = _encode_round(r)
+            if key is None or not _PLAIN.issuperset(map(type, twin)):
+                records.append(text)
+                continue
+            cut = text.index(_PEAK_KEY) + len(_PEAK_KEY)
+            sides = twins[key] = text[:cut], text[cut + len(repr(peak)):]
+        records.append(sides[0] + repr(peak) + sides[1])
+    return "[" + ", ".join(records) + "]"
+
+
+def _encode_with(obj, fields: Tuple[str, ...], name: str, text: str) -> str:
+    """JSON object of ``obj``'s ``fields`` with ``name`` (neither first
+    nor last of them) already rendered as ``text``."""
+    at = fields.index(name)
+    head = _ENCODE({f: getattr(obj, f) for f in fields[:at]})
+    tail = _ENCODE({f: getattr(obj, f) for f in fields[at + 1:]})
+    return f'{head[:-1]}, "{name}": {text}, {tail[1:]}'
 
 
 def pack_job(job: JobMetrics) -> Dict[str, np.ndarray]:
     """Pack a job into a byte array for the on-disk artifact cache.
 
-    The payload is built with shallow attribute reads in dataclass
-    field order — byte-identical JSON to the ``dataclasses.asdict``
-    rendering it replaced, without the recursive deep copies. Rounds,
-    the bulk of it, are not read field by field: the encoder walks
-    their own attribute mapping, in field order on every construction
-    path (``__init__``, :func:`unpack_job`, :func:`clone_job`).
+    The payload is the ``json.dumps(dataclasses.asdict(job))`` rendering
+    byte for byte (``tests/sim/test_pack_job_oracle.py`` holds that
+    oracle), written at the cost of the rounds that *ran*: a job split
+    into ``b`` batches prices ``b`` times the rounds it executes, and a
+    replayed round differs from its tape twin in Equation 1's residual
+    term — ``peak_memory_bytes`` — alone (:func:`_encode_rounds`;
+    DESIGN.md 10.3).
 
     The bytes are a contract, not merely the values: the payload's
     length is the response size the serving tier's result cache budgets
     (:class:`repro.perf.cache.ResultCache`), so a format change would
     move evictions, hit ratios and every simulated serve metric.
     """
-
-    def batch_row(b: BatchMetrics) -> dict:
-        return {
-            name: (
-                [vars(r) for r in b.rounds]
-                if name == "rounds"
-                else getattr(b, name)
-            )
-            for name in _BATCH_FIELDS
-        }
-
-    payload = {
-        name: (
-            [batch_row(b) for b in job.batches]
-            if name == "batches"
-            else getattr(job, name)
+    twins: Dict[bytes, Tuple[str, str]] = {}
+    batches = ", ".join(
+        _encode_with(
+            b, _BATCH_FIELDS, "rounds", _encode_rounds(b.rounds, twins)
         )
-        for name in _JOB_FIELDS
-    }
-    data = json.dumps(payload, default=_json_safe).encode("utf-8")
-    return {"payload": np.frombuffer(data, dtype=np.uint8)}
+        for b in job.batches
+    )
+    text = _encode_with(job, _JOB_FIELDS, "batches", f"[{batches}]")
+    return {"payload": np.frombuffer(text.encode("utf-8"), dtype=np.uint8)}
 
 
 def unpack_job(arrays: Dict[str, np.ndarray]) -> JobMetrics:

@@ -98,6 +98,36 @@ class TestCorruptionRecovery:
         with np.load(_artifact_path(str(tmp_path))) as data:
             assert CHECKSUM_KEY in data.files
 
+    def test_failed_write_leaves_no_torn_tmp_file(self, tmp_path, monkeypatch):
+        """A store that fails after its tmp file is open (ENOSPC, EIO)
+        stays best-effort — the value is returned — and cleans up."""
+
+        def torn_write(fh, arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError(28, "No space left on device")
+
+        calls = []
+        build = _build_counted(calls)
+        cache = ArtifactCache(directory=str(tmp_path))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ArtifactCache, "_write_npz", staticmethod(torn_write)
+            )
+            value = cache.get_or_build(
+                KEY, build, serializer=SERIALIZER, use_memory=False
+            )
+        assert np.array_equal(value, np.arange(128))
+        assert os.listdir(tmp_path) == []  # no *.tmp-*, no artifact
+
+        again = cache.get_or_build(
+            KEY, build, serializer=SERIALIZER, use_memory=False
+        )
+        assert np.array_equal(again, value)
+        assert len(calls) == 2  # nothing was stored, so it rebuilt
+        assert os.listdir(tmp_path) == [
+            os.path.basename(_artifact_path(str(tmp_path)))
+        ]
+
     def test_stats_round_trip_corruptions(self):
         cache = ArtifactCache()
         cache.stats.corruptions = 3
