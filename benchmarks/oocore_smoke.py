@@ -6,17 +6,21 @@ Run from the repo root (CI does)::
     python benchmarks/oocore_smoke.py --cap-bytes 2g   # custom cap
 
 The parent forks two children, each with ``RLIMIT_AS`` capped (default
-1.25 GiB) around the twitter profile at scale ``--scale`` (default 50,
-an ~30 M-arc graph whose in-RAM build needs ~2.2 GiB of peak heap):
+1.25 GiB) around the twitter profile at scale ``--scale`` (default 25,
+a ~24 M-arc graph drawn from ~66 M sampled arcs; at scale 50 the
+in-RAM build has fit the cap since the cold pipeline was rebuilt):
 
 * the **in-RAM leg** must *fail* — the monolithic edge-list build
   exceeds the cap and dies with ``MemoryError`` (exit code 3); if it
   survives, the cap is meaningless and the smoke test fails;
 * the **mapped leg** must *succeed* — with a 256 MiB ``--max-ram``
   streaming budget the same profile is built by the chunked on-disk
-  builder and, its arcs exceeding one block of that budget
-  (``streaming_block_arcs(graph) is not None``), runs a BKHS batch
-  end-to-end under the cap, and reports its peak RSS as JSON.
+  builder — which also writes its ``A^T`` beside the CSR files — and,
+  its arcs exceeding one block of that budget
+  (``streaming_block_arcs(graph) is not None``), runs a BKHS and an
+  MSSP batch end-to-end under the cap, the heavy rounds pulling along
+  that ``A^T`` block by block (at least one must), and reports its
+  peak RSS, pull rounds and ``A^T`` build seconds as JSON.
 
 Exit status is non-zero unless both legs behave as required, making
 this the CI gate for the claim "the out-of-core pipeline completes
@@ -36,7 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 DEFAULT_CAP_BYTES = 1 << 30 | 1 << 28  # 1.25 GiB
-DEFAULT_SCALE = 50
+DEFAULT_SCALE = 25
 STREAM_BUDGET_BYTES = 256 << 20
 
 #: Child exit code for "died of MemoryError", distinct from crashes.
@@ -84,7 +88,7 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
     from repro.graph.mirrors import build_mirror_plan
     from repro.graph.partition import hash_partition
     from repro.messages.routing import PointToPointRouter
-    from repro.perf import memory
+    from repro.perf import memory, timings
     from repro.rng import make_rng
     from repro.tasks.base import make_task
 
@@ -95,23 +99,34 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
         print("mapped: load_dataset did not build on disk, or will not stream")
         return 1
     memory.note_phase("build")
-    spec = make_task("bkhs", graph, 32.0)
     router = PointToPointRouter(
         graph, build_mirror_plan(graph, hash_partition(graph, 4))
     )
-    kernel = spec.make_kernel(router, 32.0, make_rng(123, label="smoke"))
-    steps = 0
-    for _ in range(64):
-        steps += 1
-        if kernel.step().done:
-            break
+    # The two rounds of BKHS (k = 2) from 32 sources can stay under a
+    # quarter of the arcs and push (they do at scale 50); a 64-source
+    # MSSP batch runs its BFS out and pulls the heavy middle rounds.
+    steps = {}
+    for kind, workload in (("bkhs", 32.0), ("mssp", 64.0)):
+        spec = make_task(kind, graph, workload)
+        kernel = spec.make_kernel(
+            router, workload, make_rng(123, label="smoke")
+        )
+        for steps[kind] in range(1, 65):
+            if kernel.step().done:
+                break
     memory.note_phase("kernel")
     stats = memory.memory_stats()
+    phases = timings.snapshot()
+    # The heavy rounds pull along the A^T build_csr_on_disk wrote beside
+    # the CSR files: one graph-transpose pass, one kernel.pull a round.
+    pull_rounds = int(phases.get("kernel.pull", {}).get("count", 0))
     print(
         json.dumps(
             {
                 "graph_arcs": int(graph.num_arcs),
                 "kernel_steps": steps,
+                "pull_rounds": pull_rounds,
+                "transpose_build_s": phases["graph-transpose"]["seconds"],
                 "cap_bytes": cap_bytes,
                 "stream_budget_bytes": STREAM_BUDGET_BYTES,
                 "peak_rss_bytes": stats["peak_rss_bytes"],
@@ -120,6 +135,9 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
             sort_keys=True,
         )
     )
+    if pull_rounds < 1:
+        print("mapped: no round pulled along the on-disk A^T")
+        return 1
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import Graph, sorted_unique
+from repro.graph.csr import Graph, sorted_unique, streaming_block_arcs
 
 EdgeLike = Union[Tuple[int, int], Tuple[int, int, float], Sequence[float]]
 
@@ -298,7 +298,8 @@ def build_csr_on_disk(
     input order.
 
     Returns the finished directory, opened
-    (:func:`repro.graph.io.open_mapped`).
+    (:func:`repro.graph.io.open_mapped`) — with its ``A^T`` files
+    written beside, when the graph streams.
     """
     from repro.graph.io import NpyStreamWriter, open_mapped, write_csr_meta
 
@@ -467,7 +468,10 @@ def build_csr_on_disk(
         num_arcs=num_arcs,
         weighted=weighted,
     )
-    return open_mapped(directory)
+    graph = open_mapped(directory)
+    if streaming_block_arcs(graph) is not None:
+        graph.transposition()
+    return graph
 
 
 def _merge_sorted_runs(

@@ -60,6 +60,7 @@ class Graph:
         "_fingerprint",
         "_spread",
         "_transpose",
+        "_pull_blocks",
     )
 
     def __init__(
@@ -105,6 +106,7 @@ class Graph:
         self.directory = directory
         self._fingerprint = fingerprint
         self._degrees = self._spread = self._transpose = None
+        self._pull_blocks = None
         for array in (indptr, indices, weights):
             if array is not None:
                 array.setflags(write=False)
@@ -214,40 +216,46 @@ class Graph:
         The arcs into vertex ``v`` are ``sources[indptr[v]:indptr[v + 1]]``
         in original arc-position order — what a stable sort of the arcs
         by target yields, parallel arcs kept apart — with ``weights``
-        carried along (``None`` when unweighted). The order comes from
-        scipy's ``csr -> csc`` conversion, one counting pass that walks
-        the arcs in position order and appends each to its target's
-        list; without scipy the stable sort itself runs. The one
+        carried along (``None`` when unweighted), from one counting pass
+        (:func:`transpose_rows`): in RAM, or as maps of files written
+        block by block when the graph streams
+        (:func:`repro.graph.io.mapped_transposition`). The one
         transposition behind :meth:`reverse`, :func:`_spread_operator`
         and the pull rounds of :class:`repro.tasks.base.BitFrontier`.
         """
         if self._transpose is None:
-            n = self.num_vertices
-            # The conversion carries one value per arc along: the
-            # weights, or the cheapest stand-in for them.
-            data = self.weights
-            if data is None:
-                data = np.ones(self.num_arcs, dtype=np.int8)
-            try:
-                from scipy import sparse
-            except ImportError:
-                order = np.argsort(self.indices, kind="stable")
-                in_degrees = np.bincount(self.indices, minlength=n)
-                indptr = np.concatenate(([0], np.cumsum(in_degrees)))
-                sources, data = self.edge_sources()[order], data[order]
+            if streaming_block_arcs(self) is not None:
+                from repro.graph.io import mapped_transposition
+
+                self._transpose = mapped_transposition(self)
             else:
-                csc = sparse.csr_matrix(
-                    (data, self.indices, self.indptr), shape=(n, n)
-                ).tocsc()
-                indptr = csc.indptr.astype(np.int64, copy=False)
-                sources = csc.indices.astype(np.int64, copy=False)
-                data = csc.data
-            for array in (indptr, sources, data):
-                array.setflags(write=False)
-            self._transpose = (
-                indptr, sources, None if self.weights is None else data
-            )
+                transposed = transpose_rows(
+                    self, 0, self.num_vertices, 0, self.num_arcs
+                )
+                for array in transposed[: 2 + self.is_weighted]:
+                    array.setflags(write=False)
+                self._transpose = transposed
         return self._transpose
+
+    def transposition_blocks(
+        self,
+    ) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """:meth:`transposition` cut into the row blocks a pull round
+        walks — the one block ``(0, n)`` unless the graph streams — as
+        ``(arc_lo, arc_hi, targets, starts)``: the block's range of
+        ``sources``, its vertices that have in-arcs, and where each
+        one's in-list starts within the range. Cached beside the
+        transposition, per block size."""
+        block_arcs = streaming_block_arcs(self)
+        if self._pull_blocks is None or self._pull_blocks[0] != block_arcs:
+            indptr = self.transposition()[0]
+            blocks = []
+            for lo, hi, arc_lo, arc_hi in _row_blocks(indptr, block_arcs):
+                ptr = np.asarray(indptr[lo : hi + 1])
+                rows = np.flatnonzero(ptr[1:] != ptr[:-1])
+                blocks.append((arc_lo, arc_hi, rows + lo, ptr[rows] - arc_lo))
+            self._pull_blocks = (block_arcs, blocks)
+        return self._pull_blocks[1]
 
     def reverse(self) -> "Graph":
         """Return the graph with every arc reversed (CSR of in-edges)."""
@@ -610,9 +618,15 @@ def row_blocks(graph: Graph) -> Iterator[Tuple[int, int, int, int]]:
     """``(row_lo, row_hi, arc_lo, arc_hi)`` of each non-empty CSR row
     block: :func:`streaming_block_arcs` arcs each when ``graph``
     streams, else the one block ``(0, n, 0, m)`` — the same code path."""
-    block_arcs = streaming_block_arcs(graph)
-    indptr = graph.indptr
-    cuts = [(0, graph.num_vertices)]
+    return _row_blocks(graph.indptr, streaming_block_arcs(graph))
+
+
+def _row_blocks(
+    indptr: np.ndarray, block_arcs: Optional[int]
+) -> Iterator[Tuple[int, int, int, int]]:
+    """:func:`row_blocks` of any CSR pointer array (``A``'s or
+    ``A^T``'s): ``block_arcs`` arcs a block, or one block for ``None``."""
+    cuts = [(0, indptr.size - 1)]
     if block_arcs is not None:
         cuts = iter_row_blocks(indptr, block_arcs)
     for lo, hi in cuts:
@@ -655,6 +669,48 @@ def iter_frontier_blocks(
             hi = lo + 1
         yield lo, hi
         lo = hi
+
+
+def transpose_rows(
+    graph: Graph, lo: int, hi: int, arc_lo: int, arc_hi: int
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The arcs of rows ``[lo, hi)`` (positions ``[arc_lo, arc_hi)``)
+    grouped by target in arc-position order: ``(indptr, sources,
+    weights)`` of that slice of ``A^T``, ``indptr`` local to it. One
+    counting pass, scipy's ``csr -> csc`` conversion (without scipy, a
+    stable sort by target). Rows ``(0, n)`` are the in-RAM
+    :meth:`Graph.transposition`, row blocks in order the streamed one.
+    The conversion does not check neighbour ids: prove them first."""
+    n = graph.num_vertices
+    targets = graph.indices[arc_lo:arc_hi]
+    row_ptr = graph.indptr[lo : hi + 1] - arc_lo
+    # The conversion carries one value per arc along: the weights, or
+    # the cheapest stand-in for them.
+    data = graph.weights
+    if data is None:
+        data = np.ones(arc_hi - arc_lo, dtype=np.int8)
+    else:
+        data = data[arc_lo:arc_hi]
+    try:
+        from scipy import sparse
+    except ImportError:
+        order = np.argsort(targets, kind="stable")
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(targets, minlength=n)))
+        )
+        rows = np.arange(lo, hi, dtype=np.int64)
+        sources = np.repeat(rows, np.diff(row_ptr))[order]
+        data = data[order]
+    else:
+        csc = sparse.csr_matrix(
+            (data, targets, row_ptr), shape=(hi - lo, n)
+        ).tocsc()
+        indptr = csc.indptr.astype(np.int64, copy=False)
+        sources = csc.indices.astype(np.int64, copy=False)
+        if lo:
+            sources += lo
+        data = csc.data
+    return indptr, sources, None if graph.weights is None else data
 
 
 def _propagate_mass_streaming(

@@ -18,14 +18,24 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import struct
+import tempfile
+import weakref
+from time import perf_counter
 from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.build import from_edges
-from repro.graph.csr import Graph, streaming_block_arcs
+from repro.graph.csr import (
+    Graph,
+    row_blocks,
+    streaming_block_arcs,
+    transpose_rows,
+)
+from repro.perf import timings
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -37,6 +47,9 @@ GRAPH_META_NAME = "graph.json"
 
 #: CSR-directory format version written to ``graph.json``.
 CSR_DIR_FORMAT = 1
+
+#: Marker written after a streamed graph's ``A^T`` files.
+TRANSPOSE_META_NAME = "transpose.json"
 
 
 def write_edge_list(graph: Graph, path: PathLike, header: bool = True) -> None:
@@ -234,11 +247,32 @@ def write_csr_meta(
         "weighted": bool(weighted),
     }
     meta["fingerprint"] = fingerprint or fingerprint_csr_dir(directory, meta)
-    path = _meta_path(directory)
+    _write_json(_meta_path(directory), meta)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """Write a sidecar or marker whole: renamed into place."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
     os.replace(tmp, path)
+
+
+def _map(directory: str, name: str) -> np.ndarray:
+    """Read-only map of one ``.npy`` file of ``directory`` — a
+    base-class view: no ``np.memmap`` subclass work per slice."""
+    mapped = np.load(os.path.join(directory, name), mmap_mode="r")
+    return mapped.view(np.ndarray)
+
+
+def _is_pointer_run(indptr: np.ndarray, num_arcs: int) -> bool:
+    """Does ``indptr`` start at 0, end at ``num_arcs`` and never
+    decrease? (One pass over a vertex-sized array.)"""
+    return bool(
+        indptr[0] == 0
+        and indptr[-1] == num_arcs
+        and not np.any(np.diff(indptr) < 0)
+    )
 
 
 def fingerprint_csr_dir(
@@ -291,15 +325,9 @@ def open_mapped(directory: PathLike) -> Graph:
             f"{directory}: unsupported CSR directory format "
             f"{meta.get('format')!r}"
         )
-
-    def view(name: str) -> np.ndarray:
-        # Base-class views: no ``np.memmap`` subclass work per slice.
-        mapped = np.load(os.path.join(directory, name), mmap_mode="r")
-        return mapped.view(np.ndarray)
-
-    indptr = view("indptr.npy")
-    indices = view("indices.npy")
-    weights = view("weights.npy") if meta["weighted"] else None
+    indptr = _map(directory, "indptr.npy")
+    indices = _map(directory, "indices.npy")
+    weights = _map(directory, "weights.npy") if meta["weighted"] else None
     if indptr.size != meta["num_vertices"] + 1 or (
         indices.size != meta["num_arcs"]
     ):
@@ -314,9 +342,7 @@ def open_mapped(directory: PathLike) -> Graph:
     # The kernels gather arcs by position along ``indptr`` without a
     # range check (``mode="clip"``): one pass over the vertex-sized
     # array proves here what ``Graph.__init__`` proves in RAM.
-    if indptr[0] != 0 or indptr[-1] != indices.size or (
-        np.any(np.diff(indptr) < 0)
-    ):
+    if not _is_pointer_run(indptr, indices.size):
         raise GraphFormatError(
             f"{directory}: indptr.npy is not a non-decreasing run from 0 "
             f"to {indices.size}"
@@ -351,8 +377,6 @@ def quarantine_csr_dir(directory: PathLike) -> str:
     same directory is replaced — only the latest evidence is kept.
     Returns the quarantine path.
     """
-    import shutil
-
     directory = os.fspath(directory).rstrip(os.sep)
     target = directory + ".corrupt"
     if os.path.isdir(target):
@@ -421,3 +445,113 @@ def save_mapped(graph: Graph, directory: PathLike) -> Graph:
         fingerprint=graph.fingerprint,
     )
     return open_mapped(directory)
+
+
+# ----------------------------------------------------------------------
+# ``A^T`` of a graph that streams (DESIGN.md §11.3)
+# ----------------------------------------------------------------------
+
+#: Its files: indptr, sources and — for a weighted graph — weights.
+TRANSPOSE_FILES = (
+    "transpose-indptr.npy", "transpose-sources.npy", "transpose-weights.npy"
+)
+
+
+def mapped_transposition(graph: Graph):
+    """:meth:`Graph.transposition` of a graph that streams: read-only
+    maps of its :data:`TRANSPOSE_FILES` in its CSR directory (a resident
+    graph's in a scratch one, removed with the maps). Files whose
+    ``transpose.json`` marker, sizes or ``indptr`` do not check out — an
+    O(n) check, never the arcs — or that are missing are written first
+    (:func:`write_transposition`)."""
+    if graph.directory is None:
+        scratch = tempfile.mkdtemp(prefix="repro-transpose-")
+        arrays = write_transposition(graph, scratch)
+        weakref.finalize(arrays[1], shutil.rmtree, scratch, ignore_errors=True)
+        return arrays
+    try:
+        return _open_transposition(graph, graph.directory)
+    except (OSError, ValueError, GraphFormatError):
+        return write_transposition(graph, graph.directory)
+
+
+def _transpose_marker(graph: Graph) -> dict:
+    """What binds ``A^T`` files to their graph."""
+    return {
+        "fingerprint": graph.fingerprint,
+        "num_vertices": graph.num_vertices,
+        "num_arcs": graph.num_arcs,
+        "weighted": graph.weights is not None,
+    }
+
+
+def _open_transposition(graph: Graph, directory: str):
+    with open(os.path.join(directory, TRANSPOSE_META_NAME), "rb") as fh:
+        if json.load(fh) != _transpose_marker(graph):
+            raise GraphFormatError(f"{directory}: A^T of another graph")
+    names = TRANSPOSE_FILES[: 2 + graph.is_weighted]
+    indptr, *arcs = [_map(directory, name) for name in names]
+    if indptr.size != graph.num_vertices + 1 or any(
+        array.size != graph.num_arcs for array in arcs
+    ) or not _is_pointer_run(indptr, graph.num_arcs):
+        raise GraphFormatError(f"{directory}: torn A^T files")
+    return indptr, arcs[0], arcs[1] if graph.is_weighted else None
+
+
+def write_transposition(graph: Graph, directory: PathLike):
+    """Write ``graph``'s ``A^T`` files into ``directory`` by one counting
+    pass over :func:`repro.graph.csr.row_blocks`, holding vertex-sized
+    state and one block of arcs — the ``--max-ram`` budget — and open
+    them. Sweep one range-proves each block's neighbour ids (the
+    conversion does not check them) and sums their in-degrees into
+    ``indptr``; sweep two transposes each block
+    (:func:`repro.graph.csr.transpose_rows`) and writes every target's
+    group at its cursor in the mapped output. Blocks come in row order,
+    so each in-list keeps position order: the in-RAM transposition's
+    bytes. Files are renamed into place, the marker last; the pass is
+    booked as phase ``graph-transpose``."""
+    tick = perf_counter()
+    directory = os.fspath(directory)
+    n, m = graph.num_vertices, graph.num_arcs
+    marker = os.path.join(directory, TRANSPOSE_META_NAME)
+    if os.path.exists(marker):
+        os.unlink(marker)
+    blocks = list(row_blocks(graph))
+    in_degrees = np.zeros(n, dtype=np.int64)
+    for _, _, arc_lo, arc_hi in blocks:
+        targets = graph.indices[arc_lo:arc_hi]
+        if targets.min() < 0 or targets.max() >= n:
+            raise GraphFormatError(
+                f"{directory}: indices.npy holds a neighbour id outside "
+                f"[0, {n})"
+            )
+        in_degrees += np.bincount(targets, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(in_degrees)))
+    paths = [
+        os.path.join(directory, name)
+        for name in TRANSPOSE_FILES[: 2 + graph.is_weighted]
+    ]
+    tmp = [f"{path}.tmp-{os.getpid()}" for path in paths]
+    with open(tmp[0], "wb") as fh:
+        np.save(fh, indptr)
+    outputs = [
+        np.lib.format.open_memmap(path, mode="w+", dtype=dtype, shape=(m,))
+        for path, dtype in zip(tmp[1:], (np.int64, np.float64))
+    ]
+    cursor = indptr[:-1].copy()
+    for lo, hi, arc_lo, arc_hi in blocks:
+        local, *columns = transpose_rows(graph, lo, hi, arc_lo, arc_hi)
+        counts = np.diff(local)
+        at = np.repeat(cursor - local[:-1], counts)
+        at += np.arange(arc_hi - arc_lo)
+        for output, column in zip(outputs, columns):
+            output[at] = column
+        cursor += counts
+    for output in outputs:
+        output.flush()
+    del outputs
+    for source, path in zip(tmp, paths):
+        os.replace(source, path)
+    _write_json(marker, _transpose_marker(graph))
+    timings.add("graph-transpose", perf_counter() - tick)
+    return _open_transposition(graph, directory)

@@ -364,9 +364,6 @@ class BitFrontier:
         self.visited = alloc_state_matrix(shape, np.uint64)
         #: next round's arrivals; all-zero between rounds.
         self._incoming = alloc_state_matrix(shape, np.uint64)
-        #: what pull rounds reduce: ``(vertices with in-arcs, where the
-        #: in-list of each starts)``.
-        self._targets = None
         rows = np.arange(sources.size, dtype=np.uint64)
         np.bitwise_or.at(
             self.visited,
@@ -394,24 +391,24 @@ class BitFrontier:
         The round pulls when its frontier owns at least
         ``1 / PULL_ARC_RATIO`` of the graph's arcs — pull costs ``m``
         whatever the frontier, push its arcs at several times the price
-        each — and pushes below that; a graph that streams
-        (:func:`repro.graph.csr.streaming_block_arcs`) keeps no ``A^T``
-        resident and always pushes.
+        each — and pushes below that, whether the graph streams or not
+        (a streamed pull walks ``A^T`` block by block, a push round is
+        cut by the block plan); each pull books one ``kernel.pull``.
 
-        Byte-identical in either direction, however a push round is
-        cut and wherever its blocks run: the round only ORs senders'
-        rows into target rows, and OR is commutative, associative and
-        idempotent — any grouping of the arcs, by sender or by target,
-        into the shared array or into private ones folded later, lands
-        the same words.
+        Byte-identical in either direction, however a round is cut and
+        wherever its blocks run: the round only ORs senders' rows into
+        target rows, and OR is commutative, associative and idempotent
+        — any grouping of the arcs, by sender or by target, into the
+        shared array or into private ones folded later, lands the same
+        words.
         """
         graph = self.graph
-        if streaming_block_arcs(graph) is None and (
-            0 < graph.num_arcs
-            <= PULL_ARC_RATIO * int(graph.degrees[self.verts].sum())
+        if 0 < graph.num_arcs <= PULL_ARC_RATIO * int(
+            graph.degrees[self.verts].sum()
         ):
             kernel.arena.new_round()
             results = [self._gather(kernel.arena)]
+            timings.add("kernel.pull", 0.0)
         else:
             results, _ = kernel.run_blocks(
                 self._scatter_block, self.verts, self.words
@@ -492,25 +489,32 @@ class BitFrontier:
         of ``u``, where ``& ~visited`` now drops it; so there is no
         frontier table to write and clear. ``reduceat`` hands back the
         *element at* a start that repeats, not the identity, so a
-        vertex without in-arcs must not be reduced. One inline block
-        whatever the workers: cut over the kernel pool the round read
-        8 % slower (``DESIGN.md`` §8).
+        vertex without in-arcs must not be reduced
+        (:meth:`Graph.transposition_blocks` lists only those with
+        in-arcs, per block). The blocks are ``A^T``'s row blocks — one
+        in RAM, :func:`repro.graph.csr.streaming_block_arcs` arcs each
+        when the graph streams — walked inline one after the other: cut
+        over the kernel pool the round read 8 % slower (``DESIGN.md``
+        §8).
         """
-        indptr, sources, _ = self.graph.transposition()
-        if self._targets is None:
-            targets = np.flatnonzero(np.diff(indptr))
-            self._targets = targets, indptr[targets]
-        targets, starts = self._targets
-        arc_words = arena.take(sources.size, np.uint64)
-        for column in range(self.visited.shape[1]):
-            tick = perf_counter()
-            np.take(self.visited[:, column], sources, out=arc_words, mode="clip")
-            tock = perf_counter()
-            self._incoming[targets, column] = np.bitwise_or.reduceat(
-                arc_words, starts
-            )
-            timings.add("kernel.expand", tock - tick)
-            timings.add("kernel.reduce", perf_counter() - tock)
+        sources = self.graph.transposition()[1]
+        blocks = self.graph.transposition_blocks()
+        buffer = arena.take(max(hi - lo for lo, hi, _, _ in blocks), np.uint64)
+        for arc_lo, arc_hi, targets, starts in blocks:
+            block_sources = sources[arc_lo:arc_hi]
+            arc_words = buffer[: arc_hi - arc_lo]
+            for column in range(self.visited.shape[1]):
+                tick = perf_counter()
+                np.take(
+                    self.visited[:, column], block_sources, out=arc_words,
+                    mode="clip",
+                )
+                tock = perf_counter()
+                self._incoming[targets, column] = np.bitwise_or.reduceat(
+                    arc_words, starts
+                )
+                timings.add("kernel.expand", tock - tick)
+                timings.add("kernel.reduce", perf_counter() - tock)
         return self._incoming
 
     def source_bits(self, words: np.ndarray) -> np.ndarray:

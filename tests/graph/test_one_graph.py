@@ -6,8 +6,10 @@ now. ``Graph.directory`` is the first (and changes nothing a kernel
 computes); :func:`repro.graph.csr.streaming_block_arcs` is the second
 and reads only the ``--max-ram`` budget and ``graph.num_arcs``. These
 tests pin that seam: every storage x streaming combination runs the
-same jobs to the same bytes, and a cold load and a warm one hand back
-the same graph from the one format graphs are stored in.
+same jobs to the same bytes, a streamed round takes the direction a
+one-block round takes and lands the same frontier words, and a cold
+load and a warm one hand back the same graph from the one format
+graphs are stored in.
 """
 
 from __future__ import annotations
@@ -26,9 +28,16 @@ from repro.graph.io import save_mapped
 from repro.graph.mirrors import build_mirror_plan
 from repro.graph.partition import partition_graph
 from repro.perf import cache as artifact_cache
+from repro.perf import timings
 from repro.perf.cache import ArtifactCache, clear_cache
+from repro.rng import make_rng
 from repro.sim.metrics import pack_job
 from repro.tasks import base as tasks_base
+from repro.tasks.bkhs import BKHSKernel
+from repro.tasks.mssp import MSSPKernel
+
+from tests.tasks.test_bit_parallel import is_file_map
+from tests.tasks.test_mssp_bkhs import router_for
 
 #: One budget for every run: GraphD's modelled buffer cap follows
 #: ``--max-ram``, so payloads are only comparable under equal budgets.
@@ -94,18 +103,27 @@ class TestStreamingIsDecidedBySize:
                 streams = csr.streaming_block_arcs(graph) is not None
                 assert streams == (floor == 512)  # size, not storage
                 graph._transpose = graph._spread = None
+                graph._pull_blocks = None
                 del blocks_per_round[:]
                 results[storage, streams] = payloads(graph)
+                pulled = graph.transposition_blocks()
                 if streams:
-                    # Many blocks a round, never a pull: no A^T was built
-                    # by the traversals or by BPPR's operator.
-                    assert max(blocks_per_round) >= 2
-                    assert graph._transpose is None
+                    # The thin rounds pushed under the block plan, the
+                    # heavy ones pulled along an A^T of file maps — in
+                    # the graph's directory, or in a scratch one for the
+                    # resident graph — cut into blocks.
+                    assert blocks_per_round
+                    assert len(pulled) >= 2
+                    assert all(is_file_map(a) for a in graph._transpose[:2])
                 else:
                     # One block: nothing was cut, the heavy rounds
-                    # pulled along the one cached transposition.
+                    # pulled along the one transposition, in RAM.
                     assert not blocks_per_round
-                    assert graph._transpose is not None
+                    assert len(pulled) == 1
+                    assert not any(is_file_map(a) for a in graph._transpose[:2])
+                if storage == "disk":  # only a streamed pull writes
+                    marker = tmp_path / "seam.csr" / "transpose.json"
+                    assert marker.is_file() == streams
         reference = results["resident", False]
         assert len(reference) == len(TASKS) * len(ENGINES)
         for combination, found in results.items():
@@ -117,6 +135,52 @@ class TestStreamingIsDecidedBySize:
         for (kind, engine), payload in unbudgeted.items():
             if engine != "graphd":
                 assert payload == reference[kind, engine]
+
+
+def traversal_rounds(graph):
+    """Every round of a 130-source MSSP and BKHS batch on ``graph``:
+    whether it pulled (the ``kernel.pull`` count), the frontier it
+    left — vertices and word rows — and its ``RoundSummary``."""
+    rounds = []
+    for kernel_type, params in ((MSSPKernel, {}), (BKHSKernel, {"k": 3})):
+        kernel = kernel_type(
+            graph, router_for(graph), make_rng(4), sample_limit=None, **params
+        )
+        kernel.start_batch(130)
+        while not kernel.finished:
+            before = timings.snapshot().get("kernel.pull", {"count": 0})
+            summary = kernel.step()
+            after = timings.snapshot().get("kernel.pull", {"count": 0})
+            bits = kernel._bits
+            rounds.append((
+                after["count"] - before["count"],
+                bits.verts.tobytes(),
+                bits.words.tobytes(),
+                summary,
+            ))
+    return rounds
+
+
+class TestStreamedPullMatchesResident:
+    def test_same_direction_words_and_payloads(self, tmp_path):
+        """The graph on disk streamed, the same graph resident in one
+        block, under one budget: every round goes the same direction —
+        the heavy ones pull, the streamed pull in several ``A^T``
+        blocks — and leaves the same frontier words, and every job
+        packs the same payload."""
+        resident = chung_lu(1500, 8.0, seed=21, name="seam")
+        on_disk = save_mapped(resident, tmp_path / "seam.csr")
+        csr.configure_streaming(BUDGET)
+        csr.MIN_STREAM_BLOCK_ARCS = 512
+        assert csr.streaming_block_arcs(on_disk) is not None
+        streamed = traversal_rounds(on_disk), payloads(on_disk)
+        assert len(on_disk.transposition_blocks()) >= 2
+        csr.MIN_STREAM_BLOCK_ARCS = 1 << 40
+        assert csr.streaming_block_arcs(resident) is None
+        one_block = traversal_rounds(resident), payloads(resident)
+        directions = [pulled for pulled, *_ in one_block[0]]
+        assert 0 in directions and 1 in directions
+        assert streamed == one_block
 
 
 class TestColdAndWarmLoadsAgree:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -196,3 +197,71 @@ class TestHostileContent:
             assert load_csr_dir(csr_dir) is not None
         finally:
             csr.configure_streaming(None)
+
+
+def truncate_sources(directory):
+    path = os.path.join(directory, "transpose-sources.npy")
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 8)
+
+
+def end_indptr_short(directory):
+    path = os.path.join(directory, "transpose-indptr.npy")
+    indptr = np.array(np.load(path))
+    indptr[-1] -= 1
+    np.save(path, indptr)
+
+
+def drop_marker(directory):
+    os.unlink(os.path.join(directory, "transpose.json"))
+
+
+def mark_another_graph(directory):
+    path = os.path.join(directory, "transpose.json")
+    with open(path, encoding="utf-8") as fh:
+        marker = json.load(fh)
+    marker["fingerprint"] = "0" * 32
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(marker, fh)
+
+
+class TestStreamedTransposition:
+    """A graph that streams pulls along ``A^T`` files beside its CSR
+    files, written by one pass that reads every arc: that pass proves
+    the neighbour ids open no longer does, and files it did not finish —
+    or that belong to another graph — are rebuilt, never gathered from."""
+
+    @pytest.fixture(autouse=True)
+    def streaming(self, monkeypatch):
+        monkeypatch.setattr(csr, "MIN_STREAM_BLOCK_ARCS", 1)
+        csr.configure_streaming(max_ram_bytes=1)
+        yield
+        csr.configure_streaming(None)
+
+    @pytest.mark.parametrize(
+        "value", [-1, 4], ids=["negative-neighbour", "neighbour-past-n"]
+    )
+    def test_hostile_neighbour_fails_the_pass_loudly(
+        self, graph, csr_dir, value
+    ):
+        TestHostileContent().overwrite(graph, csr_dir, "indices", 3, value)
+        mapped = load_csr_dir(csr_dir)
+        assert mapped is not None  # open stays O(n)
+        message = re.escape(f"{csr_dir}: indices.npy holds a neighbour id")
+        with pytest.raises(GraphFormatError, match=message):
+            mapped.transposition()
+        assert not os.path.exists(os.path.join(csr_dir, "transpose.json"))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [truncate_sources, end_indptr_short, drop_marker, mark_another_graph],
+    )
+    def test_torn_or_foreign_files_are_rebuilt(self, graph, csr_dir, damage):
+        reference = csr.transpose_rows(graph, 0, 4, 0, graph.num_arcs)
+        load_csr_dir(csr_dir).transposition()  # first use writes them
+        damage(csr_dir)
+        rebuilt = load_csr_dir(csr_dir).transposition()
+        for ours, theirs in zip(rebuilt, reference):
+            assert ours.tobytes() == theirs.tobytes()
+        with open(os.path.join(csr_dir, "transpose.json")) as fh:
+            assert json.load(fh)["fingerprint"] == graph.fingerprint

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.build import from_edge_list, from_edges
-from repro.graph.csr import streaming_block_arcs
+from repro.graph.csr import iter_row_blocks, streaming_block_arcs
 from repro.graph.generators import chung_lu
 from repro.rng import make_rng
 from repro.tasks import base as tasks_base
@@ -216,11 +216,24 @@ def check_batch(graph, task, sources, seed, limit, plan_name, direction):
             # (the weighted min-fold has one direction: it always pushes)
             assert plan.forced() or "weighted" in task
             # Over the budget (this plan's: more than one arc), edges
-            # stay on disk: no resident A^T.
+            # stay on disk, A^T's too: built when a round first pulls,
+            # as maps of files, never as arrays in RAM.
             if streaming_block_arcs(seen) is not None:
-                assert plan_name == "mapped" and seen._transpose is None
+                assert plan_name == "mapped"
+                assert (seen._transpose is None) == (plan.pulls == 0)
+                for array in seen._transpose or ():
+                    assert array is None or is_file_map(array)
             del kernel, router, seen  # unmap before the directory goes
     return plan
+
+
+def is_file_map(array):
+    """Is ``array`` a view of a file map (not of memory of its own)?"""
+    while isinstance(array, np.ndarray):
+        if isinstance(array, np.memmap):
+            return True
+        array = array.base
+    return False
 
 
 @given(batches())
@@ -245,12 +258,20 @@ def test_both_directions_really_run_on_every_plan(
 
 
 # ----------------------------------------------------------------------
-# Adversarial fixtures of the pull direction, each run both ways.
+# Adversarial fixtures of the pull direction, each run both ways, in
+# one block and streamed (the mapped plan: A^T blocks of one arc).
 # ----------------------------------------------------------------------
-BOTH_WAYS = pytest.mark.parametrize(
-    "plan_name, direction",
-    [plan for plan in DIRECTED_PLANS if plan[0] != "mapped"],
-)
+BOTH_WAYS = pytest.mark.parametrize("plan_name, direction", DIRECTED_PLANS)
+
+
+def in_degree_blocks(graph):
+    """In-degrees of ``A^T``'s row blocks as the mapped plan cuts them
+    (at most one arc a block, a heavier row alone)."""
+    indptr = graph.transposition()[0]
+    return [
+        np.diff(indptr[lo : hi + 1]).tolist()
+        for lo, hi in iter_row_blocks(indptr, 1)
+    ]
 
 
 @BOTH_WAYS
@@ -275,6 +296,33 @@ def test_vertices_without_in_arcs_receive_nothing(plan_name, direction):
     assert set(np.flatnonzero(np.bincount(graph.indices, minlength=6) == 0)) == {0, 3, 5}
     for task in ("mssp", "bkhs"):
         plan = check_batch(graph, task, 6, 2, 4, plan_name, direction)
+        assert plan.pulls or direction == "push"
+
+
+@BOTH_WAYS
+def test_a_block_that_ends_in_vertices_without_in_arcs(plan_name, direction):
+    """The empty-segment trap once per block: streamed, a row block of
+    ``A^T`` ends in a run of vertices without in-arcs (2, 3, 4) and the
+    next block starts at vertex 5, so reducing every row of the block
+    would start past its last arc."""
+    arcs = [(0, 1), (1, 5), (5, 6), (6, 0), (2, 7), (3, 7), (4, 7)]
+    graph = from_edge_list(arcs, num_vertices=8)
+    assert in_degree_blocks(graph) == [[1], [1, 0, 0, 0], [1], [1], [3]]
+    for task in ("mssp", "bkhs"):
+        plan = check_batch(graph, task, 8, 4, 5, plan_name, direction)
+        assert plan.pulls or direction == "push"
+
+
+@BOTH_WAYS
+def test_a_block_that_starts_with_vertices_without_in_arcs(plan_name, direction):
+    """Vertex 0's three in-arcs are a block of their own, so the next
+    block's first rows (1, 2) have no in-arcs: its reduction starts at
+    its first vertex that has some, not at its first row."""
+    arcs = [(1, 0), (2, 0), (4, 0), (0, 3), (3, 4)]
+    graph = from_edge_list(arcs, num_vertices=5)
+    assert in_degree_blocks(graph) == [[3], [0, 0, 1], [1]]
+    for task in ("mssp", "bkhs"):
+        plan = check_batch(graph, task, 5, 6, 4, plan_name, direction)
         assert plan.pulls or direction == "push"
 
 
@@ -341,16 +389,18 @@ def test_self_loops_and_parallel_arcs(plan_name, direction):
 
 
 @pytest.mark.parametrize("task", ["mssp", "bkhs"])
-def test_a_mapped_graph_never_builds_a_transposition(task):
-    """Edges on disk, vertex state in RAM: with the direction left to
-    the round — the heavy rounds of this batch pull when it runs in one
-    block — a graph over the ``--max-ram`` budget (the ``mapped`` plan)
-    pushes every round and its ``A^T`` slot stays empty (``check_batch``
-    asserts it after the last round)."""
+def test_a_streamed_graph_pulls_its_heavy_rounds_block_by_block(task):
+    """Edges on disk, vertex state in RAM, ``A^T`` on disk too: with
+    the direction left to the round, a graph over the ``--max-ram``
+    budget (the ``mapped`` plan) pulls exactly the rounds the one-block
+    run pulls, walks its ``A^T`` maps in many blocks each time, and
+    every round lands the words of the per-source reference
+    (``check_batch``)."""
     graph = chung_lu(140, 5.0, seed=11)
-    assert check_batch(graph, task, 65, 3, 4, "inline", None).pulls
+    inline = check_batch(graph, task, 65, 3, 4, "inline", None)
     plan = check_batch(graph, task, 65, 3, 4, "mapped", None)
-    assert plan.pulls == 0 and plan.taken()
+    assert plan.pulls == inline.pulls > 0
+    assert set(inline.pull_blocks) == {1} and min(plan.pull_blocks) > 1
 
 
 def test_clip_mode_is_not_what_guards_the_index_range(tmp_path):

@@ -39,11 +39,11 @@ from repro.tasks.mssp import MSSPKernel, mssp_task
 PLANS = ("inline", "mapped", "pooled")
 
 #: every (block plan, forced direction) a bit-parallel round can take;
-#: a mapped graph keeps no A^T and only ever pushes.
+#: a mapped graph pulls along its on-disk A^T, block by block.
 DIRECTED_PLANS = (
     ("inline", "push"), ("inline", "pull"),
     ("pooled", "push"), ("pooled", "pull"),
-    ("mapped", "push"),
+    ("mapped", "push"), ("mapped", "pull"),
 )
 
 
@@ -60,6 +60,7 @@ class ForcedPlan:
         self.direction = direction
         self.rounds = []  # (number of blocks, pooled) per pushed round
         self.pulls = 0  # rounds that pulled
+        self.pull_blocks = []  # A^T blocks walked per pulled round
         self.pushed_arcs = 0  # out-arcs of the frontiers that pushed
 
     def __enter__(self):
@@ -82,7 +83,9 @@ class ForcedPlan:
 
         def recording_gather(bits, arena):
             self.pulls += 1
-            return gather(bits, arena)
+            landed = gather(bits, arena)
+            self.pull_blocks.append(len(bits.graph.transposition_blocks()))
+            return landed
 
         TaskKernel.block_plan = recording
         BitFrontier._gather = recording_gather
@@ -127,12 +130,15 @@ class ForcedPlan:
     def taken(self):
         """Did some round really run the way the plan's name says —
         and, with a forced direction, all of them that way? A pull
-        round is one inline block on every plan, so under ``"pull"``
-        that is all there is to take."""
+        round walks ``A^T``'s row blocks inline on every plan — many
+        when the graph streams, else one — so under ``"pull"`` that is
+        all there is to take."""
         if not self.forced():
             return False
         if self.direction == "pull":
-            return self.pulls > 0
+            return bool(self.pull_blocks) and (
+                (max(self.pull_blocks) > 1) == (self.name == "mapped")
+            )
         if self.name == "inline":
             return set(self.rounds) == {(1, False)}
         if self.name == "pooled":
