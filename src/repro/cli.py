@@ -18,7 +18,7 @@ Subcommands
     Run the online scheduling service on a seeded arrival stream.
 
 Shared flags (``--scale``, ``--seed``, ``--jobs``, ``--cache-dir``,
-``--max-retries``, ``--numa``, ``--max-ram``, ``--kernel-workers``,
+``--max-retries``, ``--max-ram``, ``--kernel-workers``,
 the setting flags, and the fault knobs)
 are declared once on common *parent parsers* and inherited by every
 subcommand that needs them, so a new subcommand can never drift out of
@@ -28,6 +28,7 @@ sync with the rest of the CLI.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -55,6 +56,17 @@ def _job_count(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """A float flag that must be a real number (no nan / inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 #: ``--max-ram`` suffix multipliers (case-insensitive, powers of two).
 _RAM_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
 
@@ -68,7 +80,7 @@ def _ram_budget(text: str) -> int:
         raw = raw[:-1]
     try:
         value = int(float(raw) * multiplier)
-    except ValueError:
+    except (ValueError, OverflowError):  # nan raises one, inf the other
         raise argparse.ArgumentTypeError(
             f"invalid memory budget {text!r}; use bytes or a K/M/G/T "
             "suffix (e.g. 512M, 2G)"
@@ -94,8 +106,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=_job_count,
         default=1,
-        help="worker processes for independent runs (0 = one per CPU, "
-        "default 1 = serial); results are identical either way",
+        help="worker processes for independent runs (0 = one per usable "
+        "CPU, at most one per 512 MiB of RAM; default 1 = serial); "
+        "results are identical either way",
     )
     parser.add_argument(
         "--cache-dir",
@@ -110,17 +123,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="isolated retries for an item whose pool worker died "
         "(default 2; 0 disables crash isolation)",
-    )
-    parser.add_argument(
-        "--numa",
-        choices=["auto", "off", "replicate", "interleave"],
-        default="auto",
-        help="NUMA policy for --jobs pools: auto pins workers to nodes "
-        "round-robin and replicates shared graphs per node above a size "
-        "threshold (interleaving below it); replicate/interleave force "
-        "the segment policy; off restores unpinned behaviour. "
-        "Single-node machines are an automatic no-op; results are "
-        "byte-identical in every mode",
     )
     parser.add_argument(
         "--max-ram",
@@ -155,7 +157,7 @@ def _add_setting(parser: argparse.ArgumentParser) -> None:
         default="bppr",
         choices=["bppr", "bppr-query", "mssp", "bkhs", "pagerank"],
     )
-    parser.add_argument("--workload", type=float, default=1024.0)
+    parser.add_argument("--workload", type=_finite_float, default=1024.0)
     parser.add_argument("--engine", default="pregel+", help="VC-system mode")
     parser.add_argument(
         "--cluster", default="galaxy-8", help="galaxy-8 | galaxy-27 | docker-32"
@@ -190,17 +192,14 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_runtime_knobs(args) -> None:
-    """Apply ``--cache-dir``/``--max-retries``/``--numa``/``--max-ram``."""
+    """Apply ``--cache-dir``/``--max-retries``/``--kernel-workers``/
+    ``--max-ram``."""
     if getattr(args, "cache_dir", None):
         configure_cache(directory=args.cache_dir)
     if getattr(args, "max_retries", None) is not None:
         from repro.perf.parallel import configure_retries
 
         configure_retries(max_retries=args.max_retries)
-    if getattr(args, "numa", None) is not None:
-        from repro.perf import numa
-
-        numa.configure_numa(mode=args.numa)
     if getattr(args, "kernel_workers", None):
         from repro.perf.kernel_pool import configure_kernel_workers
 
@@ -217,10 +216,6 @@ def _apply_runtime_knobs(args) -> None:
         from repro.graph.csr import configure_streaming
 
         configure_streaming(max_ram_bytes=max_ram)
-
-
-# Backwards-compatible alias (pre-NUMA name).
-_apply_cache_dir = _apply_runtime_knobs
 
 
 def _build_setting(args):
@@ -397,7 +392,7 @@ def cmd_report(args) -> int:
     config = ExperimentConfig(
         scale=args.scale, seed=args.seed, quick=args.quick, jobs=args.jobs
     )
-    from repro.perf import memory, numa
+    from repro.perf import memory
     from repro.perf.shm import shm_stats
 
     timings.reset()
@@ -415,29 +410,6 @@ def cmd_report(args) -> int:
             f"({shm['exported_bytes'] / 1e6:.1f} MB), "
             f"{shm['attaches']} worker attaches "
             f"(+{shm['attach_reuses']} reuses)"
-        )
-        if shm.get("replica_segments"):
-            print(
-                f"  node-local replicas: {shm['replica_segments']} segments "
-                f"({shm['replica_bytes'] / 1e6:.1f} MB), "
-                f"{shm['node_local_attaches']} node-local attaches"
-            )
-    numa_info = numa.numa_stats()
-    if numa_info["workers"]:
-        per_node = ", ".join(
-            f"node {node}: {count}"
-            for node, count in sorted(numa_info["per_node_workers"].items())
-        )
-        print(
-            f"numa ({numa_info['mode']}, {numa_info['nodes']} "
-            f"node(s) via {numa_info['source']}): "
-            f"{numa_info['workers_pinned']} workers pinned"
-            + (f" [{per_node}]" if per_node else "")
-            + (
-                f", {numa_info['workers_unpinned']} unpinned"
-                if numa_info["workers_unpinned"]
-                else ""
-            )
         )
     mem_info = memory.memory_stats()
     peak = mem_info["peak_rss_bytes"]
@@ -472,7 +444,6 @@ def cmd_report(args) -> int:
             "jobs": config.jobs,
             "cache": get_cache().stats.to_dict(),
             "shm": shm,
-            "numa": numa_info,
             "memory": mem_info,
             "supervision": supervision_stats(),
             "kernel_pool": pool_info,
@@ -762,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--arrivals",
-        type=float,
+        type=_finite_float,
         required=True,
         metavar="RATE",
         help="mean requests per simulated second (Poisson)",

@@ -94,23 +94,17 @@ def _shared_graph_pool_args(
 
     Each distinct graph crosses to the workers at most once (as a
     zero-copy segment); an export failure just means workers rebuild
-    from the artifact cache, so this never gates correctness. On
-    multi-node topologies the export offers per-node replicas
-    (:mod:`repro.perf.numa` decides replicate vs interleave per graph)
-    so pinned workers read node-locally.
+    from the artifact cache, so this never gates correctness.
     """
     if workers <= 1 or len(ids) <= 1:
         return {}
     from repro.graph.datasets import load_dataset
-    from repro.perf import numa, shm
+    from repro.perf import shm
 
     registry = shm.get_registry()
-    nodes = numa.replication_nodes()
     for name in experiment_datasets(ids, config):
         graph = load_dataset(name, scale=config.scale)
-        registry.export(
-            ("dataset", name, config.scale, None), graph, nodes=nodes
-        )
+        registry.export(("dataset", name, config.scale, None), graph)
     table = registry.handle_table()
     if not table:
         return {}

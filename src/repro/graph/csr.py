@@ -766,7 +766,7 @@ def _merge_reduce(
 # (repro.perf.kernel_pool)
 #
 # A candidate list too long to reduce at once (``*_streaming``) or worth
-# spreading over the persistent pinned thread pool (``*_sharded``) is
+# spreading over the persistent thread pool (``*_sharded``) is
 # cut into contiguous ranges, reduced range by range, and folded in
 # range order by one function, :func:`_segment_chunked`. The
 # kernel_pool import stays lazy so serial processes never pay for — or

@@ -1,6 +1,6 @@
 """Performance subsystem: artifact caching, parallel fan-out, timings.
 
-Three coordinated layers added on top of the simulator:
+Four coordinated layers added on top of the simulator:
 
 * :mod:`repro.perf.cache` — a content-addressed artifact cache
   (in-memory LRU + optional on-disk ``.npz`` store) shared by dataset
@@ -11,15 +11,10 @@ Three coordinated layers added on top of the simulator:
 * :mod:`repro.perf.timings` — phase-timing spans (graph-gen /
   partition / kernel / cost-model) surfaced by ``vcrepro report`` and
   dumped as ``BENCH_perf.json``.
-* :mod:`repro.perf.numa` — topology discovery, round-robin worker
-  pinning and node-local shared-graph placement for the pools
-  (``--numa {auto,off,replicate,interleave}``), with named
-  :class:`~repro.perf.numa.NumaWarning` fallbacks on platforms that
-  cannot pin.
-* :mod:`repro.perf.kernel_pool` — the persistent NUMA-pinned thread
-  pool for *intra-task* kernel sharding (``--kernel-workers``):
-  row-sharded expand/reduce rounds with a deterministic winner-key
-  merge, byte-identical to the serial path at any worker count.
+* :mod:`repro.perf.kernel_pool` — the persistent thread pool for
+  *intra-task* kernel sharding (``--kernel-workers``): row-sharded
+  expand/reduce rounds with a deterministic winner-key merge,
+  byte-identical to the serial path at any worker count.
 """
 
 from repro.perf import timings
@@ -37,15 +32,6 @@ from repro.perf.kernel_pool import (
     kernel_workers,
     reset_kernel_pool,
 )
-from repro.perf.numa import (
-    NumaNode,
-    NumaTopology,
-    NumaWarning,
-    configure_numa,
-    numa_mode,
-    numa_stats,
-    reset_numa_state,
-)
 from repro.perf.parallel import (
     configure_watchdog,
     parallel_map,
@@ -60,22 +46,15 @@ __all__ = [
     "BackoffPolicy",
     "configure_watchdog",
     "supervision_stats",
-    "NumaNode",
-    "NumaTopology",
-    "NumaWarning",
     "clear_cache",
     "configure_cache",
     "configure_kernel_workers",
-    "configure_numa",
     "get_cache",
     "kernel_pool_stats",
     "kernel_workers",
     "reset_kernel_pool",
-    "numa_mode",
-    "numa_stats",
     "parallel_map",
     "parallel_map_fork",
     "resolve_jobs",
-    "reset_numa_state",
     "timings",
 ]

@@ -1,4 +1,4 @@
-"""Persistent, NUMA-pinned worker pool for *intra-task* kernel sharding.
+"""Persistent worker pool for *intra-task* kernel sharding.
 
 The ``--jobs N`` pools (:mod:`repro.perf.parallel`) parallelise across
 independent experiments; every MSSP/BKHS/BPPR round still ran its
@@ -11,26 +11,21 @@ block-streaming kernels proved out) combines shard results
 byte-identically to the serial path at any shard count.
 
 Threads, not processes, on purpose: the shard bodies are numpy argsort /
-``reduceat`` / fancy-gather calls that release the GIL, so pinned
-threads give genuine parallelism at ~50µs dispatch cost — against the
+``reduceat`` / fancy-gather calls that release the GIL, so threads
+give genuine parallelism at ~50µs dispatch cost — against the
 multi-millisecond fork/pickle cost that makes the process pools
 unusable at per-round granularity. The workers read the same graph
 arrays the serial path reads (in-RAM, shm segment, or mapped file —
-all shareable within one process) and are pinned round-robin over the
-NUMA topology exactly like the process-pool workers
-(:func:`repro.perf.numa.plan_placement`), so on multi-socket hosts a
-shard's reads stay node-local whenever the graph segment is replicated.
+all shareable within one process); the OS places the threads.
 
-Determinism contract (mirrors :mod:`repro.perf.numa`'s): the worker
-count changes *where* shards run, never what the merged round computes —
-``tests/perf/test_determinism.py`` asserts ``pack_job`` byte-identity
-across shard counts 1/2/7, pool on/off, and every ``--numa`` mode.
+Determinism contract: the worker count changes *where* shards run,
+never what the merged round computes — ``tests/perf/test_determinism.py``
+asserts ``pack_job`` byte-identity across shard counts 1/2/7, pool
+on/off, and mapped graphs.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -38,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf import numa
 
 __all__ = [
     "DEFAULT_MIN_SHARD_CANDIDATES",
@@ -73,7 +67,6 @@ _STATS: Dict[str, int] = {
     "sharded_dispatches": 0,
     "shards_executed": 0,
     "serial_fallbacks": 0,
-    "workers_pinned": 0,
 }
 _STATS_LOCK = threading.Lock()
 
@@ -178,39 +171,13 @@ def shard_bounds(
 
 
 class KernelPool:
-    """The persistent pinned thread pool (one per process, lazy)."""
+    """The persistent thread pool (one per process, lazy)."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self._slots = itertools.count()
-        self._placements = numa.plan_for(workers)
         self._executor = ThreadPoolExecutor(
-            max_workers=workers,
-            thread_name_prefix="repro-kernel",
-            initializer=self._pin_worker,
+            max_workers=workers, thread_name_prefix="repro-kernel"
         )
-
-    def _pin_worker(self) -> None:
-        """Worker-thread initializer: claim a slot and pin to its node.
-
-        ``sched_setaffinity(0, ...)`` applies to the *calling thread*
-        on Linux, so each pool thread lands on its round-robin node
-        without moving the parent. Single-node machines (or ``--numa
-        off``) skip pinning entirely — the clean no-op path.
-        """
-        if self._placements is None:
-            return
-        slot = next(self._slots)
-        placement = self._placements[slot % len(self._placements)]
-        setter = getattr(os, "sched_setaffinity", None)
-        if setter is None:  # pragma: no cover - non-Linux
-            return
-        try:
-            setter(0, set(placement.cpus))
-        except OSError:  # pragma: no cover - restricted runtimes
-            return
-        with _STATS_LOCK:
-            _STATS["workers_pinned"] += 1
 
     def submit(self, thunk: Callable[[], object]):
         """Submit one independent task and return its future.

@@ -24,18 +24,8 @@ shared memory is a transport optimization, never a correctness
 dependency. The parent unlinks every exported segment at pool shutdown
 or interpreter exit (``atexit``), whichever comes first.
 
-NUMA segment placement (:mod:`repro.perf.numa`): on multi-node
-topologies, exports consult :func:`repro.perf.numa.segment_placement`.
-Large graphs get one **replica segment per node** in addition to the
-primary; a replica starts empty and is populated *first-touch* by the
-first worker pinned to that node that attaches it (so its pages are
-faulted in node-locally), guarded by an 8-byte ready flag at the head
-of the segment — concurrent populators write identical bytes, so the
-race is benign. Small graphs keep the single (OS-default, effectively
-interleaved) segment. ``--numa replicate``/``interleave`` force either
-policy; ``--numa off`` and single-node machines skip all of it.
-
-Huge-page backing: segments at or above the replicate threshold are
+Huge-page backing: segments of at least
+:data:`HUGE_PAGE_THRESHOLD_BYTES` are
 ``madvise(MADV_HUGEPAGE)``\\ d right after creation (before the CSR
 copy faults their pages in), so the kernel can back the graph arrays
 with transparent huge pages and cut TLB pressure on the scatter
@@ -59,6 +49,7 @@ import numpy as np
 from repro.graph.csr import Graph
 
 __all__ = [
+    "HUGE_PAGE_THRESHOLD_BYTES",
     "GraphHandle",
     "SharedGraphRegistry",
     "get_registry",
@@ -72,9 +63,9 @@ __all__ = [
 _INT = np.dtype(np.int64)
 _FLOAT = np.dtype(np.float64)
 
-#: Replica segments carry a ready flag (int64: 0 = empty, 1 = populated
-#: first-touch by a node-local worker) ahead of the CSR arrays.
-_REPLICA_HEADER_BYTES = 8
+#: Segments of at least this many bytes are advised onto transparent
+#: huge pages; smaller ones would fragment THP for no TLB win.
+HUGE_PAGE_THRESHOLD_BYTES = 4 << 20
 
 #: Huge-page degradations already announced (warn once per cause).
 _WARNED: set = set()
@@ -126,10 +117,7 @@ class GraphHandle:
 
     The segment holds ``indptr``, ``indices`` and (optionally)
     ``weights`` back to back; lengths are in elements, so workers can
-    recompute every offset without touching the payload. ``replicas``
-    maps NUMA node ids to per-node replica segments (empty when the
-    graph was exported single/interleaved); ``placement`` records which
-    policy the exporter chose, for the stats roster.
+    recompute every offset without touching the payload.
     """
 
     segment: str
@@ -139,12 +127,10 @@ class GraphHandle:
     indptr_len: int
     indices_len: int
     weighted: bool
-    replicas: Tuple[Tuple[int, str], ...] = ()
-    placement: str = "single"
     #: CSR directory path for memory-mapped graphs: instead of a copied
-    #: segment, workers re-open the mapped files (``placement`` is then
-    #: ``"mapped"`` and ``segment`` is empty). The page cache makes the
-    #: mapping physically shared across the pool — true zero-copy.
+    #: segment, workers re-open the mapped files (``segment`` is then
+    #: empty). The page cache makes the mapping physically shared across
+    #: the pool — true zero-copy.
     mapped_dir: Optional[str] = None
 
     @property
@@ -153,13 +139,6 @@ class GraphHandle:
         if self.weighted:
             total += self.indices_len * _FLOAT.itemsize
         return total
-
-    def replica_for(self, node_id: int) -> Optional[str]:
-        """Replica segment name for ``node_id``, or None."""
-        for node, segment in self.replicas:
-            if node == node_id:
-                return segment
-        return None
 
 
 class SharedGraphRegistry:
@@ -172,25 +151,14 @@ class SharedGraphRegistry:
     parent's segments (reuses = a second dataset key resolving to an
     already-shipped fingerprint), ``attaches``/``attach_reuses`` count
     worker-side mappings (reuses = cache hits that mapped nothing).
-    The NUMA counters split that by placement:
-    ``replica_segments``/``replica_bytes`` count per-node replica
-    segments created by the exporter, ``interleaved_graphs`` the
-    small/forced single-segment exports on multi-node topologies,
-    ``replicas_populated`` first-touch population events, and
-    ``node_local_attaches`` worker mappings that landed on the
-    worker's own node's replica.
-    ``huge_page_segments``/``huge_page_bytes`` count the segments
-    (primary and replica) whose mappings accepted
-    ``madvise(MADV_HUGEPAGE)``.
+    ``huge_page_segments``/``huge_page_bytes`` count the segments whose
+    mappings accepted ``madvise(MADV_HUGEPAGE)``.
     """
 
     def __init__(self) -> None:
         self._segments: Dict[str, Tuple[object, GraphHandle]] = {}
         self._handles: Dict[Tuple, GraphHandle] = {}
         self._attached: Dict[str, Tuple[object, Graph]] = {}
-        #: replica segments created by this (parent) process, plus the
-        #: worker-side mappings kept alive for attached replicas.
-        self._replica_segments: list = []
         self._atexit_armed = False
         self.counters: Dict[str, int] = {
             "exported_graphs": 0,
@@ -198,36 +166,16 @@ class SharedGraphRegistry:
             "export_reuses": 0,
             "attaches": 0,
             "attach_reuses": 0,
-            "replica_segments": 0,
-            "replica_bytes": 0,
-            "interleaved_graphs": 0,
-            "replicas_populated": 0,
-            "node_local_attaches": 0,
             "huge_page_segments": 0,
             "huge_page_bytes": 0,
             "mapped_exports": 0,
             "mapped_attaches": 0,
-            # Observed read locality, the signal behind the adaptive
-            # --numa auto replicate threshold: each attach on a
-            # multi-node topology is scored as one full-graph read from
-            # the segment it landed on (every kernel pass streams the
-            # whole CSR at least once, so segment size per attach is
-            # the honest first-order volume estimate).
-            "cross_node_reads": 0,
-            "cross_node_read_bytes": 0,
-            "local_read_bytes": 0,
         }
 
     def _request_huge_pages(self, segment, nbytes: int) -> None:
-        """Advise huge pages for a large segment and count successes.
-
-        Only segments at or above the replicate threshold qualify —
-        the same "large enough to matter" bar the replication policy
-        uses; smaller segments would fragment THP for no TLB win.
-        """
-        from repro.perf import numa
-
-        if nbytes < numa.replicate_threshold():
+        """Advise huge pages for a segment of at least
+        :data:`HUGE_PAGE_THRESHOLD_BYTES` and count successes."""
+        if nbytes < HUGE_PAGE_THRESHOLD_BYTES:
             return
         if _advise_huge_pages(segment):
             self.counters["huge_page_segments"] += 1
@@ -236,32 +184,19 @@ class SharedGraphRegistry:
     # ------------------------------------------------------------------
     # Parent side
     # ------------------------------------------------------------------
-    def export(
-        self,
-        key: Tuple,
-        graph: Graph,
-        nodes: Tuple[int, ...] = (),
-    ) -> Optional[GraphHandle]:
+    def export(self, key: Tuple, graph: Graph) -> Optional[GraphHandle]:
         """Copy ``graph``'s CSR arrays into a shared segment (once per
         fingerprint) and remember ``key -> handle``; None if shared
         memory is unavailable on this platform.
-
-        ``nodes`` (the NUMA node ids workers may be pinned to) enables
-        per-node replica segments when the placement policy asks for
-        them; replicas are created empty and populated first-touch by
-        the first node-local worker that attaches one.
         """
-        from repro.perf import numa
-
         fingerprint = graph.fingerprint
         cached = self._segments.get(fingerprint)
         if cached is not None:
             self.counters["export_reuses"] += 1
             self._handles[key] = cached[1]
             return cached[1]
-        stem = f"repro-graph-{os.getpid()}-{fingerprint[:16]}"
         handle = GraphHandle(
-            segment=stem,
+            segment=f"repro-graph-{os.getpid()}-{fingerprint[:16]}",
             fingerprint=fingerprint,
             name=graph.name,
             directed=graph.directed,
@@ -274,8 +209,7 @@ class SharedGraphRegistry:
             # segment (page cache), so export records a path, copies
             # nothing, and workers re-open the maps.
             handle = dataclasses.replace(
-                handle, segment="", placement="mapped",
-                mapped_dir=graph.directory,
+                handle, segment="", mapped_dir=graph.directory
             )
             self._segments[fingerprint] = (None, handle)
             self._handles[key] = handle
@@ -285,7 +219,6 @@ class SharedGraphRegistry:
             from multiprocessing import shared_memory
         except ImportError:  # pragma: no cover - always present on Linux
             return None
-        placement = numa.segment_placement(handle.nbytes, len(nodes))
         try:
             segment = shared_memory.SharedMemory(
                 name=handle.segment, create=True, size=max(handle.nbytes, 1)
@@ -298,28 +231,6 @@ class SharedGraphRegistry:
         views[1][:] = graph.indices
         if handle.weighted:
             views[2][:] = graph.weights
-        if placement == "replicate":
-            replicas = []
-            for node_id in nodes:
-                try:
-                    replica = shared_memory.SharedMemory(
-                        name=f"{stem}-n{node_id}",
-                        create=True,
-                        size=handle.nbytes + _REPLICA_HEADER_BYTES,
-                    )
-                except OSError:
-                    continue  # best-effort: node falls back to primary
-                self._request_huge_pages(replica, handle.nbytes)
-                self._replica_segments.append(replica)
-                replicas.append((int(node_id), replica.name))
-                self.counters["replica_segments"] += 1
-                self.counters["replica_bytes"] += handle.nbytes
-            handle = dataclasses.replace(
-                handle, replicas=tuple(replicas), placement="replicate"
-            )
-        elif placement == "interleave":
-            handle = dataclasses.replace(handle, placement="interleave")
-            self.counters["interleaved_graphs"] += 1
         self._segments[fingerprint] = (segment, handle)
         self._handles[key] = handle
         self.counters["exported_graphs"] += 1
@@ -343,14 +254,7 @@ class SharedGraphRegistry:
                 segment.unlink()
             except (OSError, FileNotFoundError):  # already gone
                 pass
-        for replica in self._replica_segments:
-            try:
-                replica.close()
-                replica.unlink()
-            except (OSError, FileNotFoundError):
-                pass
         self._segments.clear()
-        self._replica_segments.clear()
         self._handles.clear()
 
     # ------------------------------------------------------------------
@@ -374,11 +278,6 @@ class SharedGraphRegistry:
         wrapper cached; construction bypasses ``Graph.__init__`` — the
         parent already validated these arrays, and the fingerprint
         rides in on the handle, so attachment does zero O(m) work.
-
-        A worker placed on a NUMA node by the pool initializer prefers
-        its node's replica segment (populating it first-touch if it is
-        the first node-local attacher); anything without a placement,
-        or whose replica cannot be mapped, uses the primary segment.
         """
         cached = self._attached.get(handle.fingerprint)
         if cached is not None:
@@ -392,10 +291,9 @@ class SharedGraphRegistry:
                 graph = open_mapped(handle.mapped_dir)
             except (OSError, ValueError, GraphFormatError):
                 return None
-            self._attached[handle.fingerprint] = ((), graph)
+            self._attached[handle.fingerprint] = (None, graph)
             self.counters["attaches"] += 1
             self.counters["mapped_attaches"] += 1
-            self._note_read_locality(handle, node_local=False)
             return graph
         try:
             from multiprocessing import shared_memory
@@ -407,97 +305,27 @@ class SharedGraphRegistry:
         # exporting parent stays the only unlinker. (Worker-side
         # unregistering would remove the parent's registration and make
         # its own unlink double-unregister.)
-        attached = self._attach_node_local(handle, shared_memory)
-        if attached is None:
-            try:
-                segment = shared_memory.SharedMemory(name=handle.segment)
-            except OSError:
-                return None
-            attached = ((segment,), _segment_views(segment, handle))
-        keepalive, views = attached
-        graph = Graph.__new__(Graph)._adopt(
-            *views, handle.directed, handle.name, handle.fingerprint
-        )
-        # The SharedMemory objects must outlive every numpy view, so
-        # they ride in the process-lifetime cache alongside the Graph.
-        self._attached[handle.fingerprint] = (keepalive, graph)
-        self.counters["attaches"] += 1
-        node_local = len(keepalive) > 0 and keepalive[0].name != handle.segment
-        self._note_read_locality(handle, node_local=node_local)
-        return graph
-
-    def _note_read_locality(
-        self, handle: GraphHandle, node_local: bool
-    ) -> None:
-        """Score one attach's expected read volume by locality.
-
-        Only meaningful when this worker is pinned to a NUMA node on a
-        multi-node topology: a node-local replica attach reads locally;
-        a primary (interleaved or remote) or mapped attach streams the
-        graph across the interconnect in first-order approximation.
-        These counters ride home through the pool's ``shm_`` delta
-        channel and feed :func:`repro.perf.numa.adapt_replicate_threshold`.
-        """
-        from repro.perf import numa
-
-        if numa.current_worker_node() is None:
-            return
-        if node_local:
-            self.counters["local_read_bytes"] += handle.nbytes
-        else:
-            self.counters["cross_node_reads"] += 1
-            self.counters["cross_node_read_bytes"] += handle.nbytes
-
-    def _attach_node_local(self, handle: GraphHandle, shared_memory):
-        """Map this worker's node replica, or None for the primary path.
-
-        The first node-local attacher finds the ready flag unset and
-        populates the replica from the primary segment — the write
-        faults the replica's pages in on *this* worker's node
-        (first-touch). Concurrent populators write identical bytes, so
-        the unsynchronised copy is benign; the flag is set only after a
-        full copy.
-        """
-        from repro.perf import numa
-
-        node = numa.current_worker_node()
-        if node is None or not handle.replicas:
-            return None
-        replica_name = handle.replica_for(node)
-        if replica_name is None:
-            return None
         try:
-            replica = shared_memory.SharedMemory(name=replica_name)
+            segment = shared_memory.SharedMemory(name=handle.segment)
         except OSError:
             return None
-        flag = np.ndarray((1,), dtype=_INT, buffer=replica.buf)
-        views = _segment_views(replica, handle, offset=_REPLICA_HEADER_BYTES)
-        keepalive = (replica,)
-        if flag[0] != 1:
-            try:
-                primary = shared_memory.SharedMemory(name=handle.segment)
-            except OSError:
-                return None
-            source = _segment_views(primary, handle)
-            for dst, src in zip(views, source):
-                if dst is not None:
-                    np.copyto(dst, src)
-            flag[0] = 1
-            self.counters["replicas_populated"] += 1
-            keepalive = (replica, primary)
-        self.counters["node_local_attaches"] += 1
-        return keepalive, views
+        graph = Graph.__new__(Graph)._adopt(
+            *_segment_views(segment, handle),
+            handle.directed,
+            handle.name,
+            handle.fingerprint,
+        )
+        # The SharedMemory object must outlive every numpy view, so it
+        # rides in the process-lifetime cache alongside the Graph.
+        self._attached[handle.fingerprint] = (segment, graph)
+        self.counters["attaches"] += 1
+        return graph
 
 
-def _segment_views(segment, handle: GraphHandle, offset: int = 0):
-    """(indptr, indices, weights) numpy views over a segment's buffer.
-
-    ``offset`` skips a replica segment's ready-flag header.
-    """
-    indptr = np.ndarray(
-        (handle.indptr_len,), dtype=_INT, buffer=segment.buf, offset=offset
-    )
-    offset += handle.indptr_len * _INT.itemsize
+def _segment_views(segment, handle: GraphHandle):
+    """(indptr, indices, weights) numpy views over a segment's buffer."""
+    indptr = np.ndarray((handle.indptr_len,), dtype=_INT, buffer=segment.buf)
+    offset = handle.indptr_len * _INT.itemsize
     indices = np.ndarray(
         (handle.indices_len,), dtype=_INT, buffer=segment.buf, offset=offset
     )

@@ -94,7 +94,7 @@ def diff(
 
     Pool workers ship deltas between consecutive snapshots instead of
     resetting the table around every item, so spans recorded by the
-    pool initializer (NUMA pinning, shared-memory setup) reach the
+    pool initializer (shared-memory setup) reach the
     parent exactly once — with the first completed item.
     """
     delta: Dict[str, Dict[str, float]] = {}

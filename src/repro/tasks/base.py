@@ -15,6 +15,7 @@ paired implementations.
 
 from __future__ import annotations
 
+import math
 import shutil
 import tempfile
 import weakref
@@ -567,8 +568,8 @@ class TaskSpec:
     residual_record_bytes: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.workload <= 0:
-            raise TaskError("workload must be positive")
+        if not (math.isfinite(self.workload) and self.workload > 0):
+            raise TaskError("workload must be positive and finite")
         if self.kernel_factory is None:
             raise TaskError("kernel_factory is required")
 
@@ -606,8 +607,8 @@ def choose_sources(
     because source costs are i.i.d. draws from the same graph. Results
     are exact for the simulated sources.
     """
-    if workload <= 0:
-        raise TaskError("workload must be positive")
+    if not (math.isfinite(workload) and workload > 0):
+        raise TaskError("workload must be positive and finite")
     count = int(round(workload))
     if count < 1:
         raise TaskError(

@@ -1,22 +1,19 @@
 """Differential determinism suite: perf knobs must never change results.
 
 Every performance layer in :mod:`repro.perf` — worker pools, the
-artifact cache, shared-memory graphs, NUMA placement — promises the
-same contract: it changes *when and where* work runs, never what it
-computes. This suite runs the same experiments under each knob's
-settings and asserts the outputs are byte-identical:
+artifact cache, shared-memory graphs — promises the same contract: it
+changes *when and where* work runs, never what it computes. This suite
+runs the same experiments under each knob's settings and asserts the
+outputs are byte-identical:
 
 * ``--jobs 1`` vs ``--jobs N`` (``REPRO_TEST_JOBS``, default 2);
 * a cold artifact cache vs a warm one (memory and disk);
 * shared-memory graph transport on vs off;
-* ``--numa auto`` (with an injected multi-node topology, so pinning
-  and replicas actually engage even on a single-node host) vs
-  ``--numa off``;
 * per-round metric streams across serial and forked sweeps;
 * the online scheduler (``repro.sched``): the same seeded arrival
   stream must yield byte-identical service metrics — per-batch round
-  traces included — under serial vs forked fan-out, cold vs warm
-  caches, and every ``--numa`` mode.
+  traces included — under serial vs forked fan-out and cold vs warm
+  caches.
 
 "Byte-identical" is literal: rendered Markdown rows and
 ``json.dumps``-serialised metric streams are compared as strings, so
@@ -37,7 +34,7 @@ from repro.experiments.base import ExperimentConfig
 from repro.experiments.common import sweep_batches
 from repro.experiments.runner import run_all, run_experiment
 from repro.graph.datasets import load_dataset
-from repro.perf import kernel_pool, numa
+from repro.perf import kernel_pool
 from repro.perf.cache import clear_cache, configure_cache, get_cache
 from repro.tasks.base import make_task
 
@@ -49,17 +46,15 @@ CONFIG = dict(scale=SCALE, quick=True)
 
 @pytest.fixture(autouse=True)
 def _isolated_perf_state():
-    """Fresh cache and NUMA state per test; restore the cache config."""
+    """Fresh cache and kernel pool per test; restore the cache config."""
     cache = get_cache()
     directory, capacity = cache.directory, cache.capacity
     configure_cache(capacity=256)
     clear_cache()
-    numa.reset_numa_state()
     kernel_pool.reset_kernel_pool()
     yield
     cache.directory, cache.capacity = directory, capacity
     clear_cache()
-    numa.reset_numa_state()
     kernel_pool.reset_kernel_pool()
 
 
@@ -71,14 +66,6 @@ def _run(jobs, only=IDS):
     clear_cache()
     config = ExperimentConfig(jobs=jobs, **CONFIG)
     return _markdown(run_all(config, only=only, jobs=jobs))
-
-
-def two_node_topology():
-    cpus = tuple(sorted(os.sched_getaffinity(0)))
-    return numa.NumaTopology(
-        nodes=(numa.NumaNode(0, cpus), numa.NumaNode(1, cpus)),
-        source="test",
-    )
 
 
 class TestJobsInvariance:
@@ -116,24 +103,6 @@ class TestShmInvariance:
         )
         without_shm = _run(jobs=JOBS)
         assert with_shm == without_shm
-
-
-class TestNumaInvariance:
-    def test_auto_vs_off(self):
-        numa.configure_numa(
-            mode="auto", topology=two_node_topology(), replicate_threshold=1
-        )
-        pinned = _run(jobs=JOBS)
-        numa.configure_numa(mode="off")
-        unpinned = _run(jobs=JOBS)
-        assert pinned == unpinned
-
-    def test_replicate_vs_interleave(self):
-        numa.configure_numa(mode="replicate", topology=two_node_topology())
-        replicated = _run(jobs=JOBS)
-        numa.configure_numa(mode="interleave")
-        interleaved = _run(jobs=JOBS)
-        assert replicated == interleaved
 
 
 #: ``--max-ram`` of the streaming runs: twitter@4000 (~370 K arcs,
@@ -388,15 +357,6 @@ class TestSchedulerInvariance:
         assert get_cache().stats.hits > 0
         assert cold == warm
 
-    @pytest.mark.parametrize("mode", ["auto", "replicate", "interleave"])
-    def test_every_numa_mode_matches_off(self, mode):
-        numa.configure_numa(mode="off")
-        baseline = self._streams(jobs=JOBS)
-        numa.configure_numa(
-            mode=mode, topology=two_node_topology(), replicate_threshold=1
-        )
-        assert self._streams(jobs=JOBS) == baseline
-
 
 class TestMultiTenantServeInvariance:
     """Multi-tenant serving knobs (engine routing table, tenant quotas,
@@ -602,8 +562,8 @@ class TestKernelShardInvariance:
     """Intra-task sharded kernels (``--kernel-workers``): the shard
     count changes where rounds run, never what they compute — every
     ``pack_job`` payload and rendered experiment row must stay
-    byte-identical across shard counts 1/2/7, pool on/off, mapped
-    graphs, and every ``--numa`` mode."""
+    byte-identical across shard counts 1/2/7, pool on/off and mapped
+    graphs."""
 
     KINDS = ("bppr", "mssp", "bkhs")
     WORKER_COUNTS = (1, 2, 7)
@@ -694,18 +654,6 @@ class TestKernelShardInvariance:
         finally:
             csr.configure_streaming(None)
         assert mapped_sharded == baseline
-
-    @pytest.mark.parametrize("mode", ["auto", "replicate", "interleave"])
-    def test_every_numa_mode_matches_off(self, mode):
-        numa.configure_numa(mode="off")
-        kernel_pool.configure_kernel_workers(2, min_shard_candidates=1)
-        baseline = _run(jobs=1)
-        kernel_pool.reset_kernel_pool()
-        numa.configure_numa(
-            mode=mode, topology=two_node_topology(), replicate_threshold=1
-        )
-        kernel_pool.configure_kernel_workers(2, min_shard_candidates=1)
-        assert _run(jobs=1) == baseline
 
 
 class TestShardSplitProperties:

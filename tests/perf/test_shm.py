@@ -116,75 +116,70 @@ class TestModuleSingleton:
 
 
 class TestHugePages:
-    """Segments above the replicate threshold get madvise(MADV_HUGEPAGE)."""
+    """Segments of at least HUGE_PAGE_THRESHOLD_BYTES get
+    madvise(MADV_HUGEPAGE); smaller ones stay on base pages."""
 
     @pytest.fixture(autouse=True)
     def _fresh_state(self, monkeypatch):
-        from repro.perf import numa
-
-        numa.reset_numa_state()
         monkeypatch.setattr(shm, "_WARNED", set())
-        yield
-        numa.reset_numa_state()
 
-    def test_small_segment_stays_on_base_pages(self, registry):
-        _attachable(registry, chain(50))
-        assert registry.counters["huge_page_segments"] == 0
-        assert registry.counters["huge_page_bytes"] == 0
-
-    def test_large_segment_is_advised(self, registry):
+    def _export_advised(self, registry, graph):
+        """Export ``graph``; the handle and whether its segment was
+        advised (None when the kernel refused the advice)."""
         import mmap
         import warnings as _warnings
 
         if not hasattr(mmap, "MADV_HUGEPAGE"):
             pytest.skip("mmap.MADV_HUGEPAGE unavailable on this platform")
-        from repro.perf import numa
-
-        numa.configure_numa(replicate_threshold=256)
-        graph = chung_lu(300, avg_degree=5.0, seed=3, name="hp-large")
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             handle = _attachable(registry, graph)
         if caught:  # kernel refused (e.g. THP disabled): clean fallback
             assert registry.counters["huge_page_segments"] == 0
             assert "huge" in str(caught[0].message).lower()
-        else:
-            assert registry.counters["huge_page_segments"] == 1
+            return handle, None
+        return handle, registry.counters["huge_page_segments"] == 1
+
+    def test_bar_is_4_mib(self):
+        assert shm.HUGE_PAGE_THRESHOLD_BYTES == 4 << 20
+
+    def test_small_segment_stays_on_base_pages(self, registry):
+        _attachable(registry, chain(50))
+        assert registry.counters["huge_page_segments"] == 0
+        assert registry.counters["huge_page_bytes"] == 0
+
+    def test_large_segment_is_advised(self, registry, monkeypatch):
+        monkeypatch.setattr(shm, "HUGE_PAGE_THRESHOLD_BYTES", 256)
+        graph = chung_lu(300, avg_degree=5.0, seed=3, name="hp-large")
+        handle, advised = self._export_advised(registry, graph)
+        if advised is not None:
+            assert advised
             assert registry.counters["huge_page_bytes"] == handle.nbytes
 
-    def test_replica_segments_are_advised_too(self, registry):
-        import mmap
-        import warnings as _warnings
+    def test_segment_at_the_bar_is_advised(self, registry):
+        # indptr + indices of a directed chain(n): (n + 1) + (n - 1)
+        # int64s = 16 n bytes, so n = 256 Ki lands exactly on the bar.
+        graph = chain(shm.HUGE_PAGE_THRESHOLD_BYTES // 16, directed=True)
+        handle, advised = self._export_advised(registry, graph)
+        assert handle.nbytes == shm.HUGE_PAGE_THRESHOLD_BYTES
+        if advised is not None:
+            assert advised
 
-        if not hasattr(mmap, "MADV_HUGEPAGE"):
-            pytest.skip("mmap.MADV_HUGEPAGE unavailable on this platform")
-        from repro.perf import numa
-
-        numa.configure_numa(mode="replicate", replicate_threshold=256)
-        graph = chung_lu(300, avg_degree=5.0, seed=3, name="hp-replica")
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            handle = registry.export(
-                ("dataset", "hp", 1, None), graph, nodes=(0, 1)
-            )
-        if handle is None:
-            pytest.skip("shared memory unavailable on this platform")
-        if not caught:
-            assert registry.counters["replica_segments"] == 2
-            # primary + both replicas
-            assert registry.counters["huge_page_segments"] == 3
-            assert (
-                registry.counters["huge_page_bytes"] == 3 * handle.nbytes
-            )
+    def test_segment_one_byte_under_the_bar_is_not(
+        self, registry, monkeypatch
+    ):
+        graph = chain(50)
+        nbytes = (graph.indptr.size + graph.indices.size) * 8
+        monkeypatch.setattr(shm, "HUGE_PAGE_THRESHOLD_BYTES", nbytes + 1)
+        _attachable(registry, graph)
+        assert registry.counters["huge_page_segments"] == 0
 
     def test_unsupported_platform_warns_once(self, registry, monkeypatch):
         import mmap
         import warnings as _warnings
 
         monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
-        from repro.perf import numa
-
-        numa.configure_numa(replicate_threshold=256)
+        monkeypatch.setattr(shm, "HUGE_PAGE_THRESHOLD_BYTES", 256)
         first = chung_lu(300, avg_degree=5.0, seed=3, name="hp-warn-a")
         with pytest.warns(RuntimeWarning, match="huge pages"):
             _attachable(registry, first, key=("dataset", "wa", 1, None))

@@ -106,6 +106,48 @@ class TestParser:
         assert "fig2" in content
 
 
+class TestHostileValues:
+    """Non-finite numbers fail at parse time with an argparse error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--max-ram", "inf"],
+            ["run", "--max-ram", "1e400"],
+            ["run", "--max-ram", "nan"],
+            ["run", "--workload", "nan"],
+            ["run", "--workload", "inf"],
+            ["serve", "--arrivals", "nan"],
+            ["serve", "--arrivals", "inf"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejected_by_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "1e400"])
+    def test_non_finite_env_budget_is_an_error(
+        self, value, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_MAX_RAM", value)
+        assert main(["run", "--workload", "64"]) == 2
+        assert "REPRO_MAX_RAM" in capsys.readouterr().err
+
+    # PageRank is left out: its workload is fixed at 1 whatever is passed.
+    @pytest.mark.parametrize("task", ["bppr", "bppr-query", "mssp", "bkhs"])
+    @pytest.mark.parametrize("workload", [float("nan"), float("inf")])
+    def test_make_task_rejects_non_finite_workloads(self, task, workload):
+        from repro.errors import TaskError
+        from repro.graph.generators import chain
+        from repro.tasks.base import make_task
+
+        with pytest.raises(TaskError, match="finite"):
+            make_task(task, chain(10), workload)
+
+
 class TestFaultFlags:
     def test_run_with_faults_and_checkpoints(self, capsys):
         code = main(
