@@ -113,9 +113,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="directory for the on-disk artifact cache (graphs and "
-        "engine runs persist as .npz across invocations); defaults to "
-        "the REPRO_CACHE_DIR environment variable",
+        help="directory for the on-disk artifact cache (graphs persist "
+        "as .csr directories, engine runs as .npz archives, across "
+        "invocations and --jobs workers); defaults to the "
+        "REPRO_CACHE_DIR environment variable",
     )
     parser.add_argument(
         "--max-retries",
@@ -174,7 +175,7 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
     """Declare the fault-injection knobs shared by ``run`` and ``serve``."""
     parser.add_argument(
         "--faults",
-        type=float,
+        type=_finite_float,
         default=0.0,
         metavar="RATE",
         help="inject a seeded fault plan: per-round crash probability "
@@ -393,7 +394,6 @@ def cmd_report(args) -> int:
         scale=args.scale, seed=args.seed, quick=args.quick, jobs=args.jobs
     )
     from repro.perf import memory
-    from repro.perf.shm import shm_stats
 
     timings.reset()
     memory.reset_memory_state()
@@ -403,14 +403,6 @@ def cmd_report(args) -> int:
     print(f"wrote {path}")
     print()
     print(timings.render_table(subphases=args.phases))
-    shm = shm_stats()
-    if shm["exported_graphs"]:
-        print(
-            f"shared graphs: {shm['exported_graphs']} exported "
-            f"({shm['exported_bytes'] / 1e6:.1f} MB), "
-            f"{shm['attaches']} worker attaches "
-            f"(+{shm['attach_reuses']} reuses)"
-        )
     mem_info = memory.memory_stats()
     peak = mem_info["peak_rss_bytes"]
     if peak:
@@ -443,7 +435,6 @@ def cmd_report(args) -> int:
             "quick": config.quick,
             "jobs": config.jobs,
             "cache": get_cache().stats.to_dict(),
-            "shm": shm,
             "memory": mem_info,
             "supervision": supervision_stats(),
             "kernel_pool": pool_info,
@@ -754,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--overload-fraction",
-        type=float,
+        type=_finite_float,
         default=0.8,
         metavar="P",
         help="fraction of machine memory admission control may use "
@@ -809,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--aging",
-        type=float,
+        type=_finite_float,
         default=120.0,
         metavar="SECONDS",
         help="queueing seconds that promote a waiting request one "
@@ -817,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--shed-watermark",
-        type=float,
+        type=_finite_float,
         default=None,
         metavar="FRACTION",
         help="shed lowest-class arrivals once admitted+pinned residual "
@@ -876,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--result-ttl",
-        type=float,
+        type=_finite_float,
         default=None,
         metavar="SECONDS",
         help="expire cached results after this many simulated seconds "
@@ -884,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--result-cache-bytes",
-        type=float,
+        type=_finite_float,
         default=None,
         metavar="BYTES",
         help="LRU bytes budget for the result cache (default: unbounded)",
@@ -908,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--cache-min-seconds",
-        type=float,
+        type=_finite_float,
         default=None,
         metavar="SECONDS",
         help="cost-aware cache admission: only store results whose "

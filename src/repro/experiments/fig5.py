@@ -49,12 +49,6 @@ PANEL_D: List[Tuple[str, float]] = [
 ]
 
 
-def datasets_used(config: ExperimentConfig) -> tuple:
-    """Datasets :func:`run` will load (for shared-memory prebuilds)."""
-    panel_b = PANEL_B if not config.quick else PANEL_B[:2]
-    return ("dblp",) + tuple(ds for ds, _ in panel_b)
-
-
 def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
     """Run the experiment and check its paper claims."""
     cluster = galaxy27(scale=config.scale)

@@ -32,11 +32,6 @@ SETTINGS = (
 )
 
 
-def datasets_used(config: ExperimentConfig) -> tuple:
-    """Datasets :func:`run` will load (for shared-memory prebuilds)."""
-    return ("twitter",)
-
-
 def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
     """Run the experiment and check its paper claims."""
     graph = dataset(config, "twitter")

@@ -62,11 +62,6 @@ CAL_DURATION = 30
 CAL_DEADLINE = 600.0
 
 
-def datasets_used(config: ExperimentConfig) -> Tuple[str, ...]:
-    """Datasets this experiment loads (for shared-memory prebuild)."""
-    return ("dblp",)
-
-
 def _preempt_requests() -> List[TaskRequest]:
     """One large background BKHS job, then a lane of small urgent BPPR
     queries with 30 s deadlines arriving one per second behind it."""

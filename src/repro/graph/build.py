@@ -9,6 +9,7 @@ edges.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
@@ -316,9 +317,17 @@ def build_csr_on_disk(
         )
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
-    runs_dir = os.path.join(directory, "runs.tmp")
+    # Everything is written under names of this process's own and
+    # renamed into place, so concurrent builders of one directory swap
+    # identical files and never truncate a file another one has mapped.
+    tmp = f".tmp-{os.getpid()}"
+    runs_dir = os.path.join(directory, "runs" + tmp)
     shutil.rmtree(runs_dir, ignore_errors=True)
     os.makedirs(runs_dir)
+    paths = [
+        os.path.join(directory, file_name)
+        for file_name in ("indptr.npy", "indices.npy", "weights.npy")
+    ]
 
     from collections import deque
 
@@ -429,13 +438,9 @@ def build_csr_on_disk(
 
         weighted = bool(weighted)
         counts = np.zeros(num_vertices, dtype=np.int64)
-        indices_writer = NpyStreamWriter(
-            os.path.join(directory, "indices.npy"), np.int64
-        )
+        indices_writer = NpyStreamWriter(paths[1] + tmp, np.int64)
         weights_writer = (
-            NpyStreamWriter(os.path.join(directory, "weights.npy"), np.float64)
-            if weighted
-            else None
+            NpyStreamWriter(paths[2] + tmp, np.float64) if weighted else None
         )
         for batch_keys, batch_weights in _merge_sorted_runs(
             run_paths, weighted, merge_chunk
@@ -455,10 +460,16 @@ def build_csr_on_disk(
                 "merge count mismatch: "
                 f"indptr says {int(indptr[-1])}, wrote {num_arcs} arcs"
             )
-        np.save(os.path.join(directory, "indptr.npy"), indptr)
+        with open(paths[0] + tmp, "wb") as fh:
+            np.save(fh, indptr)
         del counts, indptr
+        for path in paths[: 2 + weighted]:
+            os.replace(path + tmp, path)
     finally:
         shutil.rmtree(runs_dir, ignore_errors=True)
+        for path in paths:  # left only by a failed build
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path + tmp)
 
     write_csr_meta(
         directory,

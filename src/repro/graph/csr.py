@@ -1011,8 +1011,7 @@ def _sorted_segments(
         # kernels: under the default ``"raise"`` numpy stages ``out``
         # through a full-size temporary and copies it over. Nothing is
         # ever clipped — the indices come from ``argsort``, or from
-        # ``indptr`` / ``indices``, which ``Graph.__init__`` validates
-        # (a shared-memory copy holds a validated graph's bytes) and
+        # ``indptr`` / ``indices``, which ``Graph.__init__`` validates and
         # ``open_mapped`` re-checks: ``indptr`` always, ``indices`` and
         # ``weights`` whenever the graph does not stream.
         sorted_keys = np.take(keys, order, out=arena.take(size), mode="clip")

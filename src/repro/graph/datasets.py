@@ -233,19 +233,6 @@ def load_dataset(
         known = ", ".join(sorted(PAPER_DATASETS))
         raise ConfigurationError(f"unknown dataset {name!r}; known: {known}")
     key = ("dataset", key_name, scale, seed)
-
-    if cache:
-        # Pool workers: the parent may have exported this graph into
-        # shared memory (repro.perf.shm); attaching is a zero-copy mmap
-        # (or a re-opened CSR directory), so it beats even a warm LRU
-        # rebuild-from-disk. A miss falls through to the regular cache
-        # path.
-        from repro.perf.shm import lookup_shared
-
-        shared = lookup_shared(key)
-        if shared is not None:
-            return shared
-
     profile = PAPER_DATASETS[key_name]
     budget = streaming_budget_bytes()
     out_of_core = (

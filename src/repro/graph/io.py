@@ -16,6 +16,7 @@ arrays live.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -251,8 +252,9 @@ def write_csr_meta(
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """Write a sidecar or marker whole: renamed into place."""
-    tmp = path + ".tmp"
+    """Write a sidecar or marker whole: renamed into place from a file
+    of this process's own, so two writers never share a tmp file."""
+    tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     os.replace(tmp, path)
@@ -489,6 +491,10 @@ def _open_transposition(graph: Graph, directory: str):
     with open(os.path.join(directory, TRANSPOSE_META_NAME), "rb") as fh:
         if json.load(fh) != _transpose_marker(graph):
             raise GraphFormatError(f"{directory}: A^T of another graph")
+    return _map_transposition(graph, directory)
+
+
+def _map_transposition(graph: Graph, directory: str):
     names = TRANSPOSE_FILES[: 2 + graph.is_weighted]
     indptr, *arcs = [_map(directory, name) for name in names]
     if indptr.size != graph.num_vertices + 1 or any(
@@ -514,7 +520,8 @@ def write_transposition(graph: Graph, directory: PathLike):
     directory = os.fspath(directory)
     n, m = graph.num_vertices, graph.num_arcs
     marker = os.path.join(directory, TRANSPOSE_META_NAME)
-    if os.path.exists(marker):
+    # Another writer of this directory may have removed it first.
+    with contextlib.suppress(FileNotFoundError):
         os.unlink(marker)
     blocks = list(row_blocks(graph))
     in_degrees = np.zeros(n, dtype=np.int64)
@@ -554,4 +561,5 @@ def write_transposition(graph: Graph, directory: PathLike):
         os.replace(source, path)
     _write_json(marker, _transpose_marker(graph))
     timings.add("graph-transpose", perf_counter() - tick)
-    return _open_transposition(graph, directory)
+    # Not through the marker: a concurrent writer may have unlinked it.
+    return _map_transposition(graph, directory)

@@ -15,8 +15,8 @@ Threads, not processes, on purpose: the shard bodies are numpy argsort /
 give genuine parallelism at ~50µs dispatch cost — against the
 multi-millisecond fork/pickle cost that makes the process pools
 unusable at per-round granularity. The workers read the same graph
-arrays the serial path reads (in-RAM, shm segment, or mapped file —
-all shareable within one process); the OS places the threads.
+arrays the serial path reads (in RAM or mapped file — both shareable
+within one process); the OS places the threads.
 
 Determinism contract: the worker count changes *where* shards run,
 never what the merged round computes — ``tests/perf/test_determinism.py``

@@ -38,8 +38,7 @@ Supervision: :func:`configure_watchdog` arms a heartbeat — when no
 future completes for ``heartbeat_seconds``, the pool is declared hung,
 its workers are killed (turning the silent stall into the
 BrokenProcessPool path above) and the caught items are respawned in
-isolation, re-running the worker bootstrap so shared-memory segments
-re-attach. Every crash, retry, stall, and backoff sleep
+isolation. Every crash, retry, stall, and backoff sleep
 is counted in :func:`supervision_stats`, which ``vcrepro`` folds into
 ``BENCH_perf.json``.
 """
@@ -171,8 +170,7 @@ def configure_watchdog(
     While armed, :func:`parallel_map`/:func:`parallel_map_fork` declare
     the pool hung whenever no item completes for ``heartbeat_seconds``
     of wall clock, kill its workers, and respawn the caught items in
-    isolated single-worker pools (re-running the bootstrap, so
-    shared-memory segments re-attach). Set the heartbeat well
+    isolated single-worker pools. Set the heartbeat well
     above the longest legitimate item — the watchdog cannot tell a
     slow item from a hung one, only silence from progress.
     """
@@ -257,52 +255,32 @@ def _is_pickling_error(exc: BaseException) -> bool:
     ).lower()
 
 
-#: Worker-side timing baseline: the last snapshot already shipped home.
-#: ``None`` means the worker has not been bootstrapped yet (its table
-#: may still hold spans inherited from the parent through fork).
+#: Worker-side timing baseline: the last snapshot already shipped home
+#: (set by :func:`_worker_bootstrap`; ``None`` outside pool workers).
 _TIMING_BASELINE: Optional[dict] = None
 
 
-def _worker_bootstrap(
-    user_init: Optional[Callable], user_initargs: tuple
-) -> None:
-    """Pool initializer installed by :func:`_pool_map` in every worker.
-
-    Clears timing spans inherited through fork, then runs the caller's
-    own initializer. Spans recorded here are shipped home with the
-    worker's first item via the snapshot-diff in :func:`_timed_call`.
-    """
+def _worker_bootstrap() -> None:
+    """Pool initializer installed by :func:`_pool_map` in every worker:
+    clears the timing spans inherited through fork, so a worker ships
+    home only what its own items recorded."""
     global _TIMING_BASELINE
 
     timings.reset()
-    if user_init is not None:
-        user_init(*user_initargs)
     _TIMING_BASELINE = {}
 
 
 def _timed_call(fn: Callable, args: tuple) -> tuple:
-    """Worker-side wrapper: run ``fn`` and ship its timing, cache- and
-    shm-counter deltas home for the parent to fold in (shm keys ride in
-    the same dict under a ``shm_`` prefix)."""
+    """Worker-side wrapper: run ``fn`` and ship its timing and cache-
+    counter deltas home for the parent to fold in."""
     global _TIMING_BASELINE
-    from repro.perf import memory, shm
+    from repro.perf import memory
     from repro.perf.cache import get_cache
 
-    if _TIMING_BASELINE is None:  # bootstrapped by an older-style pool
-        timings.reset()
-        _TIMING_BASELINE = {}
     before = get_cache().stats.to_dict()
-    shm_before = shm.shm_stats()
     result = fn(*args)
     after = get_cache().stats.to_dict()
-    shm_after = shm.shm_stats()
     delta = {key: after[key] - before[key] for key in after}
-    delta.update(
-        {
-            f"shm_{key}": shm_after[key] - shm_before[key]
-            for key in shm_after
-        }
-    )
     peak = memory.peak_rss_bytes()
     if peak is not None:
         delta["mem_peak_rss"] = peak
@@ -331,19 +309,15 @@ def _run_isolated(
     payload: tuple,
     index: int,
     context,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
 ):
     """Retry one crashed item in fresh single-worker pools.
 
     Items caught in a broken shared pool land here: a collateral victim
     (its neighbour crashed the worker) succeeds on the first isolated
     attempt; an item that keeps killing its own worker exhausts
-    ``max_retries`` and raises :class:`WorkerCrashError`. Each fresh
-    pool re-runs the worker bootstrap, so shared-memory segments
-    re-attach in the respawned process. With the watchdog
-    armed, a *hung* (not dead) isolated worker is also killed and
-    counted once its heartbeat expires.
+    ``max_retries`` and raises :class:`WorkerCrashError`. With the
+    watchdog armed, a *hung* (not dead) isolated worker is also killed
+    and counted once its heartbeat expires.
     """
     import concurrent.futures
     from concurrent.futures.process import BrokenProcessPool
@@ -363,8 +337,7 @@ def _run_isolated(
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=1,
                 mp_context=context,
-                initializer=initializer,
-                initargs=initargs,
+                initializer=_worker_bootstrap,
             ) as solo:
                 future = solo.submit(worker, *payload)
                 try:
@@ -395,8 +368,6 @@ def _pool_map(
     payloads: Sequence[tuple],
     jobs: int,
     require_fork: bool,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
 ) -> Optional[List[Any]]:
     """Run ``worker`` over ``payloads`` in a pool; None -> use serial.
 
@@ -423,12 +394,10 @@ def _pool_map(
         else:
             context = multiprocessing.get_context()
         workers = min(jobs, max(len(payloads), 1))
-        boot_args = (initializer, initargs)
         executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
             initializer=_worker_bootstrap,
-            initargs=boot_args,
         )
     except (OSError, ValueError, ImportError) as exc:
         _warn_serial(f"could not create a process pool ({exc})")
@@ -492,12 +461,9 @@ def _pool_map(
         return None
 
     for index in crashed:
-        outputs[index] = _run_isolated(
-            worker, payloads[index], index, context, _worker_bootstrap,
-            boot_args,
-        )
+        outputs[index] = _run_isolated(worker, payloads[index], index, context)
 
-    from repro.perf import memory, shm
+    from repro.perf import memory
     from repro.perf.cache import get_cache
 
     results = []
@@ -507,13 +473,6 @@ def _pool_map(
         if worker_peak is not None:
             memory.record_worker_peak(int(worker_peak))
         get_cache().stats.merge(stats_delta)
-        shm.merge_counters(
-            {
-                key[4:]: value
-                for key, value in stats_delta.items()
-                if key.startswith("shm_")
-            }
-        )
         results.append(result)
     return results
 
@@ -522,8 +481,6 @@ def parallel_map(
     fn: Callable,
     arg_tuples: Sequence[tuple],
     jobs: Optional[int] = None,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
 ) -> List[Any]:
     """``[fn(*args) for args in arg_tuples]``, fanned out over processes.
 
@@ -533,24 +490,12 @@ def parallel_map(
     instead, producing identical results. A worker process dying fails
     only its own item — after the isolated retry budget is exhausted it
     raises :class:`~repro.errors.WorkerCrashError` for that item.
-
-    ``initializer``/``initargs`` run once in every worker process before
-    any item (e.g. installing the shared-memory graph table,
-    :func:`repro.perf.shm.install_worker_table`); they are ignored on
-    the serial fallback, which shares the parent's state anyway.
     """
     workers = resolve_jobs(jobs)
     if workers <= 1 or len(arg_tuples) <= 1:
         return _run_serial(fn, arg_tuples)
     payloads = [(fn, args) for args in arg_tuples]
-    results = _pool_map(
-        _timed_call,
-        payloads,
-        workers,
-        require_fork=False,
-        initializer=initializer,
-        initargs=initargs,
-    )
+    results = _pool_map(_timed_call, payloads, workers, require_fork=False)
     if results is None:
         return _run_serial(fn, arg_tuples)
     return results

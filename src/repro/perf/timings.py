@@ -93,9 +93,9 @@ def diff(
     """Per-phase ``after - before`` of two snapshots, dropping empty rows.
 
     Pool workers ship deltas between consecutive snapshots instead of
-    resetting the table around every item, so spans recorded by the
-    pool initializer (shared-memory setup) reach the
-    parent exactly once — with the first completed item.
+    resetting the table around every item, so every span a worker
+    records reaches the parent exactly once — with the item that
+    recorded it.
     """
     delta: Dict[str, Dict[str, float]] = {}
     for name, total in after.items():

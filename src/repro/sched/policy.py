@@ -29,6 +29,7 @@ byte for byte: one class collapses every request to effective class
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union
 
@@ -193,6 +194,19 @@ class ServicePolicy:
         )
         if self.priority_classes < 1:
             raise ConfigurationError("priority_classes must be >= 1")
+        # ``nan`` passes every comparison below, and these fields spell
+        # "off" as ``None``, not ``inf``: a value given must be finite.
+        for name in (
+            "aging_seconds",
+            "result_ttl_seconds",
+            "result_cache_bytes",
+            "cache_min_seconds",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         if self.aging_seconds is not None and self.aging_seconds <= 0:
             raise ConfigurationError("aging_seconds must be positive")
         if self.preempt_rule not in ("deadline", "eager"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from repro.graph.build import from_edges
 from repro.graph.io import (
     is_csr_dir,
     load_csr_dir,
+    mapped_transposition,
     open_mapped,
     quarantine_csr_dir,
     save_mapped,
 )
 from repro.perf.cache import get_cache
+from repro.perf.parallel import parallel_map_fork
 
 
 @pytest.fixture()
@@ -146,6 +149,53 @@ class TestTornDirectories:
         assert not os.path.exists(
             os.path.join(quarantined, "marker-first")
         )
+
+
+class TestConcurrentWriters:
+    """Pool workers with one cold cache directory build the same graph
+    into it at once. Every file is renamed into place from a tmp file of
+    the writer's own, so the writers swap identical files and a reader
+    never sees half of one."""
+
+    WRITERS = 4
+    ROUNDS = 40
+
+    @pytest.mark.parametrize("builder", ["in-ram", "out-of-core"])
+    def test_writers_agree_and_nothing_is_quarantined(
+        self, tmp_path, builder
+    ):
+        from repro.graph.datasets import PAPER_DATASETS
+
+        profile = PAPER_DATASETS["dblp"]
+        graph = profile.instantiate(scale=400)
+        directory = str(tmp_path / "dblp.csr")
+
+        def write(_):
+            seen = set()
+            for _ in range(self.ROUNDS):
+                if builder == "in-ram":
+                    saved = save_mapped(graph, directory)
+                else:
+                    saved = profile.instantiate_mapped(
+                        scale=400, directory=directory
+                    )
+                loaded = load_csr_dir(directory)
+                assert loaded is not None
+                mapped_transposition(saved)
+                seen.update((saved.fingerprint, loaded.fingerprint))
+            return sorted(seen)
+
+        before = corruptions()
+        with warnings.catch_warnings():
+            # A writer's error must fail the test, not send the pool to
+            # its serial fallback.
+            warnings.simplefilter("error", RuntimeWarning)
+            fingerprints = parallel_map_fork(
+                write, self.WRITERS, self.WRITERS
+            )
+        assert fingerprints == [[graph.fingerprint]] * self.WRITERS
+        assert corruptions() == before
+        assert not [name for name in os.listdir(directory) if ".tmp" in name]
 
 
 class TestHostileContent:

@@ -1,14 +1,14 @@
 """Differential determinism suite: perf knobs must never change results.
 
 Every performance layer in :mod:`repro.perf` — worker pools, the
-artifact cache, shared-memory graphs — promises the same contract: it
-changes *when and where* work runs, never what it computes. This suite
-runs the same experiments under each knob's settings and asserts the
-outputs are byte-identical:
+artifact cache — promises the same contract: it changes *when and
+where* work runs, never what it computes. This suite runs the same
+experiments under each knob's settings and asserts the outputs are
+byte-identical:
 
-* ``--jobs 1`` vs ``--jobs N`` (``REPRO_TEST_JOBS``, default 2);
+* ``--jobs 1`` vs ``--jobs N`` (``REPRO_TEST_JOBS``, default 2), with
+  no cache directory, a warm one, and a cold one the pool fills;
 * a cold artifact cache vs a warm one (memory and disk);
-* shared-memory graph transport on vs off;
 * per-round metric streams across serial and forked sweeps;
 * the online scheduler (``repro.sched``): the same seeded arrival
   stream must yield byte-identical service metrics — per-batch round
@@ -69,8 +69,28 @@ def _run(jobs, only=IDS):
 
 
 class TestJobsInvariance:
+    """A pool worker gets each graph from its own artifact cache —
+    inherited through fork, opened from the cache directory, or built —
+    and renders what the serial loop renders in every one of those."""
+
     def test_serial_vs_pool(self):
+        # No cache directory: each worker builds or inherits its graphs.
         assert _run(jobs=1) == _run(jobs=JOBS)
+
+    #: fig2 and fig4 both load dblp: the first two items of the pool
+    #: build the same graph into a cold directory at once.
+    SHARING = ["fig2", "fig4", "fig8"]
+
+    @pytest.mark.parametrize("directory", ["warm", "cold"])
+    def test_serial_vs_pool_over_a_cache_directory(self, tmp_path, directory):
+        serial = _run(jobs=1, only=self.SHARING)
+        configure_cache(directory=str(tmp_path))
+        if directory == "warm":
+            _run(jobs=1, only=self.SHARING)  # fills it: the pool only opens
+        before = get_cache().stats.corruptions
+        assert _run(jobs=JOBS, only=self.SHARING) == serial
+        assert get_cache().stats.corruptions == before
+        assert list(tmp_path.glob("*.csr/graph.json"))
 
 
 class TestCacheInvariance:
@@ -93,18 +113,6 @@ class TestCacheInvariance:
         assert cold == warm
 
 
-class TestShmInvariance:
-    def test_shared_graphs_on_vs_off(self, monkeypatch):
-        with_shm = _run(jobs=JOBS)
-        from repro.experiments import runner
-
-        monkeypatch.setattr(
-            runner, "_shared_graph_pool_args", lambda *a, **k: {}
-        )
-        without_shm = _run(jobs=JOBS)
-        assert with_shm == without_shm
-
-
 #: ``--max-ram`` of the streaming runs: twitter@4000 (~370 K arcs,
 #: predicted build peak ~30 MB) is built out of core and streams six
 #: blocks of the production floor; web-st@4000 is built in RAM and
@@ -123,12 +131,7 @@ class TestMappedGraphInvariance:
     @pytest.fixture(autouse=True)
     def _restore_streaming(self):
         from repro.graph import csr
-        from repro.perf import shm
 
-        # An earlier pooled test leaves its exported graphs in this
-        # process's registry, where ``load_dataset`` would find them
-        # before it looked at any directory.
-        shm.shutdown_shared_graphs()
         floor = csr.MIN_STREAM_BLOCK_ARCS
         yield
         csr.MIN_STREAM_BLOCK_ARCS = floor

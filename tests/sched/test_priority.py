@@ -90,6 +90,21 @@ class TestPolicyArithmetic:
         with pytest.raises(ConfigurationError):
             ServicePolicy(preempt_after_rounds=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "aging_seconds",
+            "result_ttl_seconds",
+            "result_cache_bytes",
+            "cache_min_seconds",
+        ],
+    )
+    def test_non_finite_values_are_rejected(self, field, value):
+        # nan used to pass every range check; "off" is spelled None.
+        with pytest.raises(ConfigurationError, match=f"{field}.*finite"):
+            ServicePolicy(result_cache=True, **{field: value})
+
 
 class TestFifoEquivalence:
     """The load-bearing regression guard: the policy layer must be

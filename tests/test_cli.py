@@ -119,6 +119,15 @@ class TestHostileValues:
             ["run", "--workload", "inf"],
             ["serve", "--arrivals", "nan"],
             ["serve", "--arrivals", "inf"],
+            ["run", "--faults", "nan"],
+            ["serve", "--arrivals", "1", "--faults", "inf"],
+            ["serve", "--arrivals", "1", "--overload-fraction", "nan"],
+            ["serve", "--arrivals", "1", "--aging", "nan"],
+            ["serve", "--arrivals", "1", "--aging", "inf"],
+            ["serve", "--arrivals", "1", "--shed-watermark", "nan"],
+            ["serve", "--arrivals", "1", "--result-ttl", "nan"],
+            ["serve", "--arrivals", "1", "--result-cache-bytes", "inf"],
+            ["serve", "--arrivals", "1", "--cache-min-seconds", "nan"],
         ],
         ids=lambda argv: " ".join(argv),
     )
