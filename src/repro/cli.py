@@ -483,12 +483,12 @@ def _parse_tenants(raw):
 def cmd_serve(args) -> int:
     """``vcrepro serve``: online scheduling on a seeded arrival stream.
 
-    Builds a :class:`~repro.sched.service.SchedulerService` (training
-    the per-kind memory models first), generates the seeded Poisson
-    stream, runs the queue until it drains, prints the latency/
-    throughput table, and records the full metrics under ``"sched"`` in
-    ``BENCH_perf.json`` (merging with an existing file so ``report``
-    benchmarks and serve runs share one trajectory).
+    Generates the seeded Poisson stream, builds a
+    :class:`~repro.sched.service.SchedulerService` (training the
+    per-kind memory models first), runs the queue until it drains,
+    prints the latency/throughput table, and records the full metrics
+    under ``"sched"`` in ``BENCH_perf.json`` (merging with an existing
+    file so ``report`` benchmarks and serve runs share one trajectory).
     """
     import json
 
@@ -499,23 +499,37 @@ def cmd_serve(args) -> int:
     from repro.sched.service import SchedulerService
 
     _apply_runtime_knobs(args)
+    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+    deadlines = {}
+    for spec in args.deadline or []:
+        cls, sep, seconds = spec.rpartition("=")
+        try:
+            deadlines[int(cls) if sep else 0] = float(seconds)
+        except ValueError:
+            raise ConfigurationError(
+                f"--deadline expects [CLASS=]SECONDS with an integer "
+                f"CLASS, got {spec!r}"
+            ) from None
+    tenants = _parse_tenants(args.tenants)
+    # Before anything is built: the stream rejects deadlines that are
+    # not finite and positive.
+    requests = generate_arrivals(
+        args.arrivals,
+        args.duration,
+        seed=args.seed,
+        kinds=kinds,
+        priority_classes=args.priority_classes,
+        deadlines=deadlines or None,
+        tenants=tenants,
+    )
     cluster = cluster_by_name(args.cluster, scale=args.scale)
     if args.machines:
         cluster = cluster.with_machines(args.machines)
     graph = load_dataset(args.dataset, scale=args.scale)
     engine = create_engine(args.engine, cluster)
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     plan = None
     if args.faults:
         plan = mixed_fault_plan(args.seed, cluster.num_machines, args.faults)
-    deadlines = {}
-    for spec in args.deadline or []:
-        cls, sep, seconds = spec.partition("=")
-        if sep:
-            deadlines[int(cls)] = float(seconds)
-        else:
-            deadlines[0] = float(spec)
-    tenants = _parse_tenants(args.tenants)
     routes = None
     if args.route:
         if len(args.route) == 1 and args.route[0].strip() == "table4":
@@ -532,7 +546,6 @@ def cmd_serve(args) -> int:
         max_queue=args.max_queue,
         shed_watermark=args.shed_watermark,
         drop_expired=args.drop_expired,
-        intra_workers=args.kernel_workers,
         routes=routes,
         tenant_quotas=_parse_kv_flags(
             args.tenant_quota, float, "--tenant-quota"
@@ -544,8 +557,6 @@ def cmd_serve(args) -> int:
         result_ttl_seconds=args.result_ttl,
         result_cache_bytes=args.result_cache_bytes,
         calibrate=args.calibrate,
-        cost_shares=args.cost_shares,
-        cache_min_seconds=args.cache_min_seconds,
         tenant_cache_quotas=_parse_kv_flags(
             args.tenant_cache_quota, float, "--tenant-cache-quota"
         ),
@@ -564,15 +575,6 @@ def cmd_serve(args) -> int:
         fault_plan=plan,
         checkpoint_every=args.checkpoint_every or None,
         policy=policy,
-    )
-    requests = generate_arrivals(
-        args.arrivals,
-        args.duration,
-        seed=args.seed,
-        kinds=kinds,
-        priority_classes=args.priority_classes,
-        deadlines=deadlines or None,
-        tenants=tenants,
     )
     metrics = service.run(
         requests, arrival_rate=args.arrivals, duration_rounds=args.duration
@@ -772,8 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="[CLASS=]SECONDS",
         help="latency deadline attached to arrivals of a priority "
-        "class (bare SECONDS = class 0); repeatable. Misses are "
-        "counted in the resilience section",
+        "class (bare SECONDS = class 0; SECONDS finite and positive); "
+        "repeatable. Misses are counted in the resilience section",
     )
     p_srv.add_argument(
         "--preempt",
@@ -888,23 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cost models, which refit when standardized residuals drift; "
         "fitted coefficients persist in the artifact cache so a warm "
         "restart skips probe training entirely",
-    )
-    p_srv.add_argument(
-        "--cost-shares",
-        action="store_true",
-        help="size kernel-worker shares from predicted batch seconds "
-        "and deadline slack instead of an even split (requires "
-        "--kernel-workers > 0); falls back to the even split when no "
-        "deadline or seconds model applies",
-    )
-    p_srv.add_argument(
-        "--cache-min-seconds",
-        type=_finite_float,
-        default=None,
-        metavar="SECONDS",
-        help="cost-aware cache admission: only store results whose "
-        "predicted recompute seconds meet this threshold (requires "
-        "--result-cache); cheaper payloads are recomputed on repeat",
     )
     p_srv.add_argument(
         "--tenant-cache-quota",

@@ -329,24 +329,13 @@ def build_csr_on_disk(
         for file_name in ("indptr.npy", "indices.npy", "weights.npy")
     ]
 
-    from collections import deque
-
-    from repro.perf import kernel_pool
-
     def spill_run(
         src: np.ndarray,
         dst: np.ndarray,
         weights: Optional[np.ndarray],
         run_id: int,
     ) -> Optional[str]:
-        """Clean, sort, dedup and write one block as a sorted run.
-
-        Runs on a pool worker when ``--kernel-workers`` is set (each
-        call touches only its own arrays and its own run file, and the
-        big sorts release the GIL); the run file bytes are identical
-        either way, so the downstream merge — and the finished CSR —
-        cannot tell how the runs were produced.
-        """
+        """Clean, sort, dedup and write one block as a sorted run."""
         if src.min() < 0 or dst.min() < 0:
             raise GraphFormatError("vertex ids must be non-negative")
         if max(int(src.max()), int(dst.max())) >= num_vertices:
@@ -381,21 +370,6 @@ def build_csr_on_disk(
     weighted: Optional[bool] = None
     run_paths = []
     try:
-        # Generation stays serial in the parent — the seeded RNG stream
-        # must advance in block order — but the heavy half of each block
-        # (clean + symmetrise + sort + spill) is independent of every
-        # other block until the external merge, so with a kernel pool
-        # it overlaps both the generator and sibling blocks, bounded at
-        # workers + 1 blocks in flight to respect the build budget.
-        pool = kernel_pool.get_pool()
-        pending: "deque" = deque()
-
-        def drain(limit: int) -> None:
-            while len(pending) > limit:
-                base = pending.popleft().result()
-                if base is not None:
-                    run_paths.append(base)
-
         for run_id, block in enumerate(blocks):
             src, dst = block[0], block[1]
             weights = block[2] if len(block) > 2 else None
@@ -417,24 +391,9 @@ def build_csr_on_disk(
                 )
             if src.size == 0:
                 continue
-            if pool is None:
-                base = spill_run(src, dst, weights, run_id)
-                if base is not None:
-                    run_paths.append(base)
-            else:
-                # Copy before queuing: generators may reuse their block
-                # buffers once the loop asks for the next block.
-                src, dst = src.copy(), dst.copy()
-                weights = None if weights is None else weights.copy()
-                pending.append(
-                    pool.submit(
-                        lambda s=src, d=dst, w=weights, r=run_id: spill_run(
-                            s, d, w, r
-                        )
-                    )
-                )
-                drain(pool.workers + 1)
-        drain(0)
+            base = spill_run(src, dst, weights, run_id)
+            if base is not None:
+                run_paths.append(base)
 
         weighted = bool(weighted)
         counts = np.zeros(num_vertices, dtype=np.int64)

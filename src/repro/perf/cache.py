@@ -512,12 +512,7 @@ class ResultCache:
         self.stats.coalesced += 1
 
     def complete(
-        self,
-        key: Tuple,
-        payload: bytes,
-        now: float,
-        tenant: str = "default",
-        store: bool = True,
+        self, key: Tuple, payload: bytes, now: float, tenant: str = "default"
     ) -> list:
         """Finish the leader's execution: store the payload and return
         the joiner tokens to fan it out to.
@@ -527,13 +522,9 @@ class ResultCache:
         not retained). Eviction is LRU until the budget holds — the
         never-exceeds-budget invariant. The stored bytes are charged to
         ``tenant``; a tenant with a byte quota evicts its own
-        least-recent entries first. ``store=False`` (cost-aware
-        admission rejected the payload) still fans the joiners out but
-        never touches the store.
+        least-recent entries first.
         """
         joiners = self._inflight.pop(key, [])
-        if not store:
-            return joiners
         payload = bytes(payload)
         self._expire(now)
         if key in self._entries:

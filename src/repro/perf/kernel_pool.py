@@ -179,16 +179,6 @@ class KernelPool:
             max_workers=workers, thread_name_prefix="repro-kernel"
         )
 
-    def submit(self, thunk: Callable[[], object]):
-        """Submit one independent task and return its future.
-
-        Escape hatch for producer/consumer callers (the out-of-core
-        build spills sorted runs while the parent keeps generating);
-        the caller bounds its own in-flight count. Round-sharded
-        kernels use :meth:`run` instead.
-        """
-        return self._executor.submit(thunk)
-
     def run(self, thunks: Sequence[Callable[[], object]]) -> List[object]:
         """Execute ``thunks`` across the pool; results in input order.
 

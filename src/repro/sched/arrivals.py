@@ -10,6 +10,8 @@ differential determinism suite leans on.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -105,8 +107,9 @@ def generate_arrivals(
         :data:`DEFAULT_PRIORITY` *without consuming RNG draws*, so
         legacy streams stay byte-identical.
     deadlines:
-        optional mapping of priority class → relative deadline
-        seconds, attached to matching requests (no RNG consumed).
+        optional mapping of priority class (a non-negative integer) →
+        relative deadline seconds (finite, positive), attached to
+        matching requests (no RNG consumed).
     tenants:
         when given with two or more names, draw each request's tenant
         uniformly from them. A single name is assigned directly and
@@ -129,6 +132,18 @@ def generate_arrivals(
         )
     if priority_classes is not None and priority_classes < 1:
         raise SchedulingError("priority_classes must be >= 1")
+    for cls, seconds in (deadlines or {}).items():
+        if not isinstance(cls, numbers.Integral) or cls < 0:
+            raise SchedulingError(
+                f"deadline class must be a non-negative integer, got {cls!r}"
+            )
+        # ``nan`` fails every comparison, so a nan deadline would never
+        # be missed and never trigger a preemption.
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise SchedulingError(
+                f"deadline for class {cls} must be finite and positive, "
+                f"got {seconds!r}"
+            )
     tenant_names: Optional[Tuple[str, ...]] = None
     if tenants is not None:
         tenant_names = tuple(str(t) for t in tenants)

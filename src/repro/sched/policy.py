@@ -118,15 +118,6 @@ class ServicePolicy:
     #: drop queued, unstarted requests whose deadline already passed.
     drop_expired: bool = False
     retry_after_floor_seconds: float = DEFAULT_RETRY_AFTER_FLOOR_SECONDS
-    #: total intra-task kernel workers the service may hand out
-    #: (Hauck et al.'s intra-query axis): each admitted batch runs its
-    #: sharded kernel rounds with its *share* of this pool — the total
-    #: split across the sessions concurrently in flight (running plus
-    #: suspended mid-batch), recomputed as batches start, suspend, and
-    #: resume. 0 (the default) never touches the kernel-pool
-    #: configuration, so every schedule stays byte-identical to the
-    #: pre-parallel service.
-    intra_workers: int = 0
     #: per-kind engine routing (kind → engine name, e.g.
     #: :data:`TABLE4_ROUTES`). ``None`` (the default) runs every kind
     #: on the service's base engine — the legacy single-engine loop.
@@ -159,14 +150,6 @@ class ServicePolicy:
     #: in the artifact cache so a restart skips probe training. Off by
     #: default: the static one-shot fit stays byte-identical.
     calibrate: bool = False
-    #: size each batch's intra-task worker share from its predicted
-    #: seconds and deadline slack instead of an even pool split
-    #: (requires ``intra_workers > 0``). Off by default (even split).
-    cost_shares: bool = False
-    #: cost-aware result-cache admission: only store payloads whose
-    #: predicted recompute seconds meet this threshold. ``None`` (the
-    #: default) admits every payload, the legacy behaviour.
-    cache_min_seconds: Optional[float] = None
     #: per-tenant result-cache byte quotas as *fractions of
     #: result_cache_bytes* (tenant → fraction in (0, 1]), mirroring
     #: ``tenant_quotas`` on the admission budget. ``None`` disables
@@ -200,7 +183,6 @@ class ServicePolicy:
             "aging_seconds",
             "result_ttl_seconds",
             "result_cache_bytes",
-            "cache_min_seconds",
         ):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -239,8 +221,6 @@ class ServicePolicy:
             raise ConfigurationError(
                 "retry_after_floor_seconds must be non-negative"
             )
-        if self.intra_workers < 0:
-            raise ConfigurationError("intra_workers must be >= 0")
         if self.routes is not None:
             for _, engine in self.routes:
                 if not isinstance(engine, str) or not engine:
@@ -270,22 +250,6 @@ class ServicePolicy:
             and self.result_cache_bytes <= 0
         ):
             raise ConfigurationError("result_cache_bytes must be positive")
-        if self.cost_shares and self.intra_workers <= 0:
-            raise ConfigurationError(
-                "cost_shares requires intra_workers > 0 (there is no "
-                "worker pool to size shares from)"
-            )
-        if (
-            self.cache_min_seconds is not None
-            and self.cache_min_seconds < 0
-        ):
-            raise ConfigurationError(
-                "cache_min_seconds must be non-negative"
-            )
-        if self.cache_min_seconds is not None and not self.result_cache:
-            raise ConfigurationError(
-                "cache_min_seconds requires result_cache"
-            )
         if self.tenant_cache_quotas is not None:
             if not self.result_cache:
                 raise ConfigurationError(
@@ -333,15 +297,6 @@ class ServicePolicy:
             if quota_tenant == tenant:
                 return float(fraction)
         return None
-
-    def worker_share(self, concurrent_sessions: int) -> int:
-        """Intra-task workers one session gets with ``concurrent_sessions``
-        in flight: an even split of the pool, floored at one worker (a
-        session never loses its compute entirely; over-subscription is
-        bounded by the session count)."""
-        if self.intra_workers <= 0:
-            return 0
-        return max(1, self.intra_workers // max(int(concurrent_sessions), 1))
 
     def static_class(self, request: TaskRequest) -> int:
         """The request's class clamped to the configured lane count.

@@ -45,7 +45,6 @@ from repro.engines.base import (
 from repro.errors import RecoveryError, SchedulingError
 from repro.faults.recovery import OverloadRecovery
 from repro.graph.csr import Graph, streaming_budget_bytes
-from repro.perf import kernel_pool
 from repro.perf.cache import ResultCache, get_cache
 from repro.rng import SeedLike
 from repro.sched.admission import AdmissionController
@@ -105,8 +104,6 @@ class _InFlight:
     #: suspend/restore cost already charged to the service clock.
     charged_suspend_seconds: float = 0.0
     suspend_count: int = 0
-    #: kernel-pool share the latest segment was dispatched under.
-    worker_share: int = 0
 
     @property
     def pin_tag(self) -> str:
@@ -218,42 +215,27 @@ class SchedulerService:
 
                     opened[route] = create_engine(route, engine.cluster)
                 self.engines[kind] = opened[route]
-        #: per-kind ask-tell calibrators (DESIGN.md §15); empty unless a
-        #: cost-model consumer is enabled, so the default service still
-        #: runs the legacy one-shot trainer code path untouched.
+        #: per-kind ask-tell calibrators (DESIGN.md §15); empty unless
+        #: ``policy.calibrate``, so the default service still runs the
+        #: legacy one-shot trainer code path untouched.
         self.calibrators: Dict[str, Calibrator] = {}
         #: last calibrator version pushed into admission, per kind.
         self._model_versions: Dict[str, int] = {}
-        #: payloads the cost-aware cache admission declined to store.
-        self._cache_skips = 0
-        use_calibrators = (
-            self.policy.calibrate
-            or self.policy.cost_shares
-            or self.policy.cache_min_seconds is not None
-        )
-        if use_calibrators:
+        if self.policy.calibrate:
             models: Dict[str, MemoryCostModel] = {}
             for kind in self.kinds:
-                if self.policy.calibrate:
-                    # Warm restarts load the persisted coefficients and
-                    # probe samples from the artifact cache — zero probe
-                    # training runs, identical refit trajectory.
-                    calibrator = Calibrator.load_or_train(
-                        self.engines[kind],
-                        self._task_factory(kind),
-                        self.reference_workload,
-                        kind=kind,
-                        graph_fingerprint=graph.fingerprint,
-                        seed=seed,
-                        cache=get_cache(),
-                    )
-                else:
-                    calibrator = Calibrator.train(
-                        self.engines[kind],
-                        self._task_factory(kind),
-                        self.reference_workload,
-                        seed=seed,
-                    )
+                # Warm restarts load the persisted coefficients and
+                # probe samples from the artifact cache — zero probe
+                # training runs, identical refit trajectory.
+                calibrator = Calibrator.load_or_train(
+                    self.engines[kind],
+                    self._task_factory(kind),
+                    self.reference_workload,
+                    kind=kind,
+                    graph_fingerprint=graph.fingerprint,
+                    seed=seed,
+                    cache=get_cache(),
+                )
                 self.calibrators[kind] = calibrator
                 self._model_versions[kind] = calibrator.version
                 models[kind] = calibrator.model
@@ -352,72 +334,6 @@ class SchedulerService:
                 session.calibrator = self.calibrators.get(kind)
             self.sessions[kind] = session
         return self.sessions[kind]
-
-    def _cost_worker_share(
-        self,
-        inflight: "_InFlight",
-        concurrent_sessions: int,
-        clock: float,
-    ) -> int:
-        """Cost-driven share (``policy.cost_shares``): interpolate from
-        the even split toward the full pool as deadline pressure grows.
-
-        Pressure is the batch's predicted seconds over the tightest
-        member deadline's slack — a batch predicted to take as long as
-        (or longer than) its slack gets the whole pool; a batch with
-        generous slack (or no deadline, or no fitted seconds model)
-        keeps the even split.
-        """
-        even = self.policy.worker_share(concurrent_sessions)
-        calibrator = self.calibrators.get(inflight.kind)
-        if calibrator is None:
-            return even
-        predicted = calibrator.predict_seconds(inflight.batch_units)
-        if predicted is None:
-            return even
-        deadlines = [
-            pending.request.deadline_at
-            for pending, _ in inflight.parts
-            if pending.request.deadline_at is not None
-        ]
-        if not deadlines:
-            return even
-        slack = min(deadlines) - clock
-        if slack <= 0:
-            pressure = 1.0
-        else:
-            pressure = min(1.0, predicted / slack)
-        total = self.policy.intra_workers
-        share = even + (total - even) * pressure
-        return max(1, min(total, int(round(share))))
-
-    def _apply_worker_share(
-        self,
-        concurrent_sessions: int,
-        inflight: Optional["_InFlight"] = None,
-        clock: float = 0.0,
-    ) -> int:
-        """Split the intra-task kernel pool across in-flight sessions.
-
-        Called at every dispatch point (batch start and resume) with the
-        number of sessions concurrently in flight — the one about to run
-        plus any still suspended at a barrier. When the policy grants no
-        workers (``intra_workers == 0``, the default) the kernel-pool
-        configuration is never touched, so schedules stay byte-identical
-        to the pre-parallel service. With ``policy.cost_shares``, the
-        dispatched batch's share is sized from its predicted seconds and
-        deadline slack instead of the even split. Returns the share
-        applied (0 when the policy grants none).
-        """
-        if self.policy.cost_shares and inflight is not None:
-            share = self._cost_worker_share(
-                inflight, concurrent_sessions, clock
-            )
-        else:
-            share = self.policy.worker_share(concurrent_sessions)
-        if self.policy.intra_workers > 0:
-            kernel_pool.configure_kernel_workers(share)
-        return share
 
     def _streaming_unit_cap(self) -> Optional[float]:
         """Largest batch the ``--max-ram`` streaming budget can hold in
@@ -520,27 +436,7 @@ class SchedulerService:
         self._leaders.pop(request.task_id, None)
         key = self._result_key(request)
         payload = self._result_payload(request)
-        store = True
-        if self.policy.cache_min_seconds is not None:
-            # Cost-aware admission: only retain payloads whose
-            # predicted recompute time meets the threshold — cheap
-            # results are recomputed on demand instead of occupying
-            # cache bytes. Joiners are fanned out either way.
-            calibrator = self.calibrators.get(request.kind)
-            predicted = (
-                calibrator.predict_seconds(float(request.units))
-                if calibrator is not None
-                else None
-            )
-            if (
-                predicted is not None
-                and predicted < self.policy.cache_min_seconds
-            ):
-                store = False
-                self._cache_skips += 1
-        joiners = cache.complete(
-            key, payload, run.clock, tenant=request.tenant, store=store
-        )
+        joiners = cache.complete(key, payload, run.clock, tenant=request.tenant)
         self.responses[request.task_id] = payload
         for joiner in joiners:
             self.responses[joiner.task_id] = payload
@@ -890,9 +786,6 @@ class SchedulerService:
         ``BatchMetrics`` once it ran to the end."""
         session = self._session(inflight.kind)
         callback = self._preempt_callback(run, inflight)
-        inflight.worker_share = self._apply_worker_share(
-            1 + len(run.suspended), inflight=inflight, clock=run.clock
-        )
         if inflight.checkpoint is None:
             return session.run_batch(
                 inflight.batch_units, should_suspend=callback
@@ -1020,11 +913,6 @@ class SchedulerService:
             "preemptions": inflight.suspend_count,
             "preempt_seconds": inflight.charged_suspend_seconds,
         }
-        if self.policy.intra_workers > 0:
-            # Share applied to the batch's final segment; omitted
-            # entirely when the policy grants no workers so the
-            # legacy batch-log shape is byte-identical.
-            entry["intra_workers"] = inflight.worker_share
         if self.admission.tenant_quotas is not None:
             entry["tenants"] = dict(inflight.tenant_units)
         if self.record_rounds:
@@ -1122,7 +1010,6 @@ class SchedulerService:
             sum(before) / len(before) if before else 0.0
         )
         summary["rmse_after"] = sum(after) / len(after) if after else 0.0
-        summary["cache_skips"] = self._cache_skips
         summary["kinds"] = kinds
         return summary
 

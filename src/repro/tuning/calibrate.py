@@ -6,8 +6,7 @@ executes thousands of real batches whose observed peaks and seconds are
 strictly better training points. This module restructures that tuning
 flow around an *ask-tell* loop:
 
-- the planner **asks** for a prediction (:meth:`Calibrator.ask`,
-  :meth:`Calibrator.predict_seconds`);
+- the planner **asks** for a prediction (:meth:`Calibrator.ask`);
 - the engine **tells** an observed ``(workload, peak, residual,
   seconds)`` back after every executed batch
   (:meth:`Calibrator.tell`);
@@ -132,25 +131,6 @@ def calibration_cache_key(
     )
 
 
-def _fit_seconds_model(
-    samples: Sequence[TrainingSample], seed: SeedLike
-) -> Optional[PowerLawModel]:
-    """Power-law seconds(W) fit from the same samples the memory fits
-    use; ``None`` when the points are degenerate (the cost-aware
-    policies then fall back to their even/admit-all defaults)."""
-    usable = [s for s in samples if not s.overloaded]
-    if len(usable) < 3:
-        return None
-    try:
-        return PowerLawModel.fit(
-            [s.workload for s in usable],
-            [s.seconds for s in usable],
-            seed=seed,
-        )
-    except TuningError:
-        return None
-
-
 def _envelope_exact(
     model: PowerLawModel, points: Sequence[Tuple[float, float]]
 ) -> PowerLawModel:
@@ -188,7 +168,6 @@ class Calibrator:
     def __init__(
         self,
         model: MemoryCostModel,
-        seconds_model: Optional[PowerLawModel],
         samples: Sequence[TrainingSample],
         *,
         seed: SeedLike = None,
@@ -197,7 +176,6 @@ class Calibrator:
         stats: Optional[CalibrationStats] = None,
     ) -> None:
         self._model = model
-        self._seconds = seconds_model
         self._samples: List[TrainingSample] = list(samples)
         #: (done workload, residual bytes) pairs the residual refit uses;
         #: probes are 1-batch jobs so done == workload for them.
@@ -230,8 +208,7 @@ class Calibrator:
     ) -> "Calibrator":
         """Fit from already-collected probe samples (the first tells)."""
         model = fit_memory_models(samples, seed=seed)
-        seconds = _fit_seconds_model(samples, seed)
-        cal = cls(model, seconds, samples, seed=seed)
+        cal = cls(model, samples, seed=seed)
         cal.stats.training_runs = len(samples)
         return cal
 
@@ -306,10 +283,12 @@ class Calibrator:
     # Persistence
     # ------------------------------------------------------------------
     def pack(self) -> Dict[str, np.ndarray]:
-        """Arrays for the artifact cache (12 coefficients + samples)."""
-        def coeffs(model: Optional[PowerLawModel]) -> np.ndarray:
-            if model is None:
-                return np.full(4, np.nan, dtype=np.float64)
+        """Arrays for the artifact cache (8 coefficients + samples).
+
+        Older archives also carry a ``"seconds"`` coefficient row;
+        :meth:`unpack` ignores it, so they still load warm.
+        """
+        def coeffs(model: PowerLawModel) -> np.ndarray:
             return np.array(
                 [model.a, model.b, model.c, model.rmse], dtype=np.float64
             )
@@ -330,7 +309,6 @@ class Calibrator:
         return {
             "peak": coeffs(self._model.peak),
             "residual": coeffs(self._model.residual),
-            "seconds": coeffs(self._seconds),
             "samples": samples,
             "rmse_before": np.float64(self.stats.rmse_before),
         }
@@ -375,7 +353,6 @@ class Calibrator:
         )
         return cls(
             MemoryCostModel(peak=peak, residual=residual),
-            model_from("seconds"),
             samples,
             seed=seed,
             stats=stats,
@@ -389,22 +366,10 @@ class Calibrator:
         """The (M*, Mr) pair the planner consumes right now."""
         return self._model
 
-    @property
-    def seconds_model(self) -> Optional[PowerLawModel]:
-        """Fitted seconds(W), or None when the fit was degenerate."""
-        return self._seconds
-
     def ask(self, workload: float, done_workload: float = 0.0) -> float:
         """Predicted peak bytes for a batch of ``workload`` on top of the
         residual of ``done_workload`` (Equation 1's left side)."""
         return float(self._model.projected_peak(workload, done_workload))
-
-    def predict_seconds(self, workload: float) -> Optional[float]:
-        """Predicted execution seconds for ``workload`` (None when no
-        seconds model could be fitted)."""
-        if self._seconds is None:
-            return None
-        return float(max(self._seconds(workload), 0.0))
 
     def tell(
         self,
@@ -465,7 +430,7 @@ class Calibrator:
                 self.refit()
 
     def refit(self) -> MemoryCostModel:
-        """Refit all models from every sample seen so far.
+        """Refit both memory models from every sample seen so far.
 
         The sample multiset is sorted first, so the fit depends only on
         *which* observations were told, not their order; the exact
@@ -503,9 +468,6 @@ class Calibrator:
             except TuningError:
                 residual = self._model.residual
             self._model = MemoryCostModel(peak=peak, residual=residual)
-            seconds = _fit_seconds_model(usable, self.seed)
-            if seconds is not None:
-                self._seconds = seconds
             self._reference_peak = peak
             self.stats.refits += 1
             self.stats.rmse_after = peak.rmse

@@ -94,7 +94,7 @@ PINNED_SCENARIOS = {
     "faults/pregel+": "09b715f5016dc868",
     "faults/graphd": "cac6f51942aa7917",
     "three-equal-batches": "6d752c2c69b07e83",
-    "serve": "5557f31dda6590e7",
+    "serve": "07f86f01c86ee911",
 }
 
 

@@ -486,11 +486,11 @@ class TestMultiTenantServeInvariance:
 
 
 class TestCalibrationInvariance:
-    """Online ask-tell calibration (``--calibrate`` and friends): the
-    degenerate policy — calibration off, even worker shares, admit-all
-    cache — must keep the serve digest byte-identical to the default,
-    and a warm restart from persisted coefficients must reproduce the
-    cold run's digest with zero probe runs."""
+    """Online ask-tell calibration (``--calibrate``): the degenerate
+    policy — calibration and tenant cache quotas off — must keep the
+    serve digest byte-identical to the default, and a warm restart from
+    persisted coefficients must reproduce the cold run's digest with
+    zero probe runs."""
 
     def _serve(self, policy=None, kinds=("bppr",)):
         from repro.engines.registry import create_engine
@@ -520,12 +520,7 @@ class TestCalibrationInvariance:
         default = self._serve()
         clear_cache()
         degenerate = self._serve(
-            ServicePolicy(
-                calibrate=False,
-                cost_shares=False,
-                cache_min_seconds=None,
-                tenant_cache_quotas=None,
-            )
+            ServicePolicy(calibrate=False, tenant_cache_quotas=None)
         )
         assert json.dumps(degenerate, sort_keys=True) == json.dumps(
             default, sort_keys=True

@@ -139,11 +139,6 @@ class TestPoolExecution:
             )
         assert settled == [0, 2]
 
-    def test_submit_returns_future(self):
-        kernel_pool.configure_kernel_workers(2)
-        future = kernel_pool.get_pool().submit(lambda: 41 + 1)
-        assert future.result() == 42
-
     def test_stats_count_dispatches_and_shards(self):
         kernel_pool.configure_kernel_workers(2)
         kernel_pool.run_sharded([lambda: None] * 5)

@@ -52,6 +52,12 @@ class TestGenerateArrivals:
             dict(rate=1.0, duration=10, kinds=()),
             dict(rate=1.0, duration=10, units_range=(0, 4)),
             dict(rate=1.0, duration=10, units_range=(8, 4)),
+            dict(rate=1.0, duration=10, deadlines={0: float("nan")}),
+            dict(rate=1.0, duration=10, deadlines={0: float("inf")}),
+            dict(rate=1.0, duration=10, deadlines={0: -5.0}),
+            dict(rate=1.0, duration=10, deadlines={0: 0.0}),
+            dict(rate=1.0, duration=10, deadlines={1.5: 10.0}),
+            dict(rate=1.0, duration=10, deadlines={-1: 10.0}),
         ],
     )
     def test_validation(self, kwargs):

@@ -97,7 +97,6 @@ class TestPolicyArithmetic:
             "aging_seconds",
             "result_ttl_seconds",
             "result_cache_bytes",
-            "cache_min_seconds",
         ],
     )
     def test_non_finite_values_are_rejected(self, field, value):

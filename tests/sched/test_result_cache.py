@@ -310,35 +310,3 @@ class TestTenantQuotaService:
         assert summary["acme"]["cache_stores"] == 1
         assert summary["globex"]["cache_hits"] == 1
         assert summary["acme"]["cache_bytes"] > 0
-
-
-class TestCostAwareAdmission:
-    def test_cheap_payloads_skip_the_store(self, cluster, graph):
-        service = make_service(
-            cluster, graph, calibrate=True, cache_min_seconds=1e9
-        )
-        requests = [
-            TaskRequest(0, "bppr", 8.0, 0.0),
-            TaskRequest(1, "bppr", 8.0, 1.0e6),  # would have been a hit
-        ]
-        metrics = service.run(requests)
-        # Every predicted recompute is below the (absurd) threshold:
-        # nothing is cached, the repeat executes again.
-        assert metrics.result_cache["stores"] == 0
-        assert metrics.result_cache["hits"] == 0
-        assert len(service.executed_batches) == 2
-        assert service.calibration_summary()["cache_skips"] == 2
-        assert service.responses[1] == service.responses[0]
-
-    def test_zero_threshold_admits_everything(self, cluster, graph):
-        service = make_service(
-            cluster, graph, calibrate=True, cache_min_seconds=0.0
-        )
-        requests = [
-            TaskRequest(0, "bppr", 8.0, 0.0),
-            TaskRequest(1, "bppr", 8.0, 1.0e6),
-        ]
-        metrics = service.run(requests)
-        assert metrics.result_cache["stores"] == 1
-        assert metrics.result_cache["hits"] == 1
-        assert service.calibration_summary()["cache_skips"] == 0

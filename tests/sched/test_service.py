@@ -18,7 +18,10 @@ from repro.cluster.cluster import cluster_by_name
 from repro.engines.registry import create_engine
 from repro.errors import SchedulingError
 from repro.graph.datasets import load_dataset
+from repro.perf import kernel_pool
+from repro.perf.cache import clear_cache
 from repro.sched.arrivals import TaskRequest, generate_arrivals
+from repro.sched.policy import ServicePolicy
 from repro.sched.service import SchedulerService, run_degenerate
 from repro.sim.metrics import JobMetrics, pack_job
 from repro.tasks.base import make_task
@@ -179,6 +182,57 @@ class TestServiceRuns:
     def test_requires_at_least_one_kind(self, engine, graph):
         with pytest.raises(SchedulingError):
             SchedulerService(engine, graph, kinds=())
+
+
+class TestKernelPoolInvariance:
+    """Serving under the kernel pool: the sharded kernel rounds change
+    where work runs, never a scheduling decision or a reported byte —
+    across suspends and resumes too."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self):
+        kernel_pool.reset_kernel_pool()
+        yield
+        kernel_pool.reset_kernel_pool()
+
+    def _preempting_stream(self, engine, graph):
+        clear_cache()
+        service = SchedulerService(
+            engine,
+            graph,
+            kinds=("bppr", "bkhs"),
+            seed=21,
+            record_rounds=True,
+            policy=ServicePolicy(
+                priority_classes=3,
+                aging_seconds=None,
+                preempt=True,
+                preempt_rule="eager",
+            ),
+            task_params={"bkhs": {"sample_limit": 16}},
+        )
+        # Big patient BKHS batches that urgent BPPR requests suspend
+        # mid-flight, so suspended state crosses pooled rounds.
+        requests = [
+            TaskRequest(0, "bkhs", 96.0, 0.0, priority=2),
+            TaskRequest(1, "bppr", 8.0, 0.5, priority=0),
+            TaskRequest(2, "bkhs", 64.0, 1.0, priority=1),
+            TaskRequest(3, "bppr", 16.0, 2.0, priority=0),
+        ]
+        metrics = service.run(requests)
+        return json.dumps(
+            metrics.to_dict(include_latencies=True), sort_keys=True
+        ), metrics.preemptions
+
+    def test_pooled_serve_matches_serial_byte_for_byte(self, engine, graph):
+        serial, preemptions = self._preempting_stream(engine, graph)
+        assert preemptions > 0, "no batch was suspended; stream too tame"
+        # Force the crossover down so the small test graph shards.
+        kernel_pool.configure_kernel_workers(3, min_shard_candidates=1)
+        pooled, _ = self._preempting_stream(engine, graph)
+        dispatches = kernel_pool.kernel_pool_stats()["sharded_dispatches"]
+        assert dispatches > 0, "sharded kernels never ran; test is vacuous"
+        assert pooled == serial
 
 
 class TestStreamingCapAdmission:

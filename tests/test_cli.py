@@ -127,7 +127,6 @@ class TestHostileValues:
             ["serve", "--arrivals", "1", "--shed-watermark", "nan"],
             ["serve", "--arrivals", "1", "--result-ttl", "nan"],
             ["serve", "--arrivals", "1", "--result-cache-bytes", "inf"],
-            ["serve", "--arrivals", "1", "--cache-min-seconds", "nan"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -136,6 +135,17 @@ class TestHostileValues:
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "deadline", ["abc", "x=5", "1.5=10", "nan", "0=inf", "-5", "1=0"]
+    )
+    def test_bad_deadline_is_an_error(self, deadline, capsys):
+        # A nan deadline used to pass silently (every comparison
+        # against it is false), and an unparsable one raised a
+        # traceback.
+        assert main(["serve", "--arrivals", "1", "--deadline", deadline]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "deadline" in err
 
     @pytest.mark.parametrize("value", ["inf", "1e400"])
     def test_non_finite_env_budget_is_an_error(

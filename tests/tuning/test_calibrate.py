@@ -82,7 +82,6 @@ class TestOrderInsensitivity:
             # fired at different points mid-stream.
             assert forward.model.peak == shuffled.model.peak
             assert forward.model.residual == shuffled.model.residual
-            assert forward.seconds_model == shuffled.seconds_model
 
         check()
 
@@ -186,7 +185,6 @@ class TestPersistence:
         warm = Calibrator.unpack(cal.pack(), seed=5)
         assert warm.model.peak == cal.model.peak
         assert warm.model.residual == cal.model.residual
-        assert warm.seconds_model == cal.seconds_model
         assert warm.stats.warm_start
         assert warm.stats.training_runs == 0
         assert warm.stats.probe_seconds_saved == pytest.approx(
@@ -195,12 +193,53 @@ class TestPersistence:
         # Refits replay on the identical persisted sample multiset.
         assert warm.refit().peak == cal.refit().peak
 
-    def test_unpack_preserves_none_seconds_model(self):
+    @pytest.mark.parametrize(
+        "seconds_row",
+        [[0.05, 1.05, 0.2, 0.0], [np.nan] * 4],
+        ids=["fitted", "degenerate"],
+    )
+    def test_archive_with_seconds_row_still_loads_warm(
+        self, tmp_path, seconds_row
+    ):
+        """Archives persisted while a seconds(W) fit existed carry a
+        third ``"seconds"`` coefficient row (NaN when that fit was
+        degenerate). They must still restore warm — same models, same
+        samples, zero probe runs — under the unchanged cache key."""
+        from types import SimpleNamespace
+
+        from repro.perf.cache import ArraySerializer, ArtifactCache
+
         cal = probe_calibrator()
-        cal._seconds = None
-        warm = Calibrator.unpack(cal.pack(), seed=5)
-        assert warm.seconds_model is None
-        assert warm.predict_seconds(32.0) is None
+        cal.tell(48.0, true_peak(48.0) * 1.2, 900.0, 2.5)
+        archive = dict(cal.pack())
+        archive["seconds"] = np.array(seconds_row, dtype=np.float64)
+        key = calibration_cache_key("pregel+", "bppr", "fp", 512.0, 5)
+        serializer = ArraySerializer(
+            pack=lambda arrays: arrays, unpack=lambda arrays: dict(arrays)
+        )
+        ArtifactCache(directory=str(tmp_path)).get_or_build(
+            key, lambda: archive, serializer=serializer
+        )
+
+        def exploding_factory(w):
+            raise AssertionError("warm restart must not run probes")
+
+        warm = Calibrator.load_or_train(
+            SimpleNamespace(name="pregel+"),
+            exploding_factory,
+            512.0,
+            kind="bppr",
+            graph_fingerprint="fp",
+            seed=5,
+            cache=ArtifactCache(directory=str(tmp_path)),
+        )
+        assert warm.stats.warm_start
+        assert warm.stats.training_runs == 0
+        assert warm.model.peak == cal.model.peak
+        assert warm.model.residual == cal.model.residual
+        restored = warm.pack()
+        assert "seconds" not in restored
+        assert restored["samples"].tobytes() == archive["samples"].tobytes()
 
     def test_cache_key_separates_settings(self):
         base = calibration_cache_key("pregel+", "bppr", "fp", 512.0, 3)
