@@ -24,7 +24,7 @@ segment reduction, for sanity-checking
 
 ``--streaming`` reruns the same task suite against a memory-mapped copy
 of the benchmark graph with the block size forced small enough that
-every round streams multiple CSR row blocks through the scratch arena.
+every round streams multiple CSR row blocks.
 The results land under ``streaming.<task>`` keys in the baseline and
 drift only ever warns — the mode exists to keep an eye on the
 out-of-core overhead ratio, not to gate merges.

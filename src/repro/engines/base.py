@@ -45,7 +45,6 @@ from repro.errors import (
     OverloadError,
 )
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.graph.arena import ScratchArena
 from repro.graph.csr import Graph
 from repro.graph.mirrors import MirrorPlan, build_mirror_plan
 from repro.graph.partition import Partition, partition_graph
@@ -313,9 +312,9 @@ class EngineSession:
     """A long-lived execution context for one (engine, task family) pair.
 
     The session is the *pure batch-execution core* of the engine: graph
-    partitions, mirror plans, the message router, the scratch arena and
-    the RNG stream are prepared once and persist across every batch the
-    session runs, along with the accumulated residual memory, elapsed
+    partitions, mirror plans, the message router and the RNG stream
+    are prepared once and persist across every batch the session
+    runs, along with the accumulated residual memory, elapsed
     simulated time, and the global round counter that fault plans index.
     Batches whose kernel declares itself deterministic execute once per
     session and are replayed from a round tape afterwards
@@ -357,10 +356,6 @@ class EngineSession:
         self.prep = engine._prepare(task)
         self.cost_model = engine._make_cost_model()
         self.rng = make_rng(seed, label=f"{engine.name}/{task.name}")
-        # One scratch arena per session: every batch's kernel draws its
-        # per-round buffers from the same pool, so the steady state of
-        # the superstep loop allocates nothing.
-        self.arena = ScratchArena()
         self.fault_plan = fault_plan
         self.checkpoint_every = checkpoint_every
         #: ``None`` disables the offline 6000 s job cutoff — the online
@@ -435,7 +430,7 @@ class EngineSession:
             residual_memory_bytes=self.residual_bytes,
         )
         kernel = self.task.make_kernel(
-            self.prep.router, float(batch_workload), self.rng, arena=self.arena
+            self.prep.router, float(batch_workload), self.rng
         )
         replay_key = kernel.replay_key()
         if replay_key is not None:
@@ -970,10 +965,10 @@ class SimulatedEngine:
         """Open a reusable :class:`EngineSession` for ``task``.
 
         The session pins the prepared graph (partition, mirror plan,
-        router), the RNG stream, and a shared scratch arena, then runs
-        batches one at a time — the building block the online scheduler
-        drives. ``cutoff_seconds=None`` disables the offline job
-        cutoff for long-lived services.
+        router) and the RNG stream, then runs batches one at a time —
+        the building block the online scheduler drives.
+        ``cutoff_seconds=None`` disables the offline job cutoff for
+        long-lived services.
         """
         return EngineSession(
             self,

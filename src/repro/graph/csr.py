@@ -19,9 +19,6 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-if False:  # pragma: no cover - import cycle guard, typing only
-    from repro.graph.arena import ScratchArena
-
 
 class Graph:
     """A fixed, CSR-encoded directed multigraph view.
@@ -354,24 +351,20 @@ class Graph:
 # Every frontier-driven task (MSSP, BKHS, and the per-arc mass spreading
 # in BPPR/PageRank/exact references) used to carry its own copy of the
 # ``repeat``/``cumsum`` CSR gather; the helpers below consolidate them
-# into one optimized implementation that reuses scratch buffers across
-# rounds and replaces ``np.unique`` on composite keys with a sort-based
-# reduction. Since the unweighted rounds went bit-parallel
-# (:class:`repro.tasks.base.BitFrontier`) the two ``dedup_pairs*``
-# functions have no caller in ``src/``; they stay importable because
-# the frozen benchmark's span table resolves them by name.
+# into one implementation that replaces ``np.unique`` on composite
+# keys with a sort-based reduction. Since the unweighted rounds went
+# bit-parallel (:class:`repro.tasks.base.BitFrontier`) the two
+# ``dedup_pairs*`` functions have no caller in ``src/``; they stay
+# importable because the frozen benchmark's span table resolves them
+# by name.
 # ----------------------------------------------------------------------
 
 
 def expand_frontier(
     graph: Graph,
     verts: np.ndarray,
-    scratch=None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Expand frontier vertices to all their out-arcs (vectorised gather).
-
-    ``scratch`` is anything exposing ``arange(size)`` — in practice a
-    :class:`repro.graph.arena.ScratchArena`.
 
     Returns ``(arc_positions, counts, kept)``:
 
@@ -388,7 +381,7 @@ def expand_frontier(
 
     Compared to the naive three-``np.repeat`` gather this fuses the
     base/offset arithmetic into one ``np.repeat`` plus one in-place add
-    from the scratch-cached ``arange``.
+    of an ``arange``.
     """
     counts = graph.degrees[verts]
     kept: Optional[np.ndarray] = None
@@ -401,14 +394,11 @@ def expand_frontier(
         return np.empty(0, dtype=np.int64), counts, kept
 
     # Each entry's arcs start at indptr[v]; subtracting the exclusive
-    # prefix sum first lets one repeat plus the cached arange produce
+    # prefix sum first lets one repeat plus an arange produce
     # consecutive positions per segment.
     bounds = np.cumsum(counts)
     arc_pos = np.repeat(graph.indptr[verts] - (bounds - counts), counts)
-    if scratch is None:
-        arc_pos += np.arange(total, dtype=np.int64)
-    else:
-        arc_pos += scratch.arange(total)
+    arc_pos += np.arange(total, dtype=np.int64)
     return arc_pos, counts, kept
 
 
@@ -416,36 +406,27 @@ def dedup_pairs(
     rows: np.ndarray,
     cols: np.ndarray,
     num_cols: int,
-    arena: "Optional[ScratchArena]" = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct ``(row, col)`` pairs in row-major order, sort-based.
 
     Builds composite ``row * num_cols + col`` keys, sorts them in place
     and keeps boundary elements — an order of magnitude faster than
     ``np.unique`` on the same keys — then splits the unique keys back
-    with a single ``np.divmod``. With ``arena``, the keys and boundary
-    mask live in pooled buffers and the returned arrays are
-    arena-backed.
+    with a single ``np.divmod``.
     """
     if rows.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    keys = composite_keys(rows, cols, num_cols, arena)
-    return _split_keys(sorted_unique(keys, arena), num_cols, arena)
+    keys = composite_keys(rows, cols, num_cols)
+    return _split_keys(sorted_unique(keys), num_cols)
 
 
-def sorted_unique(
-    keys: np.ndarray, arena: "Optional[ScratchArena]" = None
-) -> np.ndarray:
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sort ``keys`` in place and return the distinct ones (boundary
     elements of the sorted runs; a fresh array). The one sort-and-mask
     of the graph layer: ``np.unique`` hashes int64 keys since numpy
     2.3 and is several times slower on arc-sized arrays."""
-    boundary = (
-        np.empty(keys.size, dtype=bool)
-        if arena is None
-        else arena.take(keys.size, dtype=bool)
-    )
+    boundary = np.empty(keys.size, dtype=bool)
     keys.sort()
     boundary[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
@@ -474,7 +455,6 @@ def dedup_pairs_dense(
     rows: np.ndarray,
     cols: np.ndarray,
     mask: np.ndarray,
-    arena: "Optional[ScratchArena]" = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct ``(row, col)`` pairs via a reusable dense boolean mask.
 
@@ -488,11 +468,11 @@ def dedup_pairs_dense(
     entry.
     """
     flat = mask.reshape(-1)
-    keys = composite_keys(rows, cols, mask.shape[1], arena)
+    keys = composite_keys(rows, cols, mask.shape[1])
     flat[keys] = True
     cells = np.flatnonzero(flat)
     flat[cells] = False
-    return _split_keys(cells, mask.shape[1], arena)
+    return _split_keys(cells, mask.shape[1])
 
 
 #: Sentinel cached on ``Graph._spread`` when scipy is unavailable, so
@@ -801,10 +781,9 @@ def _segment_chunked(
     contiguous candidate ``ranges``, the sorted-unique per-range runs
     folded left to right with ``ufunc`` (:func:`_merge_reduce`).
 
-    ``pooled`` runs the ranges on the kernel pool (fresh buffers —
-    pool workers never share an arena); otherwise one at a time, so
-    one range's intermediates are resident. The fold sees the runs in
-    range order and emits cells row-major: ``min`` is
+    ``pooled`` runs the ranges on the kernel pool; otherwise one at a
+    time, so one range's intermediates are resident. The fold sees the
+    runs in range order and emits cells row-major: ``min`` is
     order-independent, so any cut is bit-identical to the monolithic
     reduction; ``sum`` keeps :func:`segment_sum`'s exactness regime
     (all-ones walk counts, size-one cells) and can differ in the last
@@ -974,13 +953,9 @@ def composite_keys(
     rows: np.ndarray,
     cols: np.ndarray,
     num_cols: int,
-    arena: "Optional[ScratchArena]" = None,
 ) -> np.ndarray:
-    """Flat ``row * num_cols + col`` cell keys (arena-pooled if given)."""
-    if arena is None:
-        keys = rows * np.int64(num_cols)
-    else:
-        keys = np.multiply(rows, np.int64(num_cols), out=arena.take(rows.size))
+    """Flat ``row * num_cols + col`` cell keys."""
+    keys = rows * np.int64(num_cols)
     keys += cols
     return keys
 
@@ -989,7 +964,6 @@ def _sorted_segments(
     rows: np.ndarray,
     cols: np.ndarray,
     num_cols: int,
-    arena: "Optional[ScratchArena]" = None,
     stable: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort candidates by composite ``(row, col)`` key.
@@ -1001,25 +975,10 @@ def _sorted_segments(
     reduction is order-sensitive); order-independent reductions such as
     ``min`` pass ``stable=False`` for the ~4x faster introsort.
     """
-    size = rows.size
-    keys = composite_keys(rows, cols, num_cols, arena)
+    keys = composite_keys(rows, cols, num_cols)
     order = np.argsort(keys, kind="stable" if stable else None)
-    if arena is None:
-        sorted_keys = keys[order]
-    else:
-        # ``mode="clip"``, here and at every buffered gather of the
-        # kernels: under the default ``"raise"`` numpy stages ``out``
-        # through a full-size temporary and copies it over. Nothing is
-        # ever clipped — the indices come from ``argsort``, or from
-        # ``indptr`` / ``indices``, which ``Graph.__init__`` validates and
-        # ``open_mapped`` re-checks: ``indptr`` always, ``indices`` and
-        # ``weights`` whenever the graph does not stream.
-        sorted_keys = np.take(keys, order, out=arena.take(size), mode="clip")
-    boundary = (
-        np.empty(size, dtype=bool)
-        if arena is None
-        else arena.take(size, dtype=bool)
-    )
+    sorted_keys = keys[order]
+    boundary = np.empty(rows.size, dtype=bool)
     boundary[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
@@ -1029,14 +988,9 @@ def _sorted_segments(
 def _split_keys(
     keys: np.ndarray,
     num_cols: int,
-    arena: "Optional[ScratchArena]" = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Split composite keys back into ``(rows, cols)``."""
-    if arena is None:
-        return np.divmod(keys, np.int64(num_cols))
-    rows = np.floor_divide(keys, np.int64(num_cols), out=arena.take(keys.size))
-    cols = np.remainder(keys, np.int64(num_cols), out=arena.take(keys.size))
-    return rows, cols
+    return np.divmod(keys, np.int64(num_cols))
 
 
 def segment_min(
@@ -1044,7 +998,6 @@ def segment_min(
     cols: np.ndarray,
     values: np.ndarray,
     num_cols: int,
-    arena: "Optional[ScratchArena]" = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum of ``values`` per distinct ``(row, col)`` cell.
 
@@ -1055,29 +1008,15 @@ def segment_min(
     sparse collect (``min`` is order-independent, so the unstable — and
     measurably faster — introsort is safe), but via one argsort and one
     ``np.minimum.reduceat`` over the grouped candidates.
-
-    With ``arena``, every intermediate lives in pooled buffers and the
-    returned arrays are arena-backed (valid for the arena's keepalive
-    window — copy to persist longer).
     """
     if rows.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0, dtype=values.dtype)
     order, sorted_keys, starts = _sorted_segments(
-        rows, cols, num_cols, arena, stable=False
+        rows, cols, num_cols, stable=False
     )
-    if arena is None:
-        sorted_values = values[order]
-        minima = np.minimum.reduceat(sorted_values, starts)
-    else:
-        sorted_values = np.take(
-            values, order, out=arena.take(values.size, dtype=values.dtype),
-            mode="clip",
-        )
-        minima = np.minimum.reduceat(
-            sorted_values, starts, out=arena.take(starts.size, values.dtype)
-        )
-    cell_rows, cell_cols = _split_keys(sorted_keys[starts], num_cols, arena)
+    minima = np.minimum.reduceat(values[order], starts)
+    cell_rows, cell_cols = _split_keys(sorted_keys[starts], num_cols)
     return cell_rows, cell_cols, minima
 
 
@@ -1086,7 +1025,6 @@ def segment_sum(
     cols: np.ndarray,
     values: np.ndarray,
     num_cols: int,
-    arena: "Optional[ScratchArena]" = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum of ``values`` per distinct ``(row, col)`` cell.
 
@@ -1104,19 +1042,9 @@ def segment_sum(
     if rows.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0, dtype=values.dtype)
-    order, sorted_keys, starts = _sorted_segments(rows, cols, num_cols, arena)
-    if arena is None:
-        sorted_values = values[order]
-        sums = np.add.reduceat(sorted_values, starts)
-    else:
-        sorted_values = np.take(
-            values, order, out=arena.take(values.size, dtype=values.dtype),
-            mode="clip",
-        )
-        sums = np.add.reduceat(
-            sorted_values, starts, out=arena.take(starts.size, values.dtype)
-        )
-    cell_rows, cell_cols = _split_keys(sorted_keys[starts], num_cols, arena)
+    order, sorted_keys, starts = _sorted_segments(rows, cols, num_cols)
+    sums = np.add.reduceat(values[order], starts)
+    cell_rows, cell_cols = _split_keys(sorted_keys[starts], num_cols)
     return cell_rows, cell_cols, sums
 
 
@@ -1126,7 +1054,6 @@ def scatter_min_dense(
     values: np.ndarray,
     state: np.ndarray,
     mask: np.ndarray,
-    arena: "Optional[ScratchArena]" = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused dense-strategy scatter: ``np.minimum.at`` of ``values``
     directly into the 2-D ``state`` matrix, in place.
@@ -1141,24 +1068,13 @@ def scatter_min_dense(
     recover coordinates with ``divmod(cells, state.shape[1])``.
     """
     num_cols = state.shape[1]
-    keys = composite_keys(rows, cols, num_cols, arena)
+    keys = composite_keys(rows, cols, num_cols)
     flat_mask = mask.reshape(-1)
     flat_state = state.reshape(-1)
     flat_mask[keys] = True
     cells = np.flatnonzero(flat_mask)
     flat_mask[cells] = False
-    if arena is None:
-        before = flat_state[cells]
-        np.minimum.at(flat_state, keys, values)
-        after = flat_state[cells]
-    else:
-        before = np.take(
-            flat_state, cells, out=arena.take(cells.size, state.dtype),
-            mode="clip",
-        )
-        np.minimum.at(flat_state, keys, values)
-        after = np.take(
-            flat_state, cells, out=arena.take(cells.size, state.dtype),
-            mode="clip",
-        )
+    before = flat_state[cells]
+    np.minimum.at(flat_state, keys, values)
+    after = flat_state[cells]
     return cells, before, after

@@ -341,9 +341,9 @@ def open_mapped(directory: PathLike) -> Graph:
             f"{directory}: weights.npy holds {weights.size} entries, "
             f"graph.json promises {meta['num_arcs']}"
         )
-    # The kernels gather arcs by position along ``indptr`` without a
-    # range check (``mode="clip"``): one pass over the vertex-sized
-    # array proves here what ``Graph.__init__`` proves in RAM.
+    # The kernels gather arcs by position along ``indptr``: one pass
+    # over the vertex-sized array proves here what ``Graph.__init__``
+    # proves in RAM.
     if not _is_pointer_run(indptr, indices.size):
         raise GraphFormatError(
             f"{directory}: indptr.npy is not a non-decreasing run from 0 "

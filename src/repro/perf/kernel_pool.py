@@ -5,8 +5,8 @@ independent experiments; every MSSP/BKHS/BPPR round still ran its
 expand/reduce/frontier work on one core. This module adds the missing
 axis: a long-lived pool of *threads* that executes the hot kernels in
 :mod:`repro.graph.csr` as row-sharded data-parallel tasks — each worker
-processes a contiguous frontier/row shard into its own scratch arena,
-and a deterministic sort-based merge (the same winner-key semantics the
+processes a contiguous frontier/row shard into arrays of its own, and
+a deterministic sort-based merge (the same winner-key semantics the
 block-streaming kernels proved out) combines shard results
 byte-identically to the serial path at any shard count.
 

@@ -194,9 +194,9 @@ def set_pool_observer(observer: Optional[Callable]) -> Optional[Callable]:
     return previous
 
 
-#: DRAM one pool worker is assumed to need (graph views, scratch
-#: arenas, serialized results); ``--jobs 0`` starts no more workers than
-#: the host's MemTotal can back at this size.
+#: DRAM one pool worker is assumed to need (graph views, per-round
+#: kernel buffers, serialized results); ``--jobs 0`` starts no more
+#: workers than the host's MemTotal can back at this size.
 WORKER_MEMORY_BYTES = 512 << 20
 
 
@@ -405,6 +405,7 @@ def _pool_map(
 
     outputs: List[Optional[tuple]] = [None] * len(payloads)
     crashed: List[int] = []
+    raised: List[BaseException] = []
 
     def _collect(future, index: int) -> bool:
         """Harvest one future; ``False`` means degrade to serial."""
@@ -420,7 +421,8 @@ def _pool_map(
                     f"pickled ({exc})"
                 )
                 return False
-            raise  # the worker function's own error: propagate
+            raised.append(exc)  # the worker function's own error
+            raise
         return True
 
     heartbeat = _WATCHDOG["heartbeat_seconds"]
@@ -455,6 +457,8 @@ def _pool_map(
                     for proc in list(executor._processes.values()):
                         proc.kill()
     except (OSError, BrokenProcessPool) as exc:
+        if raised:  # an OSError of the worker function: propagate
+            raise
         # The pool itself collapsed outside a result() call (e.g. a
         # sandboxed platform killing the management thread).
         _warn_serial(f"process pool collapsed ({exc})")

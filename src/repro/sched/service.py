@@ -1,8 +1,8 @@
 """The queue-driven scheduler loop (``vcrepro serve``).
 
 The service owns one persistent :class:`~repro.engines.base.EngineSession`
-per task kind (graph load, partitions, mirror plans and the scratch
-arena survive across batches) and an
+per task kind (graph load, partitions and mirror plans survive across
+batches) and an
 :class:`~repro.sched.admission.AdmissionController` over the fitted
 memory models. A :meth:`SchedulerService.run` call is one state record
 (:class:`_Run`) and three transitions over it on a simulated clock

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import TaskError
-from repro.graph.arena import ScratchArena
 from repro.graph.csr import (
     Graph,
     expand_frontier,
@@ -145,20 +144,11 @@ class TaskKernel(ABC):
     def __init__(self, graph: Graph, router: MessageRouter) -> None:
         self.graph = graph
         self.router = router
-        self.arena = ScratchArena()
         self._started = False
         self._finished = False
         self._round = 0
 
     # -- lifecycle ------------------------------------------------------
-    def use_arena(self, arena: ScratchArena) -> None:
-        """Adopt a shared scratch arena (engine-injected, one per job, so
-        batch boundaries reuse the same buffer pool). Must happen before
-        :meth:`start_batch`."""
-        if self._started:
-            raise TaskError("use_arena() must be called before start_batch()")
-        self.arena = arena
-
     def start_batch(self, workload: float) -> None:
         """Initialise the batch for ``workload`` unit tasks."""
         if self._started:
@@ -197,9 +187,7 @@ class TaskKernel(ABC):
         pure function of (graph, router, key): no RNG draw, no state
         shared with another kernel. The engine session then executes
         one kernel per key and serves every later batch with an equal
-        key from the recorded rounds (``DESIGN.md``, "Round tapes"). A
-        declaring kernel may sit half-run while its session steps other
-        kernels, so it must keep no arena-backed state across rounds.
+        key from the recorded rounds (``DESIGN.md``, "Round tapes").
         Declare per *exact* class: a subclass that adds randomness
         inherits this method, so a declaring kernel checks
         ``type(self)`` rather than ``isinstance``.
@@ -233,36 +221,31 @@ class TaskKernel(ABC):
     def run_blocks(
         self, body: Callable[..., Any], verts: np.ndarray, *columns: np.ndarray
     ) -> Tuple[List[Any], bool]:
-        """Run ``body(verts[lo:hi], *columns[lo:hi], arena, exclusive)``
-        over the round's :meth:`block_plan`; returns the results in
-        block order and whether the blocks were *exclusive*.
+        """Run ``body(verts[lo:hi], *columns[lo:hi], exclusive)`` over
+        the round's :meth:`block_plan`; returns the results in block
+        order and whether the blocks were *exclusive*.
 
-        An exclusive block is the only code running: it gets
-        ``self.arena`` (advanced one generation per block, so a
-        many-block round keeps about two blocks of buffers resident),
-        may write kernel state and shared scratch masks, and records
-        ``kernel.*`` timings. Pooled blocks run concurrently, each on a
-        child arena of its own: they only read shared state and return
-        what they found for the caller to fold; the whole dispatch is
-        booked under ``kernel.expand`` here (the phase accumulators are
-        not thread-safe).
+        An exclusive block is the only code running: it may write
+        kernel state and shared scratch masks, and records ``kernel.*``
+        timings. Pooled blocks run concurrently: they only read shared
+        state and return what they found for the caller to fold; the
+        whole dispatch is booked under ``kernel.expand`` here (the phase
+        accumulators are not thread-safe).
         """
 
-        def block(lo: int, hi: int, arena: ScratchArena, exclusive: bool):
-            arena.new_round()
+        def block(lo: int, hi: int, exclusive: bool):
             slices = [column[lo:hi] for column in columns]
-            return body(verts[lo:hi], *slices, arena, exclusive)
+            return body(verts[lo:hi], *slices, exclusive)
 
         cuts, pooled = self.block_plan(verts)
         if not pooled:
-            return [block(lo, hi, self.arena, True) for lo, hi in cuts], True
+            return [block(lo, hi, True) for lo, hi in cuts], True
         tick = perf_counter()
-        cuts = [(lo, hi) for lo, hi in cuts if hi > lo]
-        arenas = self.arena.children(len(cuts))
         results = kernel_pool.run_sharded(
             [
-                (lambda lo=lo, hi=hi, arena=arena: block(lo, hi, arena, False))
-                for (lo, hi), arena in zip(cuts, arenas)
+                (lambda lo=lo, hi=hi: block(lo, hi, False))
+                for lo, hi in cuts
+                if hi > lo
             ]
         )
         timings.add("kernel.expand", perf_counter() - tick)
@@ -385,9 +368,8 @@ class BitFrontier:
 
     def advance(self, kernel: TaskKernel) -> bool:
         """One BFS round for every source at once, for the ``kernel``
-        that owns this state (its block plan cuts a push round, its
-        arena lends the buffers). Returns whether any frontier vertex
-        had an out-arc.
+        that owns this state (its block plan cuts a push round).
+        Returns whether any frontier vertex had an out-arc.
 
         The round pulls when its frontier owns at least
         ``1 / PULL_ARC_RATIO`` of the graph's arcs — pull costs ``m``
@@ -407,8 +389,7 @@ class BitFrontier:
         if 0 < graph.num_arcs <= PULL_ARC_RATIO * int(
             graph.degrees[self.verts].sum()
         ):
-            kernel.arena.new_round()
-            results = [self._gather(kernel.arena)]
+            results = [self._gather()]
             timings.add("kernel.pull", 0.0)
         else:
             results, _ = kernel.run_blocks(
@@ -438,7 +419,6 @@ class BitFrontier:
         self,
         verts: np.ndarray,
         words: np.ndarray,
-        arena: ScratchArena,
         exclusive: bool,
     ) -> Optional[np.ndarray]:
         """Push: OR the word rows of one frontier slice along its
@@ -447,37 +427,33 @@ class BitFrontier:
         Returns ``None`` when the slice has no out-arc, else the
         ``(n, words)`` array it scattered into: the shared
         ``_incoming`` for an *exclusive* block (which also times
-        itself), a zeroed private one from its own arena for a pooled
-        block — two concurrent blocks reaching one target would race
-        on the shared array — which the parent folds.
+        itself), a zeroed private one for a pooled block — two
+        concurrent blocks reaching one target would race on the shared
+        array — which the parent folds.
         """
         graph = self.graph
         tick = perf_counter()
-        arc_pos, counts, kept = expand_frontier(graph, verts, arena)
+        arc_pos, counts, kept = expand_frontier(graph, verts)
         if arc_pos.size == 0:
             if exclusive:
                 timings.add("kernel.expand", perf_counter() - tick)
             return None
         if kept is not None:
             words = words[kept]
-        nbr = np.take(
-            graph.indices, arc_pos, out=arena.take(arc_pos.size), mode="clip"
-        )
+        nbr = np.take(graph.indices, arc_pos)
         arc_words = np.repeat(words, counts, axis=0)
         if exclusive:
             target = self._incoming
             tock = perf_counter()
             timings.add("kernel.expand", tock - tick)
         else:
-            target = arena.take(self._incoming.size, np.uint64)
-            target = target.reshape(self._incoming.shape)
-            target.fill(0)
+            target = np.zeros(self._incoming.shape, np.uint64)
         np.bitwise_or.at(target, nbr, arc_words)
         if exclusive:
             timings.add("kernel.reduce", perf_counter() - tock)
         return target
 
-    def _gather(self, arena: ScratchArena) -> np.ndarray:
+    def _gather(self) -> np.ndarray:
         """Pull: OR into the row of every vertex that has in-arcs the
         ``visited`` rows of its in-neighbours, one word column at a
         time — gather the column along ``A^T``'s source list, reduce
@@ -500,12 +476,15 @@ class BitFrontier:
         """
         sources = self.graph.transposition()[1]
         blocks = self.graph.transposition_blocks()
-        buffer = arena.take(max(hi - lo for lo, hi, _, _ in blocks), np.uint64)
+        buffer = np.empty(max(hi - lo for lo, hi, _, _ in blocks), np.uint64)
         for arc_lo, arc_hi, targets, starts in blocks:
             block_sources = sources[arc_lo:arc_hi]
             arc_words = buffer[: arc_hi - arc_lo]
             for column in range(self.visited.shape[1]):
                 tick = perf_counter()
+                # ``mode="clip"``: under the default ``"raise"`` numpy
+                # stages ``out`` through a full-size temporary. Nothing
+                # is clipped: ``A^T``'s sources are the graph's vertices.
                 np.take(
                     self.visited[:, column], block_sources, out=arc_words,
                     mode="clip",
@@ -578,16 +557,9 @@ class TaskSpec:
         router: MessageRouter,
         batch_workload: float,
         rng: np.random.Generator,
-        arena: Optional[ScratchArena] = None,
     ) -> TaskKernel:
-        """Instantiate a kernel for one batch of this job.
-
-        ``arena`` (engine-provided) shares one scratch-buffer pool across
-        every batch of a job, so steady-state rounds allocate nothing.
-        """
+        """Instantiate and start a kernel for one batch of this job."""
         kernel = self.kernel_factory(self.graph, router, batch_workload, rng)
-        if arena is not None:
-            kernel.use_arena(arena)
         kernel.start_batch(batch_workload)
         return kernel
 

@@ -313,7 +313,6 @@ class BPPRKernel(TaskKernel):
 
     def _advance_montecarlo(self) -> RoundSummary:
         graph = self.graph
-        self.arena.new_round()
         alive_idx = np.flatnonzero(self._alive)
         cur = self._cur[alive_idx]
 
@@ -346,7 +345,6 @@ class BPPRKernel(TaskKernel):
                     self._cur[stopping],
                     np.ones(stopping.size, dtype=np.float64),
                     self.graph.num_vertices,
-                    self.arena,
                 )
             self._stop_counts[stop_rows, stop_cols] += stop_sums
             timings.add("kernel.reduce", perf_counter() - tick)

@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.graph.arena import ScratchArena
 from repro.graph.csr import (
     Graph,
     expand_frontier,
@@ -163,7 +162,6 @@ class MSSPKernel(TaskKernel):
         verts: np.ndarray,
         rows: np.ndarray,
         dist: np.ndarray,
-        arena: ScratchArena,
         exclusive: bool,
     ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
         """Relax the out-arcs of one frontier slice (``dist`` is the
@@ -174,28 +172,24 @@ class MSSPKernel(TaskKernel):
         block improved, row-major, in arrays the block owns. An
         *exclusive* block has written the improvements into ``_dist``
         (``minima`` is ``None``) and timed itself; a read-only one
-        touches only its slice, its arena and read-only shared state,
-        and hands the ``minima`` back for the parent to fold.
+        touches only its slice and read-only shared state, and hands
+        the ``minima`` back for the parent to fold.
         """
         graph = self.graph
         n = graph.num_vertices
         tick = perf_counter()
-        # Expand every frontier pair to all out-neighbours (shared CSR
-        # gather, arena buffers reused across blocks and rounds).
-        arc_pos, counts, kept = expand_frontier(graph, verts, arena)
+        # Expand every frontier pair to all out-neighbours.
+        arc_pos, counts, kept = expand_frontier(graph, verts)
         if arc_pos.size == 0:
             if exclusive:
                 timings.add("kernel.expand", perf_counter() - tick)
             return None
         if kept is not None:
             rows, dist = rows[kept], dist[kept]
-        nbr = np.take(
-            graph.indices, arc_pos, out=arena.take(arc_pos.size), mode="clip"
-        )
+        nbr = np.take(graph.indices, arc_pos)
         msg_rows = np.repeat(rows, counts)
         cand = np.repeat(dist, counts)
-        weights = arena.take(arc_pos.size, np.float64)
-        cand += np.take(graph.weights, arc_pos, out=weights, mode="clip")
+        cand += np.take(graph.weights, arc_pos)
         if exclusive:
             tock = perf_counter()
             timings.add("kernel.expand", tock - tick)
@@ -210,21 +204,17 @@ class MSSPKernel(TaskKernel):
         # needs exclusivity.
         if exclusive and use_dense_cells(msg_rows.size, self._pair_mask.size):
             cells, before, best = scatter_min_dense(
-                msg_rows, nbr, cand, self._dist, self._pair_mask, arena
+                msg_rows, nbr, cand, self._dist, self._pair_mask
             )
             improved = best < before
-            # The scatter already wrote the minima in place; ``cells``
-            # is no arena buffer, so the keys survive later blocks.
+            # The scatter already wrote the minima in place.
             keys = cells if improved.all() else cells[improved]
             minima = None
         else:
-            cell_rows, cell_verts, best = segment_min(
-                msg_rows, nbr, cand, n, arena
-            )
+            cell_rows, cell_verts, best = segment_min(msg_rows, nbr, cand, n)
             flat_dist = self._dist.reshape(-1)
             keys = cell_rows * np.int64(n) + cell_verts
             improved = best < flat_dist[keys]
-            # Boolean indexing copies out of the block's arena.
             keys, minima = keys[improved], best[improved]
             if exclusive:
                 flat_dist[keys] = minima

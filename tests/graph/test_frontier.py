@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graph.arena import ScratchArena
 from repro.graph.csr import (
     dedup_pairs,
     dedup_pairs_dense,
@@ -30,14 +29,11 @@ def naive_expand(graph, verts):
 class TestExpandFrontier:
     def test_matches_naive(self, skewed_graph):
         rng = np.random.default_rng(3)
-        scratch = ScratchArena()
         for trial in range(10):
             verts = rng.choice(
                 skewed_graph.num_vertices, size=30, replace=False
             ).astype(np.int64)
-            arc_pos, counts, kept = expand_frontier(
-                skewed_graph, verts, scratch
-            )
+            arc_pos, counts, kept = expand_frontier(skewed_graph, verts)
             np.testing.assert_array_equal(
                 arc_pos, naive_expand(skewed_graph, verts)
             )
@@ -66,15 +62,6 @@ class TestExpandFrontier:
         )
         assert arc_pos.size == 0
         assert counts.size == 0
-
-    def test_scratch_buffer_grows_and_reuses(self):
-        scratch = ScratchArena()
-        small = scratch.arange(4)
-        np.testing.assert_array_equal(small, np.arange(4))
-        big = scratch.arange(100)
-        np.testing.assert_array_equal(big, np.arange(100))
-        again = scratch.arange(50)
-        assert again.base is scratch.arange(50).base  # same backing buffer
 
 
 class TestDedupPairs:

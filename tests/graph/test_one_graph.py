@@ -34,6 +34,7 @@ from repro.rng import make_rng
 from repro.sim.metrics import pack_job
 from repro.tasks import base as tasks_base
 from repro.tasks.bkhs import BKHSKernel
+from repro.tasks.bppr import BPPRKernel
 from repro.tasks.mssp import MSSPKernel
 
 from tests.tasks.test_bit_parallel import is_file_map
@@ -180,6 +181,38 @@ class TestStreamedPullMatchesResident:
         one_block = traversal_rounds(resident), payloads(resident)
         directions = [pulled for pulled, *_ in one_block[0]]
         assert 0 in directions and 1 in directions
+        assert streamed == one_block
+
+
+def bppr_mass_rounds(graph):
+    """The in-flight mass vector after every round of an untracked
+    expected-mass BPPR batch on ``graph``, as bytes."""
+    kernel = BPPRKernel(graph, router_for(graph), make_rng(4))
+    kernel.start_batch(64)
+    rounds = []
+    while not kernel.finished:
+        kernel.step()
+        rounds.append(kernel._mass_vec.tobytes())
+    return rounds
+
+
+class TestStreamedMassMatchesResident:
+    def test_same_mass_every_round(self, tmp_path):
+        """Streamed mass propagation (``np.add.at`` over out-arc row
+        blocks) sums each target's in-arcs in arc order, as the
+        resident matvec does: the mass vector is bit-equal after every
+        round, not only the packed payloads."""
+        resident = chung_lu(1500, 8.0, seed=21, name="seam")
+        on_disk = save_mapped(resident, tmp_path / "seam.csr")
+        # 512-arc blocks: no budget-modelling engine runs here, so the
+        # budget only sets how finely the arcs are cut.
+        csr.MIN_STREAM_BLOCK_ARCS = 512
+        csr.configure_streaming(512 * csr.STREAM_BYTES_PER_ARC)
+        assert len(list(csr.row_blocks(on_disk))) >= 20
+        streamed = bppr_mass_rounds(on_disk)
+        csr.configure_streaming(None)
+        one_block = bppr_mass_rounds(resident)
+        assert len(one_block) > 1
         assert streamed == one_block
 
 

@@ -20,9 +20,7 @@ the replacement contract:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.graph.arena import ScratchArena
 from repro.graph.csr import (
     dedup_pairs,
     dedup_pairs_dense,
@@ -95,16 +93,10 @@ def _ragged_cases(seed: int = 7, trials: int = 25):
     return cases
 
 
-@pytest.mark.parametrize("use_arena", [False, True])
 class TestSegmentMin:
-    def test_bit_identical_to_minimum_at(self, use_arena):
+    def test_bit_identical_to_minimum_at(self):
         for rows, cols, values, num_rows, num_cols in _ragged_cases():
-            arena = ScratchArena() if use_arena else None
-            if arena is not None:
-                arena.new_round()
-            got_r, got_c, got_v = segment_min(
-                rows, cols, values, num_cols, arena
-            )
+            got_r, got_c, got_v = segment_min(rows, cols, values, num_cols)
             ref_r, ref_c, ref_v = _reference_min(
                 rows, cols, values, num_rows, num_cols
             )
@@ -112,28 +104,19 @@ class TestSegmentMin:
             np.testing.assert_array_equal(got_c, ref_c)
             np.testing.assert_array_equal(got_v, ref_v)  # bitwise
 
-    def test_unweighted_all_ones(self, use_arena):
+    def test_unweighted_all_ones(self):
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 4, size=200, dtype=np.int64)
         cols = rng.integers(0, 9, size=200, dtype=np.int64)
         values = np.ones(200)
-        arena = ScratchArena() if use_arena else None
-        if arena is not None:
-            arena.new_round()
-        _, _, minima = segment_min(rows, cols, values, 9, arena)
+        _, _, minima = segment_min(rows, cols, values, 9)
         assert (minima == 1.0).all()
 
 
-@pytest.mark.parametrize("use_arena", [False, True])
 class TestSegmentSum:
-    def test_allclose_general_floats(self, use_arena):
+    def test_allclose_general_floats(self):
         for rows, cols, values, num_rows, num_cols in _ragged_cases(seed=13):
-            arena = ScratchArena() if use_arena else None
-            if arena is not None:
-                arena.new_round()
-            got_r, got_c, got_v = segment_sum(
-                rows, cols, values, num_cols, arena
-            )
+            got_r, got_c, got_v = segment_sum(rows, cols, values, num_cols)
             ref_r, ref_c, ref_v = _reference_sum(
                 rows, cols, values, num_rows, num_cols
             )
@@ -141,7 +124,7 @@ class TestSegmentSum:
             np.testing.assert_array_equal(got_c, ref_c)
             np.testing.assert_allclose(got_v, ref_v, rtol=1e-12)
 
-    def test_bit_identical_for_ones_counts(self, use_arena):
+    def test_bit_identical_for_ones_counts(self):
         # The Monte-Carlo walk kernels sum all-ones counts: integer-
         # exact in float64, so pairwise vs sequential cannot differ.
         rng = np.random.default_rng(17)
@@ -150,31 +133,24 @@ class TestSegmentSum:
             rows = rng.integers(0, 6, size=size, dtype=np.int64)
             cols = rng.integers(0, 25, size=size, dtype=np.int64)
             values = np.ones(size)
-            arena = ScratchArena() if use_arena else None
-            if arena is not None:
-                arena.new_round()
-            _, _, got = segment_sum(rows, cols, values, 25, arena)
+            _, _, got = segment_sum(rows, cols, values, 25)
             _, _, ref = _reference_sum(rows, cols, values, 6, 25)
             np.testing.assert_array_equal(got, ref)  # bitwise
 
-    def test_bit_identical_for_duplicate_free_cells(self, use_arena):
+    def test_bit_identical_for_duplicate_free_cells(self):
         # The arc-list call sites feed duplicate-free (row, col) pairs:
         # every cell has one summand, so the reduction is a permutation.
         rng = np.random.default_rng(19)
         flat = rng.choice(8 * 30, size=100, replace=False)
         rows, cols = np.divmod(flat.astype(np.int64), np.int64(30))
         values = rng.normal(size=100)
-        arena = ScratchArena() if use_arena else None
-        if arena is not None:
-            arena.new_round()
-        _, _, got = segment_sum(rows, cols, values, 30, arena)
+        _, _, got = segment_sum(rows, cols, values, 30)
         _, _, ref = _reference_sum(rows, cols, values, 8, 30)
         np.testing.assert_array_equal(got, ref)  # bitwise
 
 
-@pytest.mark.parametrize("use_arena", [False, True])
 class TestScatterMinDense:
-    def test_matches_reference(self, use_arena):
+    def test_matches_reference(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             num_rows = int(rng.integers(1, 8))
@@ -189,11 +165,8 @@ class TestScatterMinDense:
             ref_state = state.copy()
 
             mask = np.zeros((num_rows, num_cols), dtype=bool)
-            arena = ScratchArena() if use_arena else None
-            if arena is not None:
-                arena.new_round()
             cells, before, after = scatter_min_dense(
-                rows, cols, values, state, mask, arena
+                rows, cols, values, state, mask
             )
             np.testing.assert_array_equal(state, expected)  # bitwise
             assert not mask.any()  # mask handed back clean

@@ -1,7 +1,9 @@
 """Parallel fan-out: determinism vs the serial loop, fallback, jobs."""
 
+import collections
 import dataclasses
 import functools
+import warnings
 
 import pytest
 
@@ -115,6 +117,29 @@ class TestParallelMap:
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = parallel_map(lambda x: x + 1, [(1,), (2,)], jobs=2)
         assert result == [2, 3]
+
+    def test_worker_oserror_propagates_without_serial_rerun(self, tmp_path):
+        """A worker function's own ``OSError`` is its error, not a pool
+        collapse: it propagates with its type, no serial fallback runs,
+        and no item runs twice. Forked workers count their runs in a
+        file."""
+        runs = tmp_path / "runs"
+
+        def fn(i):
+            with open(runs, "a") as fh:
+                fh.write(f"{i}\n")
+            if i == 1:
+                raise FileNotFoundError("missing input")
+            return i
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FileNotFoundError, match="missing input"):
+                parallel_map_fork(fn, 4, jobs=2)
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        counts = collections.Counter(runs.read_text().split())
+        assert counts["1"] == 1
+        assert max(counts.values()) == 1
 
 
 class TestSweepDeterminism:

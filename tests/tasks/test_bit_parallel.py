@@ -404,7 +404,7 @@ def test_a_streamed_graph_pulls_its_heavy_rounds_block_by_block(task):
 
 
 def test_clip_mode_is_not_what_guards_the_index_range(tmp_path):
-    """The buffered gathers run ``mode="clip"`` for speed; what keeps
+    """The pull gather runs ``mode="clip"`` for speed; what keeps
     an arc position in range is the validation of ``indptr`` — by
     ``Graph`` in RAM, by ``open_mapped`` on disk, where a streamed
     graph's push rounds gather ``indices`` by it. An ``indptr.npy``

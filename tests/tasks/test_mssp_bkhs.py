@@ -81,9 +81,9 @@ class ForcedPlan:
             self.pushed_arcs += int(kernel.graph.degrees[verts].sum())
             return cuts, pooled
 
-        def recording_gather(bits, arena):
+        def recording_gather(bits):
             self.pulls += 1
-            landed = gather(bits, arena)
+            landed = gather(bits)
             self.pull_blocks.append(len(bits.graph.transposition_blocks()))
             return landed
 

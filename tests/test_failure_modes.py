@@ -4,18 +4,20 @@ Production libraries fail loudly and precisely; these tests pin the
 behaviour on broken kernels, degenerate graphs and hostile settings.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.batching.executor import MultiProcessingJob
 from repro.cluster.cluster import galaxy8
 from repro.engines.base import MAX_ROUNDS_PER_BATCH, SimulatedEngine
-from repro.engines.registry import create_engine, engine_profile
+from repro.engines.registry import ENGINE_NAMES, create_engine, engine_profile
 from repro.errors import EngineError, TaskError
 from repro.graph.build import from_edge_list, from_edges
 from repro.graph.generators import chain, chung_lu, star
 from repro.messages.routing import RoutedMessages
-from repro.tasks.base import RoundSummary, TaskKernel, TaskSpec
+from repro.tasks.base import RoundSummary, TaskKernel, TaskSpec, make_task
 from repro.tasks.bkhs import bkhs_task
 from repro.tasks.bppr import bppr_task
 from repro.tasks.mssp import mssp_task
@@ -132,6 +134,23 @@ class TestDegenerateGraphs:
             seed=1,
         )
         assert metrics.num_rounds == 2  # k + 1
+
+    @pytest.mark.parametrize("num_batches", [1, 2])
+    @pytest.mark.parametrize("num_vertices", [1, 64])
+    @pytest.mark.parametrize("kind", ["bppr", "bppr-query", "mssp", "bkhs"])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_edgeless_graphs_on_every_engine(
+        self, engine, kind, num_vertices, num_batches
+    ):
+        """No arc to expand, sum or scatter: every kernel's empty-input
+        branch, on every engine, still prices a finite job."""
+        empty = np.empty(0, dtype=np.int64)
+        graph = from_edges(empty, empty, num_vertices=num_vertices)
+        job = MultiProcessingJob(engine, galaxy8(scale=400))
+        metrics = job.run(
+            make_task(kind, graph, 8), num_batches=num_batches, seed=1
+        )
+        assert math.isfinite(metrics.seconds)
 
 
 class TestHostileSettings:
