@@ -1,27 +1,18 @@
-"""Chaos smoke test: kill workers mid-run, lose zero requests.
+"""Chaos smoke test: serve under injected faults, lose zero requests.
 
 Run from the repo root (CI does)::
 
-    python benchmarks/chaos_smoke.py              # both legs
-    python benchmarks/chaos_smoke.py --jobs 4     # wider pool
+    python benchmarks/chaos_smoke.py
 
-Two legs, each a PASS/FAIL gate:
+One PASS/FAIL gate: the preemptive scheduling service runs over a
+seeded arrival stream with an injected fault plan, and every request
+must complete (zero drops) and a repeat run under the same seed must be
+byte-identical — fault recovery and preemption both live on the
+simulated clock, so chaos cannot leak nondeterminism.
 
-* the **pool leg** fans a batch of engine jobs over a process pool and
-  SIGKILLs a seeded choice of worker partway through the map. The
-  broken pool must route every caught item through the isolated-respawn
-  path (:mod:`repro.perf.parallel`) and the final results must be
-  byte-identical to the serial ground truth — crash recovery may cost
-  wall-clock, never answers;
-* the **serve leg** drives the preemptive scheduling service over a
-  seeded arrival stream with an injected fault plan and asserts that
-  every request completes (zero drops) and that a repeat run under the
-  same seed is byte-identical — fault recovery and preemption both live
-  on the simulated clock, so chaos cannot leak nondeterminism.
-
-Exit status is non-zero unless both legs hold, making this the CI gate
-for the claim "supervised workers and barrier preemption lose no
-requests under induced failures".
+Exit status is non-zero unless the gate holds, making this the CI gate
+for the claim "barrier preemption loses no requests under induced
+failures".
 """
 
 from __future__ import annotations
@@ -29,133 +20,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import signal
 import sys
-import threading
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-DEFAULT_ITEMS = 6
-DEFAULT_JOBS = 3
 DEFAULT_SEED = 20230328
-KILL_AFTER_SECONDS = 0.4
-
-#: Per-item think time keeping the pool busy long enough for the chaos
-#: kill to land while futures are genuinely in flight.
-ITEM_SLEEP_SECONDS = 0.6
-
-
-def _job_digest(index: int) -> str:
-    """One deterministic unit of work: a seeded engine job, digested.
-
-    The sleep keeps the worker occupied so the chaos kill catches the
-    pool mid-map; it does not affect the digest (the job runs on the
-    simulated clock).
-    """
-    time.sleep(ITEM_SLEEP_SECONDS)
-    from repro.batching.executor import MultiProcessingJob
-    from repro.cluster.cluster import cluster_by_name
-    from repro.graph.datasets import load_dataset
-    from repro.rng import derive_seed
-    from repro.sim.metrics import pack_job
-    from repro.tasks.base import make_task
-
-    graph = load_dataset("dblp")
-    task = make_task("bppr", graph, 8.0)
-    job = MultiProcessingJob("pregel+", cluster_by_name("galaxy-8"))
-    metrics = job.run(
-        task, num_batches=1, seed=derive_seed(DEFAULT_SEED, f"chaos/{index}")
-    )
-    payload = bytes(pack_job(metrics)["payload"])
-    return hashlib.sha256(payload).hexdigest()
-
-
-class _WorkerKiller:
-    """Pool observer that SIGKILLs a seeded choice of live worker."""
-
-    def __init__(self, seed: int, kill_after: float) -> None:
-        from repro.rng import make_rng
-
-        self.rng = make_rng(seed, label="chaos/killer")
-        self.kill_after = kill_after
-        self.kills = 0
-        self._thread = None
-
-    def __call__(self, executor) -> None:
-        pids = sorted(executor._processes)
-        if not pids or self._thread is not None:
-            return
-        victim = pids[int(self.rng.integers(len(pids)))]
-
-        def strike() -> None:
-            time.sleep(self.kill_after)
-            try:
-                os.kill(victim, signal.SIGKILL)
-                self.kills += 1
-            except OSError:
-                pass  # worker already gone; the map simply stays clean
-
-        self._thread = threading.Thread(target=strike, daemon=True)
-        self._thread.start()
-
-
-def _pool_leg(items: int, jobs: int, seed: int) -> int:
-    from repro.perf.parallel import (
-        configure_retries,
-        parallel_map,
-        reset_supervision,
-        set_pool_observer,
-        supervision_stats,
-    )
-
-    configure_retries(max_retries=3, backoff_seconds=0.05, seed=seed,
-                      jitter=0.25)
-    reset_supervision()
-    killer = _WorkerKiller(seed, KILL_AFTER_SECONDS)
-    previous = set_pool_observer(killer)
-    try:
-        chaotic = parallel_map(
-            _job_digest, [(i,) for i in range(items)], jobs=jobs
-        )
-    finally:
-        set_pool_observer(previous)
-    stats = supervision_stats()
-    serial = [_job_digest(i) for i in range(items)]
-
-    failures = 0
-    if chaotic != serial:
-        failures += 1
-        print("FAIL pool leg: chaotic results differ from serial baseline")
-    if killer.kills < 1:
-        failures += 1
-        print("FAIL pool leg: the chaos killer never landed a SIGKILL")
-    if stats["items_lost"] > 0:
-        failures += 1
-        print(f"FAIL pool leg: {stats['items_lost']:.0f} items lost")
-    if killer.kills and stats["items_recovered"] < 1:
-        failures += 1
-        print("FAIL pool leg: no item went through isolated recovery")
-    if not failures:
-        print(
-            "PASS pool leg: "
-            + json.dumps(
-                {
-                    "items": items,
-                    "kills": killer.kills,
-                    "pool_crashes": stats["pool_crashes"],
-                    "items_recovered": stats["items_recovered"],
-                    "retries": stats["retries"],
-                    "backoff_seconds_total": round(
-                        stats["backoff_seconds_total"], 4
-                    ),
-                },
-                sort_keys=True,
-            )
-        )
-    return failures
 
 
 def _serve_metrics(seed: int):
@@ -240,23 +110,9 @@ def _serve_leg(seed: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--items", type=int, default=DEFAULT_ITEMS)
-    parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--leg",
-        choices=["pool", "serve", "both"],
-        default="both",
-        help="which chaos leg to run",
-    )
     args = parser.parse_args(argv)
-
-    failures = 0
-    if args.leg in ("pool", "both"):
-        failures += _pool_leg(args.items, args.jobs, args.seed)
-    if args.leg in ("serve", "both"):
-        failures += _serve_leg(args.seed)
-    return 1 if failures else 0
+    return 1 if _serve_leg(args.seed) else 0
 
 
 if __name__ == "__main__":

@@ -150,8 +150,8 @@ class MultiProcessingJob:
         history: List[dict] = []
         residual = 0.0
         final_job: Optional[JobMetrics] = None
-        # Seeded jitter stream for the retry backoff (shared idiom with
-        # the process-pool watchdog): same seed, same sleep schedule.
+        # Seeded jitter stream for the retry backoff: same seed, same
+        # sleep schedule.
         backoff_rng = None
         backoff_total = 0.0
         if recovery.backoff is not None:

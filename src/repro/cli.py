@@ -17,9 +17,8 @@ Subcommands
 ``serve``
     Run the online scheduling service on a seeded arrival stream.
 
-Shared flags (``--scale``, ``--seed``, ``--jobs``, ``--cache-dir``,
-``--max-retries``, ``--max-ram``, ``--kernel-workers``,
-the setting flags, and the fault knobs)
+Shared flags (``--scale``, ``--seed``, ``--cache-dir``, ``--max-ram``,
+``--kernel-workers``, the setting flags, and the fault knobs)
 are declared once on common *parent parsers* and inherited by every
 subcommand that needs them, so a new subcommand can never drift out of
 sync with the rest of the CLI.
@@ -52,7 +51,7 @@ from repro.tuning.autotuner import AutoTuner
 def _job_count(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError("jobs must be >= 0")
+        raise argparse.ArgumentTypeError("kernel workers must be >= 0")
     return value
 
 
@@ -103,27 +102,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=DEFAULT_SEED, help="master RNG seed"
     )
     parser.add_argument(
-        "--jobs",
-        type=_job_count,
-        default=1,
-        help="worker processes for independent runs (0 = one per usable "
-        "CPU, at most one per 512 MiB of RAM; default 1 = serial); "
-        "results are identical either way",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="directory for the on-disk artifact cache (graphs persist "
         "as .csr directories, engine runs as .npz archives, across "
-        "invocations and --jobs workers); defaults to the "
+        "invocations); defaults to the "
         "REPRO_CACHE_DIR environment variable",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="isolated retries for an item whose pool worker died "
-        "(default 2; 0 disables crash isolation)",
     )
     parser.add_argument(
         "--max-ram",
@@ -144,9 +128,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="intra-task worker threads for the sharded MSSP/BKHS/BPPR "
         "kernels (row-sharded expand/reduce with a deterministic "
-        "winner-key merge); 0 or 1 = serial (default). Orthogonal to "
-        "--jobs, which parallelises across independent runs; results "
-        "are byte-identical at any worker count",
+        "winner-key merge); 0 or 1 = serial (default); results are "
+        "byte-identical at any worker count",
     )
 
 
@@ -193,14 +176,9 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_runtime_knobs(args) -> None:
-    """Apply ``--cache-dir``/``--max-retries``/``--kernel-workers``/
-    ``--max-ram``."""
+    """Apply ``--cache-dir``/``--kernel-workers``/``--max-ram``."""
     if getattr(args, "cache_dir", None):
         configure_cache(directory=args.cache_dir)
-    if getattr(args, "max_retries", None) is not None:
-        from repro.perf.parallel import configure_retries
-
-        configure_retries(max_retries=args.max_retries)
     if getattr(args, "kernel_workers", None):
         from repro.perf.kernel_pool import configure_kernel_workers
 
@@ -312,7 +290,6 @@ def cmd_experiment(args) -> int:
         scale=args.scale,
         seed=args.seed,
         quick=args.quick,
-        jobs=args.jobs,
         preempt=getattr(args, "preempt", False),
         multi_tenant=getattr(args, "multi_tenant", False),
         calibrate=getattr(args, "calibrate", False),
@@ -391,7 +368,7 @@ def cmd_report(args) -> int:
 
     _apply_runtime_knobs(args)
     config = ExperimentConfig(
-        scale=args.scale, seed=args.seed, quick=args.quick, jobs=args.jobs
+        scale=args.scale, seed=args.seed, quick=args.quick
     )
     from repro.perf import memory
 
@@ -406,17 +383,8 @@ def cmd_report(args) -> int:
     mem_info = memory.memory_stats()
     peak = mem_info["peak_rss_bytes"]
     if peak:
-        worker_peak = mem_info["worker_peak_rss_bytes"]
-        print(
-            f"memory: peak RSS {peak / 1e6:.1f} MB"
-            + (
-                f" (worker peak {worker_peak / 1e6:.1f} MB)"
-                if worker_peak
-                else ""
-            )
-        )
+        print(f"memory: peak RSS {peak / 1e6:.1f} MB")
     from repro.perf.kernel_pool import kernel_pool_stats
-    from repro.perf.parallel import supervision_stats
 
     pool_info = kernel_pool_stats()
     if pool_info["sharded_dispatches"]:
@@ -433,10 +401,8 @@ def cmd_report(args) -> int:
             "wall_seconds": wall,
             "scale": config.scale,
             "quick": config.quick,
-            "jobs": config.jobs,
             "cache": get_cache().stats.to_dict(),
             "memory": mem_info,
-            "supervision": supervision_stats(),
             "kernel_pool": pool_info,
         },
     )

@@ -88,26 +88,6 @@ class RecoveryError(ReproError):
         self.history = list(history or [])
 
 
-class WorkerCrashError(ReproError):
-    """A pool worker process kept dying while computing one item.
-
-    Raised by :mod:`repro.perf.parallel` after the isolated retry
-    budget is exhausted. ``item_index`` identifies the offending item;
-    ``attempts`` is how many isolated retries were made.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        item_index: Optional[int] = None,
-        attempts: Optional[int] = None,
-    ) -> None:
-        super().__init__(message)
-        self.item_index = item_index
-        self.attempts = attempts
-
-
 class CacheCorruptionError(ReproError):
     """An on-disk cache artifact failed checksum/format validation.
 

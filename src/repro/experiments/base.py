@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.graph.datasets import DEFAULT_SCALE
 from repro.rng import DEFAULT_SEED
 
@@ -18,10 +19,7 @@ class ExperimentConfig:
 
     ``scale`` divides dataset node counts and cluster capacities alike;
     ``quick`` shrinks sweeps (fewer batch counts / machine counts) for
-    smoke tests, keeping the headline comparison intact. ``jobs``
-    fans independent runs out over worker processes (0 = one per CPU,
-    1 = serial); results are byte-identical either way because every
-    run derives its RNG stream from the explicit seed. ``preempt``
+    smoke tests, keeping the headline comparison intact. ``preempt``
     extends the throughput experiment with the FIFO-versus-preemptive
     serving comparison (``vcrepro experiment throughput --preempt``);
     ``multi_tenant`` adds the single-tenant-versus-multi-tenant A/B
@@ -30,6 +28,12 @@ class ExperimentConfig:
     ``calibrate`` adds the static-versus-calibrated serving A/B
     (online ask-tell cost-model refits on a deadline-bearing stream;
     ``vcrepro experiment throughput --calibrate``).
+
+    ``jobs`` is accepted only as ``1``: every experiment runs in this
+    process. The field is kept for the layered benchmark's
+    ``report_quick`` workload, which still builds
+    ``ExperimentConfig(quick=True, jobs=1, seed=...)``; ROADMAP item 2
+    removes it together with that caller.
     """
 
     scale: int = DEFAULT_SCALE
@@ -39,6 +43,13 @@ class ExperimentConfig:
     preempt: bool = False
     multi_tenant: bool = False
     calibrate: bool = False
+
+    def __post_init__(self) -> None:
+        if self.jobs != 1:
+            raise ConfigurationError(
+                "jobs must be 1 (experiments run in one process), "
+                f"got {self.jobs!r}"
+            )
 
 
 @dataclass

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.batching.executor import MultiProcessingJob
 from repro.cluster.cluster import ClusterSpec
 from repro.experiments.base import DOUBLING_BATCHES, ExperimentConfig
 from repro.graph.csr import Graph
 from repro.graph.datasets import load_dataset
-from repro.perf.parallel import parallel_map_fork
 from repro.sim.metrics import JobMetrics
 from repro.tasks.base import TaskSpec, make_task
 
@@ -36,24 +35,13 @@ def sweep_batches(
     task_factory: Callable[[], TaskSpec],
     batch_counts: Sequence[int],
     seed: int,
-    jobs: Optional[int] = None,
 ) -> List[JobMetrics]:
-    """Run one task under each batch count on one engine/cluster.
-
-    ``jobs`` fans the batch counts out over forked worker processes
-    (see :func:`repro.perf.parallel.parallel_map_fork`); every run
-    seeds its own RNG stream, so results match the serial loop
-    byte-for-byte regardless of worker count.
-    """
+    """Run one task under each batch count on one engine/cluster."""
     job = MultiProcessingJob(engine_name, cluster)
-    counts = list(batch_counts)
-
-    def run_one(index: int) -> JobMetrics:
-        return job.run(
-            task_factory(), num_batches=counts[index], seed=seed
-        )
-
-    return parallel_map_fork(run_one, len(counts), jobs=jobs)
+    return [
+        job.run(task_factory(), num_batches=count, seed=seed)
+        for count in batch_counts
+    ]
 
 
 def task_for(

@@ -55,7 +55,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(graph, "bppr", w, config.quick),
             axis,
             config.seed,
-            jobs=config.jobs,
         )
         default_runs = sweep_batches(
             "pregel+",
@@ -63,7 +62,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(graph, "bppr", w, config.quick),
             axis,
             config.seed,
-            jobs=config.jobs,
         )
         for mode, runs in (("whole-graph", whole_runs), ("default", default_runs)):
             row = {

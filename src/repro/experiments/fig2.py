@@ -54,7 +54,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(graph, "bppr", w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         row = {"setting": f"(W={workload}, {engine})"}
         row.update(label_times(runs))

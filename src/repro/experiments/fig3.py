@@ -92,7 +92,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda t=task_name, w=workload: task_for(dblp, t, w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         record("a:task", f"({workload:g},8,{task_name.upper()})", runs)
 
@@ -104,7 +103,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda g=graph, w=workload: task_for(g, "bppr", w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         record("b:dataset", f"({workload:g},8,{ds_name})", runs)
 
@@ -115,7 +113,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(dblp, "bppr", w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         record("c:machines", f"({workload:g},{machines},Pregel+)", runs)
 
@@ -126,7 +123,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(dblp, "bppr", w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         record("d:system", f"({workload:g},8,{engine})", runs)
 

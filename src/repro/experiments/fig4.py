@@ -51,7 +51,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(graph, "bppr", w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         best = optimum_batches(runs)
         optima[workload] = best

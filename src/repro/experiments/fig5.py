@@ -89,7 +89,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda t=task_name, w=workload: task_for(dblp, t, w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         record("a:task", f"({workload:g},27,{task_name.upper()})", runs)
 
@@ -102,7 +101,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda g=graph, w=workload: task_for(g, "bppr", w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         big = ds_name if ds_name in ("twitter", "friendster") else ""
         record("b:dataset", f"({workload:g},27,{ds_name})", runs, big)
@@ -115,7 +113,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(dblp, "bppr", w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         record("c:machines", f"({workload:g},{machines},Pregel+)", runs)
 
@@ -127,7 +124,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(dblp, "bppr", w, config.quick),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         record("d:system", f"({workload:g},27,{engine})", runs)
 

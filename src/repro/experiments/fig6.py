@@ -49,7 +49,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             lambda w=workload: task_for(graph, "bppr", w, config.quick),
             batches,
             config.seed,
-            jobs=config.jobs,
         )
         for metrics in runs:
             measured[(workload, metrics.num_batches)] = metrics

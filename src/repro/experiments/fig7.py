@@ -100,7 +100,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
                 lambda: task_for(dblp, task_name, workload, config.quick),
                 [batches],
                 config.seed,
-                jobs=config.jobs,
             )[0]
         return cache[key]
 
@@ -114,7 +113,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
                 lambda: task_for(graph, "bppr", workload, config.quick),
                 [batches],
                 config.seed,
-                jobs=config.jobs,
             )[0]
         return cache[key]
 
@@ -127,7 +125,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
                 lambda: task_for(dblp, "bppr", workload, config.quick),
                 [batches],
                 config.seed,
-                jobs=config.jobs,
             )[0]
         return cache[key]
 
@@ -140,7 +137,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
                 lambda: task_for(dblp, "bppr", workload, config.quick),
                 [batches],
                 config.seed,
-                jobs=config.jobs,
             )[0]
         return cache[key]
 

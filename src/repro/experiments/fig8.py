@@ -58,7 +58,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             ),
             batch_axis(config, workload),
             config.seed,
-            jobs=config.jobs,
         )
         optima[task_name] = optimum_batches(runs)
         row = {"setting": f"({workload:g},32,{task_name.upper()})"}

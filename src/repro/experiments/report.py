@@ -9,7 +9,6 @@ from typing import Optional
 from repro.experiments.base import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.perf import memory
-from repro.perf.parallel import parallel_map
 
 HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -33,37 +32,22 @@ Reading guide:
 """
 
 
-def _timed_experiment(eid: str, config: ExperimentConfig) -> tuple:
-    """Run one experiment, returning ``(result, elapsed_seconds)``."""
-    start = time.time()
-    result = run_experiment(eid, config)
-    # One unthrottled RSS sample per experiment: the per-experiment
-    # high-water marks land in BENCH_perf.json's "memory" section.
-    memory.note_phase(f"experiment.{eid}")
-    return result, time.time() - start
-
-
 def write_experiments_markdown(
     output: str = "EXPERIMENTS.md",
     config: Optional[ExperimentConfig] = None,
 ) -> Path:
-    """Run every experiment and write the Markdown report.
-
-    ``config.jobs`` fans experiments out over worker processes; the
-    tables are identical to a serial run (only the per-experiment
-    wall-clock annotations differ) — ``tests/perf/test_determinism.py``
-    asserts the generated rows byte-for-byte.
-    """
+    """Run every experiment and write the Markdown report."""
     config = config or ExperimentConfig()
     parts = [HEADER.format(scale=config.scale)]
     total_claims = 0
     total_held = 0
-    outcomes = parallel_map(
-        _timed_experiment,
-        [(eid, config) for eid in EXPERIMENTS],
-        jobs=config.jobs,
-    )
-    for result, elapsed in outcomes:
+    for eid in EXPERIMENTS:
+        start = time.time()
+        result = run_experiment(eid, config)
+        # One unthrottled RSS sample per experiment: the per-experiment
+        # high-water marks land in BENCH_perf.json's "memory" section.
+        memory.note_phase(f"experiment.{eid}")
+        elapsed = time.time() - start
         total_claims += len(result.claims)
         total_held += result.claims_held
         parts.append(result.to_markdown())

@@ -25,7 +25,6 @@ from repro.experiments import (
     throughput,
 )
 from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.perf.parallel import parallel_map
 
 #: id -> run callable, in the paper's presentation order.
 EXPERIMENTS: Dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
@@ -70,20 +69,8 @@ def run_experiment(
 def run_all(
     config: Optional[ExperimentConfig] = None,
     only: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
 ) -> List[ExperimentResult]:
-    """Run every (or the selected) experiment and return the results.
-
-    ``jobs`` (default: ``config.jobs``) fans experiments out over
-    worker processes; order and content of the returned results are
-    identical to the serial loop. A worker gets each graph from its own
-    artifact cache: inherited through fork, opened from the cache
-    directory, or built.
-    """
+    """Run every (or the selected) experiment and return the results."""
     config = config or ExperimentConfig()
-    if jobs is None:
-        jobs = config.jobs
     ids = list(only) if only is not None else list(EXPERIMENTS)
-    return parallel_map(
-        run_experiment, [(eid, config) for eid in ids], jobs=jobs
-    )
+    return [run_experiment(eid, config) for eid in ids]

@@ -60,7 +60,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
                 lambda w=workload: task_for(graph, "bppr", w, config.quick),
                 BATCHES,
                 config.seed,
-                jobs=config.jobs,
             )
             for metrics in runs:
                 key = (workload, metrics.num_batches, machines)

@@ -41,7 +41,6 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
         lambda: task_for(graph, "bppr", WORKLOAD, config.quick),
         batches,
         config.seed,
-        jobs=config.jobs,
     )
 
     result = ExperimentResult(

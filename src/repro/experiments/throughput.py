@@ -18,7 +18,6 @@ from repro.cluster.cluster import cluster_by_name
 from repro.engines.registry import create_engine
 from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.common import dataset
-from repro.perf.parallel import parallel_map_fork
 from repro.sched.arrivals import (
     DEFAULT_PRIORITY,
     TaskRequest,
@@ -284,8 +283,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     duration = QUICK_DURATION if config.quick else DURATION
     sample_limit = 16 if config.quick else 48
 
-    def run_rate(index: int) -> Dict[str, Any]:
-        rate = rates[index]
+    def run_rate(rate: float) -> Dict[str, Any]:
         engine = create_engine("pregel+", cluster)
         service = SchedulerService(
             engine,
@@ -323,7 +321,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "over_budget": over_budget,
         }
 
-    rows = parallel_map_fork(run_rate, len(rates), jobs=config.jobs)
+    rows = [run_rate(rate) for rate in rates]
 
     result = ExperimentResult(
         experiment_id="throughput",

@@ -1,13 +1,10 @@
-"""Seeded, jittered exponential backoff shared by every retry loop.
+"""Seeded, jittered exponential backoff for the overload-recovery loop.
 
-Retries appear in two distant corners of the codebase — the process
-pool re-running items whose worker died (:mod:`repro.perf.parallel`)
-and the batching executor re-splitting overloaded jobs
-(:meth:`repro.batching.executor.MultiProcessingJob.run_with_recovery`).
-Both want the same thing: exponentially growing delays, capped, with
-optional jitter to de-synchronise concurrent retriers. Centralising
-the arithmetic here keeps the two loops byte-for-byte comparable and
-makes the jitter *deterministic*: the multiplier is drawn from a
+The batching executor re-splits overloaded jobs
+(:meth:`repro.batching.executor.MultiProcessingJob.run_with_recovery`)
+and waits between attempts: exponentially growing delays, capped, with
+optional jitter to de-synchronise concurrent retriers. The jitter is
+*deterministic*: the multiplier is drawn from a
 caller-provided :class:`numpy.random.Generator` (derived from the
 run's seed via :func:`repro.rng.make_rng` with a stream label), so a
 re-run with the same seed sleeps the same schedule.
@@ -16,11 +13,10 @@ re-run with the same seed sleeps the same schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 
-__all__ = ["BackoffPolicy", "DEFAULT_BACKOFF"]
+__all__ = ["BackoffPolicy"]
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,3 @@ class BackoffPolicy:
         if rng is not None and self.jitter > 0.0:
             delay *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
         return max(0.0, delay)
-
-
-#: The schedule legacy callers got implicitly: 0.05 s doubling, uncapped
-#: in practice (the crash-retry budget is far below the cap).
-DEFAULT_BACKOFF = BackoffPolicy()

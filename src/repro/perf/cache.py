@@ -96,14 +96,6 @@ class CacheStats:
             "corruptions": self.corruptions,
         }
 
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Fold another process's counter deltas into this one."""
-        self.hits += int(delta.get("hits", 0))
-        self.misses += int(delta.get("misses", 0))
-        self.disk_hits += int(delta.get("disk_hits", 0))
-        self.evictions += int(delta.get("evictions", 0))
-        self.corruptions += int(delta.get("corruptions", 0))
-
 
 @dataclass(frozen=True)
 class ArraySerializer:

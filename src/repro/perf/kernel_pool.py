@@ -1,9 +1,8 @@
 """Persistent worker pool for *intra-task* kernel sharding.
 
-The ``--jobs N`` pools (:mod:`repro.perf.parallel`) parallelise across
-independent experiments; every MSSP/BKHS/BPPR round still ran its
-expand/reduce/frontier work on one core. This module adds the missing
-axis: a long-lived pool of *threads* that executes the hot kernels in
+Every experiment runs in one process, and every MSSP/BKHS/BPPR round
+runs its expand/reduce/frontier work on one core by default. This
+module adds a long-lived pool of *threads* that executes the hot kernels in
 :mod:`repro.graph.csr` as row-sharded data-parallel tasks — each worker
 processes a contiguous frontier/row shard into arrays of its own, and
 a deterministic sort-based merge (the same winner-key semantics the
@@ -13,7 +12,7 @@ byte-identically to the serial path at any shard count.
 Threads, not processes, on purpose: the shard bodies are numpy argsort /
 ``reduceat`` / fancy-gather calls that release the GIL, so threads
 give genuine parallelism at ~50µs dispatch cost — against the
-multi-millisecond fork/pickle cost that makes the process pools
+multi-millisecond fork/pickle cost that makes worker processes
 unusable at per-round granularity. The workers read the same graph
 arrays the serial path reads (in RAM or mapped file — both shareable
 within one process); the OS places the threads.

@@ -3,7 +3,7 @@
 The out-of-core pipeline (:mod:`repro.graph.build`, the block-streaming
 kernels in :mod:`repro.graph.csr`) exists to bound resident memory, so
 the reports have to *show* resident memory or the claim is
-unverifiable. This module keeps three signals, all cheap enough to
+unverifiable. This module keeps two signals, both cheap enough to
 leave on:
 
 * the process-lifetime peak RSS from ``resource.getrusage`` — the
@@ -11,10 +11,7 @@ leave on:
 * a per-phase high-water mark sampled from ``/proc/self/statm`` each
   time a phase timer fires (:func:`repro.perf.timings.add` calls
   :func:`note_phase`; sampling is throttled so hot kernel timers cost
-  one ~1µs read every :data:`SAMPLE_EVERY` calls);
-* the maximum worker peak shipped home by the ``--jobs N`` pools
-  (:mod:`repro.perf.parallel` folds each worker's ``ru_maxrss`` delta
-  into :func:`record_worker_peak`).
+  one ~1µs read every :data:`SAMPLE_EVERY` calls).
 
 Everything degrades to ``None``/zero off Linux (no ``/proc``) or
 without the :mod:`resource` module — gated, never crashing.
@@ -35,7 +32,6 @@ __all__ = [
     "rss_bytes",
     "peak_rss_bytes",
     "note_phase",
-    "record_worker_peak",
     "record_state_spill",
     "memory_stats",
     "reset_memory_state",
@@ -53,9 +49,6 @@ _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 #: throttle counters driving the sampled reads.
 _PHASES: Dict[str, int] = {}
 _TICKS: Dict[str, int] = {}
-
-#: Largest worker-process peak RSS folded back through the pool.
-_WORKER_PEAK: Dict[str, int] = {"bytes": 0}
 
 #: Dense kernel-state matrices spilled to mapped scratch files under the
 #: ``--max-ram`` budget (:func:`repro.tasks.base.alloc_state_matrix`).
@@ -111,13 +104,6 @@ def note_phase(name: str, sampled: bool = False) -> None:
         _PHASES[name] = current
 
 
-def record_worker_peak(peak_bytes: int) -> None:
-    """Parent-side: keep the max peak RSS reported by any pool worker."""
-    peak_bytes = int(peak_bytes)
-    if peak_bytes > _WORKER_PEAK["bytes"]:
-        _WORKER_PEAK["bytes"] = peak_bytes
-
-
 def record_state_spill(nbytes: int) -> None:
     """Count one dense state matrix spilled to a mapped scratch file."""
     _STATE_SPILLS["count"] += 1
@@ -125,29 +111,21 @@ def record_state_spill(nbytes: int) -> None:
 
 
 def memory_stats() -> Dict[str, object]:
-    """The ``"memory"`` section of ``vcrepro report`` / BENCH_perf.json.
-
-    ``worker_peak_rss_bytes`` falls back to the parent's own lifetime
-    peak when no pool worker reported one (``--jobs 1`` runs the
-    experiments in-process — the parent *is* the worker), so the field
-    is populated whenever the platform can measure RSS at all.
-    """
+    """The ``"memory"`` section of ``vcrepro report`` / BENCH_perf.json."""
     return {
         "peak_rss_bytes": peak_rss_bytes(),
         "current_rss_bytes": rss_bytes(),
-        "worker_peak_rss_bytes": _WORKER_PEAK["bytes"] or peak_rss_bytes(),
         "state_spills": dict(_STATE_SPILLS),
         "phase_high_water_bytes": dict(sorted(_PHASES.items())),
     }
 
 
 def reset_memory_state() -> None:
-    """Forget phase marks and worker peaks (tests, CLI startup).
+    """Forget phase marks and spill counts (tests, CLI startup).
 
     The lifetime ``ru_maxrss`` is kernel state and cannot be reset.
     """
     _PHASES.clear()
     _TICKS.clear()
-    _WORKER_PEAK["bytes"] = 0
     _STATE_SPILLS["count"] = 0
     _STATE_SPILLS["bytes"] = 0

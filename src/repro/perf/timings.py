@@ -27,8 +27,6 @@ __all__ = [
     "add",
     "span",
     "snapshot",
-    "merge",
-    "diff",
     "reset",
     "render_table",
     "write_json",
@@ -47,8 +45,7 @@ class PhaseTotal:
         return {"seconds": self.seconds, "count": self.count}
 
 
-#: phase name -> accumulated total (process-global, merged across
-#: worker processes by :mod:`repro.perf.parallel`).
+#: phase name -> accumulated total (process-global).
 _TIMINGS: Dict[str, PhaseTotal] = {}
 
 
@@ -78,33 +75,6 @@ def span(name: str) -> Iterator[None]:
 def snapshot() -> Dict[str, Dict[str, float]]:
     """Copy of the accumulated phase table ({name: {seconds, count}})."""
     return {name: total.to_dict() for name, total in _TIMINGS.items()}
-
-
-def merge(other: Dict[str, Dict[str, float]]) -> None:
-    """Fold a :func:`snapshot` from another process into this one."""
-    for name, total in other.items():
-        add(name, float(total["seconds"]), int(total["count"]))
-
-
-def diff(
-    before: Dict[str, Dict[str, float]],
-    after: Dict[str, Dict[str, float]],
-) -> Dict[str, Dict[str, float]]:
-    """Per-phase ``after - before`` of two snapshots, dropping empty rows.
-
-    Pool workers ship deltas between consecutive snapshots instead of
-    resetting the table around every item, so every span a worker
-    records reaches the parent exactly once — with the item that
-    recorded it.
-    """
-    delta: Dict[str, Dict[str, float]] = {}
-    for name, total in after.items():
-        base = before.get(name, {"seconds": 0.0, "count": 0})
-        seconds = float(total["seconds"]) - float(base["seconds"])
-        count = int(total["count"]) - int(base["count"])
-        if seconds != 0.0 or count != 0:
-            delta[name] = {"seconds": seconds, "count": count}
-    return delta
 
 
 def reset() -> None:

@@ -153,6 +153,47 @@ def _envelope_exact(
     return PowerLawModel(a=a, b=model.b, c=model.c, rmse=model.rmse)
 
 
+def _checked_archive(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Refuse a persisted calibration no training run could have written.
+
+    The artifact cache calls this on every disk load; the
+    :class:`ValueError` it raises makes the cache quarantine the archive
+    as ``*.corrupt`` and retrain, so a damaged or hostile archive is
+    never planned with. Models must lie in
+    :func:`~repro.tuning.lma.fit_power_law`'s own box (``a >= 0``,
+    ``0 <= b <= 4``, finite ``c``, finite ``rmse >= 0``); samples must
+    be finite, with a positive workload, non-negative memory and
+    seconds, and a 0/1 overload flag.
+    """
+    for name in ("peak", "residual"):
+        a, b, c, rmse = np.asarray(arrays[name], dtype=np.float64).ravel()
+        if not (
+            np.isfinite([a, b, c, rmse]).all()
+            and a >= 0.0
+            and 0.0 <= b <= 4.0
+            and rmse >= 0.0
+        ):
+            raise ValueError(
+                f"persisted {name} model {(a, b, c, rmse)} is outside the "
+                "fit's box"
+            )
+    samples = np.asarray(arrays["samples"], dtype=np.float64).reshape(-1, 5)
+    workload, peak, residual, seconds, overloaded = samples.T
+    if not (
+        np.isfinite(samples).all()
+        and (workload > 0.0).all()
+        and (peak >= 0.0).all()
+        and (residual >= 0.0).all()
+        and (seconds >= 0.0).all()
+        and np.isin(overloaded, (0.0, 1.0)).all()
+    ):
+        raise ValueError("persisted calibration samples are out of range")
+    (before,) = np.asarray(arrays["rmse_before"], dtype=np.float64).ravel()
+    if not (np.isfinite(before) and before >= 0.0):
+        raise ValueError(f"persisted rmse_before {before} is out of range")
+    return dict(arrays)
+
+
 class Calibrator:
     """Ask-tell calibration loop for one (engine, task kind).
 
@@ -272,7 +313,7 @@ class Calibrator:
             return cal.pack()
 
         serializer = ArraySerializer(
-            pack=lambda arrays: arrays, unpack=lambda arrays: dict(arrays)
+            pack=lambda arrays: arrays, unpack=_checked_archive
         )
         arrays = cache.get_or_build(key, build, serializer=serializer)
         if "calibrator" in built:

@@ -139,6 +139,10 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             run_experiment("fig99")
 
+    def test_experiments_run_in_one_process(self):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(jobs=2)
+
     @pytest.mark.parametrize(
         "eid", ["fig2", "fig4", "fig6", "table2", "fig9", "table4"]
     )

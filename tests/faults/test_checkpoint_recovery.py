@@ -8,7 +8,6 @@ from repro.batching.executor import MultiProcessingJob
 from repro.cluster.cluster import galaxy8
 from repro.faults.plan import FaultKind, FaultPlan, mixed_fault_plan
 from repro.graph.datasets import load_dataset
-from repro.perf.parallel import parallel_map_fork
 from repro.tasks.bppr import bppr_task
 
 WORKLOAD = 1024
@@ -156,23 +155,3 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert dataclasses.asdict(runs[0]) == dataclasses.asdict(runs[1])
-
-    def test_serial_vs_jobs_byte_identical(self):
-        graph = _graph()
-        job = _job()
-        plans = [FaultPlan.generate(s, 8, crash_rate=0.15) for s in (1, 2, 3)]
-
-        def run_one(index):
-            return job.run(
-                bppr_task(graph, WORKLOAD),
-                num_batches=BATCHES,
-                seed=SEED,
-                fault_plan=plans[index],
-                checkpoint_every=3,
-            )
-
-        serial = [run_one(i) for i in range(3)]
-        fanned = parallel_map_fork(run_one, 3, jobs=2)
-        assert [dataclasses.asdict(m) for m in serial] == [
-            dataclasses.asdict(m) for m in fanned
-        ]

@@ -11,9 +11,9 @@ rebuilds under the original name.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from repro.graph.io import (
     save_mapped,
 )
 from repro.perf.cache import get_cache
-from repro.perf.parallel import parallel_map_fork
 
 
 @pytest.fixture()
@@ -152,7 +151,7 @@ class TestTornDirectories:
 
 
 class TestConcurrentWriters:
-    """Pool workers with one cold cache directory build the same graph
+    """Processes sharing one cold cache directory build the same graph
     into it at once. Every file is renamed into place from a tmp file of
     the writer's own, so the writers swap identical files and a reader
     never sees half of one."""
@@ -170,7 +169,8 @@ class TestConcurrentWriters:
         graph = profile.instantiate(scale=400)
         directory = str(tmp_path / "dblp.csr")
 
-        def write(_):
+        def write(index):
+            before = corruptions()
             seen = set()
             for _ in range(self.ROUNDS):
                 if builder == "in-ram":
@@ -183,18 +183,33 @@ class TestConcurrentWriters:
                 assert loaded is not None
                 mapped_transposition(saved)
                 seen.update((saved.fingerprint, loaded.fingerprint))
-            return sorted(seen)
+            report = {
+                "seen": sorted(seen),
+                "corruptions": corruptions() - before,
+            }
+            with open(tmp_path / f"writer-{index}.json", "w") as handle:
+                json.dump(report, handle)
 
-        before = corruptions()
-        with warnings.catch_warnings():
-            # A writer's error must fail the test, not send the pool to
-            # its serial fallback.
-            warnings.simplefilter("error", RuntimeWarning)
-            fingerprints = parallel_map_fork(
-                write, self.WRITERS, self.WRITERS
-            )
-        assert fingerprints == [[graph.fingerprint]] * self.WRITERS
-        assert corruptions() == before
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=write, args=(index,))
+            for index in range(self.WRITERS)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=300)
+        assert not [writer for writer in writers if writer.is_alive()]
+        # A writer that raised exits non-zero and leaves no report.
+        assert [writer.exitcode for writer in writers] == [0] * self.WRITERS
+        reports = [
+            json.loads((tmp_path / f"writer-{index}.json").read_text())
+            for index in range(self.WRITERS)
+        ]
+        assert [r["seen"] for r in reports] == [
+            [graph.fingerprint]
+        ] * self.WRITERS
+        assert [r["corruptions"] for r in reports] == [0] * self.WRITERS
         assert not [name for name in os.listdir(directory) if ".tmp" in name]
 
 

@@ -55,13 +55,6 @@ class TestArtifactCache:
         assert cache.get(("k", 0)) is None
         assert cache.get(("k", 2)) == 2
 
-    def test_stats_merge(self):
-        cache = ArtifactCache()
-        cache.stats.merge({"hits": 3, "misses": 2, "disk_hits": 1})
-        assert cache.stats.hits == 3
-        assert cache.stats.misses == 2
-        assert cache.stats.disk_hits == 1
-
 
 class TestDatasetDeterminism:
     def test_cached_vs_uncached_graph_identical(self):

@@ -1,19 +1,17 @@
 """Differential determinism suite: perf knobs must never change results.
 
-Every performance layer in :mod:`repro.perf` — worker pools, the
-artifact cache — promises the same contract: it changes *when and
-where* work runs, never what it computes. This suite runs the same
-experiments under each knob's settings and asserts the outputs are
-byte-identical:
+Every performance layer in :mod:`repro.perf` — the artifact cache,
+the kernel pool, the block-streaming kernels — promises the same
+contract: it changes *when and where* work runs, never what it
+computes. This suite runs the same experiments under each knob's
+settings and asserts the outputs are byte-identical:
 
-* ``--jobs 1`` vs ``--jobs N`` (``REPRO_TEST_JOBS``, default 2), with
-  no cache directory, a warm one, and a cold one the pool fills;
 * a cold artifact cache vs a warm one (memory and disk);
-* per-round metric streams across serial and forked sweeps;
+* graphs opened from CSR directories and streamed vs arrays in RAM;
+* per-round metric streams of repeated runs;
 * the online scheduler (``repro.sched``): the same seeded arrival
   stream must yield byte-identical service metrics — per-batch round
-  traces included — under serial vs forked fan-out and cold vs warm
-  caches.
+  traces included — under cold vs warm caches.
 
 "Byte-identical" is literal: rendered Markdown rows and
 ``json.dumps``-serialised metric streams are compared as strings, so
@@ -23,7 +21,6 @@ even a float's last bit flipping fails the suite.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -31,7 +28,6 @@ from repro.batching.executor import MultiProcessingJob
 from repro.cluster.cluster import cluster_by_name
 from repro.engines.registry import ENGINE_NAMES
 from repro.experiments.base import ExperimentConfig
-from repro.experiments.common import sweep_batches
 from repro.experiments.runner import run_all, run_experiment
 from repro.graph.datasets import load_dataset
 from repro.perf import kernel_pool
@@ -39,7 +35,6 @@ from repro.perf.cache import clear_cache, configure_cache, get_cache
 from repro.tasks.base import make_task
 
 SCALE = 4000
-JOBS = int(os.environ.get("REPRO_TEST_JOBS", "2"))
 IDS = ["fig2", "fig8"]
 CONFIG = dict(scale=SCALE, quick=True)
 
@@ -62,40 +57,14 @@ def _markdown(results):
     return "\n".join(result.to_markdown() for result in results)
 
 
-def _run(jobs, only=IDS):
+def _run(only=IDS):
     clear_cache()
-    config = ExperimentConfig(jobs=jobs, **CONFIG)
-    return _markdown(run_all(config, only=only, jobs=jobs))
-
-
-class TestJobsInvariance:
-    """A pool worker gets each graph from its own artifact cache —
-    inherited through fork, opened from the cache directory, or built —
-    and renders what the serial loop renders in every one of those."""
-
-    def test_serial_vs_pool(self):
-        # No cache directory: each worker builds or inherits its graphs.
-        assert _run(jobs=1) == _run(jobs=JOBS)
-
-    #: fig2 and fig4 both load dblp: the first two items of the pool
-    #: build the same graph into a cold directory at once.
-    SHARING = ["fig2", "fig4", "fig8"]
-
-    @pytest.mark.parametrize("directory", ["warm", "cold"])
-    def test_serial_vs_pool_over_a_cache_directory(self, tmp_path, directory):
-        serial = _run(jobs=1, only=self.SHARING)
-        configure_cache(directory=str(tmp_path))
-        if directory == "warm":
-            _run(jobs=1, only=self.SHARING)  # fills it: the pool only opens
-        before = get_cache().stats.corruptions
-        assert _run(jobs=JOBS, only=self.SHARING) == serial
-        assert get_cache().stats.corruptions == before
-        assert list(tmp_path.glob("*.csr/graph.json"))
+    return _markdown(run_all(ExperimentConfig(**CONFIG), only=only))
 
 
 class TestCacheInvariance:
     def test_cold_vs_warm_memory_cache(self):
-        config = ExperimentConfig(jobs=1, **CONFIG)
+        config = ExperimentConfig(**CONFIG)
         clear_cache()
         cold = run_experiment("fig8", config).to_markdown()
         warm = run_experiment("fig8", config).to_markdown()
@@ -104,7 +73,7 @@ class TestCacheInvariance:
 
     def test_cold_vs_warm_disk_cache(self, tmp_path):
         configure_cache(directory=str(tmp_path))
-        config = ExperimentConfig(jobs=1, **CONFIG)
+        config = ExperimentConfig(**CONFIG)
         clear_cache()
         cold = run_experiment("fig8", config).to_markdown()
         clear_cache()  # drop memory so the disk store must serve
@@ -137,7 +106,7 @@ class TestMappedGraphInvariance:
         csr.MIN_STREAM_BLOCK_ARCS = floor
         csr.configure_streaming(None)
 
-    def _budget_run(self, jobs, directory=None, streams=True):
+    def _budget_run(self, directory=None, streams=True):
         """A run under ``BUDGET``: with ``directory`` every graph is
         opened from it, ``streams=False`` lifts the block floor over
         every graph so each round is one block."""
@@ -147,25 +116,20 @@ class TestMappedGraphInvariance:
         if not streams:
             csr.MIN_STREAM_BLOCK_ARCS = 1 << 40
         configure_cache(directory="" if directory is None else str(directory))
-        markdown = _run(jobs=jobs)
+        markdown = _run()
         twitter = load_dataset("twitter", scale=SCALE)  # fig8's, from the LRU
         assert (csr.streaming_block_arcs(twitter) is not None) == streams
         return markdown
 
     def test_mapped_vs_in_ram_serial(self, tmp_path):
-        streamed = self._budget_run(1, tmp_path)
+        streamed = self._budget_run(tmp_path)
         assert list(tmp_path.glob("twitter-*.csr/graph.json"))
-        assert streamed == self._budget_run(1, streams=False)
-
-    def test_mapped_vs_in_ram_pool(self, tmp_path):
-        assert self._budget_run(JOBS, tmp_path) == self._budget_run(
-            JOBS, streams=False
-        )
+        assert streamed == self._budget_run(streams=False)
 
     def test_mapped_cold_vs_warm(self, tmp_path):
-        cold = self._budget_run(1, tmp_path)
+        cold = self._budget_run(tmp_path)
         # Same directory: the second run reopens the CSR files on disk.
-        warm = self._budget_run(1, tmp_path)
+        warm = self._budget_run(tmp_path)
         assert get_cache().stats.disk_hits > 0
         assert cold == warm
 
@@ -218,26 +182,6 @@ class TestMappedGraphInvariance:
 
 class TestRoundStreamInvariance:
     """Per-round metric streams, not just rendered tables."""
-
-    def _streams(self, jobs):
-        clear_cache()
-        graph = load_dataset("dblp", scale=SCALE)
-        cluster = cluster_by_name("galaxy-8", scale=SCALE)
-        runs = sweep_batches(
-            "pregel+",
-            cluster,
-            lambda: make_task("mssp", graph, 64.0),
-            batch_counts=[1, 2, 4],
-            seed=7,
-            jobs=jobs,
-        )
-        return json.dumps(
-            [m.to_dict(include_rounds=True) for m in runs],
-            sort_keys=True,
-        )
-
-    def test_serial_vs_forked_round_streams(self):
-        assert self._streams(jobs=1) == self._streams(jobs=JOBS)
 
     def test_repeat_runs_are_stable(self):
         graph = load_dataset("dblp", scale=SCALE)
@@ -314,9 +258,7 @@ class TestSuspendResumeInvariance:
 class TestSchedulerInvariance:
     """The online scheduler under the same knobs: one seeded stream
     must produce the same latency tables, batch logs, and per-round
-    traces no matter where or how often it runs."""
-
-    RATES = (0.4, 0.8)
+    traces no matter how often it runs."""
 
     def _one_stream(self, rate):
         from repro.engines.registry import create_engine
@@ -339,19 +281,6 @@ class TestSchedulerInvariance:
         return json.dumps(
             metrics.to_dict(include_latencies=True), sort_keys=True
         )
-
-    def _streams(self, jobs):
-        from repro.perf.parallel import parallel_map_fork
-
-        clear_cache()
-        return parallel_map_fork(
-            lambda i: self._one_stream(self.RATES[i]),
-            len(self.RATES),
-            jobs=jobs,
-        )
-
-    def test_serial_vs_forked_scheduler_streams(self):
-        assert self._streams(jobs=1) == self._streams(jobs=JOBS)
 
     def test_cold_vs_warm_training_cache(self):
         clear_cache()
@@ -608,12 +537,12 @@ class TestKernelShardInvariance:
             assert sharded == serial, (kind, workers)
 
     def test_experiments_across_shard_counts(self):
-        baseline = _run(jobs=1)
+        baseline = _run()
         for workers in self.WORKER_COUNTS[1:]:
             kernel_pool.configure_kernel_workers(
                 workers, min_shard_candidates=1
             )
-            assert _run(jobs=1) == baseline, workers
+            assert _run() == baseline, workers
 
     def test_pool_off_matches_inline_shards(self):
         """The same shard plan run inline (pool off) and on the pool."""
@@ -644,11 +573,11 @@ class TestKernelShardInvariance:
         csr.configure_streaming(BUDGET)
         try:
             monkeypatch.setattr(csr, "MIN_STREAM_BLOCK_ARCS", 1 << 40)
-            baseline = _run(jobs=1)
+            baseline = _run()
             monkeypatch.undo()
             kernel_pool.configure_kernel_workers(7, min_shard_candidates=1)
             configure_cache(directory=str(tmp_path))
-            mapped_sharded = _run(jobs=1)
+            mapped_sharded = _run()
         finally:
             csr.configure_streaming(None)
         assert mapped_sharded == baseline

@@ -46,22 +46,6 @@ class TestSampling:
         assert "hot2" not in memory.memory_stats()["phase_high_water_bytes"]
 
 
-class TestWorkerPeaks:
-    def test_record_worker_peak_keeps_maximum(self):
-        memory.record_worker_peak(100)
-        memory.record_worker_peak(50)
-        assert memory.memory_stats()["worker_peak_rss_bytes"] == 100
-
-    def test_parent_peak_until_any_worker_reports(self):
-        # jobs=1 runs have no pool workers: the parent *is* the worker,
-        # so its own peak is folded in instead of reporting null.
-        stats = memory.memory_stats()
-        assert stats["worker_peak_rss_bytes"] is not None
-        # Both read the same VmHWM; peak RSS is monotone, so the two
-        # samples can differ by at most an allocation between them.
-        assert stats["worker_peak_rss_bytes"] >= stats["peak_rss_bytes"]
-
-
 class TestStateSpills:
     def test_record_state_spill_accumulates(self):
         memory.record_state_spill(1000)
@@ -82,7 +66,6 @@ class TestStatsShape:
         assert set(stats) == {
             "peak_rss_bytes",
             "current_rss_bytes",
-            "worker_peak_rss_bytes",
             "phase_high_water_bytes",
             "state_spills",
         }

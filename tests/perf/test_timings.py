@@ -1,4 +1,4 @@
-"""Phase-timing accumulator: add/span/merge/render/dump."""
+"""Phase-timing accumulator: add/span/render/dump."""
 
 import json
 
@@ -25,13 +25,6 @@ class TestTimings:
         snap = timings.snapshot()
         assert snap["phase-x"]["count"] == 1
         assert snap["phase-x"]["seconds"] >= 0.0
-
-    def test_merge_folds_other_process(self):
-        timings.add("kernel", 1.0)
-        timings.merge({"kernel": {"seconds": 2.0, "count": 4}})
-        snap = timings.snapshot()
-        assert snap["kernel"]["seconds"] == 3.0
-        assert snap["kernel"]["count"] == 5
 
     def test_render_table(self):
         assert "no timing spans" in timings.render_table()

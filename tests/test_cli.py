@@ -213,20 +213,6 @@ class TestFaultFlags:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_max_retries_flag_accepted(self, capsys):
-        from repro.perf.parallel import configure_retries
-
-        try:
-            code = main(
-                ["run", "--workload", "256", "--max-retries", "5"]
-            )
-            assert code == 0
-            from repro.perf.parallel import _RETRY
-
-            assert _RETRY["max_retries"] == 5
-        finally:
-            configure_retries(max_retries=2, backoff_seconds=0.05)
-
     def test_experiment_faults_quick(self, capsys):
         code = main(["experiment", "faults", "--quick"])
         out = capsys.readouterr().out
@@ -297,9 +283,8 @@ class TestServe:
 
     def test_serve_inherits_shared_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--arrivals", "1.0", "--faults", "0.1", "--jobs", "2"]
+            ["serve", "--arrivals", "1.0", "--faults", "0.1"]
         )
         assert args.arrivals == 1.0
         assert args.faults == 0.1
-        assert args.jobs == 2
         assert args.cluster == "galaxy-8"

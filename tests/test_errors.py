@@ -7,12 +7,7 @@ import pytest
 from repro import errors
 from repro.batching.executor import MultiProcessingJob
 from repro.cluster.cluster import galaxy8
-from repro.errors import (
-    OverloadError,
-    RecoveryError,
-    ReproError,
-    WorkerCrashError,
-)
+from repro.errors import OverloadError, RecoveryError, ReproError
 from repro.graph.datasets import load_dataset
 from repro.tasks.bppr import bppr_task
 
@@ -61,9 +56,3 @@ class TestErrorPayloads:
         assert error.history == history
         assert error.history is not history  # defensive copy
         assert RecoveryError("gave up").history == []
-
-    def test_worker_crash_error_attrs(self):
-        error = WorkerCrashError("item 3 crashed", item_index=3, attempts=2)
-        assert error.item_index == 3
-        assert error.attempts == 2
-        assert isinstance(error, ReproError)

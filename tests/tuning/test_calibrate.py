@@ -260,6 +260,94 @@ class TestPersistence:
         )
 
 
+#: Archives no training run could have written, each stored under a
+#: valid checksum: ``(array, index, value)`` edits of a cold archive.
+HOSTILE_ARCHIVES = {
+    "peak-infinite-a-exponent-7-negative-c": [
+        ("peak", 0, np.inf), ("peak", 1, 7.0), ("peak", 2, -5.0)
+    ],
+    "residual-negative-a-and-exponent": [
+        ("residual", 0, -3.0), ("residual", 1, -1.0)
+    ],
+    "exponent-above-box": [("peak", 1, 4.5)],
+    "negative-rmse": [("residual", 3, -1.0)],
+    "negative-workload": [("samples", (0, 0), -8.0)],
+    "infinite-workload": [("samples", (1, 0), np.inf)],
+    "negative-peak-sample": [("samples", (2, 1), -1.0)],
+    "half-overloaded": [("samples", (0, 4), 0.5)],
+    "infinite-rmse-before": [("rmse_before", 0, np.inf)],
+}
+
+
+class TestHostileArchive:
+    """A warm start plans only with what a training run could have
+    written: anything else is quarantined as ``*.corrupt``, counted,
+    and retrained."""
+
+    W = 5120
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        from repro.cluster.cluster import galaxy8
+        from repro.engines.registry import create_engine
+        from repro.graph.datasets import load_dataset
+        from repro.tasks.bppr import bppr_task
+
+        graph = load_dataset("dblp", scale=400)
+        cluster = galaxy8(scale=400).with_machines(4)
+        engine = create_engine("pregel+", cluster)
+        factory = lambda w: bppr_task(graph, w)  # noqa: E731
+        cold = Calibrator.train(engine, factory, self.W, seed=3)
+        return engine, factory, graph.fingerprint, cold
+
+    @pytest.mark.parametrize(
+        "edits", list(HOSTILE_ARCHIVES.values()), ids=list(HOSTILE_ARCHIVES)
+    )
+    def test_hostile_archive_is_retrained(self, tmp_path, setting, edits):
+        from repro.perf.cache import ArraySerializer, ArtifactCache
+
+        engine, factory, fingerprint, cold = setting
+        archive = {
+            name: np.array(values, dtype=np.float64)
+            for name, values in cold.pack().items()
+        }
+        for name, index, value in edits:
+            target = archive[name]
+            if target.ndim == 0:
+                target = archive[name] = target.reshape(1)
+            target[index] = value
+        key = calibration_cache_key(
+            engine.name, "bppr", fingerprint, self.W, 3
+        )
+        ArtifactCache(directory=str(tmp_path)).get_or_build(
+            key,
+            lambda: archive,
+            serializer=ArraySerializer(
+                pack=lambda arrays: arrays,
+                unpack=lambda arrays: dict(arrays),
+            ),
+        )
+
+        cache = ArtifactCache(directory=str(tmp_path))
+        cal = Calibrator.load_or_train(
+            engine,
+            factory,
+            self.W,
+            kind="bppr",
+            graph_fingerprint=fingerprint,
+            seed=3,
+            cache=cache,
+        )
+        assert not cal.stats.warm_start
+        assert cal.stats.training_runs > 0
+        assert cache.stats.corruptions == 1
+        assert list(tmp_path.glob("*.corrupt"))
+        assert cal.model.peak == cold.model.peak
+        assert cal.model.residual == cold.model.residual
+        for workload in (1.0, 10.0, float(self.W)):
+            assert np.isfinite(cal.ask(workload))
+
+
 class TestColdFitIdentity:
     def test_cold_fit_matches_train_memory_models(self):
         from repro.cluster.cluster import galaxy8
