@@ -17,10 +17,11 @@ in-RAM build has fit the cap since the cold pipeline was rebuilt):
   streaming budget the same profile is built by the chunked on-disk
   builder — which also writes its ``A^T`` beside the CSR files — and,
   its arcs exceeding one block of that budget
-  (``streaming_block_arcs(graph) is not None``), runs a BKHS and an
-  MSSP batch end-to-end under the cap, the heavy rounds pulling along
-  that ``A^T`` block by block (at least one must), and reports its
-  peak RSS, pull rounds and ``A^T`` build seconds as JSON.
+  (``streaming_block_arcs(graph) is not None``), runs a BKHS, an
+  MSSP and a BPPR batch end-to-end under the cap, the heavy traversal
+  rounds and every walk-mass round reading that ``A^T`` block by block
+  (at least one traversal round must pull), and reports its peak RSS,
+  pull rounds and ``A^T`` build seconds as JSON.
 
 Exit status is non-zero unless both legs behave as required, making
 this the CI gate for the claim "the out-of-core pipeline completes
@@ -81,7 +82,8 @@ def _child_in_ram(scale: int, cap_bytes: int) -> int:
 
 
 def _child_mapped(scale: int, cap_bytes: int) -> int:
-    """Out-of-core path end-to-end: build mapped, stream a BKHS batch."""
+    """Out-of-core path end-to-end: build mapped, stream a BKHS, an
+    MSSP and a BPPR batch."""
     _cap_address_space(cap_bytes)
     from repro.graph.csr import configure_streaming, streaming_block_arcs
     from repro.graph.datasets import load_dataset
@@ -104,9 +106,11 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
     )
     # The two rounds of BKHS (k = 2) from 32 sources can stay under a
     # quarter of the arcs and push (they do at scale 50); a 64-source
-    # MSSP batch runs its BFS out and pulls the heavy middle rounds.
+    # MSSP batch runs its BFS out and pulls the heavy middle rounds; a
+    # BPPR batch (8 walks a vertex) spreads its mass over the A^T row
+    # blocks every round until the mass direction settles.
     steps = {}
-    for kind, workload in (("bkhs", 32.0), ("mssp", 64.0)):
+    for kind, workload in (("bkhs", 32.0), ("mssp", 64.0), ("bppr", 8.0)):
         spec = make_task(kind, graph, workload)
         kernel = spec.make_kernel(
             router, workload, make_rng(123, label="smoke")

@@ -74,10 +74,6 @@ class ClusterSpec:
         """Same cluster with a different machine count (Fig 3c/5c/7c sweeps)."""
         return replace(self, num_machines=num_machines)
 
-    def with_scale(self, scale: float) -> "ClusterSpec":
-        """Same cluster at a different simulation scale."""
-        return replace(self, scale=scale)
-
     def describe(self) -> str:
         """Human-readable one-liner for logs and examples."""
         machine = self.scaled_machine
@@ -173,4 +169,3 @@ def cluster_by_name(name: str, scale: float = DEFAULT_SCALE) -> ClusterSpec:
         known = ", ".join(sorted(PRESETS))
         raise ConfigurationError(f"unknown cluster {name!r}; known: {known}")
     return PRESETS[key](scale=scale)
-

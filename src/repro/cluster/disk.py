@@ -163,12 +163,6 @@ class DiskModel:
         """Peak per-round demand ratio across the run (may exceed 1.0)."""
         return self._max_utilization
 
-    def mean_queue_length(self) -> float:
-        """Average I/O queue length over rounds that touched the disk."""
-        if not self._active_rounds:
-            return 0.0
-        return self._queue_length / self._active_rounds
-
     def total_spilled_bytes(self) -> float:
         """Bytes streamed through the disk across all rounds."""
         return self._spilled_bytes

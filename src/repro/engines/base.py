@@ -628,11 +628,14 @@ class EngineSession:
         wire = routed.wire_messages
         if profile.combining and summary.combined_messages is not None:
             wire = min(wire, summary.combined_messages)
+        combine_ratio = wire / routed.wire_messages if routed.wire_messages else 1.0
 
         # Superstep splitting: slice a message-heavy round into
         # sub-steps so each moves at most the threshold's worth of
         # traffic (memory and congestion see the per-sub-step volume;
-        # the round's total cost is the sum over sub-steps).
+        # the round's total cost is the sum over sub-steps). The
+        # divisions by ``splits`` below are the only ones: a sub-step
+        # carries 1/splits of the round, not 1/splits².
         splits = 1
         if (
             profile.superstep_split_threshold_messages
@@ -641,8 +644,6 @@ class EngineSession:
             splits = int(
                 np.ceil(wire / profile.superstep_split_threshold_messages)
             )
-            wire /= splits
-        combine_ratio = wire / routed.wire_messages if routed.wire_messages else 1.0
         # Asynchronous engines with dynamic scheduling skip redundant
         # updates on fixed-point tasks (delta caching); multi-processing
         # tasks get no such discount (factor 1.0).

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.graph.datasets import DEFAULT_SCALE
@@ -155,19 +155,3 @@ def format_table(
         for row in rendered
     ]
     return "\n".join([header, sep] + body)
-
-
-def time_cell(metrics) -> str:
-    """Time string the way the paper prints it."""
-    return metrics.time_label()
-
-
-def best_finite_batch(
-    runs: Sequence, batch_counts: Optional[Sequence[int]] = None
-) -> Optional[int]:
-    """Batch count of the fastest non-overloaded run, or None."""
-    finite = [m for m in runs if not m.overloaded]
-    if not finite:
-        return None
-    best = min(finite, key=lambda m: m.seconds)
-    return best.num_batches

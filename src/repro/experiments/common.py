@@ -61,13 +61,6 @@ def task_for(
     return make_task(task_name, graph, workload, **params)
 
 
-def runs_by_batch(
-    runs: Sequence[JobMetrics],
-) -> Dict[int, JobMetrics]:
-    """Index a sweep's runs by their batch count."""
-    return {m.num_batches: m for m in runs}
-
-
 def non_monotone(runs: Sequence[JobMetrics]) -> bool:
     """True when running time is not monotonically increasing with the
     batch count — i.e. Full-Parallelism is not optimal (overloaded runs
@@ -108,8 +101,3 @@ def optimum_batches(runs: Sequence[JobMetrics]) -> Optional[int]:
 def label_times(runs: Sequence[JobMetrics]) -> Dict[str, str]:
     """Column dict {"b=k": time label} for a batch sweep row."""
     return {f"b={m.num_batches}": m.time_label() for m in runs}
-
-
-def settings_tuple(workload: float, machines: int, what: str) -> str:
-    """The paper's "(Workload, #Machines, X)" legend string."""
-    return f"({workload:g},{machines},{what})"

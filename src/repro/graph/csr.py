@@ -55,7 +55,7 @@ class Graph:
         "directory",
         "_degrees",
         "_fingerprint",
-        "_spread",
+        "_mass_operators",
         "_transpose",
         "_pull_blocks",
     )
@@ -102,7 +102,8 @@ class Graph:
         self.directed, self.name = bool(directed), name
         self.directory = directory
         self._fingerprint = fingerprint
-        self._degrees = self._spread = self._transpose = None
+        self._degrees = self._transpose = None
+        self._mass_operators = {}
         self._pull_blocks = None
         for array in (indptr, indices, weights):
             if array is not None:
@@ -217,7 +218,7 @@ class Graph:
         (:func:`transpose_rows`): in RAM, or as maps of files written
         block by block when the graph streams
         (:func:`repro.graph.io.mapped_transposition`). The one
-        transposition behind :meth:`reverse`, :func:`_spread_operator`
+        transposition behind :meth:`reverse`, :func:`propagate_mass`
         and the pull rounds of :class:`repro.tasks.base.BitFrontier`.
         """
         if self._transpose is None:
@@ -265,26 +266,6 @@ class Graph:
             name=f"{self.name}^T",
         )
 
-    def transition_matrix_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(indptr, indices, probabilities)`` of the random-walk
-        transition matrix (uniform over out-neighbours).
-
-        Dangling vertices (out-degree 0) get an empty probability row; the
-        walk kernels treat a walk at a dangling vertex as terminated, which
-        matches the Monte-Carlo semantics in Section 3 of the paper.
-        """
-        degrees = np.diff(self.indptr).astype(np.float64)
-        probs = np.repeat(
-            np.divide(
-                1.0,
-                degrees,
-                out=np.zeros_like(degrees),
-                where=degrees > 0,
-            ),
-            np.diff(self.indptr),
-        )
-        return self.indptr, self.indices, probs
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "digraph" if self.directed else "graph"
         return (
@@ -324,10 +305,10 @@ class Graph:
         return copyreg.__newobj__, (type(self),), self.__getstate__()
 
     def __getstate__(self) -> dict:
-        # Derived caches (degrees, the transposition, the spread
-        # operator) are dropped so pickles carry only the CSR arrays; the
-        # fingerprint rides along because recomputing it hashes every
-        # array.
+        # Derived caches (degrees, the transposition, the mass
+        # operators) are dropped so pickles carry only the CSR arrays;
+        # the fingerprint rides along because recomputing it hashes
+        # every array.
         return {
             "indptr": self.indptr,
             "indices": self.indices,
@@ -475,37 +456,39 @@ def dedup_pairs_dense(
     return _split_keys(cells, mask.shape[1])
 
 
-#: Sentinel cached on ``Graph._spread`` when scipy is unavailable, so
-#: the import is attempted once per graph rather than once per round.
-_NO_SPREAD = object()
+def _transposed_operator(graph: Graph, lo: int, hi: int):
+    """Rows ``[lo, hi)`` of ``A^T`` as a scipy CSR operator: views of
+    :meth:`Graph.transposition`'s in-neighbour lists with all-ones data.
 
-
-def _spread_operator(graph: Graph):
-    """Lazy per-graph ``A^T`` CSR operator for :func:`propagate_mass`.
-
-    Rows are the in-neighbour lists of :meth:`Graph.transposition`, in
-    original arc-position order, so a CSR matvec accumulates each
-    target's contributions in exactly the arc order ``np.bincount``
-    uses — bit-identical results, at ~2-3x the throughput. Returns
-    ``None`` when scipy is missing (the bincount fallback then runs,
-    producing the same bits).
+    A row lists its target's in-arcs in arc-position order, and scipy's
+    matvec sums a row sequentially from zero, so ``op @ x`` adds each
+    target's contributions in the order ``np.bincount(indices,
+    weights=np.repeat(x, degrees))`` does: the same bits for any cut of
+    the rows, and for each column of a 2-D ``x`` as for that column
+    alone. scipy copies ids that fit into ``int32``: with the data, 12
+    bytes an arc of the block.
     """
-    op = graph._spread
-    if op is _NO_SPREAD:
-        return None
+    from scipy import sparse
+
+    indptr, sources, _ = graph.transposition()
+    arc_lo, arc_hi = int(indptr[lo]), int(indptr[hi])
+    return sparse.csr_matrix(
+        (
+            np.ones(arc_hi - arc_lo, dtype=np.float64),
+            sources[arc_lo:arc_hi],
+            indptr[lo : hi + 1] - arc_lo,
+        ),
+        shape=(hi - lo, graph.num_vertices),
+    )
+
+
+def _cached_operator(graph: Graph, lo: int, hi: int):
+    """:func:`_transposed_operator`, kept on the graph per row range —
+    for a graph that does not stream, whose ``A^T`` is in RAM anyway."""
+    op = graph._mass_operators.get((lo, hi))
     if op is None:
-        try:
-            from scipy import sparse
-        except ImportError:  # pragma: no cover - scipy is baked in
-            graph._spread = _NO_SPREAD
-            return None
-        n = graph.num_vertices
-        indptr, sources, _ = graph.transposition()
-        op = sparse.csr_matrix(
-            (np.ones(graph.num_arcs, dtype=np.float64), sources, indptr),
-            shape=(n, n),
-        )
-        graph._spread = op
+        op = _transposed_operator(graph, lo, hi)
+        graph._mass_operators[lo, hi] = op
     return op
 
 
@@ -513,29 +496,26 @@ def propagate_mass(graph: Graph, per_vertex: np.ndarray) -> np.ndarray:
     """Push ``per_vertex`` values along every out-arc and sum at targets.
 
     The shared per-arc spreading step of BPPR/PageRank/exact-PPR:
-    ``out[v] = sum(per_vertex[u] for every arc u -> v)``. Callers divide
-    by degree beforehand for random-walk semantics. The hot path is a
-    cached CSR matvec (:func:`_spread_operator`); without scipy it
-    falls back to ``np.repeat`` + weighted ``np.bincount`` — a fused
-    sequential scatter-add with the identical accumulation order, so
-    both paths produce the same bits. A graph that streams
-    (:func:`streaming_block_arcs`) dispatches to the block-streaming
-    scatter *before* the operator path, so the O(m) scipy matrix is
-    never materialised for a graph over the budget.
+    ``out[v] = sum(per_vertex[u] for every arc u -> v)``, i.e. ``A^T @
+    per_vertex`` — ``(n,)`` or ``(n, k)``, column by column. Callers
+    divide by degree beforehand for random-walk semantics. One
+    formulation, ``out[lo:hi] = A^T[lo:hi] @ per_vertex`` over row
+    ranges of :func:`_transposed_operator`; where the ranges come from
+    is all that differs: the one block ``(0, n)``; degree-balanced
+    shards on the kernel pool (both operators cached on the graph); the
+    transposition's row blocks when the graph streams
+    (:func:`streaming_block_arcs`), one block's operator resident at a
+    time. Every cut sums the same bits.
     """
     block_arcs = streaming_block_arcs(graph)
     if block_arcs is not None:
-        return _propagate_mass_streaming(graph, per_vertex, block_arcs)
-    op = _spread_operator(graph)
-    if op is not None:
-        shards = kernel_shards(graph.num_arcs)
-        if shards > 1:
-            return _propagate_mass_sharded(op, per_vertex, shards)
-        return op @ per_vertex
-    per_arc = np.repeat(per_vertex, graph.degrees)
-    return np.bincount(
-        graph.indices, weights=per_arc, minlength=graph.num_vertices
-    )
+        indptr = graph.transposition()[0]
+        ranges = [(lo, hi) for lo, hi, *_ in _row_blocks(indptr, block_arcs)]
+        return _propagate_mass_streaming(graph, per_vertex, ranges)
+    shards = kernel_shards(graph.num_arcs)
+    if shards > 1:
+        return _propagate_mass_sharded(graph, per_vertex, shards)
+    return _cached_operator(graph, 0, graph.num_vertices) @ per_vertex
 
 
 # ----------------------------------------------------------------------
@@ -657,10 +637,12 @@ def transpose_rows(
     """The arcs of rows ``[lo, hi)`` (positions ``[arc_lo, arc_hi)``)
     grouped by target in arc-position order: ``(indptr, sources,
     weights)`` of that slice of ``A^T``, ``indptr`` local to it. One
-    counting pass, scipy's ``csr -> csc`` conversion (without scipy, a
-    stable sort by target). Rows ``(0, n)`` are the in-RAM
-    :meth:`Graph.transposition`, row blocks in order the streamed one.
-    The conversion does not check neighbour ids: prove them first."""
+    counting pass, scipy's ``csr -> csc`` conversion. Rows ``(0, n)``
+    are the in-RAM :meth:`Graph.transposition`, row blocks in order the
+    streamed one. The conversion does not check neighbour ids: prove
+    them first."""
+    from scipy import sparse
+
     n = graph.num_vertices
     targets = graph.indices[arc_lo:arc_hi]
     row_ptr = graph.indptr[lo : hi + 1] - arc_lo
@@ -671,51 +653,41 @@ def transpose_rows(
         data = np.ones(arc_hi - arc_lo, dtype=np.int8)
     else:
         data = data[arc_lo:arc_hi]
-    try:
-        from scipy import sparse
-    except ImportError:
-        order = np.argsort(targets, kind="stable")
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(targets, minlength=n)))
-        )
-        rows = np.arange(lo, hi, dtype=np.int64)
-        sources = np.repeat(rows, np.diff(row_ptr))[order]
-        data = data[order]
-    else:
-        csc = sparse.csr_matrix(
-            (data, targets, row_ptr), shape=(hi - lo, n)
-        ).tocsc()
-        indptr = csc.indptr.astype(np.int64, copy=False)
-        sources = csc.indices.astype(np.int64, copy=False)
-        if lo:
-            sources += lo
-        data = csc.data
+    csc = sparse.csr_matrix(
+        (data, targets, row_ptr), shape=(hi - lo, n)
+    ).tocsc()
+    indptr = csc.indptr.astype(np.int64, copy=False)
+    sources = csc.indices.astype(np.int64, copy=False)
+    if lo:
+        sources += lo
+    data = csc.data
     return indptr, sources, None if graph.weights is None else data
 
 
 def _propagate_mass_streaming(
-    graph: Graph, per_vertex: np.ndarray, block_arcs: int
+    graph: Graph,
+    per_vertex: np.ndarray,
+    ranges,
+    operator=_transposed_operator,
+    run=None,
 ) -> np.ndarray:
-    """Block-streaming :func:`propagate_mass`.
+    """:func:`propagate_mass` over the ``A^T`` row ``ranges``: each
+    range's ``operator`` (built and dropped by default, one block
+    resident at a time) times ``per_vertex``; ``run`` executes the
+    per-range thunks (in order, inline, when ``None``). A range's rows
+    hold their targets' complete in-lists, so a cut changes which rows
+    a matvec computes, never a row's sum: rows outside every range have
+    no in-arcs and stay zero."""
+    out = np.zeros((graph.num_vertices,) + per_vertex.shape[1:])
 
-    Accumulates with ``np.add.at`` over sequential row blocks: the
-    candidate order seen by the accumulator is exactly the arc order of
-    the monolithic weighted ``np.bincount`` (and of the scipy matvec,
-    whose rows are stable-sorted by arc position), so the float sums are
-    bit-identical — per-block *partial* bincounts summed afterwards
-    would not be, since float addition is not associative across the
-    re-bracketing.
-    """
-    n = graph.num_vertices
-    out = np.zeros(n, dtype=np.float64)
-    indptr = graph.indptr
-    degrees = graph.degrees
-    for lo, hi in iter_row_blocks(indptr, block_arcs):
-        arc_lo, arc_hi = int(indptr[lo]), int(indptr[hi])
-        if arc_hi == arc_lo:
-            continue
-        per_arc = np.repeat(per_vertex[lo:hi], degrees[lo:hi])
-        np.add.at(out, graph.indices[arc_lo:arc_hi], per_arc)
+    def block(lo: int, hi: int) -> None:
+        out[lo:hi] = operator(graph, lo, hi) @ per_vertex
+
+    if run is None:
+        for lo, hi in ranges:
+            block(lo, hi)
+    else:
+        run([lambda lo=lo, hi=hi: block(lo, hi) for lo, hi in ranges])
     return out
 
 
@@ -869,43 +841,21 @@ def segment_sum_sharded(rows, cols, values, num_cols, shards):
     )
 
 
-def _propagate_mass_sharded(op, per_vertex: np.ndarray, shards: int):
-    """Row-sharded CSR matvec for :func:`propagate_mass`.
-
-    The reverse operator's rows are independent dot products, so
-    splitting the *output* rows across pool workers is embarrassingly
-    parallel and bit-identical: each sub-operator row holds exactly the
-    bytes of the full operator's row, and scipy's per-row sequential
-    accumulation computes the identical sum. Sub-operators are sliced
-    once per (operator, shard count) and cached on the operator object.
-    """
+def _propagate_mass_sharded(
+    graph: Graph, per_vertex: np.ndarray, shards: int
+) -> np.ndarray:
+    """:func:`propagate_mass` over ``shards`` in-degree-balanced row
+    ranges of ``A^T``, run on the kernel pool: disjoint output rows,
+    each the whole-graph row's bits. The ranges' operators stay cached
+    (:func:`_cached_operator`): rebuilding them every call made a
+    pooled twitter@400 round ~2x slower on a 2-CPU host."""
     from repro.perf import kernel_pool
 
-    cache = getattr(op, "_repro_row_shards", None)
-    if cache is None:
-        cache = {}
-        op._repro_row_shards = cache
-    subops = cache.get(shards)
-    if subops is None:
-        in_deg = np.diff(op.indptr)
-        subops = [
-            (lo, hi, op[lo:hi])
-            for lo, hi in kernel_pool.shard_bounds(in_deg, shards)
-            if hi > lo
-        ]
-        cache[shards] = subops
-    out = np.empty(op.shape[0], dtype=np.float64)
-
-    def matvec(lo: int, hi: int, subop) -> None:
-        out[lo:hi] = subop @ per_vertex
-
-    kernel_pool.run_sharded(
-        [
-            (lambda lo=lo, hi=hi, subop=subop: matvec(lo, hi, subop))
-            for lo, hi, subop in subops
-        ]
+    in_degrees = np.diff(graph.transposition()[0])
+    ranges = kernel_pool.shard_bounds(in_degrees, shards)
+    return _propagate_mass_streaming(
+        graph, per_vertex, ranges, _cached_operator, kernel_pool.run_sharded
     )
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -1031,13 +981,12 @@ def segment_sum(
     Same contract as :func:`segment_min` with ``np.add.reduceat`` as the
     reducer. The stable sort preserves each cell's original candidate
     order, but ``np.add.reduceat`` reduces each run with *pairwise*
-    summation while ``np.add.at`` accumulates sequentially — for
-    general float inputs the per-cell sums can therefore differ in the
-    last ulp. Every in-repo call site keeps exactness anyway: the
-    summands per cell are either all-ones walk counts (integer-exact in
-    float64) or equal per-source shares on duplicate-free arc lists
-    (cells of size one). The equivalence tests assert bit-identity for
-    those regimes and ``allclose`` for arbitrary floats.
+    summation while a sequential scatter-add does not — for general
+    float inputs the per-cell sums can therefore differ in the last
+    ulp. The in-repo call site keeps exactness anyway: its summands are
+    all-ones walk counts (integer-exact in float64). The equivalence
+    tests assert bit-identity for that regime and for cells of size
+    one, ``allclose`` for arbitrary floats.
     """
     if rows.size == 0:
         empty = np.empty(0, dtype=np.int64)

@@ -64,10 +64,6 @@ class Partition:
         total = int(self.arcs_per_machine.sum())
         return self.cut_arcs / total if total else 0.0
 
-    def machine_of(self, v: int) -> int:
-        """Machine id owning vertex ``v``."""
-        return int(self.owner[v])
-
     def validate(self, graph: Graph) -> None:
         """Check internal consistency against ``graph`` (used by tests)."""
         if self.owner.size != graph.num_vertices:

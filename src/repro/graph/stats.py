@@ -71,25 +71,3 @@ def compute_stats(graph: Graph) -> GraphStats:
         isolated_vertices=int(np.count_nonzero(degrees == 0)),
         gini_degree=degree_gini(degrees),
     )
-
-
-def connected_component_count(graph: Graph) -> int:
-    """Number of weakly connected components (iterative union-find)."""
-    n = graph.num_vertices
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    src = graph.edge_sources()
-    for s, d in zip(src.tolist(), graph.indices.tolist()):
-        rs, rd = find(s), find(d)
-        if rs != rd:
-            parent[rs] = rd
-    roots = {find(v) for v in range(n)}
-    return len(roots)

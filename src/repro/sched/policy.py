@@ -280,24 +280,6 @@ class ServicePolicy:
                 return str(engine)
         return None
 
-    def quota_fraction(self, tenant: str) -> Optional[float]:
-        """The tenant's budget-fraction quota, or ``None`` (unbounded)."""
-        if self.tenant_quotas is None:
-            return None
-        for quota_tenant, fraction in self.tenant_quotas:
-            if quota_tenant == tenant:
-                return float(fraction)
-        return None
-
-    def cache_quota_fraction(self, tenant: str) -> Optional[float]:
-        """The tenant's result-cache byte-fraction quota, or ``None``."""
-        if self.tenant_cache_quotas is None:
-            return None
-        for quota_tenant, fraction in self.tenant_cache_quotas:
-            if quota_tenant == tenant:
-                return float(fraction)
-        return None
-
     def static_class(self, request: TaskRequest) -> int:
         """The request's class clamped to the configured lane count.
 

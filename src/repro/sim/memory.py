@@ -34,16 +34,6 @@ class MemoryBreakdown:
             + self.residual_bytes
         )
 
-    def as_dict(self) -> dict:
-        """Component name -> bytes mapping (plus the total)."""
-        return {
-            "graph": self.graph_bytes,
-            "buffers": self.buffer_bytes,
-            "task_state": self.task_state_bytes,
-            "residual": self.residual_bytes,
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
 class MemoryModel:

@@ -607,10 +607,6 @@ class SampledSources:
     scale_factor: float
     requested: int
 
-    @property
-    def num_simulated(self) -> int:
-        return self.sources.size
-
 
 def make_task(name: str, graph: Graph, workload: float, **params: Any) -> TaskSpec:
     """Build a :class:`TaskSpec` by task name ("bppr", "mssp", "bkhs",

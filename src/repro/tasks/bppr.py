@@ -145,7 +145,6 @@ class BPPRKernel(TaskKernel):
                 self._mass = np.zeros((n, n), dtype=np.float64)
                 np.fill_diagonal(self._mass, workload)
                 self._stopped = np.zeros((n, n), dtype=np.float64)
-                self._transition = self._dense_transition()
             else:
                 self._mass_vec = np.full(n, workload, dtype=np.float64)
                 self._stopped_vec = np.zeros(n, dtype=np.float64)
@@ -211,21 +210,25 @@ class BPPRKernel(TaskKernel):
         )
         combined = self._combined_estimate(moving_per_vertex, active, sources)
 
-        # Move phase: uniform split over out-neighbours.
+        # Move phase: uniform split over out-neighbours, one column
+        # of A^T's operand per tracked source.
         tick = perf_counter()
         if self.track_sources:
             self._stopped += self._mass * stop_fraction[None, :]
             moving = self._mass * (1.0 - stop_fraction)[None, :]
-            self._mass = moving @ self._transition
-            remaining = float(self._mass.sum())
         else:
             self._stopped_vec += mass_per_vertex * stop_fraction
-            share = np.divide(
-                moving_per_vertex,
-                self._degrees,
-                out=np.zeros_like(moving_per_vertex),
-                where=self._degrees > 0,
-            )
+            moving = moving_per_vertex
+        share = np.divide(
+            moving,
+            self._degrees,
+            out=np.zeros_like(moving),
+            where=self._degrees > 0,
+        )
+        if self.track_sources:
+            self._mass = propagate_mass(graph, share.T).T
+            remaining = float(self._mass.sum())
+        else:
             self._mass_vec = propagate_mass(graph, share)
             remaining = float(self._mass_vec.sum())
         timings.add("kernel.reduce", perf_counter() - tick)
@@ -321,8 +324,8 @@ class BPPRKernel(TaskKernel):
         stop_mask = stop_draw | self._dangling[cur]
         stopping = alive_idx[stop_mask]
         if stopping.size:
-            # Segment reduction instead of the unbuffered np.add.at
-            # scatter: per-cell counts are exact integers, so summation
+            # Segment reduction instead of an unbuffered scatter-add:
+            # per-cell counts are exact integers, so summation
             # order cannot change the result — which also licenses the
             # sharded variant below (shard partial counts sum exactly).
             tick = perf_counter()
@@ -387,51 +390,6 @@ class BPPRKernel(TaskKernel):
             done=done,
             combined_messages=combined,
         )
-
-    def _dense_transition(self) -> np.ndarray:
-        """Dense random-walk transition matrix (tracked mode only).
-
-        Parallel arcs sum their shares per (src, dst) cell; the
-        segment reduction's stable sort preserves arc order, so the
-        result is bit-identical to the ``np.add.at`` scatter it
-        replaces. The matrix is content-keyed in the artifact cache on
-        (graph fingerprint, stop probability), so repeated tracked runs
-        over the same graph — the query-batching sweeps — skip the
-        n x n rebuild; cached copies are read-only and shared.
-        """
-        from repro.perf.cache import ArraySerializer, get_cache
-
-        key = (
-            "bppr-dense-transition",
-            self.graph.fingerprint,
-            self.alpha,
-        )
-        serializer = ArraySerializer(
-            pack=lambda value: {"transition": value},
-            unpack=lambda arrays: arrays["transition"],
-        )
-        transition = get_cache().get_or_build(
-            key, self._build_transition, serializer=serializer
-        )
-        transition.setflags(write=False)
-        return transition
-
-    def _build_transition(self) -> np.ndarray:
-        n = self.graph.num_vertices
-        transition = np.zeros((n, n), dtype=np.float64)
-        arc_src = self.graph.edge_sources()
-        share = np.divide(
-            1.0,
-            self._degrees,
-            out=np.zeros_like(self._degrees),
-            where=self._degrees > 0,
-        )
-        if arc_src.size:
-            rows, cols, sums = segment_sum(
-                arc_src, self.graph.indices, share[arc_src], n
-            )
-            transition[rows, cols] = sums
-        return transition
 
     def _combined_estimate(
         self,

@@ -87,7 +87,7 @@ PINNED_LIVE = {
 PINNED_LANDINGS = {
     "pregel+": "fa1e219d80cc0193",
     "graphd": "b535344c6a9168a7",
-    "giraph(split)": "6b62535f82174f22",
+    "giraph(split)": "a543af815e4771e0",
 }
 
 #: ``cost_model.overuse_totals()`` after the ≥ 200-round sessions of

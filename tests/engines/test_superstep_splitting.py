@@ -33,15 +33,24 @@ class TestSuperstepSplitting:
         assert not split.overloaded
 
     def test_total_messages_preserved(self, graph):
-        """Splitting changes when messages move, not how many."""
-        plain = MultiProcessingJob("giraph", galaxy8(scale=400)).run(
+        """Splitting changes when messages move, not how many. At
+        W = 8 192 the heavy rounds split (stock Giraph cannot even hold
+        them), yet the sub-steps sum to what the walk sends unsplit:
+        32 x the W = 256 run, in which no round splits (expected-mass
+        traffic scales with W; only the mass-epsilon tail differs)."""
+        light = MultiProcessingJob("giraph", galaxy8(scale=400)).run(
             bppr_task(graph, 256), num_batches=1, seed=1
         )
         split = MultiProcessingJob("giraph(split)", galaxy8(scale=400)).run(
-            bppr_task(graph, 256), num_batches=1, seed=1
+            bppr_task(graph, 8192), num_batches=1, seed=1
         )
+        threshold = engine_profile(
+            "giraph(split)"
+        ).superstep_split_threshold_messages
+        heaviest = max(r.total_messages for r in split.batches[0].rounds)
+        assert heaviest > threshold  # rounds did split
         assert split.total_messages == pytest.approx(
-            plain.total_messages, rel=1e-6
+            32 * light.total_messages, rel=1e-5
         )
 
     def test_light_rounds_not_split(self, graph):

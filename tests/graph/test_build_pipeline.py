@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import tracemalloc
 import warnings
 
@@ -525,7 +524,7 @@ class TestBlockStreamEqualsMonolithicDraws:
 
 def stable_argsort_operator(graph):
     """``A^T`` the way it was built before: stable sort by target."""
-    sparse = pytest.importorskip("scipy.sparse")
+    from scipy import sparse
 
     n = graph.num_vertices
     order = np.argsort(graph.indices, kind="stable")
@@ -560,7 +559,7 @@ def parallel_arc_graph():
 class TestTransposedOperator:
     def test_arrays_equal_the_stable_argsort_construction(self, make_graph):
         graph = make_graph()
-        op = csr._spread_operator(graph)
+        op = csr._transposed_operator(graph, 0, graph.num_vertices)
         ref = stable_argsort_operator(graph)
         assert op.shape == ref.shape and op.format == "csr"
         for name in ("indices", "indptr", "data"):
@@ -635,23 +634,9 @@ class TestSharedTransposition:
                 assert np.array_equal(ours, theirs)
         assert rev.reverse() == graph
 
-    def test_without_scipy_the_stable_sort_builds_the_same_lists(
-        self, make_graph, monkeypatch
-    ):
-        pytest.importorskip("scipy.sparse")
-        counted, sorted_ = make_graph(), make_graph()
-        lists = counted.transposition()  # scipy's counting pass
-        monkeypatch.setitem(sys.modules, "scipy", None)  # import now fails
-        for ours, theirs in zip(sorted_.transposition(), lists):
-            if theirs is None:
-                assert ours is None
-            else:
-                assert ours.dtype == theirs.dtype and not ours.flags.writeable
-                assert np.array_equal(ours, theirs)
-        assert sorted_.reverse() == counted.reverse()
-
     def test_one_conversion_however_many_ask(self, make_graph, monkeypatch):
-        sparse = pytest.importorskip("scipy.sparse")
+        from scipy import sparse
+
         conversions = []
         tocsc = sparse.csr_matrix.tocsc
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph.build import from_edge_list, from_edges
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, propagate_mass
 
 
 class TestConstruction:
@@ -93,16 +93,20 @@ class TestDerivedViews:
         assert rebuilt == direct
 
     def test_transition_rows_sum_to_one(self, tiny_graph):
-        indptr, _indices, probs = tiny_graph.transition_matrix_rows()
+        """A unit of walk mass split over ``u``'s out-arcs arrives whole:
+        the random-walk transition is ``propagate_mass`` of ``1/deg``."""
         for v in range(tiny_graph.num_vertices):
-            row = probs[indptr[v] : indptr[v + 1]]
-            if row.size:
-                assert row.sum() == pytest.approx(1.0)
+            unit = np.zeros(tiny_graph.num_vertices)
+            unit[v] = 1.0 / tiny_graph.out_degree(v)
+            arrived = propagate_mass(tiny_graph, unit)
+            assert arrived.sum() == pytest.approx(1.0)
+            assert set(np.flatnonzero(arrived)) == set(tiny_graph.neighbors(v))
 
     def test_transition_dangling_row_empty(self):
         g = from_edge_list([(0, 1)], num_vertices=2)
-        indptr, _indices, probs = g.transition_matrix_rows()
-        assert indptr[1] == indptr[2]  # vertex 1 dangling
+        # Vertex 1 is dangling: mass there moves nowhere.
+        assert propagate_mass(g, np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
+        assert propagate_mass(g, np.array([1.0, 0.0])).tolist() == [0.0, 1.0]
 
     def test_edge_weights_default_ones(self, tiny_graph):
         np.testing.assert_array_equal(

@@ -28,6 +28,7 @@ from repro.graph.io import save_mapped
 from repro.graph.mirrors import build_mirror_plan
 from repro.graph.partition import partition_graph
 from repro.perf import cache as artifact_cache
+from repro.perf import kernel_pool
 from repro.perf import timings
 from repro.perf.cache import ArtifactCache, clear_cache
 from repro.rng import make_rng
@@ -103,7 +104,8 @@ class TestStreamingIsDecidedBySize:
                 csr.MIN_STREAM_BLOCK_ARCS = floor
                 streams = csr.streaming_block_arcs(graph) is not None
                 assert streams == (floor == 512)  # size, not storage
-                graph._transpose = graph._spread = None
+                graph._transpose = None
+                graph._mass_operators = {}
                 graph._pull_blocks = None
                 del blocks_per_round[:]
                 results[storage, streams] = payloads(graph)
@@ -198,10 +200,10 @@ def bppr_mass_rounds(graph):
 
 class TestStreamedMassMatchesResident:
     def test_same_mass_every_round(self, tmp_path):
-        """Streamed mass propagation (``np.add.at`` over out-arc row
-        blocks) sums each target's in-arcs in arc order, as the
-        resident matvec does: the mass vector is bit-equal after every
-        round, not only the packed payloads."""
+        """Streamed mass propagation (matvecs over ``A^T`` row blocks)
+        sums each target's in-arcs in arc order, as the resident matvec
+        does: the mass vector is bit-equal after every round, not only
+        the packed payloads."""
         resident = chung_lu(1500, 8.0, seed=21, name="seam")
         on_disk = save_mapped(resident, tmp_path / "seam.csr")
         # 512-arc blocks: no budget-modelling engine runs here, so the
@@ -214,6 +216,43 @@ class TestStreamedMassMatchesResident:
         one_block = bppr_mass_rounds(resident)
         assert len(one_block) > 1
         assert streamed == one_block
+
+
+class TestBlockRightHandSide:
+    """``propagate_mass`` of an ``(n, k)`` operand — tracked BPPR's
+    per-source mass — is its columns' own propagations side by side, to
+    the byte, however the rows of ``A^T`` are cut."""
+
+    @pytest.fixture(autouse=True)
+    def _serial_pool(self):
+        yield
+        kernel_pool.reset_kernel_pool()
+
+    @pytest.mark.parametrize("cut", ["resident", "streamed", "pooled"])
+    def test_each_column_equals_its_own_propagation(self, cut, tmp_path):
+        graph = chung_lu(1500, 8.0, seed=21, name="seam")
+        if cut == "streamed":
+            graph = save_mapped(graph, tmp_path / "seam.csr")
+            csr.MIN_STREAM_BLOCK_ARCS = 512
+            csr.configure_streaming(512 * csr.STREAM_BYTES_PER_ARC)
+            block_arcs = csr.streaming_block_arcs(graph)
+            indptr = graph.transposition()[0]
+            assert len(list(csr._row_blocks(indptr, block_arcs))) >= 20
+        elif cut == "pooled":
+            kernel_pool.configure_kernel_workers(2, min_shard_candidates=1)
+            assert csr.kernel_shards(graph.num_arcs) == 2
+        columns = make_rng(8).random((graph.num_vertices, 6))
+        together = csr.propagate_mass(graph, columns)
+        assert together.shape == columns.shape
+        for k in range(columns.shape[1]):
+            alone = csr.propagate_mass(graph, columns[:, k].copy())
+            oracle = np.bincount(
+                graph.indices,
+                weights=np.repeat(columns[:, k], graph.degrees),
+                minlength=graph.num_vertices,
+            )
+            assert together[:, k].tobytes() == alone.tobytes()
+            assert alone.tobytes() == oracle.tobytes()
 
 
 class TestColdAndWarmLoadsAgree:

@@ -198,106 +198,3 @@ class TestTaskSpec:
         assert task.name == "bppr"
         assert task.workload == 128
         assert task.message_bytes == 8.0
-
-
-class TestDenseTransitionCache:
-    """The tracked kernel's n x n transition matrix is content-keyed in
-    the artifact cache on (graph fingerprint, alpha) — repeated tracked
-    runs over the same graph skip the rebuild entirely."""
-
-    @pytest.fixture(autouse=True)
-    def _pinned_cache(self):
-        from repro.perf.cache import clear_cache, get_cache
-
-        cache = get_cache()
-        saved = cache.capacity
-        cache.capacity = 64
-        clear_cache()
-        yield
-        cache.capacity = saved
-        clear_cache()
-
-    def test_second_kernel_hits_the_cache(self, graph, point_router):
-        from repro.perf.cache import get_cache
-
-        first = BPPRKernel(
-            graph, point_router, make_rng(1), track_sources=True
-        )
-        first.start_batch(10.0)
-        hits_before = get_cache().stats.hits
-        second = BPPRKernel(
-            graph, point_router, make_rng(2), track_sources=True
-        )
-        second.start_batch(10.0)
-        assert get_cache().stats.hits == hits_before + 1
-        assert second._transition is first._transition
-        assert not second._transition.flags.writeable
-
-    def test_distinct_graphs_and_alphas_miss(self, graph, point_router):
-        from repro.perf.cache import get_cache
-
-        def transition_entries():
-            return sum(
-                1
-                for key in get_cache()._entries
-                if key[0] == "bppr-dense-transition"
-            )
-
-        BPPRKernel(
-            graph, point_router, make_rng(1), track_sources=True
-        ).start_batch(5.0)
-        assert transition_entries() == 1
-        BPPRKernel(
-            graph, point_router, make_rng(1), alpha=0.3, track_sources=True
-        ).start_batch(5.0)
-        assert transition_entries() == 2
-
-        other = chung_lu(40, avg_degree=4.0, seed=99)
-        partition = hash_partition(other, 4)
-        plan = build_mirror_plan(other, partition)
-        router = PointToPointRouter(other, plan, message_bytes=8.0)
-        BPPRKernel(
-            other, router, make_rng(1), track_sources=True
-        ).start_batch(5.0)
-        assert transition_entries() == 3
-
-    def test_cached_transition_still_converges(self, graph, point_router):
-        from repro.tasks.exact import exact_ppr_matrix
-
-        warm = BPPRKernel(
-            graph, point_router, make_rng(1), track_sources=True
-        )
-        warm.start_batch(1.0)  # populate the cache
-        kernel = BPPRKernel(
-            graph,
-            point_router,
-            make_rng(2),
-            track_sources=True,
-            max_rounds=2000,
-        )
-        run_kernel(kernel, 100.0)
-        exact = exact_ppr_matrix(graph, alpha=0.15)
-        np.testing.assert_allclose(kernel.result, exact, atol=5e-4)
-
-    def test_disk_round_trip(self, graph, point_router, tmp_path):
-        from repro.perf.cache import clear_cache, get_cache
-
-        cache = get_cache()
-        saved_dir = cache.directory
-        cache.directory = str(tmp_path)
-        try:
-            built = BPPRKernel(
-                graph, point_router, make_rng(1), track_sources=True
-            )
-            built.start_batch(5.0)
-            clear_cache()  # memory gone; disk must serve
-            loaded = BPPRKernel(
-                graph, point_router, make_rng(2), track_sources=True
-            )
-            loaded.start_batch(5.0)
-            assert get_cache().stats.disk_hits >= 1
-            assert (
-                loaded._transition.tobytes() == built._transition.tobytes()
-            )
-        finally:
-            cache.directory = saved_dir
