@@ -26,7 +26,8 @@ The per-round translation implements the paper's accounting:
 It runs in two stages (DESIGN.md §10.2): what a round *demands*
 (:meth:`EngineSession._demand`, a pure function of its summary) and
 where that *lands* in memory (:meth:`EngineSession._land`, which adds
-the residual). A replayed round reads the first from its tape.
+the residual). A replayed round reads the first from its tape, which
+every session of the engine on that graph shares (DESIGN.md §10.1).
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ from repro.sim.cost import CostModel, RoundDemand, RoundLoad
 from repro.sim.memory import MemoryModel
 from repro.sim.metrics import (
     JOB_SERIALIZER,
+    PAYLOAD_SERIALIZER,
     BatchMetrics,
     JobMetrics,
     RoundMetrics,
     clone_job,
+    pack_job,
 )
 from repro.sim.overload import OverloadPolicy
 from repro.tasks.base import RoundSummary, TaskSpec
@@ -72,11 +75,14 @@ from repro.units import OVERLOAD_CUTOFF_SECONDS
 #: Hard cap on rounds per batch, guarding against non-terminating kernels.
 MAX_ROUNDS_PER_BATCH = 5000
 
-#: Round tapes one session keeps, least recently used dropped first. The
-#: k-batch sweeps need one per distinct batch size (at most two per job);
-#: a long-lived serve session sees every admissible size, and a finished
-#: tape is a few hundred bytes per round.
-MAX_SESSION_TAPES = 32
+#: Round tapes one prepared graph (engine x graph content x message
+#: size) keeps, least recently used dropped first. A k-batch job needs
+#: one per distinct batch size (at most two); a serving tier meets every
+#: admissible size, and each of its canonical runs replays what its
+#: serving session recorded: the pregel+ prep of one ``serve_cached``
+#: pass records 127 distinct tapes, so no tape is dropped there. A
+#: finished tape is a few hundred bytes per round.
+MAX_ENGINE_TAPES = 256
 
 #: Fixed coordination cost of writing one checkpoint (barrier piggyback,
 #: metadata commit), on top of streaming the state to disk.
@@ -298,7 +304,10 @@ class _TapeCursor:
 
 @dataclass
 class _PreparedGraph:
-    """Partition-derived state cached per (graph, cluster) pair."""
+    """Partition-derived state one engine caches per (graph content,
+    message size), and the round tapes its sessions share: by task
+    kind, task params and kernel replay key, least recently used
+    first."""
 
     partition: Partition
     plan: MirrorPlan
@@ -306,6 +315,7 @@ class _PreparedGraph:
     imbalance: float
     max_vertices: float
     max_arcs: float
+    tapes: Dict[Hashable, _RoundTape] = field(default_factory=dict)
 
 
 class EngineSession:
@@ -317,9 +327,11 @@ class EngineSession:
     runs, along with the accumulated residual memory, elapsed
     simulated time, and the global round counter that fault plans index.
     Batches whose kernel declares itself deterministic execute once per
-    session and are replayed from a round tape afterwards
-    (:class:`_RoundTape`); everything priced per round — cost model,
-    faults, checkpoints, suspension — still runs for every round.
+    engine and graph — the tape lives on the prepared graph, so every
+    session of the engine reads it — and are replayed from that round
+    tape afterwards (:class:`_RoundTape`); everything priced per round —
+    cost model, faults, checkpoints, suspension — still runs for every
+    round.
 
     :meth:`SimulatedEngine.run_job` drives a session over a fixed
     schedule (the legacy offline path); the online scheduler
@@ -368,11 +380,10 @@ class EngineSession:
         self.batches_run = 0
         #: the in-flight batch frozen at a barrier, if any.
         self.suspended: Optional[BatchCheckpoint] = None
-        #: round tapes by kernel replay key, least recently used first.
-        #: Session-scoped on purpose: the records embed this session's
-        #: router counts, and a second service on the same engine must
-        #: run its own kernels.
-        self._tapes: Dict[Hashable, _RoundTape] = {}
+        #: what a tape key holds beside the kernel's replay key: the
+        #: tapes are the prep's, and stage 1 reads the task's kind and
+        #: params besides the summary.
+        self._tape_scope = (task.name, repr(sorted(task.params.items())))
         #: optional ask-tell calibrator (DESIGN.md §15): when set by the
         #: scheduler, every completed batch *tells* its observed
         #: (workload, peak, residual, seconds) back so the cost models
@@ -445,20 +456,26 @@ class EngineSession:
         )
         return self._drive(state, should_suspend)
 
-    def _tape_cursor(self, key: Hashable, kernel) -> _TapeCursor:
-        """A cursor at round 0 of the session's tape for ``key``.
+    def _tape_cursor(self, replay_key: Hashable, kernel) -> _TapeCursor:
+        """A cursor at round 0 of the engine's tape for this task and
+        ``replay_key``.
 
         ``kernel`` is the batch's freshly started kernel: it becomes the
         new tape's kernel on a miss and is discarded unstepped on a hit
         (it declared itself deterministic, so building it drew nothing
-        from the session RNG).
+        from the session RNG). A tape another session recorded serves
+        this one as is: what it holds — the summary, the kernel's
+        residual and stage 1 — reads no session state (DESIGN.md
+        §10.2); this session lands every round on its own residual.
         """
-        tape = self._tapes.pop(key, None)
+        tapes = self.prep.tapes
+        key = self._tape_scope + (replay_key,)
+        tape = tapes.pop(key, None)
         if tape is None:
             tape = _RoundTape(kernel)
-            if len(self._tapes) >= MAX_SESSION_TAPES:
-                del self._tapes[next(iter(self._tapes))]
-        self._tapes[key] = tape
+            if len(tapes) >= MAX_ENGINE_TAPES:
+                del tapes[next(iter(tapes))]
+        tapes[key] = tape
         return _TapeCursor(tape, self._demand)
 
     def resume(self, *, should_suspend=None):
@@ -881,22 +898,10 @@ class SimulatedEngine:
         # simulation entirely. Generator seeds carry hidden state and
         # are not cached. Callers get an independent copy so mutating a
         # returned job can never poison the cache.
-        if seed is None or isinstance(seed, (int, np.integer)):
-            cache_key = (
-                "run",
-                repr(self.profile),
-                repr(self.cluster),
-                task.graph.fingerprint,
-                task.name,
-                float(task.workload),
-                float(task.message_bytes),
-                float(task.residual_record_bytes),
-                repr(sorted(task.params.items())),
-                tuple(sizes),
-                None if seed is None else int(seed),
-                None if fault_plan is None else fault_plan.fingerprint,
-                checkpoint_every,
-                float(initial_residual_bytes),
+        if _cacheable(seed):
+            cache_key = self._run_key(
+                task, sizes, seed, fault_plan, checkpoint_every,
+                initial_residual_bytes,
             )
             job = get_cache().get_or_build(
                 cache_key,
@@ -939,19 +944,64 @@ class SimulatedEngine:
             )
         return job
 
-    def run_canonical(self, task: TaskSpec, seed: SeedLike = None) -> JobMetrics:
-        """One-batch canonical run of ``task`` — the hermetic execution
-        behind the serving tier's result cache.
+    def run_canonical(self, task: TaskSpec, seed: SeedLike = None) -> bytes:
+        """The packed metrics (:func:`~repro.sim.metrics.pack_job`
+        payload) of a one-batch canonical run of ``task`` — the hermetic
+        response behind the serving tier's result cache.
 
         A single batch holding the whole workload, no faults, no
         checkpoints, no prior residual: the result is a pure function
         of (engine profile, cluster, graph content, task settings,
         seed), so every caller deriving the same content key gets
-        byte-identical metrics. Memoised in the artifact cache like
-        every whole run (:meth:`run_job`), which is what lets a cold
-        result cache over a warm artifact store skip the simulation.
+        byte-identical bytes. The job is packed once, and the bytes are
+        what the artifact store keeps: the same ``run-*.npz`` file
+        :meth:`run_job` writes and reads for that one-batch split, so a
+        cold result cache over a warm store answers with the file's
+        bytes, never rebuilding the job. The memory LRU is left to the
+        caller's memo of the bytes.
         """
-        return self.run_job(task, [task.workload], seed=seed)
+        sizes = [float(task.workload)]
+
+        def render() -> bytes:
+            job = self._run_job_uncached(task, sizes, seed)
+            return bytes(pack_job(job)["payload"])
+
+        if not _cacheable(seed):
+            return render()
+        return get_cache().get_or_build(
+            self._run_key(task, sizes, seed, None, None, 0.0),
+            render,
+            serializer=PAYLOAD_SERIALIZER,
+            use_memory=False,
+        )
+
+    def _run_key(
+        self,
+        task: TaskSpec,
+        sizes: List[float],
+        seed: SeedLike,
+        fault_plan: Optional[FaultPlan],
+        checkpoint_every: Optional[int],
+        initial_residual_bytes: float,
+    ) -> Tuple:
+        """Artifact-cache key of a whole run (``seed`` an int or
+        ``None``): everything its metrics are a function of."""
+        return (
+            "run",
+            repr(self.profile),
+            repr(self.cluster),
+            task.graph.fingerprint,
+            task.name,
+            float(task.workload),
+            float(task.message_bytes),
+            float(task.residual_record_bytes),
+            repr(sorted(task.params.items())),
+            tuple(sizes),
+            None if seed is None else int(seed),
+            None if fault_plan is None else fault_plan.fingerprint,
+            checkpoint_every,
+            float(initial_residual_bytes),
+        )
 
     def open_session(
         self,
@@ -1081,6 +1131,7 @@ class SimulatedEngine:
                 max_vertices += plan.num_mirrors / machines
             max_arcs = float(partition.arcs_per_machine.max())
 
+        router.combining = self.profile.combining
         prep = _PreparedGraph(
             partition=partition,
             plan=plan,
@@ -1226,6 +1277,12 @@ class SimulatedEngine:
             bytes_to_move / network.bandwidth_bytes_per_second
             + 0.05 * self.cluster.num_machines
         )
+
+
+def _cacheable(seed: SeedLike) -> bool:
+    """Whether a run under ``seed`` is a pure function of its key:
+    generator seeds carry hidden state."""
+    return seed is None or isinstance(seed, (int, np.integer))
 
 
 class _LocalOnlyRouter(MessageRouter):

@@ -51,6 +51,10 @@ class MessageRouter(ABC):
 
     #: serialized bytes of one wire message under this routing scheme.
     message_bytes: float = 16.0
+    #: whether the engine routing through this router combines messages
+    #: sharing (source, target) before sending — set by the engine that
+    #: builds it; a kernel estimates combined counts only when it does.
+    combining: bool = False
 
     @abstractmethod
     def route(

@@ -55,7 +55,6 @@ from repro.sim.metrics import (
     JobMetrics,
     ServiceMetrics,
     TaskLatency,
-    pack_job,
 )
 from repro.tasks.base import make_task
 from repro.tuning.calibrate import Calibrator
@@ -377,13 +376,14 @@ class SchedulerService:
         payload of a one-batch canonical run keyed only by the content
         key (seed derived from it), so every request with the same key
         yields byte-identical bytes. The run executes on a fresh
-        session via :meth:`SimulatedEngine.run_canonical` and is
-        memoised in the artifact cache by ``run_job``; it never touches
-        the serving sessions, the admission state, or the service
-        clock. The rendered bytes are immutable, so they are memoised
-        too (memory LRU only): a result the result cache expired or
-        evicted is answered again without cloning or re-packing the
-        job. That LRU is process-wide, hence profile and cluster
+        session via :meth:`SimulatedEngine.run_canonical`, which packs
+        it once and keeps the bytes in the artifact store; it never
+        touches the serving sessions' state, the admission state, or
+        the service clock (a BPPR batch the serving session already ran
+        replays the engine's round tape). The bytes are immutable, so
+        they are memoised too (memory LRU only): a result the result
+        cache expired or evicted is answered again without running
+        anything. That LRU is process-wide, hence profile and cluster
         beside the content key."""
         key = self._result_key(request)
         kind = request.kind
@@ -393,8 +393,7 @@ class SchedulerService:
             digest = hashlib.blake2b(repr(key).encode(), digest_size=8)
             seed = int.from_bytes(digest.digest(), "big") % (2**63)
             task = self._task_factory(kind)(float(request.units))
-            job = engine.run_canonical(task, seed=seed)
-            return bytes(pack_job(job)["payload"])
+            return engine.run_canonical(task, seed=seed)
 
         return get_cache().get_or_build(
             ("payload", repr(engine.profile), repr(engine.cluster)) + key[1:],

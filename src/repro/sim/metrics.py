@@ -574,6 +574,20 @@ def unpack_job(arrays: Dict[str, np.ndarray]) -> JobMetrics:
 JOB_SERIALIZER = ArraySerializer(pack=pack_job, unpack=unpack_job)
 
 
+def _pack_payload(payload: bytes) -> Dict[str, np.ndarray]:
+    return {"payload": np.frombuffer(payload, dtype=np.uint8)}
+
+
+def _unpack_payload(arrays: Dict[str, np.ndarray]) -> bytes:
+    return bytes(arrays["payload"])
+
+
+#: The same archive as :data:`JOB_SERIALIZER`, holding a job already
+#: packed: the payload bytes go to disk and come back as they are, with
+#: no job rebuilt (:meth:`repro.engines.base.SimulatedEngine.run_canonical`).
+PAYLOAD_SERIALIZER = ArraySerializer(pack=_pack_payload, unpack=_unpack_payload)
+
+
 # ----------------------------------------------------------------------
 # Online-scheduling accounting (repro.sched)
 # ----------------------------------------------------------------------

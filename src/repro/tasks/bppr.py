@@ -38,7 +38,12 @@ from repro.graph.csr import (
     segment_sum,
     segment_sum_sharded,
 )
-from repro.messages.routing import MessageRouter
+from repro.messages.combine import combined_walk_messages
+from repro.messages.routing import (
+    BroadcastRouter,
+    MessageRouter,
+    RoutedMessages,
+)
 from repro.perf import kernel_pool, timings
 from repro.tasks.base import (
     RoundSummary,
@@ -93,6 +98,18 @@ class BPPRKernel(TaskKernel):
         self.rng = rng
         self._degrees = graph.degrees.astype(np.float64)
         self._dangling = self._degrees == 0
+        # Per-vertex constants of every round: the stopping fraction (α,
+        # or all of it on a dangling vertex), its complement, and the
+        # degrees a moving share divides by — 1 where nothing moves.
+        self._stop = np.where(self._dangling, 1.0, self.alpha)
+        self._keep = 1.0 - self._stop
+        self._safe_degrees = np.where(self._dangling, 1.0, self._degrees)
+        # What the engine's router consumes, and whether the engine
+        # combines (SimulatedEngine._prepare sets ``router.combining``):
+        # a round builds only that operand and estimates the combined
+        # count only for a combining engine.
+        self._broadcast = isinstance(router, BroadcastRouter)
+        self._combining = router.combining
         self._stops_total = 0.0
         nonzero = self._degrees[self._degrees > 0]
         self._avg_degree = float(nonzero.mean()) if nonzero.size else 1.0
@@ -180,7 +197,6 @@ class BPPRKernel(TaskKernel):
         return self._advance_montecarlo()
 
     def _advance_expected(self) -> RoundSummary:
-        graph = self.graph
         if not self.track_sources and self._decay is not None:
             return self._advance_stabilized()
         if self.track_sources:
@@ -190,51 +206,34 @@ class BPPRKernel(TaskKernel):
 
         # Stop phase: α of everything, plus all mass stranded on
         # dangling vertices (a walk with no out-edge terminates).
-        stop_fraction = np.where(self._dangling, 1.0, self.alpha)
-        moving_per_vertex = mass_per_vertex * (1.0 - stop_fraction)
-        stops_this_round = float(
-            (mass_per_vertex * stop_fraction).sum()
-        )
-        self._stops_total += stops_this_round
+        stopping = mass_per_vertex * self._stop
+        moving_per_vertex = mass_per_vertex * self._keep
+        self._stops_total += float(stopping.sum())
 
         active = np.flatnonzero(moving_per_vertex > 0)
-        # A broadcast block carries one entry per distinct source with
-        # walks at the vertex (Section 3's common message lists, per
-        # source, how many walk fractions each neighbour receives).
         sources = self._distinct_sources_estimate()
-        blocks = np.minimum(moving_per_vertex[active], sources)
-        routed = self.route_emissions(
-            active,
-            blocks_per_vertex=blocks,
-            point_messages_per_vertex=moving_per_vertex[active],
-        )
+        routed = self._route_walks(active, moving_per_vertex[active], sources)
         combined = self._combined_estimate(moving_per_vertex, active, sources)
 
         # Move phase: uniform split over out-neighbours, one column
-        # of A^T's operand per tracked source.
+        # of A^T's operand per tracked source. A dangling vertex moves
+        # exactly 0, so dividing it by 1 leaves its share 0.
         tick = perf_counter()
         if self.track_sources:
-            self._stopped += self._mass * stop_fraction[None, :]
-            moving = self._mass * (1.0 - stop_fraction)[None, :]
-        else:
-            self._stopped_vec += mass_per_vertex * stop_fraction
-            moving = moving_per_vertex
-        share = np.divide(
-            moving,
-            self._degrees,
-            out=np.zeros_like(moving),
-            where=self._degrees > 0,
-        )
-        if self.track_sources:
-            self._mass = propagate_mass(graph, share.T).T
+            self._stopped += self._mass * self._stop[None, :]
+            moving = self._mass * self._keep[None, :]
+            share = moving / self._safe_degrees
+            self._mass = propagate_mass(self.graph, share.T).T
             remaining = float(self._mass.sum())
         else:
-            self._mass_vec = propagate_mass(graph, share)
+            self._stopped_vec += stopping
+            share = moving_per_vertex / self._safe_degrees
+            self._mass_vec = propagate_mass(self.graph, share)
             remaining = float(self._mass_vec.sum())
         timings.add("kernel.reduce", perf_counter() - tick)
 
         if not self.track_sources:
-            self._maybe_stabilize(routed, combined, active.size)
+            self._maybe_stabilize(routed, combined, active.size, remaining)
 
         done = remaining < MASS_EPSILON or self._round >= self.max_rounds
         return RoundSummary(
@@ -246,8 +245,24 @@ class BPPRKernel(TaskKernel):
             combined_messages=combined,
         )
 
+    def _route_walks(
+        self, active: np.ndarray, emitting: np.ndarray, sources: float
+    ) -> RoutedMessages:
+        """Route the walk messages ``emitting[i]`` of vertex
+        ``active[i]``. A broadcast block carries one entry per distinct
+        source with walks at the vertex (Section 3's common message
+        lists, per source, how many walk fractions each neighbour
+        receives); point-to-point routing sends every walk."""
+        if self._broadcast:
+            return self.router.route(active, np.minimum(emitting, sources))
+        return self.router.route(active, emitting)
+
     def _maybe_stabilize(
-        self, routed, combined: float, active_count: int
+        self,
+        routed,
+        combined: Optional[float],
+        active_count: int,
+        total: float,
     ) -> None:
         """Detect convergence of the mass direction (untracked mode).
 
@@ -255,8 +270,8 @@ class BPPRKernel(TaskKernel):
         the normalized mass vector stops changing, every further round
         is the previous one scaled by a constant decay factor, so the
         kernel caches one round's accounting and fast-forwards.
+        ``total`` is the mass vector's sum, which the round has taken.
         """
-        total = float(self._mass_vec.sum())
         if total <= 0:
             return
         direction = self._mass_vec / total
@@ -274,9 +289,8 @@ class BPPRKernel(TaskKernel):
                 self._cached_combined = combined
                 self._cached_active_count = active_count
                 # Exact stationary stop distribution: stops per vertex
-                # are mass * stop_fraction, normalized.
-                stop_fraction = np.where(self._dangling, 1.0, self.alpha)
-                raw = self._mass_vec * stop_fraction
+                # are mass times the stopping fraction, normalized.
+                raw = self._mass_vec * self._stop
                 raw_sum = float(raw.sum())
                 self._stable_stop_dist = (
                     raw / raw_sum if raw_sum > 0 else direction
@@ -287,8 +301,6 @@ class BPPRKernel(TaskKernel):
 
     def _advance_stabilized(self) -> RoundSummary:
         """Fast-forward one tail round by pure rescaling (no O(m) work)."""
-        from repro.messages.routing import RoutedMessages
-
         decay = self._decay
         stops = float(self._mass_vec.sum()) * (1.0 - decay)
         self._stops_total += stops
@@ -311,7 +323,11 @@ class BPPRKernel(TaskKernel):
             task_state_bytes=remaining * WALK_STATE_BYTES,
             active_vertices=float(self._cached_active_count),
             done=done,
-            combined_messages=self._cached_combined * scale,
+            combined_messages=(
+                None
+                if self._cached_combined is None
+                else self._cached_combined * scale
+            ),
         )
 
     def _advance_montecarlo(self) -> RoundSummary:
@@ -371,12 +387,7 @@ class BPPRKernel(TaskKernel):
         ).astype(np.float64)
         active = np.flatnonzero(emissions > 0)
         sources = self._distinct_sources_estimate()
-        blocks = np.minimum(emissions[active], sources)
-        routed = self.route_emissions(
-            active,
-            blocks_per_vertex=blocks,
-            point_messages_per_vertex=emissions[active],
-        )
+        routed = self._route_walks(active, emissions[active], sources)
         combined = self._combined_estimate(emissions, active, sources)
 
         done = (
@@ -396,14 +407,16 @@ class BPPRKernel(TaskKernel):
         emissions_per_vertex: np.ndarray,
         active: np.ndarray,
         distinct_sources: float,
-    ) -> float:
-        """Wire messages after (source, target) combining (GraphLab sync).
+    ) -> Optional[float]:
+        """Wire messages after (source, target) combining (GraphLab sync),
+        or ``None`` — combining does not apply — on an engine that does
+        not combine.
 
         Combining merges walks sharing both source and next hop, so its
         effectiveness falls as source diversity grows round over round.
         """
-        from repro.messages.combine import combined_walk_messages
-
+        if not self._combining:
+            return None
         if active.size == 0:
             return 0.0
         combined = combined_walk_messages(

@@ -201,7 +201,7 @@ class TestSameDemandDifferentLanding:
         self, graph, cluster
     ):
         session, batches = landing_session("pregel+", graph, cluster, 4096.0, 0.4)
-        (tape,) = session._tapes.values()
+        (tape,) = session.prep.tapes.values()
         assert len(batches) > 2 and len(tape.rounds) == len(batches[0].rounds)
         assert memory_states(batches[:1]) == {"ok"}
         assert batches[-1].overloaded and len(batches[-1].rounds) == 1
@@ -235,7 +235,7 @@ class TestSameDemandDifferentLanding:
         session, batches = landing_session(
             "giraph(split)", graph, roomy, 16384.0, 0.5
         )
-        (tape,) = session._tapes.values()
+        (tape,) = session.prep.tapes.values()
         assert any(demand.load.splits > 1 for _, _, demand in tape.rounds)
         assert memory_states(batches) == {"ok", "thrashing", "overloaded"}
         digest = landed_digest(session, batches)
@@ -272,7 +272,7 @@ class TestCountGuard:
             create_engine("pregel+", cluster), bppr_task(graph, 128.0), seed=SEED
         )
         batches = [session.run_batch(8.0) for _ in range(16)]
-        (tape,) = session._tapes.values()
+        (tape,) = session.prep.tapes.values()
         priced = sum(len(b.rounds) for b in batches)
         assert priced == 16 * len(tape.rounds)
         assert stage_calls == {"demand": len(tape.rounds), "round_cost": priced}

@@ -1,6 +1,6 @@
-"""Round tapes: a deterministic batch executes once per session and
-every equal batch replays its recorded rounds (DESIGN.md, "Round
-tapes").
+"""Round tapes: a deterministic batch executes once per engine and
+graph, and every equal batch of any session of that engine replays its
+recorded rounds (DESIGN.md, "Round tapes").
 
 Two kinds of guard:
 
@@ -24,7 +24,7 @@ import pytest
 
 from repro.cluster.cluster import cluster_by_name
 from repro.engines.base import (
-    MAX_SESSION_TAPES,
+    MAX_ENGINE_TAPES,
     BatchCheckpoint,
     EngineSession,
 )
@@ -258,7 +258,7 @@ class TestReplayEquivalence:
         session = full_residual_session(graph, cluster)
         first = session.run_batch(32.0)
         assert first.overloaded and len(first.rounds) == 1
-        (tape,) = session._tapes.values()
+        (tape,) = session.prep.tapes.values()
         # Lazy: nothing executed past the break, kernel kept to go on.
         assert len(tape.rounds) == 1
         assert tape.kernel is not None and tape.kernel.round_index == 1
@@ -269,7 +269,7 @@ class TestReplayEquivalence:
         session, batches = overload_then_continue(graph, cluster)
         first, second = batches
         assert first.overloaded and not second.overloaded
-        (tape,) = session._tapes.values()
+        (tape,) = session.prep.tapes.values()
         assert tape.kernel is None
         assert len(tape.rounds) == len(second.rounds) > 1
         digest = job_digest(session_job(session, batches))
@@ -346,7 +346,7 @@ class TestTruthfulDeclaration:
         )
         assert kernel.replay_key() is None
         session.run_batch(2.0)
-        assert not session._tapes
+        assert not session.prep.tapes
 
     def test_bppr_key_names_what_the_rounds_depend_on(
         self, social_graph, small_cluster
@@ -373,8 +373,102 @@ class TestTruthfulDeclaration:
 
 
 # ----------------------------------------------------------------------
+# Across sessions: one engine, one tape store
+# ----------------------------------------------------------------------
+class TestAcrossSessions:
+    def test_canonical_run_replays_the_serving_session(
+        self, advances, graph, cluster
+    ):
+        engine = create_engine("pregel+", cluster)
+        task = bppr_task(graph, 24.0)
+        serving = engine.open_session(task, SEED, cutoff_seconds=None)
+        executed = len(serving.run_batch(24.0).rounds)
+        assert len(advances) == executed
+        payload = engine.run_canonical(task, seed=SEED)
+        assert len(advances) == executed  # replayed, nothing executed
+        fresh = create_engine("pregel+", cluster).run_canonical(
+            task, seed=SEED
+        )
+        assert len(advances) == 2 * executed
+        assert payload == fresh
+
+    def test_tasks_differing_in_alpha_never_share_a_record(
+        self, advances, graph, cluster
+    ):
+        engine = create_engine("pregel+", cluster)
+        digests = {}
+        for alpha in (0.15, 0.2, 0.15, 0.2):
+            task = bppr_task(graph, 16.0, alpha=alpha)
+            digests.setdefault(alpha, []).append(
+                job_digest(engine.run_job(task, [16.0], seed=SEED))
+            )
+            clear_cache()  # the second run of each must replay, not memo
+        tapes = engine._prepare(bppr_task(graph, 16.0)).tapes
+        assert len(tapes) == 2
+        records = [tape.rounds for tape in tapes.values()]
+        # Each alpha executed once, on its own tape, to its own bytes.
+        assert len(advances) == sum(len(rounds) for rounds in records)
+        assert records[0][0][0] != records[1][0][0]
+        for alpha, (first, replayed) in digests.items():
+            fresh = create_engine("pregel+", cluster).run_job(
+                bppr_task(graph, 16.0, alpha=alpha), [16.0], seed=SEED
+            )
+            assert first == replayed == job_digest(fresh)
+
+    def test_params_stage_one_reads_are_part_of_the_key(
+        self, advances, graph, cluster
+    ):
+        """Equal replay keys, different ``task.params``: stage 1 reads
+        ``async_update_factor`` on an async engine, so the tasks keep
+        separate records."""
+        engine = create_engine("graphlab(async)", cluster)
+        plain = bppr_task(graph, 16.0)
+        damped = dataclasses.replace(
+            plain, params={**plain.params, "async_update_factor": 0.5}
+        )
+        jobs = [engine.run_job(t, [16.0], seed=SEED) for t in (plain, damped)]
+        assert len(engine._prepare(plain).tapes) == 2
+        assert len(advances) == jobs[0].num_rounds + jobs[1].num_rounds
+        assert jobs[1].total_messages < jobs[0].total_messages
+
+    def test_replayed_round_lands_on_this_sessions_residual(
+        self, advances, graph, cluster
+    ):
+        engine = create_engine("pregel+", cluster)
+        task = bppr_task(graph, 64.0)
+        recorder = engine.open_session(task, SEED)
+        recorded = recorder.run_batch(16.0)
+        residual = 0.25 * cluster.scaled_machine.usable_memory_bytes
+        machines = cluster.num_machines
+        session = engine.open_session(
+            task, SEED, initial_residual_bytes=residual * machines
+        )
+        batch = session.run_batch(16.0)
+        assert len(advances) == len(recorded.rounds) == len(batch.rounds)
+        (tape,) = session.prep.tapes.values()
+        for landed, first, (_, kernel_residual, demand) in zip(
+            batch.rounds, recorded.rounds, tape.rounds
+        ):
+            stage_one = demand.load.peak_memory_bytes
+            assert first.peak_memory_bytes == (
+                stage_one + kernel_residual / machines
+            )
+            assert landed.peak_memory_bytes == (
+                stage_one + (residual * machines + kernel_residual) / machines
+            )
+            assert landed.peak_memory_bytes > first.peak_memory_bytes
+
+
+# ----------------------------------------------------------------------
 # Counts
 # ----------------------------------------------------------------------
+def tape_workload(key) -> float:
+    """The batch workload of a BPPR tape key: (kind, params, (alpha,
+    max_rounds, workload))."""
+    kind, params, (alpha, max_rounds, workload) = key
+    return workload
+
+
 class TestCountGuard:
     def test_equal_batches_execute_once(self, advances, graph, cluster):
         single = bppr_job("pregel+", graph, cluster, [8.0])
@@ -401,23 +495,25 @@ class TestCountGuard:
         replayed = timings.snapshot()["kernel.replayed"]["count"]
         assert replayed == 3 * len(job.batches[0].rounds)
 
-    def test_session_keeps_a_bounded_number_of_tapes(
+    def test_engine_keeps_a_bounded_number_of_tapes(
         self, tiny_graph, small_cluster
     ):
+        sizes = MAX_ENGINE_TAPES + 68
         engine = create_engine("pregel+", small_cluster)
         session = EngineSession(
-            engine, bppr_task(tiny_graph, 100.0), seed=SEED,
+            engine, bppr_task(tiny_graph, float(sizes)), seed=SEED,
             cutoff_seconds=None,
         )
-        for size in range(1, 101):
+        for size in range(1, sizes + 1):
             session.run_batch(float(size))
-        assert len(session._tapes) == MAX_SESSION_TAPES
+        tapes = session.prep.tapes
+        assert len(tapes) == MAX_ENGINE_TAPES
         # Least recently used goes first: the survivors are the newest.
-        assert [key[2] for key in session._tapes] == [
-            float(s) for s in range(69, 101)
+        assert [tape_workload(key) for key in tapes] == [
+            float(s) for s in range(69, sizes + 1)
         ]
         session.run_batch(69.0)
-        assert list(session._tapes)[-1][2] == 69.0
+        assert tape_workload(list(tapes)[-1]) == 69.0
 
     def test_finished_tape_holds_no_kernel(self, graph, cluster):
         kernels = []
@@ -437,5 +533,5 @@ class TestCountGuard:
         gc.collect()
         assert len(kernels) == 3
         assert all(ref() is None for ref in kernels)
-        (tape,) = session._tapes.values()
+        (tape,) = session.prep.tapes.values()
         assert tape.kernel is None and tape.rounds[-1][0].done

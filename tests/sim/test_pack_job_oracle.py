@@ -10,7 +10,8 @@ costs (DESIGN.md 10.3).
   equal in Python and different in JSON, non-ASCII text, empty levels.
 * **counts** — how many whole records ``pack_job`` encodes and how
   often the serving tier renders a response, which no host is too noisy
-  to measure.
+  to measure: one pack per distinct content key, and none — nor any job
+  rebuilt — when a warm store answers.
 """
 
 from __future__ import annotations
@@ -25,10 +26,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import cluster_by_name
+from repro.engines import base as engine_module
 from repro.engines.registry import ENGINE_NAMES, create_engine
 from repro.graph.datasets import load_dataset
-from repro.perf.cache import clear_cache
-from repro.sched import service as service_module
+from repro.perf.cache import (
+    ArraySerializer,
+    clear_cache,
+    configure_cache,
+    get_cache,
+)
 from repro.sched.arrivals import TaskRequest
 from repro.sched.policy import ServicePolicy
 from repro.sched.service import SchedulerService
@@ -297,6 +303,16 @@ def test_an_unsplit_job_encodes_every_round_once(graph, cluster, whole_encodes):
     assert len(whole_encodes) == job.num_rounds > 0
 
 
+def make_service(graph, cluster, ttl: float) -> SchedulerService:
+    return SchedulerService(
+        create_engine("pregel+", cluster),
+        graph,
+        kinds=("bppr",),
+        seed=9,
+        policy=ServicePolicy(result_cache=True, result_ttl_seconds=ttl),
+    )
+
+
 class TestOneRenderedResponsePerContentKey:
     """Two bursts of the same 8 contents, further apart than the TTL:
     every second-burst request misses the result cache and is answered
@@ -318,17 +334,11 @@ class TestOneRenderedResponsePerContentKey:
         clear_cache()
         packs = []
         monkeypatch.setattr(
-            service_module,
+            engine_module,
             "pack_job",
             lambda job: packs.append(1) or pack_job(job),
         )
-        service = SchedulerService(
-            create_engine("pregel+", cluster),
-            graph,
-            kinds=("bppr",),
-            seed=9,
-            policy=ServicePolicy(result_cache=True, result_ttl_seconds=self.TTL),
-        )
+        service = make_service(graph, cluster, self.TTL)
         if forget:
             render = service._result_payload
 
@@ -354,3 +364,139 @@ class TestOneRenderedResponsePerContentKey:
         assert cold.responses == service.responses
         assert len(set(service.responses.values())) == 8
         assert cold_metrics.to_dict() == metrics.to_dict()
+
+
+class TestPackedOnceThroughTheStore:
+    """With a cache directory: a cold run packs each canonical job once
+    — the bytes it answers with are the bytes it stores — and a warm
+    store answers with the stored bytes, rebuilding no job."""
+
+    UNITS = [float(u) for u in range(1, 9)]
+
+    @pytest.fixture(autouse=True)
+    def _restore_directory(self):
+        cache = get_cache()
+        directory = cache.directory
+        yield
+        cache.directory = directory
+        clear_cache()
+
+    def requests(self):
+        return [
+            TaskRequest(i, "bppr", units, 0.0)
+            for i, units in enumerate(self.UNITS)
+        ]
+
+    def serve(self, graph, cluster, rendering=None):
+        """Serve the eight requests; ``rendering`` (a list) holds an
+        entry while a response is rendered."""
+        clear_cache()
+        service = make_service(graph, cluster, 50.0)
+        if rendering is not None:
+            render = service._result_payload
+
+            def flagged(request):
+                rendering.append(request)
+                try:
+                    return render(request)
+                finally:
+                    rendering.pop()
+
+            service._result_payload = flagged
+        metrics = service.run(self.requests())
+        return service.responses, metrics.to_dict()
+
+    def test_cold_store_packs_each_content_key_once(
+        self, graph, cluster, monkeypatch, tmp_path
+    ):
+        # Packs made while a response renders: the response's own and
+        # the store's (the service's probe training packs its jobs too).
+        rendering, packs = [], []
+
+        def counted(pack):
+            def counting(job):
+                if rendering:
+                    packs.append(1)
+                return pack(job)
+
+            return counting
+
+        monkeypatch.setattr(engine_module, "pack_job", counted(pack_job))
+        serializer = engine_module.JOB_SERIALIZER
+        monkeypatch.setattr(
+            engine_module,
+            "JOB_SERIALIZER",
+            ArraySerializer(
+                pack=counted(serializer.pack), unpack=serializer.unpack
+            ),
+        )
+        configure_cache(directory=str(tmp_path))
+        responses, _ = self.serve(graph, cluster, rendering)
+        assert len(set(responses.values())) == len(self.UNITS)
+        assert len(packs) == len(self.UNITS)
+        # What was answered is what was stored (beside the probe runs
+        # the service trains its models on).
+        stored = set()
+        for path in tmp_path.glob("run-*.npz"):
+            with np.load(path) as archive:
+                stored.add(archive["payload"].tobytes())
+        assert set(responses.values()) <= stored
+
+    def test_warm_store_answers_without_rebuilding_jobs(
+        self, graph, cluster, monkeypatch, tmp_path
+    ):
+        configure_cache(directory=str(tmp_path))
+        cold, cold_metrics = self.serve(graph, cluster)
+
+        # The service's probe training reads its own archived jobs; a
+        # response being rendered must not rebuild one.
+        rendering = []
+
+        def forbidden_while_rendering(original):
+            def guarded(*args):
+                if rendering:
+                    raise AssertionError("a warm store rebuilt a job")
+                return original(*args)
+
+            return guarded
+
+        for module in (engine_module, metrics_module):
+            for name in ("pack_job", "unpack_job", "clone_job"):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+                    monkeypatch.setattr(
+                        module, name, forbidden_while_rendering(original)
+                    )
+        serializer = engine_module.JOB_SERIALIZER
+        monkeypatch.setattr(
+            engine_module,
+            "JOB_SERIALIZER",
+            ArraySerializer(
+                pack=forbidden_while_rendering(serializer.pack),
+                unpack=forbidden_while_rendering(serializer.unpack),
+            ),
+        )
+        hits = get_cache().stats.disk_hits
+        warm, warm_metrics = self.serve(graph, cluster, rendering)
+        assert get_cache().stats.disk_hits - hits >= len(self.UNITS)
+        assert warm == cold
+        assert warm_metrics == cold_metrics
+
+    def test_the_stored_bytes_are_the_run_job_archive(
+        self, graph, cluster, tmp_path
+    ):
+        """``run_canonical`` writes and reads the very file ``run_job``
+        does for the one-batch split: the one store serves both."""
+        configure_cache(directory=str(tmp_path))
+        engine = create_engine("pregel+", cluster)
+        task = make_task("bppr", graph, 8.0)
+        payload = engine.run_canonical(task, seed=SEED)
+        assert len(list(tmp_path.glob("run-*.npz"))) == 1
+        clear_cache()
+        hits = get_cache().stats.disk_hits
+        job = create_engine("pregel+", cluster).run_job(
+            task, [8.0], seed=SEED
+        )
+        assert get_cache().stats.disk_hits == hits + 1
+        assert packed(job) == payload
+        assert len(list(tmp_path.glob("run-*.npz"))) == 1
