@@ -5,7 +5,6 @@ Run from the repo root (CI does)::
     python benchmarks/kernel_bench.py              # compare to baseline
     python benchmarks/kernel_bench.py --update     # rewrite the baseline
     python benchmarks/kernel_bench.py --strict     # non-zero exit on drift
-    python benchmarks/kernel_bench.py --crossover  # dense/sparse sweep
     python benchmarks/kernel_bench.py --streaming  # block-streaming kernels
     python benchmarks/kernel_bench.py --workers 1 2 4   # sharded kernels
     python benchmarks/kernel_bench.py --parallel-smoke  # digest identity
@@ -16,11 +15,6 @@ per task on a fixed mid-size Chung-Lu graph and compares it against
 *warns* by default — CI hardware is noisy and a micro-benchmark should
 flag, not block — but ``--strict`` turns warnings into a failing exit
 for local bisection.
-
-``--crossover`` empirically locates the candidates-per-cell density at
-which the dense (mask/accumulator) scatter overtakes the sort-based
-segment reduction, for sanity-checking
-``repro.graph.csr.DENSE_CANDIDATES_PER_CELL`` after a numpy upgrade.
 
 ``--streaming`` reruns the same task suite against a memory-mapped copy
 of the benchmark graph with the block size forced small enough that
@@ -280,52 +274,6 @@ def compare(current: dict, baseline: dict) -> list:
     return warnings
 
 
-def run_crossover() -> int:
-    """Sweep candidate density; report where dense overtakes sparse."""
-    from repro.graph.csr import (
-        DENSE_CANDIDATES_PER_CELL,
-        scatter_min_dense,
-        segment_min,
-    )
-
-    rng = np.random.default_rng(5)
-    num_rows, num_cols = 48, 4000
-    cells = num_rows * num_cols
-    print(f"state matrix {num_rows}x{num_cols} ({cells} cells)")
-    print(f"{'cand/cell':>10}  {'sparse ms':>10}  {'dense ms':>10}  winner")
-    crossover = None
-    for density in (1 / 128, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1):
-        size = max(1, int(cells * density))
-        rows = rng.integers(0, num_rows, size=size, dtype=np.int64)
-        cols = rng.integers(0, num_cols, size=size, dtype=np.int64)
-        values = rng.random(size)
-        state = np.full((num_rows, num_cols), np.inf)
-        mask = np.zeros((num_rows, num_cols), dtype=bool)
-
-        start = time.perf_counter()
-        for _ in range(5):
-            segment_min(rows, cols, values, num_cols)
-        sparse_ms = (time.perf_counter() - start) / 5 * 1000
-
-        start = time.perf_counter()
-        for _ in range(5):
-            scatter_min_dense(rows, cols, values, state, mask)
-        dense_ms = (time.perf_counter() - start) / 5 * 1000
-
-        winner = "dense" if dense_ms < sparse_ms else "sparse"
-        if winner == "dense" and crossover is None:
-            crossover = density
-        print(
-            f"{density:>10.4f}  {sparse_ms:>10.3f}  {dense_ms:>10.3f}"
-            f"  {winner}"
-        )
-    print(
-        f"\nmeasured crossover ~{crossover}; committed "
-        f"DENSE_CANDIDATES_PER_CELL = {DENSE_CANDIDATES_PER_CELL}"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -335,11 +283,6 @@ def main(argv=None) -> int:
         "--strict",
         action="store_true",
         help="exit non-zero on drift (default: warn only)",
-    )
-    parser.add_argument(
-        "--crossover",
-        action="store_true",
-        help="sweep the dense/sparse scatter crossover instead",
     )
     parser.add_argument(
         "--streaming",
@@ -363,8 +306,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.crossover:
-        return run_crossover()
     if args.parallel_smoke:
         return run_parallel_smoke()
 

@@ -148,8 +148,11 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
 def _spawn(child: str, scale: int, cap_bytes: int, cache_dir: str):
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
-    env["PYTHONPATH"] = str(
-        Path(__file__).resolve().parent.parent / "src"
+    # Prepended, so whatever the parent's path carries (a profiling
+    # hook's sitecustomize, say) reaches the children too.
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]
     )
     return subprocess.run(
         [

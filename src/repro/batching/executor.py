@@ -54,10 +54,6 @@ class MultiProcessingJob:
                 )
             self.engine = create_engine(engine, cluster)
 
-    @property
-    def cluster(self) -> ClusterSpec:
-        return self.engine.cluster
-
     def run(
         self,
         task: TaskSpec,

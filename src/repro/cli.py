@@ -200,7 +200,7 @@ def _apply_runtime_knobs(args) -> None:
 def _build_setting(args):
     _apply_runtime_knobs(args)
     cluster = cluster_by_name(args.cluster, scale=args.scale)
-    if args.machines:
+    if args.machines is not None:
         cluster = cluster.with_machines(args.machines)
     graph = load_dataset(args.dataset, scale=args.scale)
     task = make_task(args.task, graph, args.workload)
@@ -489,7 +489,7 @@ def cmd_serve(args) -> int:
         tenants=tenants,
     )
     cluster = cluster_by_name(args.cluster, scale=args.scale)
-    if args.machines:
+    if args.machines is not None:
         cluster = cluster.with_machines(args.machines)
     graph = load_dataset(args.dataset, scale=args.scale)
     engine = create_engine(args.engine, cluster)

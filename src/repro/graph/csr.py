@@ -11,7 +11,6 @@ whole frontiers at once.
 
 from __future__ import annotations
 
-import copyreg
 import hashlib
 from typing import Iterator, List, Optional, Tuple
 
@@ -41,9 +40,9 @@ class Graph:
         optional label used in reports.
 
     ``directory`` names the CSR directory the arrays are maps of
-    (:func:`repro.graph.io.open_mapped`; ``None`` in RAM), so a pickle
-    ships a path instead of bytes — a fact about storage that no kernel
-    reads: whether a round streams is :func:`streaming_block_arcs`'s.
+    (:func:`repro.graph.io.open_mapped`; ``None`` in RAM) — a fact
+    about storage that no kernel reads: whether a round streams is
+    :func:`streaming_block_arcs`'s.
     """
 
     __slots__ = (
@@ -95,8 +94,8 @@ class Graph:
         fingerprint=None, directory=None,
     ) -> "Graph":
         """Install arrays already proven valid — by ``__init__``, or by
-        whoever built the bytes a pickle, a shared segment or a checked
-        CSR directory holds — read-only, every derived cache empty.
+        whoever built the bytes a checked CSR directory holds —
+        read-only, every derived cache empty.
         The one place a slot is initialised."""
         self.indptr, self.indices, self.weights = indptr, indices, weights
         self.directed, self.name = bool(directed), name
@@ -296,35 +295,6 @@ class Graph:
             (self.num_vertices, self.num_arcs, self.directed, self.is_weighted)
         )
 
-    def __reduce__(self):
-        # Ship the path of a CSR directory, the arrays of anything else.
-        if self.directory is not None:
-            from repro.graph.io import open_mapped
-
-            return open_mapped, (self.directory,)
-        return copyreg.__newobj__, (type(self),), self.__getstate__()
-
-    def __getstate__(self) -> dict:
-        # Derived caches (degrees, the transposition, the mass
-        # operators) are dropped so pickles carry only the CSR arrays;
-        # the fingerprint rides along because recomputing it hashes
-        # every array.
-        return {
-            "indptr": self.indptr,
-            "indices": self.indices,
-            "weights": self.weights,
-            "directed": self.directed,
-            "name": self.name,
-            "_fingerprint": self._fingerprint,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        arrays = ("indptr", "indices", "weights", "directed", "name")
-        self._adopt(
-            *(state[slot] for slot in arrays),
-            fingerprint=state.get("_fingerprint"),
-        )
-
 
 # ----------------------------------------------------------------------
 # Shared frontier kernels
@@ -414,24 +384,6 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[boundary]
 
 
-def merge_winner_keys(key_lists) -> np.ndarray:
-    """The single fold of a round's per-block winner keys.
-
-    Each block of a frontier round returns the flat ``row * n + col``
-    keys of the cells it won, row-major within the block. One
-    non-empty list is the round's frontier as is; several are
-    concatenated, sorted and de-duplicated — blocks that only read the
-    round-start state can win the same cell twice, and the sort
-    restores the row-major order a one-block round emits.
-    """
-    key_lists = [keys for keys in key_lists if keys.size]
-    if len(key_lists) == 1:
-        return key_lists[0]
-    if not key_lists:
-        return np.empty(0, dtype=np.int64)
-    return sorted_unique(np.concatenate(key_lists))
-
-
 def dedup_pairs_dense(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -440,13 +392,12 @@ def dedup_pairs_dense(
     """Distinct ``(row, col)`` pairs via a reusable dense boolean mask.
 
     For kernels that already hold an ``(s, n)`` state matrix the dense
-    scan beats sorting once the candidate list is large enough
-    (:func:`use_dense_cells`): mark through *flat* composite keys (one
-    indexed store per candidate — measurably faster than 2-D fancy
-    indexing), collect with ``np.flatnonzero`` (row-major — the same
-    order :func:`dedup_pairs` produces), then un-mark so the mask is
-    all-False again for the next round. ``mask`` must be all-False on
-    entry.
+    scan beats sorting once the candidate list is large enough: mark
+    through *flat* composite keys (one indexed store per candidate —
+    measurably faster than 2-D fancy indexing), collect with
+    ``np.flatnonzero`` (row-major — the same order :func:`dedup_pairs`
+    produces), then un-mark so the mask is all-False again for the next
+    round. ``mask`` must be all-False on entry.
     """
     flat = mask.reshape(-1)
     keys = composite_keys(rows, cols, mask.shape[1])
@@ -873,30 +824,10 @@ def _propagate_mass_sharded(
 #   matrix (the scan amortises, and numpy's 1-D indexed ``ufunc.at``
 #   fast path makes the scatter itself cheap).
 #
-# One measured constant decides between them for every kernel.
+# Neither strategy has a caller in ``src/`` outside the Monte-Carlo
+# BPPR oracle and the chunked twins above; they stay importable because
+# the frozen benchmark's span table resolves them by name.
 # ----------------------------------------------------------------------
-
-#: Measured crossover for choosing the dense (boolean-mask / dense
-#: accumulator) strategy over the sort-based one: dense wins once the
-#: candidate list carries at least this many entries per state-matrix
-#: cell. Measured with ``benchmarks/kernel_bench.py --crossover`` on the
-#: reference machine (argsort+reduceat vs flat-key scatter + mask scan
-#: over s*n cells; the two cost curves cross between 1/32 and 1/16
-#: candidates per cell). The old per-task heuristic
-#: (``candidates * 8 >= cells``) hard-coded a ratio of 1/8 with no
-#: measurement behind it and compared message rows to mask *cells* —
-#: the constant now lives in one place, next to the benchmark that
-#: produced it.
-DENSE_CANDIDATES_PER_CELL = 1.0 / 16.0
-
-
-def use_dense_cells(num_candidates: int, num_cells: int) -> bool:
-    """True when the dense (mask/accumulator) scatter strategy should be
-    used for ``num_candidates`` updates into a ``num_cells`` state
-    matrix; the single decision point of the per-cell reductions
-    (weighted MSSP's min-fold — the unweighted rounds keep no
-    ``sources x n`` matrix to scatter into)."""
-    return num_candidates >= DENSE_CANDIDATES_PER_CELL * num_cells
 
 
 def composite_keys(

@@ -55,10 +55,6 @@ class Partition:
     strategy: str = "hash"
 
     @property
-    def num_vertices(self) -> int:
-        return self.owner.size
-
-    @property
     def cut_fraction(self) -> float:
         """Fraction of arcs crossing machines (drives network volume)."""
         total = int(self.arcs_per_machine.sum())

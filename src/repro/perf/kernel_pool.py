@@ -47,9 +47,7 @@ __all__ = [
 
 #: Measured crossover for going parallel at all: below this many
 #: candidates (arcs in flight) per shard, the dispatch + merge overhead
-#: exceeds the shard's compute and the round stays serial — the same
-#: one-constant-next-to-its-benchmark pattern as
-#: :data:`repro.graph.csr.DENSE_CANDIDATES_PER_CELL`. Measured with
+#: exceeds the shard's compute and the round stays serial. Measured with
 #: ``benchmarks/kernel_bench.py --workers 2``: per-shard argsort over
 #: fewer than ~32 Ki int64 keys completes faster than two pool
 #: dispatches plus the winner-key merge.

@@ -41,9 +41,8 @@ from repro.perf import kernel_pool, timings
 #: occupy before :func:`alloc_state_matrix` spills it to a mapped
 #: scratch file. Half, because the kernels hold two matrices of like
 #: size (:class:`BitFrontier`'s ``visited`` + ``incoming`` bitsets,
-#: ``n x ceil(sources / 64)`` words each; weighted MSSP's
-#: ``sources x n`` ``dist`` + ``pair_mask``) and the streaming arc
-#: blocks need the rest of the budget.
+#: ``n x ceil(sources / 64)`` words each) and the streaming arc blocks
+#: need the rest of the budget.
 STATE_SPILL_FRACTION = 0.5
 
 #: Measured crossover between the two directions of a bit-parallel

@@ -4,10 +4,13 @@ Section 3's Pregel MSSP: messages ``(u, v, d)`` assert a length-``d``
 path from source ``u`` to ``v``; per round, a vertex keeps the minimum
 per source and relaxes its out-edges. The kernel executes exactly that —
 a synchronous multi-source Bellman-Ford — fully vectorised over the
-(source, vertex) frontier. On an unweighted graph that is one BFS per
-source, and all of them run bit-parallel on per-vertex source bitsets
-(:class:`repro.tasks.base.BitFrontier`): a distance is the round in
-which the source's bit first reaches the vertex. Under the
+(source, vertex) frontier. On the unweighted graphs the kernel accepts
+that is one BFS per source, and all of them run bit-parallel on
+per-vertex source bitsets (:class:`repro.tasks.base.BitFrontier`): a
+distance is the round in which the source's bit first reaches the
+vertex. Weighted shortest paths are the oracles' alone
+(:func:`repro.tasks.exact.dijkstra_distances` and the reference
+engine's :class:`repro.tasks.vc_programs.MSSPProgram`). Under the
 mirror/broadcast interface the per-neighbour message collapses to one
 ``(u, d)`` broadcast block per updated (source, vertex) pair, which
 :meth:`route_emissions` handles.
@@ -20,27 +23,18 @@ simulated and scales all counts — see
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.graph.csr import (
-    Graph,
-    expand_frontier,
-    merge_winner_keys,
-    scatter_min_dense,
-    segment_min,
-    use_dense_cells,
-)
+from repro.errors import TaskError
+from repro.graph.csr import Graph
 from repro.messages.routing import MessageRouter
-from repro.perf import timings
 from repro.tasks.base import (
     BitFrontier,
     RoundSummary,
     TaskKernel,
     TaskSpec,
-    alloc_state_matrix,
     choose_sources,
 )
 
@@ -49,6 +43,15 @@ RESIDUAL_RECORD_BYTES = 8.0
 
 #: Bytes per in-flight frontier entry ((source, vertex, distance) triple).
 FRONTIER_ENTRY_BYTES = 12.0
+
+
+def _require_unweighted(graph: Graph) -> None:
+    if graph.weights is not None:
+        raise TaskError(
+            "MSSP kernels run on unweighted graphs only; weighted shortest "
+            "paths are computed by repro.tasks.exact.dijkstra_distances "
+            "and the reference engine's MSSPProgram"
+        )
 
 
 class MSSPKernel(TaskKernel):
@@ -62,6 +65,7 @@ class MSSPKernel(TaskKernel):
         sample_limit: Optional[int] = 64,
         max_rounds: int = 100_000,
     ) -> None:
+        _require_unweighted(graph)
         super().__init__(graph, router)
         self.rng = rng
         self.sample_limit = sample_limit
@@ -73,33 +77,13 @@ class MSSPKernel(TaskKernel):
         )
         self._sources = sampled.sources
         self._scale = sampled.scale_factor
-        s = self._sources.size
-        self._frontier_cells = s
-        self._bits = (
-            BitFrontier(self.graph, self._sources)
-            if self.graph.weights is None
-            else None
-        )
-        if self._bits is not None:
-            # Level sets ``(verts, new word rows)``, one per round: the
-            # distance table, decoded only when it is read.
-            self._levels = [(self._bits.verts, self._bits.words)]
-            return
-        n = self.graph.num_vertices
-        self._dist = alloc_state_matrix((s, n), np.float64, np.inf)
-        self._dist[np.arange(s), self._sources] = 0.0
-        self._pair_mask = alloc_state_matrix((s, n), bool)
-        # Frontier: (source-row, vertex) pairs improved last round.
-        self._frontier_rows = np.arange(s, dtype=np.int64)
-        self._frontier_verts = self._sources.copy()
-        self._reached_round = -1
+        self._frontier_cells = self._sources.size
+        self._bits = BitFrontier(self.graph, self._sources)
+        # Level sets ``(verts, new word rows)``, one per round: the
+        # distance table, decoded only when it is read.
+        self._levels = [(self._bits.verts, self._bits.words)]
 
     def _advance(self) -> RoundSummary:
-        if self._bits is not None:
-            return self._advance_unweighted()
-        return self._advance_weighted()
-
-    def _advance_unweighted(self) -> RoundSummary:
         """One BFS level for every source (:meth:`BitFrontier.advance`);
         what the round sent is the frontier it started with."""
         bits = self._bits
@@ -113,116 +97,6 @@ class MSSPKernel(TaskKernel):
         done = bits.frontier_cells == 0 or self._round >= self.max_rounds
         return self._summary_for(verts, updates, done)
 
-    def _advance_weighted(self) -> RoundSummary:
-        """One relaxation round: :meth:`_relax_block` over the round's
-        block plan, read-only blocks' minima folded, winner keys merged
-        into the next frontier.
-
-        Bit-identical however the frontier is cut (``DESIGN.md`` §8):
-        every block relaxes from the round-start snapshot, ``min`` is
-        order-independent and exact, a cell improves against a running
-        minimum iff it improves against the round-start value, and the
-        key merge restores row-major frontier order.
-        """
-        n = np.int64(self.graph.num_vertices)
-        rows, verts = self._frontier_rows, self._frontier_verts
-        tick = perf_counter()
-        # Snapshot before any scatter: block K's writes must not feed
-        # block J's candidates (one block reads every candidate before
-        # it writes).
-        source_dist = self._dist[rows, verts]
-        timings.add("kernel.expand", perf_counter() - tick)
-        results, exclusive = self.run_blocks(
-            self._relax_block, verts, rows, source_dist
-        )
-        results = [res for res in results if res is not None]
-        if not results:  # no frontier entry had an out-arc
-            return self._summary_for(verts[:0], verts[:0], done=True)
-        tick = perf_counter()
-        if not exclusive:
-            # Read-only blocks can win the same cell with different
-            # minima; folding with ``np.minimum`` in block order is
-            # order-independent and lands the global per-cell minimum.
-            flat_dist = self._dist.reshape(-1)
-            for keys, best in results:
-                flat_dist[keys] = np.minimum(flat_dist[keys], best)
-            timings.add("kernel.reduce", perf_counter() - tick)
-            tick = perf_counter()
-        keys = merge_winner_keys([keys for keys, _ in results])
-        self._frontier_rows, self._frontier_verts = np.divmod(keys, n)
-        self._frontier_cells = keys.size
-        done = keys.size == 0 or self._round >= self.max_rounds
-        timings.add("kernel.frontier", perf_counter() - tick)
-        updates = np.bincount(verts, minlength=self.graph.num_vertices)
-        active = np.flatnonzero(updates)
-        return self._summary_for(active, updates[active], done)
-
-    def _relax_block(
-        self,
-        verts: np.ndarray,
-        rows: np.ndarray,
-        dist: np.ndarray,
-        exclusive: bool,
-    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Relax the out-arcs of one frontier slice (``dist`` is the
-        slice of the round-start snapshot).
-
-        Returns ``None`` when the slice has no out-arc, else ``(keys,
-        minima)``: the flat ``row * n + vertex`` keys of the cells this
-        block improved, row-major, in arrays the block owns. An
-        *exclusive* block has written the improvements into ``_dist``
-        (``minima`` is ``None``) and timed itself; a read-only one
-        touches only its slice and read-only shared state, and hands
-        the ``minima`` back for the parent to fold.
-        """
-        graph = self.graph
-        n = graph.num_vertices
-        tick = perf_counter()
-        # Expand every frontier pair to all out-neighbours.
-        arc_pos, counts, kept = expand_frontier(graph, verts)
-        if arc_pos.size == 0:
-            if exclusive:
-                timings.add("kernel.expand", perf_counter() - tick)
-            return None
-        if kept is not None:
-            rows, dist = rows[kept], dist[kept]
-        nbr = np.take(graph.indices, arc_pos)
-        msg_rows = np.repeat(rows, counts)
-        cand = np.repeat(dist, counts)
-        cand += np.take(graph.weights, arc_pos)
-        if exclusive:
-            tock = perf_counter()
-            timings.add("kernel.expand", tock - tick)
-        # In-block aggregation: keep the minimum per (source, target)
-        # cell. The strategy pivots on the shared measured crossover
-        # (:func:`use_dense_cells`): big frontiers amortise the fused
-        # flat-key scatter straight into the distance matrix, sparse
-        # ones win with the sort-based segment reduction. Both emit
-        # cells in row-major order and both produce bit-identical
-        # distance tables (min is order-independent). The dense scatter
-        # writes ``_dist`` and scribbles on the shared pair mask, so it
-        # needs exclusivity.
-        if exclusive and use_dense_cells(msg_rows.size, self._pair_mask.size):
-            cells, before, best = scatter_min_dense(
-                msg_rows, nbr, cand, self._dist, self._pair_mask
-            )
-            improved = best < before
-            # The scatter already wrote the minima in place.
-            keys = cells if improved.all() else cells[improved]
-            minima = None
-        else:
-            cell_rows, cell_verts, best = segment_min(msg_rows, nbr, cand, n)
-            flat_dist = self._dist.reshape(-1)
-            keys = cell_rows * np.int64(n) + cell_verts
-            improved = best < flat_dist[keys]
-            keys, minima = keys[improved], best[improved]
-            if exclusive:
-                flat_dist[keys] = minima
-                minima = None
-        if exclusive:
-            timings.add("kernel.reduce", perf_counter() - tock)
-        return keys, minima
-
     def _summary_for(
         self, verts: np.ndarray, updates: np.ndarray, done: bool
     ) -> RoundSummary:
@@ -233,20 +107,8 @@ class MSSPKernel(TaskKernel):
         )
 
     def _reached_cells(self) -> float:
-        """Finite cells of the distance table.
-
-        A running popcount total on the bitset path. The weighted table
-        is scanned, once per round: ``_advance`` finishes its writes
-        before it builds the summary, and the engine reads
-        ``residual_bytes()`` right after ``step()`` — both want the
-        same count over the same ``sources x n`` table.
-        """
-        if self._bits is not None:
-            return float(self._bits.reached)
-        if self._reached_round != self._round:
-            self._reached = float(np.isfinite(self._dist).sum())
-            self._reached_round = self._round
-        return self._reached
+        """Finite cells of the distance table (a running popcount)."""
+        return float(self._bits.reached)
 
     def _state_bytes(self) -> float:
         """In-flight distance table + frontier for the whole batch."""
@@ -262,16 +124,11 @@ class MSSPKernel(TaskKernel):
     def frontier_keys(self) -> np.ndarray:
         """The (source, vertex) pairs improved last round, as flat
         ``source_row * n + vertex`` keys in row-major order."""
-        if self._bits is not None:
-            return self._bits.frontier_keys()
-        n = np.int64(self.graph.num_vertices)
-        return self._frontier_rows * n + self._frontier_verts
+        return self._bits.frontier_keys()
 
     def reached_table(self) -> np.ndarray:
         """The ``sources x n`` distance table so far (``inf`` where
         unreached), row ``i`` for the batch's ``i``-th source; a copy."""
-        if self._bits is None:
-            return np.array(self._dist)
         table = np.full(
             (self._sources.size, self.graph.num_vertices), np.inf
         )
@@ -292,7 +149,9 @@ def mssp_task(
     sample_limit: Optional[int] = 64,
     max_rounds: int = 100_000,
 ) -> TaskSpec:
-    """Build the MSSP :class:`TaskSpec` (workload = number of sources)."""
+    """Build the MSSP :class:`TaskSpec` (workload = number of sources);
+    a weighted ``graph`` raises :class:`TaskError`."""
+    _require_unweighted(graph)
 
     def factory(g, router, batch_workload, rng):
         return MSSPKernel(

@@ -74,7 +74,6 @@ class AutoTuner:
     seed: SeedLike = None
     recovery: Optional[OverloadRecovery] = None
     _model: Optional[MemoryCostModel] = field(default=None, repr=False)
-    _calibrator: Optional[Calibrator] = field(default=None, repr=False)
     _training_seconds: float = field(default=0.0, repr=False)
 
     @classmethod
@@ -98,30 +97,18 @@ class AutoTuner:
     def train(self, reference_workload: float) -> MemoryCostModel:
         """Run the probe ladder and fit the memory models (idempotent).
 
-        The probe runs are the calibrator's first tells
-        (:class:`~repro.tuning.calibrate.Calibrator`), so a caller that
-        keeps executing batches can keep telling observations back; the
-        initial fit is bit-identical to the legacy one-shot trainer.
+        The probe runs are a :class:`~repro.tuning.calibrate.Calibrator`'s
+        first tells; the fit is bit-identical to the legacy one-shot
+        trainer.
         """
         if self._model is None:
-            self._calibrator = Calibrator.train(
+            self._model = Calibrator.train(
                 self.engine,
                 self.task_factory,
                 reference_workload,
                 seed=self.seed,
-            )
-            self._model = self._calibrator.model
+            ).model
         return self._model
-
-    @property
-    def model(self) -> Optional[MemoryCostModel]:
-        return self._model
-
-    @property
-    def calibrator(self) -> Optional[Calibrator]:
-        """The ask-tell calibrator behind :meth:`train` (None until the
-        first training call)."""
-        return self._calibrator
 
     def plan(self, workload: float) -> List[float]:
         """Compute the Optimized schedule for ``workload``."""

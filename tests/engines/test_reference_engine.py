@@ -7,9 +7,11 @@ import pytest
 
 from repro.engines.reference import LocalPregelEngine
 from repro.errors import EngineError
+from repro.graph.build import from_edges
 from repro.graph.generators import chain, chung_lu, grid_2d
 from repro.tasks.exact import (
     bfs_distances,
+    dijkstra_distances,
     exact_pagerank,
     exact_ppr_matrix,
     k_hop_set,
@@ -67,6 +69,27 @@ class TestMSSPProgram:
                 assert got == expected[v] or (
                     math.isinf(got) and math.isinf(expected[v])
                 )
+
+    @staticmethod
+    def assert_matches_dijkstra(graph):
+        """Weighted MSSP is the oracles' alone: the message-passing
+        program equals Dijkstra from every source."""
+        n = graph.num_vertices
+        run = LocalPregelEngine(graph).run(MSSPProgram(range(n)))
+        for source in range(n):
+            got = [run.values[v].get(source, math.inf) for v in range(n)]
+            np.testing.assert_allclose(got, dijkstra_distances(graph, source))
+
+    def test_weighted_matches_dijkstra(self, weighted_graph):
+        self.assert_matches_dijkstra(weighted_graph)
+
+    def test_weighted_random_graph_matches_dijkstra(self):
+        rng = np.random.default_rng(44)
+        src, dst = rng.integers(0, 30, size=(2, 120))
+        weights = rng.integers(1, 9, size=120) * 0.5
+        self.assert_matches_dijkstra(
+            from_edges(src, dst, weights, num_vertices=30, dedup=True)
+        )
 
 
 class TestKHop:

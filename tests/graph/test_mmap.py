@@ -12,7 +12,6 @@ the second is ``streaming_block_arcs`` (budget and size).
 
 from __future__ import annotations
 
-import pickle
 
 import numpy as np
 import pytest
@@ -234,21 +233,6 @@ class TestMappedGraph:
         _, mapped = pair
         reopened = open_mapped(mapped.directory)
         assert_same_graph(mapped, reopened)
-
-    def test_pickle_ships_directory_only(self, pair):
-        _, mapped = pair
-        payload = pickle.dumps(mapped)
-        assert len(payload) < 4096  # the path, not the arrays
-        clone = pickle.loads(payload)
-        assert_same_graph(mapped, clone)
-        assert clone.directory == mapped.directory
-
-    def test_pickle_of_a_resident_graph_ships_the_arrays(self, pair):
-        graph, _ = pair
-        graph.transposition()  # derived caches stay behind
-        clone = pickle.loads(pickle.dumps(graph))
-        assert_same_graph(graph, clone)
-        assert clone.directory is None and clone._transpose is None
 
     def test_open_mapped_rejects_torn_directory(self, pair):
         _, mapped = pair

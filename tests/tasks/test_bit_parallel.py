@@ -2,11 +2,9 @@
 (``repro.tasks.base.BitFrontier``) against a reference that knows
 nothing about bitsets: one source at a time, one dense row per source.
 
-The reference relaxes synchronously, so on an unweighted graph its
-rounds are the BFS level sets and on a weighted one the hop-limited
-Bellman-Ford tables — weighted MSSP, which keeps the per-cell min-fold,
-rides along as the control. Every ``RoundSummary`` field, the frontier
-and ``residual_bytes()`` are compared round by round, final results
+The reference relaxes synchronously, so its rounds are the BFS level
+sets. Every ``RoundSummary`` field, the frontier and
+``residual_bytes()`` are compared round by round, final results
 against ``tasks/exact.py``, on every block plan, in both forced
 directions of the round (push along ``A``, pull along ``A^T``) and on
 both sides of the 64-source word boundary.
@@ -48,7 +46,6 @@ def reference_rounds(graph, sources):
     the round sends from, the distance table after it, and the cells it
     improved (the next round's ``sent``)."""
     tails, heads = graph.edge_sources(), graph.indices
-    lengths = np.ones(heads.size) if graph.weights is None else graph.weights
     table = np.full((sources.size, graph.num_vertices), np.inf)
     table[np.arange(sources.size), sources] = 0.0
     sent = np.isfinite(table)
@@ -59,7 +56,7 @@ def reference_rounds(graph, sources):
             np.minimum.at(
                 relaxed[row],
                 heads[live],
-                table[row, tails[live]] + lengths[live],
+                table[row, tails[live]] + 1.0,
             )
         improved = relaxed < table
         yield sent, relaxed, improved
@@ -167,9 +164,8 @@ def batches(draw):
     tails = rng.permutation(n)[: max(1, 3 * n // 4)]
     src = rng.choice(tails, size=arcs)
     dst = rng.integers(0, n, size=arcs)
-    task = draw(st.sampled_from(["mssp", "mssp-weighted", "bkhs"]))
-    weights = rng.integers(1, 5, size=arcs) * 0.5 if "weighted" in task else None
-    graph = from_edges(src, dst, weights, num_vertices=n)
+    task = draw(st.sampled_from(["mssp", "bkhs"]))
+    graph = from_edges(src, dst, num_vertices=n)
     # MSSP: sometimes stop mid-flight; BKHS: sometimes past the diameter.
     limit = draw(st.integers(min_value=1, max_value=12))
     # Each plan in both forced directions, and as the round itself
@@ -213,8 +209,7 @@ def check_batch(graph, task, sources, seed, limit, plan_name, direction):
                         kernel.result[int(source)], table[row]
                     )
             assert kernel._sources.size == sources
-            # (the weighted min-fold has one direction: it always pushes)
-            assert plan.forced() or "weighted" in task
+            assert plan.forced()
             # Over the budget (this plan's: more than one arc), edges
             # stay on disk, A^T's too: built when a round first pulls,
             # as maps of files, never as arrays in RAM.

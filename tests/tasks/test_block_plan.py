@@ -42,7 +42,7 @@ def state_bytes(kernel):
     n=st.integers(min_value=2, max_value=25),
     m=st.integers(min_value=0, max_value=90),
     seed=st.integers(min_value=0, max_value=10**6),
-    task=st.sampled_from(["mssp", "mssp-weighted", "bkhs"]),
+    task=st.sampled_from(["mssp", "bkhs"]),
 )
 @settings(max_examples=150, deadline=None)
 def test_block_cut_invariance(n, m, seed, task):
@@ -51,8 +51,7 @@ def test_block_cut_invariance(n, m, seed, task):
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n, size=m)
     dst = rng.integers(0, n, size=m)
-    weights = rng.integers(1, 5, size=m) * 0.5 if "weighted" in task else None
-    graph = from_edges(src, dst, weights, num_vertices=n, dedup=True)
+    graph = from_edges(src, dst, num_vertices=n, dedup=True)
 
     def make():
         if task == "bkhs":

@@ -28,7 +28,6 @@ from repro.tasks.base import BitFrontier, TaskKernel, choose_sources
 from repro.tasks.bkhs import BKHSKernel, bkhs_task
 from repro.tasks.exact import (
     bfs_distances,
-    dijkstra_distances,
     k_hop_set,
     shortest_path_distances,
 )
@@ -171,19 +170,6 @@ def rounds_of(kernel):
             break
 
 
-def hop_limited_distances(graph, source, hops):
-    """Shortest distances over paths of at most ``hops`` arcs: the
-    synchronous Bellman-Ford invariant, as the plain reference loop."""
-    dist = np.full(graph.num_vertices, np.inf)
-    dist[source] = 0.0
-    for _ in range(hops):
-        relaxed = dist.copy()
-        for u, v, weight in graph.iter_edges():
-            relaxed[v] = min(relaxed[v], dist[u] + weight)
-        dist = relaxed
-    return dist
-
-
 def router_for(graph, machines=4):
     partition = hash_partition(graph, machines)
     plan = build_mirror_plan(graph, partition)
@@ -205,28 +191,6 @@ class TestMSSPCorrectness:
                 kernel.frontier_keys(), np.flatnonzero(truth == level)
             )
         np.testing.assert_array_equal(kernel.reached_table(), truth)
-        assert plan.taken()
-
-    def test_weighted_matches_dijkstra(self, weighted_graph, plan):
-        weighted_graph = plan.graph(weighted_graph)
-        kernel = MSSPKernel(
-            weighted_graph,
-            router_for(weighted_graph, 2),
-            make_rng(2),
-            sample_limit=None,
-        )
-        kernel.start_batch(3)
-        for hops in rounds_of(kernel):
-            # A round relaxes from the distances the round started
-            # with: after it, paths of at most ``hops`` arcs, no more.
-            for source, dist in kernel.result.items():
-                np.testing.assert_allclose(
-                    dist, hop_limited_distances(weighted_graph, source, hops)
-                )
-        for source, dist in kernel.result.items():
-            np.testing.assert_allclose(
-                dist, dijkstra_distances(weighted_graph, source)
-            )
         assert plan.taken()
 
     def test_chain_distances(self):
@@ -349,7 +313,6 @@ class TestTruthOnEveryPlan:
 
     _mssp, _bkhs = TestMSSPCorrectness, TestBKHSCorrectness
     test_unweighted_matches_bfs = _mssp.test_unweighted_matches_bfs
-    test_weighted_matches_dijkstra = _mssp.test_weighted_matches_dijkstra
     test_unreachable_stays_infinite = _mssp.test_unreachable_stays_infinite
     test_counts_match_bruteforce = _bkhs.test_counts_match_bruteforce
     test_reachable_sets_match = _bkhs.test_reachable_sets_match
@@ -386,6 +349,18 @@ class TestTaskSpecs:
     def test_bkhs_task(self, random_graph):
         task = bkhs_task(random_graph, 64, k=3)
         assert task.params["k"] == 3
+
+    def test_weighted_mssp_is_refused_before_any_round(self, weighted_graph):
+        """Weighted shortest paths are the oracles' (the reference
+        engine's ``MSSPProgram``, ``dijkstra_distances``): the task and
+        the kernel refuse the graph when they are built, so no round
+        is ever run or priced."""
+        with pytest.raises(TaskError, match="dijkstra_distances"):
+            mssp_task(weighted_graph, 4)
+        with pytest.raises(TaskError, match="MSSPProgram"):
+            tasks_base.make_task("mssp", weighted_graph, 4)
+        with pytest.raises(TaskError, match="unweighted"):
+            MSSPKernel(weighted_graph, router_for(weighted_graph, 2), make_rng(0))
 
 
 @given(

@@ -155,6 +155,17 @@ class TestHostileValues:
         assert main(["run", "--workload", "64"]) == 2
         assert "REPRO_MAX_RAM" in capsys.readouterr().err
 
+    # ``--machines 0`` used to be falsy and run the preset's count.
+    @pytest.mark.parametrize("machines", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep"], ["tune"], ["serve", "--arrivals", "1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_machine_count_must_be_positive(self, argv, machines, capsys):
+        assert main(argv + ["--workload", "64", "--machines", machines]) == 2
+        assert "num_machines must be positive" in capsys.readouterr().err
+
     # PageRank is left out: its workload is fixed at 1 whatever is passed.
     @pytest.mark.parametrize("task", ["bppr", "bppr-query", "mssp", "bkhs"])
     @pytest.mark.parametrize("workload", [float("nan"), float("inf")])
