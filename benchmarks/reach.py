@@ -137,6 +137,11 @@ ENTRY_POINTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         for workload in ("jobs_bppr", "jobs_traversal", "jobs_streaming",
                          "jobs_sharded", "serve_backlog", "serve_cached")
     ),
+    *(
+        (f"example {path.name}", (str(path),))
+        for path in sorted((ROOT / "examples").glob("*.py"))
+    ),
+    ("list", (*_CLI, "list")),
 )
 
 #: Installed as ``sitecustomize`` in every child: records each code

@@ -77,11 +77,12 @@ MAX_ROUNDS_PER_BATCH = 5000
 
 #: Round tapes one prepared graph (engine x graph content x message
 #: size) keeps, least recently used dropped first. A k-batch job needs
-#: one per distinct batch size (at most two); a serving tier meets every
+#: one per distinct walk (at most two); a serving tier meets every
 #: admissible size, and each of its canonical runs replays what its
 #: serving session recorded: the pregel+ prep of one ``serve_cached``
-#: pass records 127 distinct tapes, so no tape is dropped there. A
-#: finished tape is a few hundred bytes per round.
+#: pass records 72 distinct tapes (one per significand of W), so no
+#: tape is dropped there. A tape is a few hundred bytes per round and
+#: scale read, plus the kernel of a walk not yet at ``max_rounds``.
 MAX_ENGINE_TAPES = 256
 
 #: Fixed coordination cost of writing one checkpoint (barrier piggyback,
@@ -228,40 +229,37 @@ class BatchCheckpoint:
 
 
 class _RoundTape:
-    """The memoised rounds of one deterministic batch (a kernel whose
-    :meth:`~repro.tasks.base.TaskKernel.replay_key` is not ``None``).
+    """The memoised rounds of one deterministic walk (what a kernel's
+    :meth:`~repro.tasks.base.TaskKernel.replay_key` names), one view per
+    scale a batch reads it at.
 
-    Filled lazily: the tape owns the live kernel and steps it only when
-    a cursor asks for a round nobody has recorded yet, so a batch that
-    breaks early (overload, cutoff) executes nothing beyond its break
-    and a later equal batch that gets further continues the same
-    kernel. Each record holds the round's summary, the kernel's
-    ``residual_bytes()`` right after it and the summary's
+    ``walk`` (:meth:`~repro.tasks.base.TaskKernel.replay_walk`) executes
+    rounds only when a cursor asks for one that its view lacks, so a
+    batch that breaks early (overload, cutoff) executes nothing beyond
+    its break, and a later batch that gets further — at the same scale
+    or, for a :class:`~repro.tasks.bppr.ScaledWalk`, another one —
+    continues the same walk. A view holds per round the summary, the
+    kernel's ``residual_bytes()`` right after it and the summary's
     :class:`~repro.sim.cost.RoundDemand` — the three things the round
-    loop reads. The final round drops the kernel; from then on the tape
-    is a list of small records nothing mutates.
+    loop reads — built once per exponent and never mutated.
     """
 
-    __slots__ = ("kernel", "initial_residual_bytes", "rounds")
+    __slots__ = ("walk", "views")
 
-    def __init__(self, kernel) -> None:
-        self.kernel = kernel
-        self.initial_residual_bytes = kernel.residual_bytes()
-        self.rounds: List[Tuple[RoundSummary, float, RoundDemand]] = []
+    def __init__(self, walk) -> None:
+        self.walk = walk
+        self.views: Dict[int, List[Tuple[RoundSummary, float, RoundDemand]]] = {}
 
-    def record_next(self, demand_of) -> None:
-        """Execute the first round not yet on the tape; ``demand_of``
-        is the session's stage 1."""
-        summary = self.kernel.step()
-        self.rounds.append(
-            (summary, self.kernel.residual_bytes(), demand_of(summary))
-        )
-        if summary.done:
-            self.kernel = None
+    def record_next(self, exponent: int, demand_of) -> None:
+        """Add the first round the view at ``exponent`` lacks;
+        ``demand_of`` is the session's stage 1."""
+        view = self.views[exponent]
+        summary, residual = self.walk.round(len(view), exponent)
+        view.append((summary, residual, demand_of(summary)))
 
 
 class _TapeCursor:
-    """One batch's read position on a :class:`_RoundTape`.
+    """One batch's read position on a :class:`_RoundTape`'s view.
 
     Stands in for the kernel in :class:`BatchCheckpoint`: it exposes
     the two methods the engine calls on a kernel — ``step()`` and
@@ -272,28 +270,31 @@ class _TapeCursor:
     """
 
     __slots__ = (
-        "_tape", "_demand_of", "_position", "_residual_bytes", "demand",
-        "replayed",
+        "_tape", "_exponent", "_view", "_demand_of", "_position",
+        "_residual_bytes", "demand", "replayed",
     )
 
-    def __init__(self, tape: _RoundTape, demand_of) -> None:
+    def __init__(self, tape: _RoundTape, exponent: int, demand_of) -> None:
         self._tape = tape
+        self._exponent = exponent
+        self._view = tape.views.setdefault(exponent, [])
         self._demand_of = demand_of
         self._position = 0
-        self._residual_bytes = tape.initial_residual_bytes
+        self._residual_bytes = tape.walk.initial_residual_bytes
         self.demand: Optional[RoundDemand] = None
-        #: rounds this batch was served from the tape without executing.
+        #: rounds this batch read off its view, neither executed nor
+        #: priced for demand.
         self.replayed = 0
 
     def step(self) -> RoundSummary:
-        """The batch's next round: recorded if the tape has it, else
-        executed, priced for demand and recorded now."""
-        rounds = self._tape.rounds
-        if self._position < len(rounds):
+        """The batch's next round: off the view if it has it, else
+        recorded there now."""
+        view = self._view
+        if self._position < len(view):
             self.replayed += 1
         else:
-            self._tape.record_next(self._demand_of)
-        summary, self._residual_bytes, self.demand = rounds[self._position]
+            self._tape.record_next(self._exponent, self._demand_of)
+        summary, self._residual_bytes, self.demand = view[self._position]
         self._position += 1
         return summary
 
@@ -458,11 +459,12 @@ class EngineSession:
 
     def _tape_cursor(self, replay_key: Hashable, kernel) -> _TapeCursor:
         """A cursor at round 0 of the engine's tape for this task and
-        ``replay_key``.
+        ``replay_key``, on the view at the kernel's replay exponent.
 
-        ``kernel`` is the batch's freshly started kernel: it becomes the
-        new tape's kernel on a miss and is discarded unstepped on a hit
-        (it declared itself deterministic, so building it drew nothing
+        ``kernel`` is the batch's freshly started kernel: on a miss it
+        gives the new tape its walk (its own rounds, or a walk it shares
+        with other scales), and it is discarded unstepped on a hit (it
+        declared itself deterministic, so building it drew nothing
         from the session RNG). A tape another session recorded serves
         this one as is: what it holds — the summary, the kernel's
         residual and stage 1 — reads no session state (DESIGN.md
@@ -472,11 +474,11 @@ class EngineSession:
         key = self._tape_scope + (replay_key,)
         tape = tapes.pop(key, None)
         if tape is None:
-            tape = _RoundTape(kernel)
+            tape = _RoundTape(kernel.replay_walk())
             if len(tapes) >= MAX_ENGINE_TAPES:
                 del tapes[next(iter(tapes))]
         tapes[key] = tape
-        return _TapeCursor(tape, self._demand)
+        return _TapeCursor(tape, kernel.replay_exponent(), self._demand)
 
     def resume(self, *, should_suspend=None):
         """Continue the suspended batch from its barrier checkpoint.

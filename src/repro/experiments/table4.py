@@ -117,4 +117,12 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             "the async penalty on heavy BPPR grows with the machine count",
             gap_large > gap_small,
         )
+        result.notes = (
+            f"BPPR({heavy}) async / sync at {top} machines reads "
+            f"{gap_large:.2f}x (paper: 2.8x). The rows committed before "
+            "read 1.52x: they were rendered with one prepared router per "
+            "graph, so BPPR priced its walks at PageRank's 12-byte wire "
+            "message. cdd624a keyed the router by message size too; "
+            "reverting only that key renders the old rows again."
+        )
     return result

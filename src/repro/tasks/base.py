@@ -132,6 +132,32 @@ class RoundSummary:
         return self.routed.wire_messages
 
 
+class KernelRounds:
+    """The rounds of one started deterministic kernel, executed in order
+    as a round tape asks for them (:meth:`TaskKernel.replay_walk`).
+
+    ``round(index, exponent)`` steps the kernel and returns round
+    ``index``'s summary and ``residual_bytes()`` after it; a tape asks
+    for each index once, in order, at exponent 0 — the kernel's own
+    workload. The last round drops the kernel.
+    """
+
+    __slots__ = ("kernel", "initial_residual_bytes")
+
+    def __init__(self, kernel: "TaskKernel") -> None:
+        self.kernel: Optional[TaskKernel] = kernel
+        self.initial_residual_bytes = kernel.residual_bytes()
+
+    def round(self, index: int, exponent: int) -> Tuple[RoundSummary, float]:
+        """The kernel's next round, ``index``, and its residual after."""
+        kernel = self.kernel
+        summary = kernel.step()
+        residual = kernel.residual_bytes()
+        if summary.done:
+            self.kernel = None
+        return summary, residual
+
+
 class TaskKernel(ABC):
     """One batch of unit tasks executing round-by-round.
 
@@ -183,15 +209,26 @@ class TaskKernel(ABC):
 
         A hashable key promises that the whole round sequence — every
         :class:`RoundSummary` and every ``residual_bytes()`` value — is a
-        pure function of (graph, router, key): no RNG draw, no state
-        shared with another kernel. The engine session then executes
-        one kernel per key and serves every later batch with an equal
-        key from the recorded rounds (``DESIGN.md``, "Round tapes").
-        Declare per *exact* class: a subclass that adds randomness
-        inherits this method, so a declaring kernel checks
-        ``type(self)`` rather than ``isinstance``.
+        pure function of (graph, router, key, :meth:`replay_exponent`):
+        no RNG draw, no state shared with another kernel. The engine
+        then records the walk the key names once (:meth:`replay_walk`)
+        and serves every batch with an equal key from it (``DESIGN.md``
+        §10.1, "Round tapes"). Declare per *exact* class: a subclass
+        that adds randomness inherits this method, so a declaring kernel
+        checks ``type(self)`` rather than ``isinstance``.
         """
         return None
+
+    def replay_exponent(self) -> int:
+        """The power of two this batch's rounds scale the rounds of the
+        walk its :meth:`replay_key` names by: 0 for a key that names
+        this very batch. Read only when the key is not ``None``."""
+        return 0
+
+    def replay_walk(self) -> "KernelRounds":
+        """What a round tape records on a miss: by default this kernel's
+        own rounds. Read only when :meth:`replay_key` is not ``None``."""
+        return KernelRounds(self)
 
     # -- helpers for subclasses -----------------------------------------
     def block_plan(

@@ -26,8 +26,11 @@ identical, which is all the cost experiments need.
 
 from __future__ import annotations
 
+import math
+from array import array
+from functools import partial
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from repro.messages.routing import (
 )
 from repro.perf import timings
 from repro.tasks.base import (
+    KernelRounds,
     RoundSummary,
     TaskKernel,
     TaskSpec,
@@ -58,6 +62,20 @@ DEFAULT_ALPHA = 0.15
 #: drops below this (less than one walk outstanding).
 MASS_EPSILON = 1.0
 
+#: Batch workloads whose walk a :class:`ScaledWalk` serves: from one walk
+#: per vertex up to the last power of two below which every integer is
+#: a double. Outside, a batch keeps a walk of its own.
+SCALED_WORKLOADS = (1.0, 2.0**53)
+
+#: Doubles a :class:`ScaledWalk` keeps per recorded round.
+RECORD_FIELDS = 7
+
+#: The smallest value a scaled round may compute (DESIGN.md §10.1): far
+#: enough above the subnormal range (2^-1022) that every product of a
+#: round, and every scaled value, is a normal double, where a power-of-two
+#: scale is exact.
+NORMAL_FLOOR = 2.0**-1000
+
 #: Bytes to record one terminated walk's ending node (Section 5: "we
 #: need to store the ending nodes of every random walk computed in each
 #: batch"): an 8-byte node id plus amortised list overhead.
@@ -69,8 +87,58 @@ RESIDUAL_RECORD_BYTES = 12.0
 WALK_STATE_BYTES = 0.0
 
 
+class _WalkConstants(NamedTuple):
+    """Per-vertex constants of every walk round on one graph at one α."""
+
+    degrees: np.ndarray
+    dangling: np.ndarray
+    #: the stopping fraction: α, or all of it on a dangling vertex.
+    stop: np.ndarray
+    #: its complement, the moving fraction.
+    keep: np.ndarray
+    #: the degrees a moving share divides by — 1 where nothing moves.
+    safe_degrees: np.ndarray
+    avg_degree: float
+    #: the smallest factor a round applies to a positive mass: α to stop,
+    #: or (1 - α) / degree to move along one arc.
+    narrowest: float
+
+
+def _walk_constants(graph: Graph, alpha: float) -> _WalkConstants:
+    """The :class:`_WalkConstants` of ``graph`` at ``alpha``, built once
+    and kept beside the graph's mass operators: every kernel on the
+    graph — and every walk a round tape keeps alive — reads one copy."""
+    key = ("walk", alpha)
+    constants = graph._mass_operators.get(key)
+    if constants is None:
+        degrees = graph.degrees.astype(np.float64)
+        dangling = degrees == 0
+        stop = np.where(dangling, 1.0, alpha)
+        keep = 1.0 - stop
+        safe_degrees = np.where(dangling, 1.0, degrees)
+        for vector in (degrees, dangling, stop, keep, safe_degrees):
+            vector.setflags(write=False)
+        nonzero = degrees[~dangling]
+        top = float(nonzero.max()) if nonzero.size else 1.0
+        constants = _WalkConstants(
+            degrees,
+            dangling,
+            stop,
+            keep,
+            safe_degrees,
+            float(nonzero.mean()) if nonzero.size else 1.0,
+            min(alpha, (1.0 - alpha) / top),
+        )
+        graph._mass_operators[key] = constants
+    return constants
+
+
 class BPPRKernel(TaskKernel):
     """One batch of BPPR: ``workload`` α-decay walks from every vertex."""
+
+    #: the expected-mass stop; the walk a :class:`ScaledWalk` records
+    #: turns it off and leaves it to each scale.
+    mass_epsilon = MASS_EPSILON
 
     def __init__(
         self,
@@ -95,14 +163,15 @@ class BPPRKernel(TaskKernel):
         self.track_sources = bool(track_sources)
         self.max_rounds = int(max_rounds)
         self.rng = rng
-        self._degrees = graph.degrees.astype(np.float64)
-        self._dangling = self._degrees == 0
-        # Per-vertex constants of every round: the stopping fraction (α,
-        # or all of it on a dangling vertex), its complement, and the
-        # degrees a moving share divides by — 1 where nothing moves.
-        self._stop = np.where(self._dangling, 1.0, self.alpha)
-        self._keep = 1.0 - self._stop
-        self._safe_degrees = np.where(self._dangling, 1.0, self._degrees)
+        (
+            self._degrees,
+            self._dangling,
+            self._stop,
+            self._keep,
+            self._safe_degrees,
+            self._avg_degree,
+            _,
+        ) = _walk_constants(graph, self.alpha)
         # What the engine's router consumes, and whether the engine
         # combines (SimulatedEngine._prepare sets ``router.combining``):
         # a round builds only that operand and estimates the combined
@@ -110,8 +179,6 @@ class BPPRKernel(TaskKernel):
         self._broadcast = isinstance(router, BroadcastRouter)
         self._combining = router.combining
         self._stops_total = 0.0
-        nonzero = self._degrees[self._degrees > 0]
-        self._avg_degree = float(nonzero.mean()) if nonzero.size else 1.0
 
     def _distinct_sources_estimate(self) -> float:
         """Expected distinct walk *sources* present at a vertex this round.
@@ -130,6 +197,11 @@ class BPPRKernel(TaskKernel):
         """The untracked expected-mass batch is deterministic: it never
         touches ``self.rng`` and its state is two private vectors.
 
+        Its key names the walk by ``(alpha, max_rounds, W)`` — or, where
+        the walk is linear in ``W`` (:meth:`_scaling`), by the
+        significand of ``W`` alone: every ``m * 2**e`` then reads one
+        :class:`ScaledWalk` at the scale :meth:`replay_exponent` gives.
+
         Exact class only — :class:`~repro.tasks.bppr_query.BPPRQueryKernel`
         runs this very mode but samples its sources from the session
         RNG, so an inherited key would replay batch 1's sources for
@@ -142,8 +214,39 @@ class BPPRKernel(TaskKernel):
             and self.mode == "expected"
             and not self.track_sources
         ):
+            scaling = self._scaling()
+            if scaling is not None:
+                return (self.alpha, self.max_rounds, "significand", scaling[0])
             return (self.alpha, self.max_rounds, self._workload)
         return None
+
+    def replay_exponent(self) -> int:
+        scaling = self._scaling()
+        return 0 if scaling is None else scaling[1]
+
+    def replay_walk(self):
+        scaling = self._scaling()
+        if scaling is None:
+            return super().replay_walk()
+        return ScaledWalk(self, scaling[0])
+
+    def _scaling(self) -> Optional[Tuple[float, int]]:
+        """``math.frexp(W)`` when this batch's rounds are exactly a
+        significand walk's scaled by ``2**e``, else ``None``.
+
+        Every value of a round is a sum, product or quotient of masses
+        and per-vertex constants, so a power-of-two factor on ``W``
+        passes through unrounded while values stay normal — unless the
+        router bounds a broadcast block by the source count, or the
+        engine combines walks sharing a source and a target: there
+        twice the walks is less than twice the traffic.
+        """
+        low, high = SCALED_WORKLOADS
+        if self._broadcast or self._combining:
+            return None
+        if not low <= self._workload <= high:
+            return None
+        return math.frexp(self._workload)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -234,7 +337,8 @@ class BPPRKernel(TaskKernel):
         if not self.track_sources:
             self._maybe_stabilize(routed, combined, active.size, remaining)
 
-        done = remaining < MASS_EPSILON or self._round >= self.max_rounds
+        self._remaining = remaining
+        done = remaining < self.mass_epsilon or self._round >= self.max_rounds
         return RoundSummary(
             routed=routed,
             compute_ops=routed.delivered_messages + active.size,
@@ -295,6 +399,10 @@ class BPPRKernel(TaskKernel):
                     raw / raw_sum if raw_sum > 0 else direction
                 )
                 self._stabilize_round = self._round
+                # Every later round only rescales: nothing compares a
+                # direction again, so a kept kernel holds none.
+                self._stable_direction = None
+                return
         self._stable_direction = direction
         self._previous_total = total
 
@@ -313,8 +421,8 @@ class BPPRKernel(TaskKernel):
             local_messages=cached.local_messages * scale,
             delivered_messages=cached.delivered_messages * scale,
         )
-        remaining = float(self._mass_vec.sum())
-        done = remaining < MASS_EPSILON or self._round >= self.max_rounds
+        remaining = self._remaining = float(self._mass_vec.sum())
+        done = remaining < self.mass_epsilon or self._round >= self.max_rounds
         return RoundSummary(
             routed=routed,
             compute_ops=routed.delivered_messages
@@ -439,6 +547,132 @@ class BPPRKernel(TaskKernel):
         if total == 0:
             return np.zeros_like(self._stopped_vec)
         return (self._stopped_vec + self._mass_vec) / total
+
+
+class ScaledWalk:
+    """One untracked expected-mass walk at a significand workload ``m``,
+    served at every scale ``m * 2**e`` (DESIGN.md §10.1).
+
+    The walk is recorded lazily, one compact record per round, with the
+    kernel's mass stop off: how far it runs is each scale's business.
+    ``round(index, e)`` scales a record by ``2**e`` — counts, mass and
+    residual by :func:`math.ldexp`, ``compute_ops`` recomputed from the
+    scaled deliveries, ``done`` once the scaled mass falls below
+    :data:`MASS_EPSILON` — and extends the walk only when a scale asks
+    for a round nobody recorded. The kernel outlives its first ``done``
+    for a larger scale to go on with; only ``max_rounds`` drops it.
+
+    A scale may read a record only while the round's smallest value and
+    its scaled twin are at least :data:`NORMAL_FLOOR`; from the first
+    round where one is not, that scale runs a kernel of its own, at its
+    own workload, from round 0.
+    """
+
+    __slots__ = (
+        "kernel", "initial_residual_bytes", "_records", "_make",
+        "_max_rounds", "_significand", "_narrowest", "_smallest", "_exact",
+    )
+
+    def __init__(self, batch: BPPRKernel, significand: float) -> None:
+        self._make = partial(
+            BPPRKernel,
+            batch.graph,
+            batch.router,
+            batch.rng,
+            alpha=batch.alpha,
+            max_rounds=batch.max_rounds,
+        )
+        self._max_rounds = batch.max_rounds
+        kernel = self._make()
+        kernel.mass_epsilon = 0.0
+        kernel.start_batch(significand)
+        self.kernel: Optional[BPPRKernel] = kernel
+        self.initial_residual_bytes = kernel.residual_bytes()
+        #: RECORD_FIELDS doubles per round (:meth:`record`), flat.
+        self._records = array("d")
+        self._significand = significand
+        self._narrowest = _walk_constants(batch.graph, batch.alpha).narrowest
+        self._smallest = significand
+        #: scale -> its own kernel's rounds, once scaling is inexact.
+        self._exact = {}
+
+    def round(self, index: int, exponent: int):
+        """Round ``index`` of the walk at ``2**exponent`` times the
+        significand: ``(RoundSummary, residual_bytes after it)``."""
+        exact = self._exact.get(exponent)
+        if exact is None:
+            if index == self.recorded:
+                self._record()
+            scaled = self._scaled(index, exponent)
+            if scaled is not None:
+                return scaled
+            exact = self._exact[exponent] = self._exact_rounds(index, exponent)
+        return exact.round(index, 0)
+
+    def _record(self) -> None:
+        kernel = self.kernel
+        summary = kernel.step()
+        routed = summary.routed
+        mass = kernel._mass_vec
+        # The round's products are at least its input's smallest mass
+        # times the narrowest factor; its output is the next input.
+        output = float(np.min(mass, initial=np.inf, where=mass > 0))
+        smallest = min(self._smallest * self._narrowest, output)
+        self._smallest = output
+        self._records.extend((
+            routed.network_messages,
+            routed.local_messages,
+            routed.delivered_messages,
+            summary.active_vertices,
+            kernel._remaining,
+            kernel.residual_bytes(),
+            smallest,
+        ))
+        if summary.done:
+            self.kernel = None
+
+    @property
+    def recorded(self) -> int:
+        """Rounds of the walk executed so far."""
+        return len(self._records) // RECORD_FIELDS
+
+    def record(self, index: int) -> Tuple[float, ...]:
+        """Round ``index`` as recorded: (network, local, delivered
+        messages, active vertices, remaining mass, residual bytes, the
+        smallest value the round computed)."""
+        return tuple(
+            self._records[index * RECORD_FIELDS : (index + 1) * RECORD_FIELDS]
+        )
+
+    def _scaled(self, index: int, exponent: int):
+        (
+            network, local, delivered, active, remaining, residual, smallest,
+        ) = self.record(index)
+        if min(smallest, math.ldexp(smallest, exponent)) < NORMAL_FLOOR:
+            return None
+        delivered = math.ldexp(delivered, exponent)
+        remaining = math.ldexp(remaining, exponent)
+        summary = RoundSummary(
+            routed=RoutedMessages(
+                network_messages=math.ldexp(network, exponent),
+                local_messages=math.ldexp(local, exponent),
+                delivered_messages=delivered,
+            ),
+            compute_ops=delivered + active,
+            task_state_bytes=remaining * WALK_STATE_BYTES,
+            active_vertices=active,
+            done=remaining < MASS_EPSILON or index + 1 >= self._max_rounds,
+        )
+        return summary, math.ldexp(residual, exponent)
+
+    def _exact_rounds(self, index: int, exponent: int) -> KernelRounds:
+        """A kernel walking the scale's own workload, rounds ``0 ..
+        index - 1`` run and dropped: the scaled records served them."""
+        kernel = self._make()
+        kernel.start_batch(math.ldexp(self._significand, exponent))
+        for _ in range(index):
+            kernel.step()
+        return KernelRounds(kernel)
 
 
 def bppr_task(

@@ -35,7 +35,7 @@ from repro.sim.cost import CostModel
 from repro.sim.metrics import JobMetrics
 from repro.tasks.base import RoundSummary, make_task
 from repro.tasks.bppr import bppr_task
-from tests.engines.test_round_tape import job_digest, session_job
+from tests.engines.test_round_tape import job_digest, session_job, sole_view
 
 SCALE = 4000
 SEED = 7
@@ -201,8 +201,8 @@ class TestSameDemandDifferentLanding:
         self, graph, cluster
     ):
         session, batches = landing_session("pregel+", graph, cluster, 4096.0, 0.4)
-        (tape,) = session.prep.tapes.values()
-        assert len(batches) > 2 and len(tape.rounds) == len(batches[0].rounds)
+        assert len(batches) > 2
+        assert len(sole_view(session)) == len(batches[0].rounds)
         assert memory_states(batches[:1]) == {"ok"}
         assert batches[-1].overloaded and len(batches[-1].rounds) == 1
         # The same recorded round, priced higher on every replay.
@@ -235,8 +235,7 @@ class TestSameDemandDifferentLanding:
         session, batches = landing_session(
             "giraph(split)", graph, roomy, 16384.0, 0.5
         )
-        (tape,) = session.prep.tapes.values()
-        assert any(demand.load.splits > 1 for _, _, demand in tape.rounds)
+        assert any(demand.load.splits > 1 for _, _, demand in sole_view(session))
         assert memory_states(batches) == {"ok", "thrashing", "overloaded"}
         digest = landed_digest(session, batches)
         assert digest == PINNED_LANDINGS["giraph(split)"]
@@ -272,10 +271,25 @@ class TestCountGuard:
             create_engine("pregel+", cluster), bppr_task(graph, 128.0), seed=SEED
         )
         batches = [session.run_batch(8.0) for _ in range(16)]
-        (tape,) = session.prep.tapes.values()
+        recorded = len(sole_view(session))
         priced = sum(len(b.rounds) for b in batches)
-        assert priced == 16 * len(tape.rounds)
-        assert stage_calls == {"demand": len(tape.rounds), "round_cost": priced}
+        assert priced == 16 * recorded
+        assert stage_calls == {"demand": recorded, "round_cost": priced}
+
+    def test_each_scale_runs_stage_one_once(self, stage_calls, graph, cluster):
+        """One walk read at three scales: stage 1 prices each scale's
+        rounds once (they differ in traffic), replays price nothing."""
+        session = EngineSession(
+            create_engine("pregel+", cluster), bppr_task(graph, 128.0), seed=SEED
+        )
+        batches = [session.run_batch(size) for size in (8.0, 32.0, 8.0, 32.0)]
+        (tape,) = session.prep.tapes.values()
+        assert sorted(tape.views) == [4, 6]
+        priced = sum(len(b.rounds) for b in batches)
+        assert stage_calls == {
+            "demand": len(tape.views[4]) + len(tape.views[6]),
+            "round_cost": priced,
+        }
 
     def test_live_rounds_run_both_stages(self, stage_calls, graph, cluster):
         job = live_job("pregel+", "mssp", graph, cluster, 4)

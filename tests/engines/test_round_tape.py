@@ -1,6 +1,8 @@
-"""Round tapes: a deterministic batch executes once per engine and
-graph, and every equal batch of any session of that engine replays its
-recorded rounds (DESIGN.md, "Round tapes").
+"""Round tapes: a deterministic walk executes once per engine and
+graph, and every batch of any session of that engine whose rounds it
+determines — an equal batch, or on a linear engine any batch at a
+power-of-two multiple of its workload — replays the recorded rounds
+(DESIGN.md §10.1, "Round tapes").
 
 Two kinds of guard:
 
@@ -18,6 +20,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import weakref
 
 import pytest
@@ -144,6 +147,14 @@ def bppr_job(engine_name, graph, cluster, sizes) -> JobMetrics:
     return engine.run_job(bppr_task(graph, sum(sizes)), sizes, seed=SEED)
 
 
+def sole_view(session: EngineSession):
+    """The rounds of the one view of the one tape a session's batches
+    read: ``(summary, kernel residual, stage-1 demand)`` per round."""
+    (tape,) = session.prep.tapes.values()
+    (view,) = tape.views.values()
+    return view
+
+
 # ----------------------------------------------------------------------
 # Scenarios (also run against c154351 to pin the digests)
 # ----------------------------------------------------------------------
@@ -258,20 +269,22 @@ class TestReplayEquivalence:
         session = full_residual_session(graph, cluster)
         first = session.run_batch(32.0)
         assert first.overloaded and len(first.rounds) == 1
-        (tape,) = session.prep.tapes.values()
         # Lazy: nothing executed past the break, kernel kept to go on.
-        assert len(tape.rounds) == 1
-        assert tape.kernel is not None and tape.kernel.round_index == 1
+        assert len(sole_view(session)) == 1
+        (tape,) = session.prep.tapes.values()
+        assert tape.walk.recorded == 1
+        assert tape.walk.kernel is not None
+        assert tape.walk.kernel.round_index == 1
 
     def test_equal_batch_continues_the_unfinished_kernel(
-        self, graph, cluster
+        self, advances, graph, cluster
     ):
         session, batches = overload_then_continue(graph, cluster)
         first, second = batches
         assert first.overloaded and not second.overloaded
-        (tape,) = session.prep.tapes.values()
-        assert tape.kernel is None
-        assert len(tape.rounds) == len(second.rounds) > 1
+        # One kernel, advanced once per round of the longer batch.
+        assert len(sole_view(session)) == len(second.rounds) > 1
+        assert len(advances) == len(second.rounds)
         digest = job_digest(session_job(session, batches))
         assert digest == PINNED_SCENARIOS["overload-then-continue"]
 
@@ -351,11 +364,26 @@ class TestTruthfulDeclaration:
     def test_bppr_key_names_what_the_rounds_depend_on(
         self, social_graph, small_cluster
     ):
-        engine = create_engine("pregel+", small_cluster)
+        cases = [
+            # Linear: the significand of W, W = 0.5 * 2**3.
+            ("pregel+", 4.0, (0.2, 50, "significand", 0.5), 3),
+            ("giraph", 12.0, (0.2, 50, "significand", 0.75), 4),
+            # Outside 1 <= W <= 2**53 a batch keeps its own walk.
+            ("pregel+", 0.75, (0.2, 50, 0.75), 0),
+            ("pregel+", 2.0**60, (0.2, 50, 2.0**60), 0),
+            # Combining and broadcast are not linear in W.
+            ("graphlab", 4.0, (0.2, 50, 4.0), 0),
+            ("pregel+(mirror)", 4.0, (0.2, 50, 4.0), 0),
+        ]
         task = bppr_task(social_graph, 8.0, alpha=0.2, max_rounds=50)
-        session = EngineSession(engine, task, seed=SEED)
-        kernel = task.make_kernel(session.prep.router, 4.0, session.rng)
-        assert kernel.replay_key() == (0.2, 50, 4.0)
+        for engine_name, workload, key, exponent in cases:
+            engine = create_engine(engine_name, small_cluster)
+            session = EngineSession(engine, task, seed=SEED)
+            kernel = task.make_kernel(
+                session.prep.router, workload, session.rng
+            )
+            assert kernel.replay_key() == key, engine_name
+            assert kernel.replay_exponent() == exponent, engine_name
 
     def test_subclass_does_not_inherit_the_declaration(
         self, social_graph, small_cluster
@@ -405,10 +433,10 @@ class TestAcrossSessions:
             clear_cache()  # the second run of each must replay, not memo
         tapes = engine._prepare(bppr_task(graph, 16.0)).tapes
         assert len(tapes) == 2
-        records = [tape.rounds for tape in tapes.values()]
+        views = [tape.views[5] for tape in tapes.values()]
         # Each alpha executed once, on its own tape, to its own bytes.
-        assert len(advances) == sum(len(rounds) for rounds in records)
-        assert records[0][0][0] != records[1][0][0]
+        assert len(advances) == sum(len(view) for view in views)
+        assert views[0][0][0] != views[1][0][0]
         for alpha, (first, replayed) in digests.items():
             fresh = create_engine("pregel+", cluster).run_job(
                 bppr_task(graph, 16.0, alpha=alpha), [16.0], seed=SEED
@@ -445,9 +473,8 @@ class TestAcrossSessions:
         )
         batch = session.run_batch(16.0)
         assert len(advances) == len(recorded.rounds) == len(batch.rounds)
-        (tape,) = session.prep.tapes.values()
         for landed, first, (_, kernel_residual, demand) in zip(
-            batch.rounds, recorded.rounds, tape.rounds
+            batch.rounds, recorded.rounds, sole_view(session)
         ):
             stage_one = demand.load.peak_memory_bytes
             assert first.peak_memory_bytes == (
@@ -462,11 +489,12 @@ class TestAcrossSessions:
 # ----------------------------------------------------------------------
 # Counts
 # ----------------------------------------------------------------------
-def tape_workload(key) -> float:
-    """The batch workload of a BPPR tape key: (kind, params, (alpha,
-    max_rounds, workload))."""
-    kind, params, (alpha, max_rounds, workload) = key
-    return workload
+def tape_significand(key) -> float:
+    """The walk workload of a BPPR tape key on a linear engine: (kind,
+    params, (alpha, max_rounds, "significand", significand))."""
+    kind, params, (alpha, max_rounds, scaled, significand) = key
+    assert scaled == "significand"
+    return significand
 
 
 class TestCountGuard:
@@ -481,13 +509,36 @@ class TestCountGuard:
         assert len(advances) == rounds
 
     def test_two_sizes_execute_twice(self, advances, graph, cluster):
+        """33 and 32 differ in significand (33 / 64 and 1 / 2), so each
+        walk runs as far as its own batches go."""
         job = bppr_job("pregel+", graph, cluster, CASES["w130-b4"])
-        by_size = {33.0: 0, 32.0: 0}
+        by_walk = {math.frexp(33.0)[0]: 0, math.frexp(32.0)[0]: 0}
         for workload in advances:
-            by_size[workload] += 1
-        assert by_size[33.0] == len(job.batches[0].rounds)
-        assert by_size[32.0] == len(job.batches[2].rounds)
+            by_walk[workload] += 1
+        assert by_walk[33.0 / 64.0] == len(job.batches[0].rounds)
+        assert by_walk[0.5] == len(job.batches[2].rounds)
         assert job.num_rounds == 2 * len(advances)
+
+    def test_one_significand_executes_once(self, advances, graph, cluster):
+        """A fig3-style sweep — W = 128 as b batches of 128 / b — reads
+        one walk at five scales, and advances it only as far as the
+        largest scale's batch runs, whatever order the sizes come in."""
+        engine = create_engine("pregel+", cluster)
+        task = bppr_task(graph, 128.0)
+        jobs = {}
+        for batches in (4, 16, 1, 2, 8):
+            size = 128.0 / batches
+            jobs[batches] = engine.run_job(task, [size] * batches, seed=SEED)
+            clear_cache()  # the artifact cache would memo the whole job
+        assert set(advances) == {0.5}
+        assert len(advances) == len(jobs[1].batches[0].rounds)
+        # A smaller scale stops earlier: its mass falls below one walk
+        # sooner, on the same walk.
+        rounds = [len(jobs[b].batches[0].rounds) for b in (1, 2, 4, 8, 16)]
+        assert rounds == sorted(rounds, reverse=True) and rounds[0] > rounds[-1]
+        for batches in (1, 4, 16):
+            digest = job_digest(jobs[batches])
+            assert digest == PINNED_JOBS[f"pregel+/w128-b{batches}"]
 
     def test_replayed_rounds_are_reported(self, graph, cluster):
         timings.reset()
@@ -498,26 +549,31 @@ class TestCountGuard:
     def test_engine_keeps_a_bounded_number_of_tapes(
         self, tiny_graph, small_cluster
     ):
-        sizes = MAX_ENGINE_TAPES + 68
+        # Odd sizes: every one has a significand of its own.
+        sizes = [float(2 * i + 1) for i in range(MAX_ENGINE_TAPES + 68)]
         engine = create_engine("pregel+", small_cluster)
         session = EngineSession(
-            engine, bppr_task(tiny_graph, float(sizes)), seed=SEED,
+            engine, bppr_task(tiny_graph, sum(sizes)), seed=SEED,
             cutoff_seconds=None,
         )
-        for size in range(1, sizes + 1):
-            session.run_batch(float(size))
+        for size in sizes:
+            session.run_batch(size)
         tapes = session.prep.tapes
         assert len(tapes) == MAX_ENGINE_TAPES
         # Least recently used goes first: the survivors are the newest.
-        assert [tape_workload(key) for key in tapes] == [
-            float(s) for s in range(69, sizes + 1)
+        assert [tape_significand(key) for key in tapes] == [
+            math.frexp(size)[0] for size in sizes[68:]
         ]
-        session.run_batch(69.0)
-        assert tape_workload(list(tapes)[-1]) == 69.0
+        # A hit at another scale of a surviving walk refreshes it.
+        session.run_batch(2.0 * sizes[68])
+        assert tape_significand(list(tapes)[-1]) == math.frexp(sizes[68])[0]
+        assert len(tapes) == MAX_ENGINE_TAPES
 
     def test_finished_tape_holds_no_kernel(self, graph, cluster):
+        """A walk that reaches ``max_rounds`` drops its kernel, and so
+        does every batch kernel the tape was keyed from."""
         kernels = []
-        task = bppr_task(graph, 24.0)
+        task = bppr_task(graph, 24.0, max_rounds=6)
         factory = task.kernel_factory
 
         def remembering(*args):
@@ -528,10 +584,25 @@ class TestCountGuard:
         task = dataclasses.replace(task, kernel_factory=remembering)
         engine = create_engine("pregel+", cluster)
         session = EngineSession(engine, task, seed=SEED)
-        for _ in range(3):
-            session.run_batch(8.0)
+        batches = [session.run_batch(size) for size in (8.0, 16.0, 8.0)]
         gc.collect()
         assert len(kernels) == 3
         assert all(ref() is None for ref in kernels)
+        assert [len(b.rounds) for b in batches] == [6, 6, 6]
         (tape,) = session.prep.tapes.values()
-        assert tape.kernel is None and tape.rounds[-1][0].done
+        assert tape.walk.kernel is None and tape.walk.recorded == 6
+        assert all(view[-1][0].done for view in tape.views.values())
+
+    def test_walk_outlives_a_finished_scale(self, graph, cluster):
+        """Below ``max_rounds`` a finished scale keeps the kernel: a
+        larger scale of the walk runs longer and goes on with it."""
+        engine = create_engine("pregel+", cluster)
+        session = EngineSession(engine, bppr_task(graph, 24.0), seed=SEED)
+        small = session.run_batch(8.0)
+        (tape,) = session.prep.tapes.values()
+        walk = tape.walk
+        assert walk.kernel is not None
+        assert walk.kernel.round_index == len(small.rounds)
+        large = session.run_batch(16.0)
+        assert len(large.rounds) > len(small.rounds)
+        assert walk.kernel.round_index == walk.recorded == len(large.rounds)
