@@ -142,6 +142,11 @@ ENTRY_POINTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         for path in sorted((ROOT / "examples").glob("*.py"))
     ),
     ("list", (*_CLI, "list")),
+    *(
+        (command, (*_CLI, command, "--dataset", "dblp", "--task", "bppr",
+                   "--workload", "256"))
+        for command in ("tune", "sweep")
+    ),
 )
 
 #: Installed as ``sitecustomize`` in every child: records each code

@@ -898,8 +898,9 @@ class SimulatedEngine:
         # them — and persist them to the on-disk store when a cache
         # directory is configured, which makes warm re-runs skip the
         # simulation entirely. Generator seeds carry hidden state and
-        # are not cached. Callers get an independent copy so mutating a
-        # returned job can never poison the cache.
+        # are not cached. Callers get their own job, batches and round
+        # lists (``clone_job``) over shared round records, which cannot
+        # be assigned to: mutating a returned job never poisons the cache.
         if _cacheable(seed):
             cache_key = self._run_key(
                 task, sizes, seed, fault_plan, checkpoint_every,

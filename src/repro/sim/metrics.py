@@ -17,9 +17,8 @@ import dataclasses
 import json
 import marshal
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,9 +31,15 @@ from repro.units import (
 )
 
 
-@dataclass
-class RoundMetrics:
-    """Accounting for a single synchronous communication round."""
+class RoundMetrics(NamedTuple):
+    """Accounting for a single synchronous communication round.
+
+    Immutable, so every copy of a job shares its round records
+    (:func:`clone_job`): assigning to a field raises
+    ``AttributeError``, and ``_replace`` builds a changed record. A
+    named tuple builds in ~0.5 µs where a frozen dataclass takes ~3.5,
+    and a record is built for every round an engine lands.
+    """
 
     round_index: int
     #: messages that crossed the network this round.
@@ -426,11 +431,13 @@ class JobMetrics:
 # Fast copies and artifact-cache persistence
 # ----------------------------------------------------------------------
 def clone_job(job: JobMetrics) -> JobMetrics:
-    """Independent copy of ``job``.
+    """Copy of ``job`` that shares its round records.
 
-    Every metric field is a scalar, so three levels of shallow copies
-    suffice — orders of magnitude cheaper than :func:`copy.deepcopy`,
-    which recurses into each of the tens of thousands of per-round
+    The job, each batch and each batch's ``rounds`` list are copied —
+    shallow copies suffice, every other field is a scalar — and the
+    rounds themselves are shared: a :class:`RoundMetrics` cannot be
+    assigned to, so no caller can change what another copy (or the run
+    cache) holds. That skips copying the tens of thousands of per-round
     records an experiment sweep keeps in the run cache.
     """
     clone = copy.copy(job)
@@ -440,17 +447,9 @@ def clone_job(job: JobMetrics) -> JobMetrics:
     clone.batches = []
     for batch in job.batches:
         batch_clone = copy.copy(batch)
-        batch_clone.rounds = [_clone_round(r) for r in batch.rounds]
+        batch_clone.rounds = list(batch.rounds)
         batch_clone.fault_log = list(batch.fault_log)
         clone.batches.append(batch_clone)
-    return clone
-
-
-def _clone_round(r: RoundMetrics) -> RoundMetrics:
-    """``copy.copy(r)`` without its pickle protocol, which costs several
-    times the copy."""
-    clone = RoundMetrics.__new__(RoundMetrics)
-    clone.__dict__ = vars(r).copy()
     return clone
 
 
@@ -465,22 +464,20 @@ def _json_safe(obj):
 #: these with plain attribute reads (``dataclasses.asdict`` costs ~100x
 #: more: it deep-copies every per-round scalar before ``json.dumps``
 #: renders the copy anyway).
-_ROUND_FIELDS = tuple(f.name for f in dataclasses.fields(RoundMetrics))
 _BATCH_FIELDS = tuple(f.name for f in dataclasses.fields(BatchMetrics))
 _JOB_FIELDS = tuple(f.name for f in dataclasses.fields(JobMetrics))
-#: A round's fields without its peak: what a round replayed from a tape
-#: shares with the executed round it replays.
-_ROUND_TWIN = operator.attrgetter(
-    *(name for name in _ROUND_FIELDS if name != "peak_memory_bytes")
-)
+#: Where a round's peak sits among its fields. The fields around it are
+#: what a round replayed from a tape shares with the executed round it
+#: replays.
+_PEAK = RoundMetrics._fields.index("peak_memory_bytes")
 _PEAK_KEY = '"peak_memory_bytes": '
 _PLAIN = frozenset({float, int, bool})
 _ENCODE = json.JSONEncoder(default=_json_safe).encode
 
 
 def _encode_round(r: RoundMetrics) -> str:
-    """Whole-record JSON of one round, declared fields only."""
-    return _ENCODE({f: getattr(r, f) for f in _ROUND_FIELDS})
+    """Whole-record JSON of one round."""
+    return _ENCODE(r._asdict())
 
 
 def _encode_rounds(rounds: List[RoundMetrics], twins: Dict) -> str:
@@ -499,7 +496,7 @@ def _encode_rounds(rounds: List[RoundMetrics], twins: Dict) -> str:
     """
     records = []
     for r in rounds:
-        peak, twin = r.peak_memory_bytes, _ROUND_TWIN(r)
+        peak, twin = r[_PEAK], r[:_PEAK] + r[_PEAK + 1:]
         key = None
         if type(peak) is float and math.isfinite(peak):
             try:
@@ -530,13 +527,14 @@ def _encode_with(obj, fields: Tuple[str, ...], name: str, text: str) -> str:
 def pack_job(job: JobMetrics) -> Dict[str, np.ndarray]:
     """Pack a job into a byte array for the on-disk artifact cache.
 
-    The payload is the ``json.dumps(dataclasses.asdict(job))`` rendering
-    byte for byte (``tests/sim/test_pack_job_oracle.py`` holds that
-    oracle), written at the cost of the rounds that *ran*: a job split
-    into ``b`` batches prices ``b`` times the rounds it executes, and a
-    replayed round differs from its tape twin in Equation 1's residual
-    term — ``peak_memory_bytes`` — alone (:func:`_encode_rounds`;
-    DESIGN.md 10.3).
+    The payload is the ``json.dumps(dataclasses.asdict(job))`` rendering,
+    each round as its ``_asdict()``, byte for byte
+    (``tests/sim/test_pack_job_oracle.py`` holds that oracle), written
+    at the cost of the rounds that *ran*: a job split into ``b`` batches
+    prices ``b`` times the rounds it executes, and a replayed round
+    differs from its tape twin in Equation 1's residual term —
+    ``peak_memory_bytes`` — alone (:func:`_encode_rounds`; DESIGN.md
+    10.3).
 
     The bytes are a contract, not merely the values: the payload's
     length is the response size the serving tier's result cache budgets

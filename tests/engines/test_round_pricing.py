@@ -16,8 +16,6 @@ Four kinds of guard:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -350,10 +348,8 @@ class TestStagesCompose:
                 fresh._demand(summary), index, residual
             )
             assert overloaded == again_overloaded
-            for field in dataclasses.fields(metrics):
-                assert getattr(metrics, field.name) == getattr(
-                    again, field.name
-                ), field.name
+            for name, value in metrics._asdict().items():
+                assert value == getattr(again, name), name
         assert (
             reusing.cost_model.overuse_totals()
             == fresh.cost_model.overuse_totals()

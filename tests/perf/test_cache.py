@@ -99,14 +99,30 @@ class TestRunCache:
         assert dataclasses.asdict(second) == dataclasses.asdict(first)
 
     def test_clone_job_is_independent(self, setting):
+        """A clone shares the round records, which cannot be assigned
+        to, and owns every container: nothing done to it reaches the
+        original."""
         graph, engine = setting
         job = engine.run_job(mssp_task(graph, 8.0), [8.0], seed=5)
+        payload = pack_job(job)["payload"].tobytes()
         clone = clone_job(job)
         assert dataclasses.asdict(clone) == dataclasses.asdict(job)
-        clone.batches[0].rounds[0].seconds = -1.0
+        first = clone.batches[0].rounds[0]
+        assert first is job.batches[0].rounds[0]
+        with pytest.raises(AttributeError):
+            first.seconds = -1.0
+        assert clone is not job
+        assert clone.batches[0] is not job.batches[0]
+        assert clone.batches[0].rounds is not job.batches[0].rounds
+        clone.batches[0].rounds[0] = first._replace(seconds=-1.0)
+        clone.batches[0].rounds.append(first)
+        clone.batches[0].fault_log.append("poison")
+        clone.batches[0].startup_seconds = -1.0
+        clone.batches.append(clone.batches[0])
         clone.extras["poison"] = 1.0
-        assert job.batches[0].rounds[0].seconds != -1.0
+        assert job.batches[0].rounds[0] is first
         assert "poison" not in job.extras
+        assert pack_job(job)["payload"].tobytes() == payload
 
     def test_pack_unpack_round_trip(self, setting):
         graph, engine = setting

@@ -8,13 +8,19 @@ directory is checked against the content fingerprint in its sidecar.
 
 import glob
 import os
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import docker32
+from repro.engines.base import SimulatedEngine
+from repro.engines.registry import create_engine
 from repro.graph.datasets import PAPER_DATASETS, load_dataset
 from repro.perf import cache as cache_module
 from repro.perf.cache import ArtifactCache, ArraySerializer, CHECKSUM_KEY
+from repro.sim.metrics import pack_job
+from repro.tasks.mssp import mssp_task
 
 SERIALIZER = ArraySerializer(
     pack=lambda v: {"data": np.asarray(v)},
@@ -133,6 +139,114 @@ class TestCorruptionRecovery:
         cache.stats.corruptions = 3
         snapshot = cache.stats.to_dict()
         assert snapshot["corruptions"] == 3
+
+
+def packed(job) -> bytes:
+    return pack_job(job)["payload"].tobytes()
+
+
+def _write_deflated(fh, arrays):
+    """An archive as earlier versions wrote it: every member deflated
+    at level 1, under the same names."""
+    with zipfile.ZipFile(
+        fh, "w", zipfile.ZIP_DEFLATED, compresslevel=1
+    ) as archive:
+        for name, array in arrays.items():
+            with archive.open(
+                f"{name}.npy", "w", force_zip64=True
+            ) as entry:
+                np.lib.format.write_array(
+                    entry, np.asanyarray(array), allow_pickle=False
+                )
+
+
+class TestStoredArchives:
+    """Run archives hold their members stored, not deflated; the ones
+    earlier versions deflated still load, and damage to a stored member
+    is caught as it was in a deflated one."""
+
+    SCALE = 4000
+
+    @pytest.fixture()
+    def run(self, tmp_path, monkeypatch):
+        """``run()``: one MSSP job through a fresh process-wide cache over
+        ``tmp_path``, returning the job and that cache's stats."""
+        graph = load_dataset("web-st", scale=self.SCALE)
+        engine = create_engine("pregel+", docker32(scale=self.SCALE))
+        task = mssp_task(graph, 8.0)
+
+        def run():
+            cache = ArtifactCache(directory=str(tmp_path))
+            monkeypatch.setattr(cache_module, "_GLOBAL", cache)
+            return engine.run_job(task, [4.0, 4.0], seed=3), cache.stats
+
+        return run
+
+    @staticmethod
+    def archive(directory):
+        paths = glob.glob(os.path.join(directory, "run-*.npz"))
+        assert len(paths) == 1
+        return paths[0]
+
+    def test_new_archives_are_stored_and_checksummed(self, run, tmp_path):
+        run()
+        path = self.archive(str(tmp_path))
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == sorted(
+            ["payload.npy", f"{CHECKSUM_KEY}.npy"]
+        )
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+        with np.load(path) as data:
+            assert CHECKSUM_KEY in data.files
+
+    def test_a_deflated_archive_is_a_disk_hit(
+        self, run, tmp_path, monkeypatch
+    ):
+        job, _ = run()
+        path = self.archive(str(tmp_path))
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        with open(path, "wb") as fh:
+            _write_deflated(fh, arrays)
+        with zipfile.ZipFile(path) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("a deflated archive was rebuilt")
+
+        monkeypatch.setattr(SimulatedEngine, "_run_job_uncached", rebuild)
+        warm, stats = run()
+        assert (stats.misses, stats.disk_hits, stats.corruptions) == (0, 1, 0)
+        assert packed(warm) == packed(job)
+
+    def test_one_garbled_payload_byte_is_quarantined(self, run, tmp_path):
+        job, _ = run()
+        path = self.archive(str(tmp_path))
+        with zipfile.ZipFile(path) as archive:
+            member = archive.getinfo("payload.npy")
+        with open(path, "r+b") as fh:
+            # A member's bytes follow its local header: 30 fixed bytes,
+            # the last four its name and extra-field lengths, then the
+            # name and extra field. The middle of them is JSON text.
+            fh.seek(member.header_offset + 26)
+            name_len, extra_len = np.frombuffer(fh.read(4), dtype="<u2")
+            middle = (
+                member.header_offset + 30 + int(name_len) + int(extra_len)
+                + member.file_size // 2
+            )
+            fh.seek(middle)
+            byte = fh.read(1)[0]
+            fh.seek(middle)
+            fh.write(bytes([byte ^ 0x01]))
+        rebuilt, stats = run()
+        assert (stats.misses, stats.disk_hits, stats.corruptions) == (1, 0, 1)
+        assert os.path.exists(path + ".corrupt")
+        assert packed(rebuilt) == packed(job)
+        warm, stats = run()  # the rebuilt archive was stored again
+        assert (stats.misses, stats.disk_hits) == (0, 1)
 
 
 class TestGraphDirectoryRecovery:

@@ -67,7 +67,8 @@ class TestRollups:
 
     def test_peak_memory_is_max(self):
         job = make_job([(10, 1)])
-        job.batches[0].rounds[0].peak_memory_bytes = 123.0
+        rounds = job.batches[0].rounds
+        rounds[0] = rounds[0]._replace(peak_memory_bytes=123.0)
         assert job.peak_memory_bytes == 123.0
 
     def test_summary_mentions_engine(self):
@@ -87,7 +88,8 @@ class TestMonetary:
     def test_credit_cost_uses_cluster_rate(self):
         cluster = docker32()
         job = make_job([(10, 1)], machines=32)
-        job.batches[0].rounds[0].seconds = 3600.0
+        rounds = job.batches[0].rounds
+        rounds[0] = rounds[0]._replace(seconds=3600.0)
         cost = credit_cost(job, cluster)
         assert cost.credits == pytest.approx(
             cluster.credit_rate_per_machine_hour * 32
@@ -106,7 +108,7 @@ class TestMonetary:
         cluster = docker32()
         jobs = [make_job([(10, 1)], machines=32) for _ in range(3)]
         for j in jobs:
-            j.batches[0].rounds[0].seconds = 1800.0
+            j.batches[0].rounds[0] = make_round(seconds=1800.0)
         total = sweep_cost(jobs, cluster)
         single = credit_cost(jobs[0], cluster)
         assert total.credits == pytest.approx(3 * single.credits)
@@ -114,7 +116,8 @@ class TestMonetary:
     def test_local_cluster_uses_default_split(self):
         cluster = galaxy8()
         job = make_job([(10, 1)])
-        job.batches[0].rounds[0].seconds = 3600.0
+        rounds = job.batches[0].rounds
+        rounds[0] = rounds[0]._replace(seconds=3600.0)
         cost = credit_cost(job, cluster)
         assert cost.credits == pytest.approx(
             MonetaryModel().rate_per_machine_hour * 8

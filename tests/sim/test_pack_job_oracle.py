@@ -2,7 +2,8 @@
 costs (DESIGN.md 10.3).
 
 * **oracle** — the payload is ``json.dumps(dataclasses.asdict(job),
-  default=_json_safe)`` byte for byte. That rendering lives only here:
+  default=_json_safe)``, each round rendered as its ``_asdict()``, byte
+  for byte. That rendering lives only here:
   ``pack_job`` reaches the same bytes by encoding each distinct round
   record once and splicing the peak into the rest, so everything that
   could make the splice differ from the whole encode is thrown at it —
@@ -54,7 +55,12 @@ SEED = 7
 
 
 def oracle(job: JobMetrics) -> bytes:
-    return json.dumps(dataclasses.asdict(job), default=_json_safe).encode()
+    data = dataclasses.asdict(job)
+    # ``asdict`` keeps a named tuple a tuple, which JSON would render as
+    # an array: a round is rendered as the object of its fields.
+    for batch in data["batches"]:
+        batch["rounds"] = [r._asdict() for r in batch["rounds"]]
+    return json.dumps(data, default=_json_safe).encode()
 
 
 def packed(job: JobMetrics) -> bytes:
@@ -96,7 +102,7 @@ SCALARS = st.one_of(
     st.integers(-(2**70), 2**70),
 )
 TEXT = st.text(max_size=12)  # full unicode: the encoder escapes it
-ROUND_NAMES = [f.name for f in dataclasses.fields(RoundMetrics)]
+ROUND_NAMES = list(RoundMetrics._fields)
 
 
 @st.composite
@@ -133,7 +139,7 @@ def jobs(draw):
         BatchMetrics(
             batch_index=index,
             workload=draw(SCALARS),
-            rounds=[dataclasses.replace(r) for r in rounds],
+            rounds=[r._replace() for r in rounds],
             overloaded=draw(st.booleans()),
             overload_reason=draw(st.none() | TEXT),
             residual_memory_bytes=draw(SCALARS),
@@ -211,21 +217,23 @@ def test_equal_values_of_different_type_or_sign_render_apart(name):
 )
 def test_a_peak_that_is_not_a_finite_float_is_still_exact(peak):
     twin = _round()
-    job = _job([twin, _round(peak_memory_bytes=peak), dataclasses.replace(twin)])
+    job = _job([twin, _round(peak_memory_bytes=peak), twin._replace()])
     assert_contract(job)
 
 
 def test_only_declared_fields_are_rendered():
-    """A stray attribute on a round is no part of the payload (it used
-    to leak through ``vars(r)`` and break ``unpack_job``)."""
+    """A stray attribute on a batch is no part of the payload (it used
+    to leak through ``vars(r)`` and break ``unpack_job``); a round takes
+    none at all."""
     clean = _job([_round(), _round(round_index=1)])
     marked = _job([_round(), _round(round_index=1)])
-    marked.batches[0].rounds[1].debug_note = "scratch"
+    with pytest.raises(AttributeError):
+        marked.batches[0].rounds[1].debug_note = "scratch"
     marked.batches[0].debug_note = "scratch"
     assert packed(marked) == packed(clean)
     assert_contract(clean)
     rebuilt = unpack_job(pack_job(marked))
-    assert not hasattr(rebuilt.batches[0].rounds[1], "debug_note")
+    assert not hasattr(rebuilt.batches[0], "debug_note")
 
 
 # ----------------------------------------------------------------------
