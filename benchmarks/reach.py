@@ -147,6 +147,8 @@ ENTRY_POINTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
                    "--workload", "256"))
         for command in ("tune", "sweep")
     ),
+    ("run bppr-query", (*_CLI, "run", "--task", "bppr-query",
+                        "--workload", "64")),
 )
 
 #: Installed as ``sitecustomize`` in every child: records each code

@@ -45,10 +45,6 @@ class VertexContext:
         """Out-neighbour ids of this vertex."""
         return self.graph.neighbors(self.vertex_id)
 
-    def edge_weights(self) -> np.ndarray:
-        """Weights of this vertex's out-edges (ones if unweighted)."""
-        return self.graph.edge_weights(self.vertex_id)
-
     def send(self, target: int, message: Any) -> None:
         """Send ``message`` to vertex ``target``, delivered next superstep."""
         if not 0 <= target < self.graph.num_vertices:

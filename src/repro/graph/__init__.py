@@ -2,7 +2,8 @@
 
 The public surface re-exported here is what the engines and tasks consume:
 
-* :class:`Graph` — immutable CSR adjacency with optional edge weights.
+* :class:`Graph` — immutable CSR adjacency (``indptr`` / ``indices``),
+  directed or undirected, without edge weights.
 * :func:`from_edges` / :func:`from_edge_list` — builders.
 * :mod:`repro.graph.generators` — synthetic generators (power law, ER, ...).
 * :mod:`repro.graph.datasets` — the six paper dataset profiles.

@@ -1,10 +1,9 @@
 """Builders that turn edge collections into :class:`~repro.graph.csr.Graph`.
 
-The builders accept anything array-like: a sequence of ``(src, dst)`` or
-``(src, dst, weight)`` tuples, or separate numpy arrays. Options cover the
-clean-ups the paper's loaders perform implicitly: symmetrising an
-undirected edge list, dropping self loops, and de-duplicating parallel
-edges.
+The builders accept anything array-like: a sequence of ``(src, dst)``
+pairs, or separate numpy arrays. Options cover the clean-ups the paper's
+loaders perform implicitly: symmetrising an undirected edge list,
+dropping self loops, and de-duplicating parallel edges.
 """
 
 from __future__ import annotations
@@ -12,20 +11,18 @@ from __future__ import annotations
 import contextlib
 import os
 import shutil
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import Graph, sorted_unique, streaming_block_arcs
 
-EdgeLike = Union[Tuple[int, int], Tuple[int, int, float], Sequence[float]]
-
 
 def from_edges(
     src: np.ndarray,
     dst: np.ndarray,
-    weights: Optional[np.ndarray] = None,
+    *,
     num_vertices: Optional[int] = None,
     directed: bool = True,
     dedup: bool = False,
@@ -38,8 +35,6 @@ def from_edges(
     ----------
     src, dst:
         arc endpoints; integer arrays of equal length.
-    weights:
-        optional per-arc weights.
     num_vertices:
         total vertex count; inferred as ``max(endpoint) + 1`` when omitted.
     directed:
@@ -47,8 +42,7 @@ def from_edges(
         present and ``dedup`` is set) and the result reports undirected
         edge counts.
     dedup:
-        drop duplicate ``(src, dst)`` pairs, keeping the minimum weight
-        (the natural choice for shortest-path workloads).
+        drop duplicate ``(src, dst)`` pairs.
     drop_self_loops:
         remove arcs with ``src == dst``.
     """
@@ -56,10 +50,6 @@ def from_edges(
     dst = np.asarray(dst, dtype=np.int64).ravel()
     if src.shape != dst.shape:
         raise GraphFormatError("src and dst arrays must have equal length")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if weights.shape != src.shape:
-            raise GraphFormatError("weights must align with src/dst")
 
     if src.size and (src.min() < 0 or dst.min() < 0):
         raise GraphFormatError("vertex ids must be non-negative")
@@ -72,7 +62,7 @@ def from_edges(
             f"{inferred_n - 1}"
         )
 
-    if dedup and weights is None and src.size:
+    if dedup and src.size:
         # Fresh key arrays: the caller's endpoints are never written.
         stride = np.int64(num_vertices)
         keys = src * stride + dst
@@ -85,25 +75,15 @@ def from_edges(
     if drop_self_loops and src.size:
         keep = src != dst
         src, dst = src[keep], dst[keep]
-        if weights is not None:
-            weights = weights[keep]
 
     if not directed and src.size:
-        src, dst, weights = _symmetrise(src, dst, weights)
+        src, dst = _symmetrise(src, dst)
 
-    if dedup and src.size:
-        # _dedup_min_weight emits arcs in (src, dst) order, so the
-        # lexsort below would be an identity permutation — skip it.
-        src, dst, weights = _dedup_min_weight(src, dst, weights, num_vertices)
-    else:
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if weights is not None:
-            weights = weights[order]
-
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
     counts = np.bincount(src, minlength=num_vertices)
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    return Graph(indptr, dst, weights, directed=directed, name=name)
+    return Graph(indptr, dst, directed=directed, name=name)
 
 
 def from_owned_endpoints(
@@ -114,7 +94,7 @@ def from_owned_endpoints(
     name: str = "graph",
 ) -> Graph:
     """:func:`from_edges` with ``dedup=True, drop_self_loops=True`` for
-    unweighted endpoint arrays the caller gives up.
+    endpoint arrays the caller gives up.
 
     ``src`` and ``dst`` must be ``int64`` arrays of ids in
     ``[0, num_vertices)`` that nobody else reads afterwards (the
@@ -145,8 +125,8 @@ def _graph_from_keys(
     drop_self_loops: bool,
     name: str,
 ) -> Graph:
-    """Unweighted graph from its sorted, distinct composite
-    ``src * n + dst`` arc keys (an owned array, split in place).
+    """Graph from its sorted, distinct composite ``src * n + dst`` arc
+    keys (an owned array, split in place).
 
     Sorted unique keys *are* the arcs in ``(src, dst)`` order, so one
     split yields the CSR columns. Self loops go after the de-dup: the
@@ -163,43 +143,25 @@ def _graph_from_keys(
             src, dst = src[keep], dst[keep]
     counts = np.bincount(src, minlength=num_vertices)
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    return Graph(indptr, dst, None, directed=directed, name=name)
+    return Graph(indptr, dst, directed=directed, name=name)
 
 
 def from_edge_list(
-    edges: Iterable[EdgeLike],
+    edges: Iterable[Tuple[int, int]],
     num_vertices: Optional[int] = None,
     directed: bool = True,
     dedup: bool = False,
     drop_self_loops: bool = False,
     name: str = "graph",
 ) -> Graph:
-    """Build a graph from an iterable of ``(src, dst[, weight])`` tuples."""
+    """Build a graph from an iterable of ``(src, dst)`` pairs."""
     edge_list = list(edges)
-    if not edge_list:
-        return from_edges(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            num_vertices=num_vertices or 0,
-            directed=directed,
-            name=name,
-        )
-    widths = {len(e) for e in edge_list}
-    if widths == {2}:
-        arr = np.asarray(edge_list, dtype=np.int64)
-        weights = None
-    elif widths == {3}:
-        raw = np.asarray(edge_list, dtype=np.float64)
-        arr = raw[:, :2].astype(np.int64)
-        weights = raw[:, 2]
-    else:
-        raise GraphFormatError(
-            "edges must be uniformly (src, dst) or (src, dst, weight) tuples"
-        )
+    if any(len(edge) != 2 for edge in edge_list):
+        raise GraphFormatError("edges must be (src, dst) pairs")
+    arr = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
     return from_edges(
         arr[:, 0],
         arr[:, 1],
-        weights,
         num_vertices=num_vertices,
         directed=directed,
         dedup=dedup,
@@ -209,34 +171,10 @@ def from_edge_list(
 
 
 def _symmetrise(
-    src: np.ndarray, dst: np.ndarray, weights: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    src: np.ndarray, dst: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Append the reverse of every arc (caller dedups if needed)."""
-    new_src = np.concatenate([src, dst])
-    new_dst = np.concatenate([dst, src])
-    new_weights = None if weights is None else np.concatenate([weights, weights])
-    return new_src, new_dst, new_weights
-
-
-def _dedup_min_weight(
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: np.ndarray,
-    num_vertices: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse duplicate weighted arcs, keeping the smallest weight per
-    pair (unweighted edge lists de-duplicate in key space,
-    :func:`_graph_from_keys`).
-
-    Output arcs are sorted by ``(src, dst)`` — i.e. by composite key —
-    which lets :func:`from_edges` skip its lexsort after dedup.
-    """
-    keys = src * np.int64(num_vertices) + dst
-    order = np.lexsort((weights, keys))
-    keys_sorted = keys[order]
-    first = np.concatenate(([True], keys_sorted[1:] != keys_sorted[:-1]))
-    chosen = order[first]
-    return src[chosen], dst[chosen], weights[chosen]
+    return np.concatenate([src, dst]), np.concatenate([dst, src])
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +207,7 @@ def choose_block_edges(
 
 
 def build_csr_on_disk(
-    blocks: Iterable[Tuple[np.ndarray, ...]],
+    blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
     num_vertices: int,
     directory: "os.PathLike[str]",
     directed: bool = True,
@@ -280,21 +218,18 @@ def build_csr_on_disk(
 ):
     """Build an on-disk CSR directory from an edge-block stream.
 
-    ``blocks`` yields ``(src, dst)`` or ``(src, dst, weights)`` arrays;
-    each block is cleaned (self loops, symmetrisation), sorted by
-    composite ``src * n + dst`` key, deduplicated within itself, and
-    spilled as a sorted run. A vectorised K-way merge then streams the
-    runs into ``indices.npy``/``weights.npy`` while accumulating the
-    per-source arc counts (integer-exact, so chunking cannot change
-    them), and ``indptr.npy`` plus the ``graph.json`` sidecar are
-    written at the end. At no point does the full edge list — or any
-    O(m) intermediate — exist in memory.
+    ``blocks`` yields ``(src, dst)`` arrays; each block is cleaned (self
+    loops, symmetrisation), sorted by composite ``src * n + dst`` key,
+    deduplicated within itself, and spilled as a sorted run. A
+    vectorised K-way merge then streams the runs into ``indices.npy``
+    while accumulating the per-source arc counts (integer-exact, so
+    chunking cannot change them), and ``indptr.npy`` plus the
+    ``graph.json`` sidecar are written at the end. At no point does the
+    full edge list — or any O(m) intermediate — exist in memory.
 
     Byte-identity with the in-RAM path holds by construction: the merge
     emits the globally sorted unique composite keys, which is exactly
-    what ``_dedup_min_weight`` produces, and for weighted inputs the
-    per-key minimum of per-run minima equals the global per-key minimum
-    (same float values, hence the same bits). ``dedup=False`` is
+    what :func:`from_edges`' de-dup splits into arcs. ``dedup=False`` is
     rejected — a merge of sorted runs cannot reproduce the undeduped
     input order.
 
@@ -326,14 +261,11 @@ def build_csr_on_disk(
     os.makedirs(runs_dir)
     paths = [
         os.path.join(directory, file_name)
-        for file_name in ("indptr.npy", "indices.npy", "weights.npy")
+        for file_name in ("indptr.npy", "indices.npy")
     ]
 
     def spill_run(
-        src: np.ndarray,
-        dst: np.ndarray,
-        weights: Optional[np.ndarray],
-        run_id: int,
+        src: np.ndarray, dst: np.ndarray, run_id: int
     ) -> Optional[str]:
         """Clean, sort, dedup and write one block as a sorted run."""
         if src.min() < 0 or dst.min() < 0:
@@ -345,74 +277,37 @@ def build_csr_on_disk(
         if drop_self_loops:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-            if weights is not None:
-                weights = weights[keep]
         if not directed and src.size:
-            src, dst, weights = _symmetrise(src, dst, weights)
+            src, dst = _symmetrise(src, dst)
         if src.size == 0:
             return None
-        keys = src * np.int64(num_vertices) + dst
-        base = os.path.join(runs_dir, f"run-{run_id:06d}")
-        if weights is None:
-            np.save(base + "-keys.npy", sorted_unique(keys))
-        else:
-            order = np.lexsort((weights, keys))
-            keys_sorted = keys[order]
-            first = np.empty(keys.size, dtype=bool)
-            first[0] = True
-            np.not_equal(
-                keys_sorted[1:], keys_sorted[:-1], out=first[1:]
-            )
-            np.save(base + "-keys.npy", keys_sorted[first])
-            np.save(base + "-weights.npy", weights[order][first])
-        return base
+        path = os.path.join(runs_dir, f"run-{run_id:06d}-keys.npy")
+        np.save(path, sorted_unique(src * np.int64(num_vertices) + dst))
+        return path
 
-    weighted: Optional[bool] = None
     run_paths = []
     try:
-        for run_id, block in enumerate(blocks):
-            src, dst = block[0], block[1]
-            weights = block[2] if len(block) > 2 else None
+        for run_id, (src, dst) in enumerate(blocks):
             src = np.asarray(src, dtype=np.int64).ravel()
             dst = np.asarray(dst, dtype=np.int64).ravel()
             if src.shape != dst.shape:
                 raise GraphFormatError(
                     "src and dst arrays must have equal length"
                 )
-            if weights is not None:
-                weights = np.asarray(weights, dtype=np.float64).ravel()
-                if weights.shape != src.shape:
-                    raise GraphFormatError("weights must align with src/dst")
-            if weighted is None:
-                weighted = weights is not None
-            elif weighted != (weights is not None):
-                raise GraphFormatError(
-                    "edge blocks must be uniformly weighted or unweighted"
-                )
             if src.size == 0:
                 continue
-            base = spill_run(src, dst, weights, run_id)
-            if base is not None:
-                run_paths.append(base)
+            path = spill_run(src, dst, run_id)
+            if path is not None:
+                run_paths.append(path)
 
-        weighted = bool(weighted)
         counts = np.zeros(num_vertices, dtype=np.int64)
         indices_writer = NpyStreamWriter(paths[1] + tmp, np.int64)
-        weights_writer = (
-            NpyStreamWriter(paths[2] + tmp, np.float64) if weighted else None
-        )
-        for batch_keys, batch_weights in _merge_sorted_runs(
-            run_paths, weighted, merge_chunk
-        ):
+        for batch_keys in _merge_sorted_runs(run_paths, merge_chunk):
             counts += np.bincount(
                 batch_keys // np.int64(num_vertices), minlength=num_vertices
             )
             indices_writer.write(batch_keys % np.int64(num_vertices))
-            if weights_writer is not None:
-                weights_writer.write(batch_weights)
         num_arcs = indices_writer.close()
-        if weights_writer is not None:
-            weights_writer.close()
         indptr = np.concatenate(([0], np.cumsum(counts)))
         if int(indptr[-1]) != num_arcs:
             raise GraphFormatError(
@@ -422,7 +317,7 @@ def build_csr_on_disk(
         with open(paths[0] + tmp, "wb") as fh:
             np.save(fh, indptr)
         del counts, indptr
-        for path in paths[: 2 + weighted]:
+        for path in paths:
             os.replace(path + tmp, path)
     finally:
         shutil.rmtree(runs_dir, ignore_errors=True)
@@ -436,7 +331,6 @@ def build_csr_on_disk(
         directed=directed,
         num_vertices=num_vertices,
         num_arcs=num_arcs,
-        weighted=weighted,
     )
     graph = open_mapped(directory)
     if streaming_block_arcs(graph) is not None:
@@ -444,37 +338,24 @@ def build_csr_on_disk(
     return graph
 
 
-def _merge_sorted_runs(
-    run_paths, weighted: bool, merge_chunk: int
-) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+def _merge_sorted_runs(run_paths, merge_chunk: int) -> Iterator[np.ndarray]:
     """K-way merge of sorted-unique key runs, vectorised over batches.
 
     Each iteration loads at most ``merge_chunk`` elements per run,
     finds the smallest "boundary" key any partially-loaded run is
     guaranteed to have fully surfaced, and emits every element ``<=``
-    boundary across all runs, deduplicated (minimum weight per key for
-    weighted runs). Equal keys always fall in the same batch — every
-    instance compares ``<=`` the boundary — so batches are globally
-    sorted, unique, and complete.
+    boundary across all runs, deduplicated. Equal keys always fall in
+    the same batch — every instance compares ``<=`` the boundary — so
+    batches are globally sorted, unique, and complete.
     """
-    key_maps = [np.load(p + "-keys.npy", mmap_mode="r") for p in run_paths]
-    weight_maps = (
-        [np.load(p + "-weights.npy", mmap_mode="r") for p in run_paths]
-        if weighted
-        else None
-    )
+    key_maps = [np.load(path, mmap_mode="r") for path in run_paths]
     cursors = [0] * len(run_paths)
     buffers = [np.empty(0, dtype=np.int64) for _ in run_paths]
-    wbuffers = [np.empty(0, dtype=np.float64) for _ in run_paths]
     while True:
         for i, keys in enumerate(key_maps):
             if buffers[i].size == 0 and cursors[i] < keys.size:
                 stop = cursors[i] + merge_chunk
                 buffers[i] = np.asarray(keys[cursors[i] : stop])
-                if weighted:
-                    wbuffers[i] = np.asarray(
-                        weight_maps[i][cursors[i] : stop]
-                    )
                 cursors[i] = min(stop, keys.size)
         active = [i for i in range(len(buffers)) if buffers[i].size]
         if not active:
@@ -492,7 +373,6 @@ def _merge_sorted_runs(
             else max(int(buffers[i][-1]) for i in active)
         )
         batch_parts = []
-        weight_parts = []
         for i in active:
             take = int(
                 np.searchsorted(buffers[i], boundary, side="right")
@@ -501,20 +381,8 @@ def _merge_sorted_runs(
                 continue
             batch_parts.append(buffers[i][:take])
             buffers[i] = buffers[i][take:]
-            if weighted:
-                weight_parts.append(wbuffers[i][:take])
-                wbuffers[i] = wbuffers[i][take:]
         if len(batch_parts) == 1:
             # One run's slice: sorted and unique as it was spilled.
-            yield batch_parts[0], weight_parts[0] if weighted else None
-        elif not weighted:
-            yield sorted_unique(np.concatenate(batch_parts)), None
+            yield batch_parts[0]
         else:
-            batch_keys = np.concatenate(batch_parts)
-            batch_weights = np.concatenate(weight_parts)
-            order = np.lexsort((batch_weights, batch_keys))
-            batch_keys = batch_keys[order]
-            first = np.empty(batch_keys.size, dtype=bool)
-            first[0] = True
-            np.not_equal(batch_keys[1:], batch_keys[:-1], out=first[1:])
-            yield batch_keys[first], batch_weights[order][first]
+            yield sorted_unique(np.concatenate(batch_parts))

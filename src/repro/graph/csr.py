@@ -1,12 +1,12 @@
 """Immutable CSR (compressed sparse row) graph storage.
 
 :class:`Graph` is the single adjacency structure used throughout the
-library. It stores out-neighbours in CSR form (``indptr``/``indices``)
-with optional float edge weights, supports directed and undirected graphs
-(undirected graphs store both arcs), and exposes the handful of queries
-the vertex-centric engines need: degrees, neighbour slices, and edge
-iteration. All arrays are numpy-backed so the task kernels can operate on
-whole frontiers at once.
+library. It stores out-neighbours in CSR form (``indptr``/``indices``),
+supports directed and undirected graphs (undirected graphs store both
+arcs), and exposes the handful of queries the vertex-centric engines
+need: degrees, neighbour slices, and edge iteration. Edges carry no
+weights: the paper's graphs are unweighted. All arrays are numpy-backed
+so the task kernels can operate on whole frontiers at once.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ class Graph:
         are ``indices[indptr[v]:indptr[v + 1]]``.
     indices:
         ``int64`` array of destination vertex ids, length ``m``.
-    weights:
-        optional ``float64`` array aligned with ``indices``; ``None`` means
-        the graph is unweighted (all edges weight 1).
     directed:
         whether the arc list represents a directed graph. Undirected
         graphs are stored with both arc directions present, and
@@ -48,7 +45,6 @@ class Graph:
     __slots__ = (
         "indptr",
         "indices",
-        "weights",
         "directed",
         "name",
         "directory",
@@ -63,7 +59,7 @@ class Graph:
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
-        weights: Optional[np.ndarray] = None,
+        *,
         directed: bool = True,
         name: str = "graph",
     ) -> None:
@@ -81,32 +77,25 @@ class Graph:
         n = indptr.size - 1
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise GraphFormatError("edge endpoint out of range")
-        if weights is not None:
-            weights = np.ascontiguousarray(weights, dtype=np.float64)
-            if weights.shape != indices.shape:
-                raise GraphFormatError("weights must align with indices")
-            if np.any(weights < 0):
-                raise GraphFormatError("edge weights must be non-negative")
-        self._adopt(indptr, indices, weights, directed, name)
+        self._adopt(indptr, indices, directed, name)
 
     def _adopt(
-        self, indptr, indices, weights, directed, name,
+        self, indptr, indices, directed, name,
         fingerprint=None, directory=None,
     ) -> "Graph":
         """Install arrays already proven valid — by ``__init__``, or by
         whoever built the bytes a checked CSR directory holds —
         read-only, every derived cache empty.
         The one place a slot is initialised."""
-        self.indptr, self.indices, self.weights = indptr, indices, weights
+        self.indptr, self.indices = indptr, indices
         self.directed, self.name = bool(directed), name
         self.directory = directory
         self._fingerprint = fingerprint
         self._degrees = self._transpose = None
         self._mass_operators = {}
         self._pull_blocks = None
-        for array in (indptr, indices, weights):
-            if array is not None:
-                array.setflags(write=False)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
         return self
 
     # ------------------------------------------------------------------
@@ -129,10 +118,6 @@ class Graph:
             return self.indices.size
         return self.indices.size // 2
 
-    @property
-    def is_weighted(self) -> bool:
-        return self.weights is not None
-
     def out_degree(self, v: Optional[int] = None):
         """Out-degree of ``v``, or the whole degree array when ``v is None``."""
         if v is None:
@@ -154,7 +139,7 @@ class Graph:
 
         Used as the cache key component for partition/mirror-plan/run
         artifacts (:mod:`repro.perf.cache`): two graphs with identical
-        structure, weights and direction share every derived artifact.
+        structure and direction share every derived artifact.
         """
         if self._fingerprint is None:
             digest = hashlib.blake2b(digest_size=16)
@@ -163,8 +148,6 @@ class Graph:
             # ``tobytes()`` without the transient O(m) copy.
             digest.update(np.ascontiguousarray(self.indptr))
             digest.update(np.ascontiguousarray(self.indices))
-            if self.weights is not None:
-                digest.update(np.ascontiguousarray(self.weights))
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -179,21 +162,11 @@ class Graph:
         """Out-neighbour ids of vertex ``v`` (a CSR slice, zero copy)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def edge_weights(self, v: int) -> np.ndarray:
-        """Weights of ``v``'s out-edges (ones if unweighted)."""
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        if self.weights is None:
-            return np.ones(hi - lo, dtype=np.float64)
-        return self.weights[lo:hi]
-
-    def iter_edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Yield ``(src, dst, weight)`` for every stored arc."""
-        weights = self.weights
+    def iter_edges(self) -> Iterator[Tuple[int, int]]:
+        """Yield ``(src, dst)`` for every stored arc."""
         for v in range(self.num_vertices):
-            lo, hi = int(self.indptr[v]), int(self.indptr[v + 1])
-            for pos in range(lo, hi):
-                w = 1.0 if weights is None else float(weights[pos])
-                yield v, int(self.indices[pos]), w
+            for dst in self.neighbors(v):
+                yield v, int(dst)
 
     def edge_sources(self) -> np.ndarray:
         """Source id for every arc, aligned with ``indices`` (length m)."""
@@ -204,17 +177,14 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
-    def transposition(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    def transposition(self) -> Tuple[np.ndarray, np.ndarray]:
         """``A^T`` as in-neighbour lists, built once and cached:
-        ``(indptr, sources, weights)``.
+        ``(indptr, sources)``.
 
         The arcs into vertex ``v`` are ``sources[indptr[v]:indptr[v + 1]]``
         in original arc-position order — what a stable sort of the arcs
-        by target yields, parallel arcs kept apart — with ``weights``
-        carried along (``None`` when unweighted), from one counting pass
-        (:func:`transpose_rows`): in RAM, or as maps of files written
+        by target yields, parallel arcs kept apart — from one counting
+        pass (:func:`transpose_rows`): in RAM, or as maps of files written
         block by block when the graph streams
         (:func:`repro.graph.io.mapped_transposition`). The one
         transposition behind :meth:`reverse`, :func:`propagate_mass`
@@ -229,7 +199,7 @@ class Graph:
                 transposed = transpose_rows(
                     self, 0, self.num_vertices, 0, self.num_arcs
                 )
-                for array in transposed[: 2 + self.is_weighted]:
+                for array in transposed:
                     array.setflags(write=False)
                 self._transpose = transposed
         return self._transpose
@@ -256,44 +226,29 @@ class Graph:
 
     def reverse(self) -> "Graph":
         """Return the graph with every arc reversed (CSR of in-edges)."""
-        indptr, sources, weights = self.transposition()
+        indptr, sources = self.transposition()
         return Graph(
-            indptr,
-            sources,
-            weights,
-            directed=self.directed,
-            name=f"{self.name}^T",
+            indptr, sources, directed=self.directed, name=f"{self.name}^T"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "digraph" if self.directed else "graph"
         return (
             f"Graph(name={self.name!r}, {kind}, n={self.num_vertices}, "
-            f"arcs={self.num_arcs}, weighted={self.is_weighted})"
+            f"arcs={self.num_arcs})"
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        same_weights = (
-            (self.weights is None and other.weights is None)
-            or (
-                self.weights is not None
-                and other.weights is not None
-                and np.array_equal(self.weights, other.weights)
-            )
-        )
         return (
             self.directed == other.directed
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
-            and same_weights
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.num_vertices, self.num_arcs, self.directed, self.is_weighted)
-        )
+        return hash((self.num_vertices, self.num_arcs, self.directed))
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +258,7 @@ class Graph:
 # in BPPR/PageRank/exact references) used to carry its own copy of the
 # ``repeat``/``cumsum`` CSR gather; the helpers below consolidate them
 # into one implementation that replaces ``np.unique`` on composite
-# keys with a sort-based reduction. Since the unweighted rounds went
+# keys with a sort-based reduction. Since the frontier rounds went
 # bit-parallel (:class:`repro.tasks.base.BitFrontier`) the two
 # ``dedup_pairs*`` functions have no caller in ``src/``; they stay
 # importable because the frozen benchmark's span table resolves them
@@ -319,8 +274,8 @@ def expand_frontier(
 
     Returns ``(arc_positions, counts, kept)``:
 
-    * ``arc_positions`` — positions into ``graph.indices`` /
-      ``graph.weights`` of every out-arc of every frontier entry, in
+    * ``arc_positions`` — positions into ``graph.indices`` of every
+      out-arc of every frontier entry, in
       frontier order (entry ``i``'s arcs are contiguous);
     * ``counts`` — out-degree of each kept frontier entry; expand any
       per-entry payload to arc granularity with ``np.repeat(x, counts)``
@@ -421,7 +376,7 @@ def _transposed_operator(graph: Graph, lo: int, hi: int):
     """
     from scipy import sparse
 
-    indptr, sources, _ = graph.transposition()
+    indptr, sources = graph.transposition()
     arc_lo, arc_hi = int(indptr[lo]), int(indptr[hi])
     return sparse.csr_matrix(
         (
@@ -584,10 +539,10 @@ def iter_frontier_blocks(
 
 def transpose_rows(
     graph: Graph, lo: int, hi: int, arc_lo: int, arc_hi: int
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """The arcs of rows ``[lo, hi)`` (positions ``[arc_lo, arc_hi)``)
-    grouped by target in arc-position order: ``(indptr, sources,
-    weights)`` of that slice of ``A^T``, ``indptr`` local to it. One
+    grouped by target in arc-position order: ``(indptr, sources)`` of
+    that slice of ``A^T``, ``indptr`` local to it. One
     counting pass, scipy's ``csr -> csc`` conversion. Rows ``(0, n)``
     are the in-RAM :meth:`Graph.transposition`, row blocks in order the
     streamed one. The conversion does not check neighbour ids: prove
@@ -597,13 +552,8 @@ def transpose_rows(
     n = graph.num_vertices
     targets = graph.indices[arc_lo:arc_hi]
     row_ptr = graph.indptr[lo : hi + 1] - arc_lo
-    # The conversion carries one value per arc along: the weights, or
-    # the cheapest stand-in for them.
-    data = graph.weights
-    if data is None:
-        data = np.ones(arc_hi - arc_lo, dtype=np.int8)
-    else:
-        data = data[arc_lo:arc_hi]
+    # The conversion carries one value per arc along: the cheapest.
+    data = np.ones(arc_hi - arc_lo, dtype=np.int8)
     csc = sparse.csr_matrix(
         (data, targets, row_ptr), shape=(hi - lo, n)
     ).tocsc()
@@ -611,8 +561,7 @@ def transpose_rows(
     sources = csc.indices.astype(np.int64, copy=False)
     if lo:
         sources += lo
-    data = csc.data
-    return indptr, sources, None if graph.weights is None else data
+    return indptr, sources
 
 
 def _propagate_mass_streaming(

@@ -254,15 +254,13 @@ def chung_lu_edge_blocks(
         yield sampler.draw(rng, size), sampler.draw(dst_rng, size)
 
 
-def chain(n: int, directed: bool = False, weight: Optional[float] = None) -> Graph:
+def chain(n: int, directed: bool = False) -> Graph:
     """Path graph ``0 - 1 - ... - (n-1)``; handy for distance tests."""
     if n <= 0:
         raise ConfigurationError("n must be positive")
     src = np.arange(n - 1, dtype=np.int64)
-    dst = src + 1
-    weights = None if weight is None else np.full(n - 1, weight)
     return from_edges(
-        src, dst, weights, num_vertices=n, directed=directed, name=f"chain-{n}"
+        src, src + 1, num_vertices=n, directed=directed, name=f"chain-{n}"
     )
 
 

@@ -1,17 +1,19 @@
 """Graph serialization: edge-list text and the on-disk CSR directory.
 
 The text format matches what the paper's systems ingest from SNAP dumps:
-one ``src dst [weight]`` triple per line, ``#`` comments allowed.
+one ``src dst`` pair per line, ``#`` comments allowed.
 
 The binary format — the only one graphs are cached in — is a *CSR
 directory* holding the raw arrays as plain ``.npy`` files
-(``indptr.npy`` / ``indices.npy`` / ``weights.npy``) plus a
-``graph.json`` sidecar, written last, with the metadata and the content
-fingerprint. :func:`open_mapped` serves such a directory as a plain
-:class:`Graph` over read-only views of the file maps: the page cache
-decides what is resident, and whether a round streams is decided by
-size (:func:`repro.graph.csr.streaming_block_arcs`), not by where the
-arrays live.
+(``indptr.npy`` / ``indices.npy``) plus a ``graph.json`` sidecar,
+written last, with the metadata and the content fingerprint.
+:func:`open_mapped` serves such a directory as a plain :class:`Graph`
+over read-only views of the file maps: the page cache decides what is
+resident, and whether a round streams is decided by size
+(:func:`repro.graph.csr.streaming_block_arcs`), not by where the arrays
+live. Graphs carry no edge weights: a directory whose sidecar
+says ``"weighted": true`` (written by an older version) is refused, and
+:func:`load_csr_dir` quarantines it for a rebuild.
 """
 
 from __future__ import annotations
@@ -62,12 +64,8 @@ def write_edge_list(graph: Graph, path: PathLike, header: bool = True) -> None:
                 f"# nodes: {graph.num_vertices} arcs: {graph.num_arcs} "
                 f"directed: {graph.directed}\n"
             )
-        if graph.weights is None:
-            for src, dst, _ in graph.iter_edges():
-                fh.write(f"{src} {dst}\n")
-        else:
-            for src, dst, weight in graph.iter_edges():
-                fh.write(f"{src} {dst} {weight:.10g}\n")
+        for src, dst in graph.iter_edges():
+            fh.write(f"{src} {dst}\n")
 
 
 def read_edge_list(
@@ -79,8 +77,9 @@ def read_edge_list(
 ) -> Graph:
     """Parse a whitespace edge list into a :class:`Graph`.
 
-    Accepts 2-column (unweighted) or 3-column (weighted) rows; blank
-    lines and ``#`` comments are skipped. Mixing widths is an error.
+    Every row holds two columns, ``src dst``; blank lines and ``#``
+    comments are skipped, and a row of any other width is an error
+    naming its line.
 
     Lines are parsed in :data:`EDGE_LIST_CHUNK_LINES`-sized chunks that
     are converted to numpy arrays as they fill, so the transient peak
@@ -88,22 +87,13 @@ def read_edge_list(
     several-times-final-size list-of-ints the old single-pass
     accumulation held.
     """
-    src_chunks: List[np.ndarray] = []
-    dst_chunks: List[np.ndarray] = []
-    weight_chunks: List[np.ndarray] = []
+    chunks: List[np.ndarray] = []
     buffer: List[tuple] = []
-    width: Optional[int] = None
 
     def flush() -> None:
-        if not buffer:
-            return
-        src_chunks.append(np.asarray([b[0] for b in buffer], dtype=np.int64))
-        dst_chunks.append(np.asarray([b[1] for b in buffer], dtype=np.int64))
-        if width == 3:
-            weight_chunks.append(
-                np.asarray([b[2] for b in buffer], dtype=np.float64)
-            )
-        buffer.clear()
+        if buffer:
+            chunks.append(np.asarray(buffer, dtype=np.int64))
+            buffer.clear()
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -111,33 +101,21 @@ def read_edge_list(
             if not text or text.startswith("#"):
                 continue
             parts = text.split()
-            if width is None:
-                width = len(parts)
-                if width not in (2, 3):
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: expected 2 or 3 columns, got {width}"
-                    )
-            elif len(parts) != width:
+            if len(parts) != 2:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: inconsistent column count"
+                    f"{path}:{lineno}: expected 2 columns, got {len(parts)}"
                 )
             try:
-                if width == 3:
-                    buffer.append(
-                        (int(parts[0]), int(parts[1]), float(parts[2]))
-                    )
-                else:
-                    buffer.append((int(parts[0]), int(parts[1])))
+                buffer.append((int(parts[0]), int(parts[1])))
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
             if len(buffer) >= EDGE_LIST_CHUNK_LINES:
                 flush()
     flush()
-    empty = np.empty(0, dtype=np.int64)
+    arcs = np.concatenate(chunks) if chunks else np.empty((0, 2), np.int64)
     return from_edges(
-        np.concatenate(src_chunks) if src_chunks else empty,
-        np.concatenate(dst_chunks) if dst_chunks else empty,
-        np.concatenate(weight_chunks) if weight_chunks else None,
+        arcs[:, 0],
+        arcs[:, 1],
         num_vertices=num_vertices,
         directed=directed,
         dedup=dedup,
@@ -234,7 +212,6 @@ def write_csr_meta(
     directed: bool,
     num_vertices: int,
     num_arcs: int,
-    weighted: bool,
     fingerprint: Optional[str] = None,
 ) -> None:
     """Write the ``graph.json`` sidecar of a CSR directory, last of its
@@ -245,7 +222,6 @@ def write_csr_meta(
         "directed": bool(directed),
         "num_vertices": int(num_vertices),
         "num_arcs": int(num_arcs),
-        "weighted": bool(weighted),
     }
     meta["fingerprint"] = fingerprint or fingerprint_csr_dir(directory, meta)
     _write_json(_meta_path(directory), meta)
@@ -295,10 +271,7 @@ def fingerprint_csr_dir(
             meta = json.load(fh)
     digest = hashlib.blake2b(digest_size=16)
     digest.update(b"directed" if meta["directed"] else b"undirected")
-    names = ["indptr.npy", "indices.npy"]
-    if meta["weighted"]:
-        names.append("weights.npy")
-    for file_name in names:
+    for file_name in ("indptr.npy", "indices.npy"):
         array = np.load(os.path.join(directory, file_name), mmap_mode="r")
         step = max(1, chunk_bytes // array.itemsize)
         for start in range(0, array.size, step):
@@ -312,9 +285,10 @@ def open_mapped(directory: PathLike) -> Graph:
 
     Bypasses ``Graph.__init__`` — the sidecar carries the fingerprint
     the builder computed — but proves what that proves: sizes and
-    ``indptr`` always (vertex-sized work); neighbour ids and weights
-    unless the graph streams, where faulting every page in is the cost
-    the budget exists to avoid.
+    ``indptr`` always (vertex-sized work); neighbour ids unless the
+    graph streams, where faulting every page in is the cost the budget
+    exists to avoid. A sidecar of an older version that says
+    ``"weighted": true`` is refused: graphs carry no edge weights.
     """
     directory = os.fspath(directory)
     meta_path = _meta_path(directory)
@@ -327,19 +301,17 @@ def open_mapped(directory: PathLike) -> Graph:
             f"{directory}: unsupported CSR directory format "
             f"{meta.get('format')!r}"
         )
+    if meta.get("weighted"):
+        raise GraphFormatError(
+            f"{directory}: a weighted graph; edge weights are not supported"
+        )
     indptr = _map(directory, "indptr.npy")
     indices = _map(directory, "indices.npy")
-    weights = _map(directory, "weights.npy") if meta["weighted"] else None
     if indptr.size != meta["num_vertices"] + 1 or (
         indices.size != meta["num_arcs"]
     ):
         raise GraphFormatError(
             f"{directory}: array sizes disagree with graph.json"
-        )
-    if weights is not None and weights.size != meta["num_arcs"]:
-        raise GraphFormatError(
-            f"{directory}: weights.npy holds {weights.size} entries, "
-            f"graph.json promises {meta['num_arcs']}"
         )
     # The kernels gather arcs by position along ``indptr``: one pass
     # over the vertex-sized array proves here what ``Graph.__init__``
@@ -350,7 +322,7 @@ def open_mapped(directory: PathLike) -> Graph:
             f"to {indices.size}"
         )
     graph = Graph.__new__(Graph)._adopt(
-        indptr, indices, weights, meta["directed"], str(meta["name"]),
+        indptr, indices, meta["directed"], str(meta["name"]),
         str(meta["fingerprint"]), directory,
     )
     if streaming_block_arcs(graph) is None:
@@ -359,10 +331,6 @@ def open_mapped(directory: PathLike) -> Graph:
             raise GraphFormatError(
                 f"{directory}: indices.npy holds a neighbour id outside "
                 f"[0, {n})"
-            )
-        if weights is not None and np.any(weights < 0):
-            raise GraphFormatError(
-                f"{directory}: weights.npy holds a negative weight"
             )
     return graph
 
@@ -430,8 +398,6 @@ def save_mapped(graph: Graph, directory: PathLike) -> Graph:
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     arrays = {"indptr.npy": graph.indptr, "indices.npy": graph.indices}
-    if graph.weights is not None:
-        arrays["weights.npy"] = graph.weights
     for file_name, array in arrays.items():
         path = os.path.join(directory, file_name)
         with open(f"{path}.tmp-{os.getpid()}", "wb") as fh:
@@ -443,7 +409,6 @@ def save_mapped(graph: Graph, directory: PathLike) -> Graph:
         directed=graph.directed,
         num_vertices=graph.num_vertices,
         num_arcs=graph.num_arcs,
-        weighted=graph.weights is not None,
         fingerprint=graph.fingerprint,
     )
     return open_mapped(directory)
@@ -453,10 +418,8 @@ def save_mapped(graph: Graph, directory: PathLike) -> Graph:
 # ``A^T`` of a graph that streams (DESIGN.md §11.3)
 # ----------------------------------------------------------------------
 
-#: Its files: indptr, sources and — for a weighted graph — weights.
-TRANSPOSE_FILES = (
-    "transpose-indptr.npy", "transpose-sources.npy", "transpose-weights.npy"
-)
+#: Its files: indptr and sources.
+TRANSPOSE_FILES = ("transpose-indptr.npy", "transpose-sources.npy")
 
 
 def mapped_transposition(graph: Graph):
@@ -483,7 +446,6 @@ def _transpose_marker(graph: Graph) -> dict:
         "fingerprint": graph.fingerprint,
         "num_vertices": graph.num_vertices,
         "num_arcs": graph.num_arcs,
-        "weighted": graph.weights is not None,
     }
 
 
@@ -495,13 +457,14 @@ def _open_transposition(graph: Graph, directory: str):
 
 
 def _map_transposition(graph: Graph, directory: str):
-    names = TRANSPOSE_FILES[: 2 + graph.is_weighted]
-    indptr, *arcs = [_map(directory, name) for name in names]
-    if indptr.size != graph.num_vertices + 1 or any(
-        array.size != graph.num_arcs for array in arcs
-    ) or not _is_pointer_run(indptr, graph.num_arcs):
+    indptr, sources = [_map(directory, name) for name in TRANSPOSE_FILES]
+    if (
+        indptr.size != graph.num_vertices + 1
+        or sources.size != graph.num_arcs
+        or not _is_pointer_run(indptr, graph.num_arcs)
+    ):
         raise GraphFormatError(f"{directory}: torn A^T files")
-    return indptr, arcs[0], arcs[1] if graph.is_weighted else None
+    return indptr, sources
 
 
 def write_transposition(graph: Graph, directory: PathLike):
@@ -534,29 +497,23 @@ def write_transposition(graph: Graph, directory: PathLike):
             )
         in_degrees += np.bincount(targets, minlength=n)
     indptr = np.concatenate(([0], np.cumsum(in_degrees)))
-    paths = [
-        os.path.join(directory, name)
-        for name in TRANSPOSE_FILES[: 2 + graph.is_weighted]
-    ]
+    paths = [os.path.join(directory, name) for name in TRANSPOSE_FILES]
     tmp = [f"{path}.tmp-{os.getpid()}" for path in paths]
     with open(tmp[0], "wb") as fh:
         np.save(fh, indptr)
-    outputs = [
-        np.lib.format.open_memmap(path, mode="w+", dtype=dtype, shape=(m,))
-        for path, dtype in zip(tmp[1:], (np.int64, np.float64))
-    ]
+    output = np.lib.format.open_memmap(
+        tmp[1], mode="w+", dtype=np.int64, shape=(m,)
+    )
     cursor = indptr[:-1].copy()
     for lo, hi, arc_lo, arc_hi in blocks:
-        local, *columns = transpose_rows(graph, lo, hi, arc_lo, arc_hi)
+        local, sources = transpose_rows(graph, lo, hi, arc_lo, arc_hi)
         counts = np.diff(local)
         at = np.repeat(cursor - local[:-1], counts)
         at += np.arange(arc_hi - arc_lo)
-        for output, column in zip(outputs, columns):
-            output[at] = column
+        output[at] = sources
         cursor += counts
-    for output in outputs:
-        output.flush()
-    del outputs
+    output.flush()
+    del output
     for source, path in zip(tmp, paths):
         os.replace(source, path)
     _write_json(marker, _transpose_marker(graph))

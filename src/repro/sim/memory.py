@@ -45,7 +45,7 @@ class MemoryModel:
         bytes per resident vertex (id, value, halted flag, adjacency
         pointers).
     arc_bytes:
-        bytes per resident arc (neighbour id + optional weight).
+        bytes per resident arc (its neighbour id).
     message_bytes:
         serialized size of one in-flight message.
     buffer_overhead:

@@ -6,14 +6,12 @@ vertex-centric kernels compute the right answers:
 
 * :func:`exact_ppr` — personalized PageRank by dense power iteration
   under the α-decay random-walk semantics (walks absorb at danglings).
-* :func:`bfs_distances` / :func:`dijkstra_distances` — single-source
-  distances.
+* :func:`bfs_distances` — single-source hop distances.
 * :func:`k_hop_set` — brute-force k-hop reachability.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 import numpy as np
@@ -95,31 +93,9 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     return dist
 
 
-def dijkstra_distances(graph: Graph, source: int) -> np.ndarray:
-    """Weighted shortest-path distances from ``source``."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise TaskError(f"source {source} out of range")
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        weights = graph.edge_weights(v)
-        for u, w in zip(graph.neighbors(v), weights):
-            nd = d + float(w)
-            if nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, int(u)))
-    return dist
-
-
 def shortest_path_distances(graph: Graph, source: int) -> np.ndarray:
-    """BFS for unweighted graphs, Dijkstra otherwise."""
-    if graph.is_weighted:
-        return dijkstra_distances(graph, source)
+    """Shortest-path distances from ``source``: every arc is one hop,
+    so :func:`bfs_distances`."""
     return bfs_distances(graph, source)
 
 
@@ -169,6 +145,5 @@ def optional_networkx_graph(graph: Graph):
     g: "Optional[object]" = nx.DiGraph()
     for v in range(graph.num_vertices):
         g.add_node(v)
-    for src, dst, weight in graph.iter_edges():
-        g.add_edge(src, dst, weight=weight)
+    g.add_edges_from(graph.iter_edges())
     return g

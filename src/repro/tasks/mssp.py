@@ -4,13 +4,10 @@ Section 3's Pregel MSSP: messages ``(u, v, d)`` assert a length-``d``
 path from source ``u`` to ``v``; per round, a vertex keeps the minimum
 per source and relaxes its out-edges. The kernel executes exactly that —
 a synchronous multi-source Bellman-Ford — fully vectorised over the
-(source, vertex) frontier. On the unweighted graphs the kernel accepts
-that is one BFS per source, and all of them run bit-parallel on
-per-vertex source bitsets (:class:`repro.tasks.base.BitFrontier`): a
-distance is the round in which the source's bit first reaches the
-vertex. Weighted shortest paths are the oracles' alone
-(:func:`repro.tasks.exact.dijkstra_distances` and the reference
-engine's :class:`repro.tasks.vc_programs.MSSPProgram`). Under the
+(source, vertex) frontier. Every arc is one hop, so that is one BFS per
+source, and all of them run bit-parallel on per-vertex source bitsets
+(:class:`repro.tasks.base.BitFrontier`): a distance is the round in
+which the source's bit first reaches the vertex. Under the
 mirror/broadcast interface the per-neighbour message collapses to one
 ``(u, d)`` broadcast block per updated (source, vertex) pair, which
 :meth:`route_emissions` handles.
@@ -27,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import TaskError
 from repro.graph.csr import Graph
 from repro.messages.routing import MessageRouter
 from repro.tasks.base import (
@@ -45,15 +41,6 @@ RESIDUAL_RECORD_BYTES = 8.0
 FRONTIER_ENTRY_BYTES = 12.0
 
 
-def _require_unweighted(graph: Graph) -> None:
-    if graph.weights is not None:
-        raise TaskError(
-            "MSSP kernels run on unweighted graphs only; weighted shortest "
-            "paths are computed by repro.tasks.exact.dijkstra_distances "
-            "and the reference engine's MSSPProgram"
-        )
-
-
 class MSSPKernel(TaskKernel):
     """One batch of single-source shortest-path queries."""
 
@@ -65,7 +52,6 @@ class MSSPKernel(TaskKernel):
         sample_limit: Optional[int] = 64,
         max_rounds: int = 100_000,
     ) -> None:
-        _require_unweighted(graph)
         super().__init__(graph, router)
         self.rng = rng
         self.sample_limit = sample_limit
@@ -149,9 +135,7 @@ def mssp_task(
     sample_limit: Optional[int] = 64,
     max_rounds: int = 100_000,
 ) -> TaskSpec:
-    """Build the MSSP :class:`TaskSpec` (workload = number of sources);
-    a weighted ``graph`` raises :class:`TaskError`."""
-    _require_unweighted(graph)
+    """Build the MSSP :class:`TaskSpec` (workload = number of sources)."""
 
     def factory(g, router, batch_workload, rng):
         return MSSPKernel(

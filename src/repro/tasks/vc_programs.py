@@ -46,8 +46,8 @@ class SSSPProgram(VertexProgram):
             ctx.vote_to_halt()
             return
         if math.isfinite(ctx.value):
-            for target, weight in zip(ctx.neighbors(), ctx.edge_weights()):
-                ctx.send(int(target), ctx.value + float(weight))
+            for target in ctx.neighbors():
+                ctx.send(int(target), ctx.value + 1)
         ctx.vote_to_halt()
 
 
@@ -77,8 +77,8 @@ class MSSPProgram(VertexProgram):
                 prior = improved.get(source, math.inf)
                 improved[source] = min(prior, distance)
         for source, distance in improved.items():
-            for target, weight in zip(ctx.neighbors(), ctx.edge_weights()):
-                ctx.send(int(target), (source, distance + float(weight)))
+            for target in ctx.neighbors():
+                ctx.send(int(target), (source, distance + 1))
         ctx.vote_to_halt()
 
 

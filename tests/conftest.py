@@ -23,29 +23,12 @@ def tiny_graph():
     """A 6-vertex directed graph with known structure.
 
     0 -> 1, 2; 1 -> 2; 2 -> 3; 3 -> 4; 4 -> 5; 5 -> 0 (a cycle with a
-    chord), plus vertex weights left implicit.
+    chord).
     """
     return from_edge_list(
         [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
         num_vertices=6,
         name="tiny",
-    )
-
-
-@pytest.fixture
-def weighted_graph():
-    """Small weighted digraph with distinct shortest paths."""
-    return from_edge_list(
-        [
-            (0, 1, 1.0),
-            (0, 2, 4.0),
-            (1, 2, 2.0),
-            (1, 3, 6.0),
-            (2, 3, 1.0),
-            (3, 4, 2.0),
-        ],
-        num_vertices=5,
-        name="weighted",
     )
 
 

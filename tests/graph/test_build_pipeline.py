@@ -583,22 +583,10 @@ def stable_argsort_reverse(graph):
     stable argsort of the arcs by target."""
     order = np.argsort(graph.indices, kind="stable")
     in_degrees = np.bincount(graph.indices, minlength=graph.num_vertices)
-    weights = None if graph.weights is None else graph.weights[order]
     return (
         np.concatenate(([0], np.cumsum(in_degrees))),
         graph.edge_sources()[order],
-        weights,
     )
-
-
-def weighted_parallel_arc_graph():
-    rng = make_rng(6)
-    src = rng.integers(0, 30, size=400)
-    dst = rng.integers(0, 30, size=400)
-    # Distinct weights, a few of them zero: parallel arcs are told
-    # apart and an explicit zero is still an arc.
-    weights = rng.permutation(400).astype(np.float64) // 8
-    return from_edges(src, dst, weights, num_vertices=30)
 
 
 @pytest.mark.parametrize(
@@ -607,13 +595,12 @@ def weighted_parallel_arc_graph():
         lambda: chung_lu(500, 9.0, seed=4),
         lambda: chung_lu(300, 12.0, directed=False, seed=4),
         parallel_arc_graph,
-        weighted_parallel_arc_graph,
         lambda: from_edges(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             num_vertices=3,
         ),
     ],
-    ids=["directed", "undirected", "parallel-arcs", "weighted", "edgeless"],
+    ids=["directed", "undirected", "parallel-arcs", "edgeless"],
 )
 class TestSharedTransposition:
     """One cached ``A^T`` per graph behind ``reverse``, the spread
@@ -622,16 +609,11 @@ class TestSharedTransposition:
     def test_reverse_equals_the_stable_argsort_construction(self, make_graph):
         graph = make_graph()
         rev = graph.reverse()
-        indptr, sources, weights = stable_argsort_reverse(graph)
+        indptr, sources = stable_argsort_reverse(graph)
         assert rev.directed == graph.directed and rev.name == f"{graph.name}^T"
-        for ours, theirs in (
-            (rev.indptr, indptr), (rev.indices, sources), (rev.weights, weights)
-        ):
-            if theirs is None:
-                assert ours is None
-            else:
-                assert ours.dtype == theirs.dtype
-                assert np.array_equal(ours, theirs)
+        for ours, theirs in ((rev.indptr, indptr), (rev.indices, sources)):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
         assert rev.reverse() == graph
 
     def test_one_conversion_however_many_ask(self, make_graph, monkeypatch):

@@ -59,28 +59,41 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             Graph(np.array([0, 1]), np.array([-1], dtype=np.int64))
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(GraphFormatError):
-            from_edge_list([(0, 1, -2.0)])
-
     def test_num_vertices_too_small_rejected(self):
         with pytest.raises(GraphFormatError):
             from_edge_list([(0, 5)], num_vertices=3)
+
+
+class TestNoEdgeWeights:
+    """A graph is ``indptr`` + ``indices`` + direction: a weight array
+    where one used to be accepted fails loudly instead of being read
+    as the next parameter."""
+
+    def test_positional_weights_to_graph_raise(self):
+        with pytest.raises(TypeError):
+            Graph(np.array([0, 1]), np.array([0], dtype=np.int64), None)
+
+    def test_positional_weights_to_from_edges_raise(self):
+        src, dst = np.array([0, 1]), np.array([1, 2])
+        with pytest.raises(TypeError):
+            from_edges(src, dst, np.array([1.0, 2.0]))
+        with pytest.raises(TypeError):
+            from_edges(src, dst, 3)  # no longer ``num_vertices`` either
+
+    def test_weighted_triples_rejected(self):
+        with pytest.raises(GraphFormatError, match="pairs"):
+            from_edge_list([(0, 1, 2.0), (1, 2, 1.0)])
+        with pytest.raises(GraphFormatError, match="pairs"):
+            from_edge_list([(0, 1), (1, 2, 1.0)])
 
 
 class TestDerivedViews:
     def test_reverse_roundtrip(self, tiny_graph):
         rev = tiny_graph.reverse()
         assert rev.num_arcs == tiny_graph.num_arcs
-        forward = {(s, d) for s, d, _ in tiny_graph.iter_edges()}
-        backward = {(d, s) for s, d, _ in rev.iter_edges()}
+        forward = set(tiny_graph.iter_edges())
+        backward = {(d, s) for s, d in rev.iter_edges()}
         assert forward == backward
-
-    def test_reverse_preserves_weights(self, weighted_graph):
-        rev = weighted_graph.reverse()
-        forward = {(s, d): w for s, d, w in weighted_graph.iter_edges()}
-        for s, d, w in rev.iter_edges():
-            assert forward[(d, s)] == w
 
     def test_edge_sources_alignment(self, tiny_graph):
         src = tiny_graph.edge_sources()
@@ -89,7 +102,7 @@ class TestDerivedViews:
             (int(s), int(d))
             for s, d in zip(src, tiny_graph.indices)
         }
-        direct = {(s, d) for s, d, _ in tiny_graph.iter_edges()}
+        direct = set(tiny_graph.iter_edges())
         assert rebuilt == direct
 
     def test_transition_rows_sum_to_one(self, tiny_graph):
@@ -108,11 +121,6 @@ class TestDerivedViews:
         assert propagate_mass(g, np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
         assert propagate_mass(g, np.array([1.0, 0.0])).tolist() == [0.0, 1.0]
 
-    def test_edge_weights_default_ones(self, tiny_graph):
-        np.testing.assert_array_equal(
-            tiny_graph.edge_weights(0), [1.0, 1.0]
-        )
-
     def test_equality(self, tiny_graph):
         clone = Graph(
             tiny_graph.indptr.copy(),
@@ -121,13 +129,6 @@ class TestDerivedViews:
             name="other-name",
         )
         assert clone == tiny_graph  # name not part of equality
-
-    def test_dedup_keeps_min_weight(self):
-        g = from_edge_list(
-            [(0, 1, 5.0), (0, 1, 2.0), (0, 1, 9.0)], dedup=True
-        )
-        assert g.num_arcs == 1
-        assert g.edge_weights(0)[0] == 2.0
 
     def test_drop_self_loops(self):
         g = from_edge_list([(0, 0), (0, 1), (1, 1)], drop_self_loops=True)

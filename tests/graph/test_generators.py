@@ -34,11 +34,6 @@ class TestDeterministicGenerators:
         assert g.num_arcs == 8
         assert set(g.neighbors(2)) == {1, 3}
 
-    def test_chain_weighted(self):
-        g = chain(4, directed=True, weight=2.5)
-        assert g.is_weighted
-        assert g.edge_weights(0)[0] == 2.5
-
     def test_star_degrees(self):
         g = star(10, directed=False)
         assert g.out_degree(0) == 9
@@ -89,7 +84,7 @@ class TestRandomGenerators:
 
     def test_chung_lu_no_self_loops(self):
         g = chung_lu(200, 6.0, seed=9)
-        for s, d, _ in g.iter_edges():
+        for s, d in g.iter_edges():
             assert s != d
 
     def test_chung_lu_avg_degree_close(self):

@@ -61,13 +61,6 @@ def assert_same_graph(a: Graph, b: Graph) -> None:
     assert (
         np.asarray(a.indices).tobytes() == np.asarray(b.indices).tobytes()
     )
-    if a.weights is None:
-        assert b.weights is None
-    else:
-        assert (
-            np.asarray(a.weights).tobytes()
-            == np.asarray(b.weights).tobytes()
-        )
     assert a.directed == b.directed
     assert a.fingerprint == b.fingerprint
 
@@ -142,11 +135,9 @@ class TestOnDiskBuild:
         n, m = 200, 3000
         src = rng.integers(0, n, size=m)
         dst = rng.integers(0, n, size=m)
-        weights = rng.random(m)
         in_ram = from_edges(
             src,
             dst,
-            weights,
             num_vertices=n,
             directed=directed,
             dedup=True,
@@ -154,7 +145,7 @@ class TestOnDiskBuild:
         )
         bounds = np.linspace(0, m, num_blocks + 1).astype(int)
         blocks = [
-            (src[lo:hi], dst[lo:hi], weights[lo:hi])
+            (src[lo:hi], dst[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         mapped = build_csr_on_disk(
@@ -415,9 +406,7 @@ class TestChunkedEdgeList:
 
         rng = make_rng(43)
         lines = [
-            f"{rng.integers(0, 50)} {rng.integers(0, 50)} "
-            f"{rng.random():.6f}"
-            for _ in range(200)
+            f"{rng.integers(0, 50)} {rng.integers(0, 50)}" for _ in range(200)
         ]
         path = tmp_path / "edges.txt"
         path.write_text("# comment\n" + "\n".join(lines) + "\n")

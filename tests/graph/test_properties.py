@@ -35,7 +35,7 @@ def edge_arrays(draw, max_vertices=40, max_edges=150):
 def test_csr_preserves_multiset_of_edges(data):
     n, src, dst = data
     g = from_edges(src, dst, num_vertices=n)
-    rebuilt = sorted((int(s), int(d)) for s, d, _ in g.iter_edges())
+    rebuilt = sorted((int(s), int(d)) for s, d in g.iter_edges())
     original = sorted(zip(src.tolist(), dst.tolist()))
     assert rebuilt == original
 

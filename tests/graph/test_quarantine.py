@@ -36,8 +36,7 @@ from repro.perf.cache import get_cache
 def graph():
     src = np.array([0, 0, 1, 2, 3, 3], dtype=np.int64)
     dst = np.array([1, 2, 3, 0, 1, 2], dtype=np.int64)
-    weights = np.array([1.0, 2.0, 0.5, 4.0, 1.5, 3.0])
-    return from_edges(src, dst, weights=weights, name="tiny")
+    return from_edges(src, dst, name="tiny")
 
 
 @pytest.fixture()
@@ -60,9 +59,6 @@ class TestCleanDirectory:
         ).tobytes()
         assert np.asarray(mapped.indices).tobytes() == np.asarray(
             graph.indices
-        ).tobytes()
-        assert np.asarray(mapped.weights).tobytes() == np.asarray(
-            graph.weights
         ).tobytes()
         assert mapped.fingerprint == graph.fingerprint
 
@@ -90,10 +86,6 @@ class TestTornDirectories:
     def test_unparsable_sidecar_quarantines(self, csr_dir):
         with open(os.path.join(csr_dir, "graph.json"), "w") as fh:
             fh.write("{ torn mid-write")
-        self.assert_quarantined(csr_dir)
-
-    def test_weights_size_mismatch_quarantines(self, csr_dir):
-        np.save(os.path.join(csr_dir, "weights.npy"), np.zeros(2))
         self.assert_quarantined(csr_dir)
 
     def test_indptr_pointing_outside_the_arcs_quarantines(self, graph, csr_dir):
@@ -226,8 +218,8 @@ class TestHostileContent:
 
     @pytest.mark.parametrize(
         "name,value",
-        [("indices", -1), ("indices", 4), ("weights", -0.5)],
-        ids=["negative-neighbour", "neighbour-past-n", "negative-weight"],
+        [("indices", -1), ("indices", 4)],
+        ids=["negative-neighbour", "neighbour-past-n"],
     )
     def test_open_rejects_and_load_quarantines(
         self, graph, csr_dir, name, value

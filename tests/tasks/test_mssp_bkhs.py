@@ -350,18 +350,6 @@ class TestTaskSpecs:
         task = bkhs_task(random_graph, 64, k=3)
         assert task.params["k"] == 3
 
-    def test_weighted_mssp_is_refused_before_any_round(self, weighted_graph):
-        """Weighted shortest paths are the oracles' (the reference
-        engine's ``MSSPProgram``, ``dijkstra_distances``): the task and
-        the kernel refuse the graph when they are built, so no round
-        is ever run or priced."""
-        with pytest.raises(TaskError, match="dijkstra_distances"):
-            mssp_task(weighted_graph, 4)
-        with pytest.raises(TaskError, match="MSSPProgram"):
-            tasks_base.make_task("mssp", weighted_graph, 4)
-        with pytest.raises(TaskError, match="unweighted"):
-            MSSPKernel(weighted_graph, router_for(weighted_graph, 2), make_rng(0))
-
 
 @given(
     st.integers(min_value=2, max_value=30),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import TaskError
-from repro.graph.build import from_edge_list
 from repro.graph.generators import chain, chung_lu, complete
 from repro.graph.mirrors import build_mirror_plan
 from repro.graph.partition import hash_partition
@@ -12,7 +11,6 @@ from repro.messages.routing import PointToPointRouter
 from repro.rng import make_rng
 from repro.tasks.exact import (
     bfs_distances,
-    dijkstra_distances,
     exact_pagerank,
     exact_ppr,
     k_hop_set,
@@ -102,21 +100,6 @@ class TestExactReferences:
         graph = chain(4)
         with pytest.raises(TaskError):
             exact_ppr(graph, 99)
-
-    def test_bfs_vs_dijkstra_unweighted(self):
-        graph = chung_lu(100, 5.0, seed=4)
-        for source in (0, 13, 57):
-            np.testing.assert_array_equal(
-                bfs_distances(graph, source),
-                dijkstra_distances(graph, source),
-            )
-
-    def test_dijkstra_weighted_triangle(self):
-        graph = from_edge_list(
-            [(0, 1, 10.0), (0, 2, 1.0), (2, 1, 2.0)], num_vertices=3
-        )
-        dist = dijkstra_distances(graph, 0)
-        assert dist[1] == 3.0  # via vertex 2
 
     def test_k_hop_monotone_in_k(self):
         graph = chung_lu(100, 5.0, seed=6)
