@@ -146,14 +146,6 @@ class MultiProcessingJob:
         history: List[dict] = []
         residual = 0.0
         final_job: Optional[JobMetrics] = None
-        # Seeded jitter stream for the retry backoff: same seed, same
-        # sleep schedule.
-        backoff_rng = None
-        backoff_total = 0.0
-        if recovery.backoff is not None:
-            from repro.rng import make_rng
-
-            backoff_rng = make_rng(seed, label="faults/retry-backoff")
         while True:
             task = task_factory(sum(sizes))
             job = self.engine.run_job(
@@ -199,14 +191,6 @@ class MultiProcessingJob:
                 )
             sizes = recovery.resplit(remaining, failed.workload)
             attempt["resplit"] = [float(s) for s in sizes]
-            if recovery.backoff is not None:
-                # Simulated wait before the re-attempt; recorded on the
-                # attempt, never folded into the engine's batch timings.
-                delay = recovery.backoff.delay_seconds(
-                    len(history), backoff_rng
-                )
-                attempt["backoff_seconds"] = float(delay)
-                backoff_total += float(delay)
 
         # Stitch the attempts into one job record: aborted batches stay
         # in the trace (their time counts), re-indexed sequentially.
@@ -217,8 +201,6 @@ class MultiProcessingJob:
         final_job.total_workload = float(workload)
         final_job.retry_history = history
         final_job.extras["overload_retries"] = float(len(history))
-        if recovery.backoff is not None:
-            final_job.extras["retry_backoff_seconds"] = backoff_total
         return final_job
 
     def sweep_batches(

@@ -523,9 +523,6 @@ def cmd_serve(args) -> int:
         result_ttl_seconds=args.result_ttl,
         result_cache_bytes=args.result_cache_bytes,
         calibrate=args.calibrate,
-        tenant_cache_quotas=_parse_kv_flags(
-            args.tenant_cache_quota, float, "--tenant-cache-quota"
-        ),
     )
     service = SchedulerService(
         engine,
@@ -856,16 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cost models, which refit when standardized residuals drift; "
         "fitted coefficients persist in the artifact cache so a warm "
         "restart skips probe training entirely",
-    )
-    p_srv.add_argument(
-        "--tenant-cache-quota",
-        action="append",
-        default=None,
-        metavar="TENANT=FRACTION",
-        help="per-tenant result-cache byte quota as a fraction (0,1] "
-        "of --result-cache-bytes; a tenant over its cap evicts its own "
-        "LRU entries first. Repeatable; unlisted tenants share the "
-        "global budget",
     )
     p_srv.add_argument(
         "--json",

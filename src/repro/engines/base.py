@@ -46,7 +46,6 @@ from repro.errors import (
     OverloadError,
 )
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.graph.csr import Graph
 from repro.graph.mirrors import MirrorPlan, build_mirror_plan
 from repro.graph.partition import Partition, partition_graph
 from repro.messages.routing import (

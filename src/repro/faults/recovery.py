@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ConfigurationError
-from repro.perf.backoff import BackoffPolicy
 
 #: Hard cap on how many batches a re-split may produce per attempt.
 MAX_RESPLIT_BATCHES = 64
@@ -90,21 +89,12 @@ class OverloadRecovery:
     abort_overhead_seconds:
         fixed cost of detecting the overload and tearing the batch down
         (buffer teardown, result discard) charged to the aborted batch.
-    backoff:
-        optional :class:`~repro.perf.backoff.BackoffPolicy` — each
-        re-split attempt then waits an exponentially growing,
-        optionally jittered *simulated* delay before retrying (drawn
-        from the run's ``faults/retry-backoff`` stream, so it is
-        reproducible). The delay is recorded per attempt in the retry
-        history and totalled in ``extras["retry_backoff_seconds"]``;
-        it never contaminates the engine's own batch timings.
     """
 
     max_retries: int = 3
     split_factor: int = 2
     decay: float = 0.7
     abort_overhead_seconds: float = 1.0
-    backoff: Optional[BackoffPolicy] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:

@@ -4,7 +4,9 @@ Three coordinated layers added on top of the simulator:
 
 * :mod:`repro.perf.cache` — a content-addressed artifact cache
   (in-memory LRU + optional on-disk ``.npz`` store) shared by dataset
-  instantiation, partitioning, mirror planning, and whole engine runs.
+  instantiation, partitioning, mirror planning, and whole engine runs;
+  beside it the serving tier's result cache (TTL, one LRU bytes
+  budget, single-flight coalescing of in-flight duplicates).
 * :mod:`repro.perf.timings` — phase-timing spans (graph-gen /
   partition / kernel / cost-model) surfaced by ``vcrepro report`` and
   dumped as ``BENCH_perf.json``.
@@ -15,7 +17,6 @@ Three coordinated layers added on top of the simulator:
 """
 
 from repro.perf import timings
-from repro.perf.backoff import BackoffPolicy
 from repro.perf.cache import (
     ArtifactCache,
     ArraySerializer,
@@ -33,7 +34,6 @@ from repro.perf.kernel_pool import (
 __all__ = [
     "ArtifactCache",
     "ArraySerializer",
-    "BackoffPolicy",
     "clear_cache",
     "configure_cache",
     "configure_kernel_workers",

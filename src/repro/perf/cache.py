@@ -358,90 +358,32 @@ class ResultCache:
 
     Single-threaded by design (the scheduler loop drives it between
     batches); "concurrent" means queued on the same virtual clock.
-
-    ``tenant_bytes`` adds per-tenant byte quotas mirroring the admission
-    memory quotas: each stored payload is charged to the tenant whose
-    leader executed it, and a tenant over its cap evicts its *own*
-    least-recent entries first — one tenant's burst can no longer flush
-    every other tenant's working set. Per-tenant hit/evict counters are
-    kept whenever a tenant is supplied, for
-    :meth:`repro.sim.metrics.ServiceMetrics.tenant_summary`.
     """
 
     def __init__(
         self,
         ttl_seconds: Optional[float] = None,
         max_bytes: Optional[float] = None,
-        tenant_bytes: Optional[Dict[str, float]] = None,
     ) -> None:
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive")
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
-        if tenant_bytes is not None:
-            for tenant, cap in tenant_bytes.items():
-                if cap <= 0:
-                    raise ValueError(
-                        f"tenant byte quota for {tenant!r} must be positive"
-                    )
         self.ttl_seconds = ttl_seconds
         self.max_bytes = max_bytes
-        #: tenant → byte cap; tenants absent from the mapping are only
-        #: bounded by the global budget. ``None`` = no tenant quotas.
-        self.tenant_bytes = dict(tenant_bytes) if tenant_bytes else None
         self.stats = ResultCacheStats()
-        #: key → (payload bytes, store time, owning tenant); insertion
-        #: order is LRU.
-        self._entries: "OrderedDict[Tuple, Tuple[bytes, float, str]]" = (
+        #: key → (payload bytes, store time); insertion order is LRU.
+        self._entries: "OrderedDict[Tuple, Tuple[bytes, float]]" = (
             OrderedDict()
         )
         self._bytes = 0.0
-        #: tenant → bytes currently stored on that tenant's account.
-        self._tenant_used: Dict[str, float] = {}
-        #: tenant → {"hits": n, "evictions": n, "stores": n}.
-        self._tenant_stats: Dict[str, Dict[str, int]] = {}
         #: key → list of joiner tokens riding the in-flight leader.
         self._inflight: Dict[Tuple, list] = {}
 
-    def _count(self, tenant: Optional[str], counter: str) -> None:
-        if tenant is None:
-            return
-        record = self._tenant_stats.setdefault(
-            tenant, {"hits": 0, "evictions": 0, "stores": 0}
-        )
-        record[counter] += 1
-
-    def _remove(self, key: Tuple) -> Tuple[bytes, str]:
-        """Drop one stored entry, unwinding global and tenant bytes."""
-        payload, _, tenant = self._entries.pop(key)
+    def _remove(self, key: Tuple) -> None:
+        """Drop one stored entry and its bytes."""
+        payload, _ = self._entries.pop(key)
         self._bytes -= len(payload)
-        if tenant in self._tenant_used:
-            self._tenant_used[tenant] -= len(payload)
-            if self._tenant_used[tenant] <= 0:
-                del self._tenant_used[tenant]
-        return payload, tenant
-
-    def tenant_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-tenant cache counters and resident bytes (sorted)."""
-        tenants = sorted(
-            set(self._tenant_stats) | set(self._tenant_used)
-        )
-        summary: Dict[str, Dict[str, float]] = {}
-        for tenant in tenants:
-            stats = self._tenant_stats.get(
-                tenant, {"hits": 0, "evictions": 0, "stores": 0}
-            )
-            summary[tenant] = {
-                "cache_hits": stats["hits"],
-                "cache_evictions": stats["evictions"],
-                "cache_stores": stats["stores"],
-                "cache_bytes": self._tenant_used.get(tenant, 0.0),
-            }
-        return summary
-
-    def tenant_resident_bytes(self, tenant: str) -> float:
-        """Bytes currently stored on ``tenant``'s account."""
-        return self._tenant_used.get(tenant, 0.0)
 
     @property
     def total_bytes(self) -> float:
@@ -456,23 +398,20 @@ class ResultCache:
             return
         stale = [
             key
-            for key, (_, stored_at, _) in self._entries.items()
+            for key, (_, stored_at) in self._entries.items()
             if now - stored_at > self.ttl_seconds
         ]
         for key in stale:
             self._remove(key)
             self.stats.expirations += 1
 
-    def lookup(
-        self, key: Tuple, now: float, tenant: Optional[str] = None
-    ) -> Optional[bytes]:
+    def lookup(self, key: Tuple, now: float) -> Optional[bytes]:
         """The cached payload for ``key``, or ``None`` on a miss.
 
         Expired entries are dropped first, so an entry stored at ``t``
         is servable exactly while ``now - t <= ttl`` — the monotone
         expiry contract the property suite checks. Hits refresh LRU
-        recency. ``tenant`` (the requester, not necessarily the owner)
-        only feeds the per-tenant hit counters.
+        recency.
         """
         self._expire(now)
         entry = self._entries.get(key)
@@ -481,7 +420,6 @@ class ResultCache:
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        self._count(tenant, "hits")
         return entry[0]
 
     def leader(self, key: Tuple) -> bool:
@@ -505,18 +443,14 @@ class ResultCache:
         self._inflight[key].append(token)
         self.stats.coalesced += 1
 
-    def complete(
-        self, key: Tuple, payload: bytes, now: float, tenant: str = "default"
-    ) -> list:
+    def complete(self, key: Tuple, payload: bytes, now: float) -> list:
         """Finish the leader's execution: store the payload and return
         the joiner tokens to fan it out to.
 
         The payload enters the TTL/LRU store (unless it alone exceeds
         the bytes budget, in which case it is served to the joiners but
         not retained). Eviction is LRU until the budget holds — the
-        never-exceeds-budget invariant. The stored bytes are charged to
-        ``tenant``; a tenant with a byte quota evicts its own
-        least-recent entries first.
+        never-exceeds-budget invariant.
         """
         joiners = self._inflight.pop(key, [])
         payload = bytes(payload)
@@ -525,47 +459,14 @@ class ResultCache:
             self._remove(key)
         if self.max_bytes is not None and len(payload) > self.max_bytes:
             self.stats.evictions += 1
-            self._count(tenant, "evictions")
             return joiners
-        cap = (
-            self.tenant_bytes.get(tenant)
-            if self.tenant_bytes is not None
-            else None
-        )
-        if cap is not None:
-            if len(payload) > cap:
-                self.stats.evictions += 1
-                self._count(tenant, "evictions")
-                return joiners
-            while (
-                self._tenant_used.get(tenant, 0.0) + len(payload) > cap
-            ):
-                victim = next(
-                    (
-                        k
-                        for k, (_, _, owner) in self._entries.items()
-                        if owner == tenant
-                    ),
-                    None,
-                )
-                if victim is None:
-                    break
-                self._remove(victim)
-                self.stats.evictions += 1
-                self._count(tenant, "evictions")
-        self._entries[key] = (payload, float(now), tenant)
+        self._entries[key] = (payload, float(now))
         self._bytes += len(payload)
-        self._tenant_used[tenant] = self._tenant_used.get(
-            tenant, 0.0
-        ) + len(payload)
         self.stats.stores += 1
-        self._count(tenant, "stores")
         if self.max_bytes is not None:
             while self._bytes > self.max_bytes and self._entries:
-                victim = next(iter(self._entries))
-                _, owner = self._remove(victim)
+                self._remove(next(iter(self._entries)))
                 self.stats.evictions += 1
-                self._count(owner, "evictions")
         return joiners
 
     def abandon(self, key: Tuple) -> list:

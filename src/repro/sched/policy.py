@@ -51,7 +51,7 @@ DEFAULT_PREEMPT_MARGIN_SECONDS = 30.0
 DEFAULT_MAX_SUSPENDS_PER_BATCH = 8
 
 #: Floor for the Retry-After hint attached to shed requests.
-DEFAULT_RETRY_AFTER_FLOOR_SECONDS = 1.0
+RETRY_AFTER_FLOOR_SECONDS = 1.0
 
 #: Table 4's sync/async split as a routing table: async-capable kinds
 #: run on GraphLab's asynchronous mode, while the heavy batched walk
@@ -117,7 +117,6 @@ class ServicePolicy:
     shed_watermark: Optional[float] = None
     #: drop queued, unstarted requests whose deadline already passed.
     drop_expired: bool = False
-    retry_after_floor_seconds: float = DEFAULT_RETRY_AFTER_FLOOR_SECONDS
     #: per-kind engine routing (kind → engine name, e.g.
     #: :data:`TABLE4_ROUTES`). ``None`` (the default) runs every kind
     #: on the service's base engine — the legacy single-engine loop.
@@ -150,11 +149,6 @@ class ServicePolicy:
     #: in the artifact cache so a restart skips probe training. Off by
     #: default: the static one-shot fit stays byte-identical.
     calibrate: bool = False
-    #: per-tenant result-cache byte quotas as *fractions of
-    #: result_cache_bytes* (tenant → fraction in (0, 1]), mirroring
-    #: ``tenant_quotas`` on the admission budget. ``None`` disables
-    #: per-tenant cache accounting.
-    tenant_cache_quotas: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -169,11 +163,6 @@ class ServicePolicy:
             self,
             "tenant_priorities",
             _freeze_mapping(self.tenant_priorities, "tenant_priorities"),
-        )
-        object.__setattr__(
-            self,
-            "tenant_cache_quotas",
-            _freeze_mapping(self.tenant_cache_quotas, "tenant_cache_quotas"),
         )
         if self.priority_classes < 1:
             raise ConfigurationError("priority_classes must be >= 1")
@@ -217,10 +206,6 @@ class ServicePolicy:
             0.0 <= self.shed_watermark <= 1.0
         ):
             raise ConfigurationError("shed_watermark must be in [0, 1]")
-        if self.retry_after_floor_seconds < 0:
-            raise ConfigurationError(
-                "retry_after_floor_seconds must be non-negative"
-            )
         if self.routes is not None:
             for _, engine in self.routes:
                 if not isinstance(engine, str) or not engine:
@@ -250,22 +235,6 @@ class ServicePolicy:
             and self.result_cache_bytes <= 0
         ):
             raise ConfigurationError("result_cache_bytes must be positive")
-        if self.tenant_cache_quotas is not None:
-            if not self.result_cache:
-                raise ConfigurationError(
-                    "tenant_cache_quotas requires result_cache"
-                )
-            if self.result_cache_bytes is None:
-                raise ConfigurationError(
-                    "tenant_cache_quotas requires result_cache_bytes "
-                    "(quotas are fractions of the cache bytes budget)"
-                )
-            for tenant, fraction in self.tenant_cache_quotas:
-                if not 0 < float(fraction) <= 1:
-                    raise ConfigurationError(
-                        f"tenant cache quota for {tenant!r} must be a "
-                        f"fraction in (0, 1], got {fraction!r}"
-                    )
 
     @property
     def lowest_class(self) -> int:

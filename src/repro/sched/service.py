@@ -49,7 +49,7 @@ from repro.perf.cache import ResultCache, get_cache
 from repro.rng import SeedLike
 from repro.sched.admission import AdmissionController
 from repro.sched.arrivals import DEFAULT_KINDS, TaskRequest
-from repro.sched.policy import ServicePolicy
+from repro.sched.policy import RETRY_AFTER_FLOOR_SECONDS, ServicePolicy
 from repro.sched.queue import Pending, ReadyQueue
 from repro.sim.metrics import (
     JobMetrics,
@@ -265,19 +265,10 @@ class SchedulerService:
         #: content-keyed result cache with single-flight coalescing;
         #: ``None`` (cache off) leaves every code path byte-identical
         #: to the pre-cache service.
-        tenant_cache_bytes: Optional[Dict[str, float]] = None
-        if self.policy.tenant_cache_quotas is not None:
-            # Fractions of the cache bytes budget, mirroring the
-            # admission quotas' fractions of the memory budget.
-            tenant_cache_bytes = {
-                tenant: float(fraction) * self.policy.result_cache_bytes
-                for tenant, fraction in self.policy.tenant_cache_quotas
-            }
         self.result_cache: Optional[ResultCache] = (
             ResultCache(
                 ttl_seconds=self.policy.result_ttl_seconds,
                 max_bytes=self.policy.result_cache_bytes,
-                tenant_bytes=tenant_cache_bytes,
             )
             if self.policy.result_cache
             else None
@@ -435,7 +426,7 @@ class SchedulerService:
         self._leaders.pop(request.task_id, None)
         key = self._result_key(request)
         payload = self._result_payload(request)
-        joiners = cache.complete(key, payload, run.clock, tenant=request.tenant)
+        joiners = cache.complete(key, payload, run.clock)
         self.responses[request.task_id] = payload
         for joiner in joiners:
             self.responses[joiner.task_id] = payload
@@ -486,9 +477,7 @@ class SchedulerService:
             per_unit = self._completed_seconds / self._completed_units
         else:
             per_unit = 1.0
-        return max(
-            self.policy.retry_after_floor_seconds, backlog * per_unit
-        )
+        return max(RETRY_AFTER_FLOOR_SECONDS, backlog * per_unit)
 
     def _drop(
         self, run: _Run, request: TaskRequest, reason: str, now: float
@@ -543,7 +532,7 @@ class SchedulerService:
         cache = self.result_cache
         if cache is not None:
             key = self._result_key(request)
-            hit = cache.lookup(key, now, tenant=request.tenant)
+            hit = cache.lookup(key, now)
             if hit is not None:
                 # Served from memory: the exact payload bytes a cold
                 # execution produced, at zero simulated cost.
@@ -972,8 +961,6 @@ class SchedulerService:
             summary["cached_entries"] = len(self.result_cache)
             summary["cached_bytes"] = self.result_cache.total_bytes
             metrics.result_cache = summary
-            if self.policy.tenant_cache_quotas is not None:
-                metrics.tenant_cache = self.result_cache.tenant_summary()
         if self.policy.calibrate:
             metrics.calibration = self.calibration_summary()
         return metrics

@@ -711,11 +711,6 @@ class ServiceMetrics:
     #: off, and then absent from :meth:`to_dict` so cache-off digests
     #: keep the pre-cache shape.
     result_cache: Optional[Dict[str, Any]] = None
-    #: per-tenant result-cache counters (hits/evictions/stores/bytes),
-    #: set only when per-tenant cache quotas are configured; merged
-    #: into :meth:`tenant_summary` records. ``None`` keeps the legacy
-    #: tenant-record shape.
-    tenant_cache: Optional[Dict[str, Dict[str, Any]]] = None
     #: ask-tell calibration trajectory (training runs, refits, drift
     #: events, RMSE before/after, probe seconds saved); ``None`` when
     #: calibration was off, and then absent from :meth:`to_dict` so
@@ -800,11 +795,6 @@ class ServiceMetrics:
             record(str(drop.get("tenant", "default")))[
                 "dropped_requests"
             ] += 1
-        if self.tenant_cache is not None:
-            # Per-tenant cache quota counters ride along only when the
-            # quotas ran, keeping the legacy record shape otherwise.
-            for tenant in self.tenant_cache:
-                record(tenant)
         summary: Dict[str, Dict[str, Any]] = {}
         for tenant in sorted(tenants):
             rec = tenants[tenant]
@@ -812,19 +802,6 @@ class ServiceMetrics:
             rec["p50_seconds"] = percentile(values, 50)
             rec["p95_seconds"] = percentile(values, 95)
             rec["p99_seconds"] = percentile(values, 99)
-            if self.tenant_cache is not None:
-                cache_rec = self.tenant_cache.get(
-                    tenant,
-                    {
-                        "cache_hits": 0,
-                        "cache_evictions": 0,
-                        "cache_stores": 0,
-                        "cache_bytes": 0.0,
-                    },
-                )
-                rec["cache_evictions"] = cache_rec["cache_evictions"]
-                rec["cache_stores"] = cache_rec["cache_stores"]
-                rec["cache_bytes"] = cache_rec["cache_bytes"]
             summary[tenant] = rec
         return summary
 

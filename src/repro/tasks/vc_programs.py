@@ -10,7 +10,7 @@ vectorised kernels in the test-suite.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -449,7 +449,7 @@ class TestCalibrationInvariance:
         default = self._serve()
         clear_cache()
         degenerate = self._serve(
-            ServicePolicy(calibrate=False, tenant_cache_quotas=None)
+            ServicePolicy(calibrate=False, result_cache=False)
         )
         assert json.dumps(degenerate, sort_keys=True) == json.dumps(
             default, sort_keys=True

@@ -19,7 +19,7 @@ from repro.engines.registry import create_engine
 from repro.errors import ConfigurationError
 from repro.graph.datasets import load_dataset
 from repro.sched.arrivals import TaskRequest, generate_arrivals
-from repro.sched.policy import ServicePolicy
+from repro.sched.policy import RETRY_AFTER_FLOOR_SECONDS, ServicePolicy
 from repro.sched.service import SchedulerService
 from repro.sim.metrics import JobMetrics, pack_job
 
@@ -235,8 +235,7 @@ class TestShedding:
         # Deterministic victims: lowest class, youngest arrival first.
         assert [d["task_id"] for d in metrics.drop_log] == [2, 1]
         assert all(
-            d["retry_after_seconds"]
-            >= policy.retry_after_floor_seconds
+            d["retry_after_seconds"] >= RETRY_AFTER_FLOOR_SECONDS
             for d in metrics.drop_log
         )
         assert metrics.completed_tasks == 2

@@ -206,107 +206,3 @@ class TestBytesBudget:
             assert cache.total_bytes <= budget
             assert cache.total_bytes >= 0
             assert len(cache) <= budget  # every entry holds >= 1 byte
-
-class TestTenantQuotas:
-    """Per-tenant byte quotas mirror the admission memory quotas: a
-    tenant over its cap evicts its *own* least-recent entries first,
-    and never dips into another tenant's residency."""
-
-    def _cache(self, **tenant_bytes):
-        return ResultCache(max_bytes=100.0, tenant_bytes=tenant_bytes)
-
-    def _store(self, cache, key_id, payload, tenant, now=0.0):
-        key = ("k", key_id)
-        cache.leader(key)
-        cache.complete(key, payload, now, tenant=tenant)
-
-    def test_tenant_over_cap_evicts_its_own_lru(self):
-        cache = self._cache(acme=10.0)
-        self._store(cache, 0, b"aaaa", "acme")     # 4 bytes
-        self._store(cache, 1, b"bbbb", "acme")     # 8 bytes
-        self._store(cache, 2, b"gggggggg", "globex")
-        self._store(cache, 3, b"cccc", "acme")     # would be 12 > 10
-        # acme's oldest entry went; globex's survived untouched.
-        assert cache.lookup(("k", 0), 0.0) is None
-        assert cache.lookup(("k", 1), 0.0) == b"bbbb"
-        assert cache.lookup(("k", 3), 0.0) == b"cccc"
-        assert cache.lookup(("k", 2), 0.0) == b"gggggggg"
-        assert cache.tenant_resident_bytes("acme") == 8.0
-
-    def test_payload_over_tenant_cap_is_never_stored(self):
-        cache = self._cache(acme=4.0)
-        self._store(cache, 0, b"12345", "acme")
-        assert cache.lookup(("k", 0), 0.0) is None
-        assert cache.tenant_resident_bytes("acme") == 0.0
-        assert cache.tenant_summary()["acme"]["cache_evictions"] == 1
-
-    def test_unlisted_tenant_shares_global_budget_only(self):
-        cache = self._cache(acme=8.0)
-        self._store(cache, 0, b"x" * 60, "globex")
-        self._store(cache, 1, b"y" * 40, "globex")
-        assert cache.total_bytes == 100.0
-
-    def test_tenant_summary_counts_hits_and_evictions(self):
-        cache = self._cache(acme=8.0)
-        self._store(cache, 0, b"aaaa", "acme")
-        assert cache.lookup(("k", 0), 0.0, tenant="acme") == b"aaaa"
-        assert cache.lookup(("k", 0), 0.0, tenant="globex") == b"aaaa"
-        self._store(cache, 1, b"bbbbbbbb", "acme")  # evicts key 0
-        summary = cache.tenant_summary()
-        assert summary["acme"]["cache_hits"] == 1
-        assert summary["acme"]["cache_stores"] == 2
-        assert summary["acme"]["cache_evictions"] == 1
-        assert summary["acme"]["cache_bytes"] == 8.0
-        assert summary["globex"]["cache_hits"] == 1
-
-    def test_quota_invariant_under_arbitrary_interleavings(self):
-        @settings(max_examples=60, deadline=None)
-        @given(
-            caps=st.tuples(
-                st.integers(min_value=1, max_value=40),
-                st.integers(min_value=1, max_value=40),
-            ),
-            ops=st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=7),     # key id
-                    st.integers(min_value=1, max_value=30),    # size
-                    st.sampled_from(["acme", "globex", "dey"]),
-                ),
-                max_size=40,
-            ),
-        )
-        def check(caps, ops):
-            tenant_bytes = {"acme": float(caps[0]), "globex": float(caps[1])}
-            cache = ResultCache(
-                max_bytes=60.0, tenant_bytes=tenant_bytes
-            )
-            for key_id, size, tenant in ops:
-                key = ("k", key_id)
-                if cache.lookup(key, 0.0, tenant=tenant) is None:
-                    if cache.leader(key):
-                        cache.complete(key, b"x" * size, 0.0, tenant=tenant)
-                assert cache.total_bytes <= 60.0
-                for name, cap in tenant_bytes.items():
-                    assert cache.tenant_resident_bytes(name) <= cap
-
-        check()
-
-
-class TestTenantQuotaService:
-    def test_quotas_surface_in_tenant_summary(self, cluster, graph):
-        service = make_service(
-            cluster,
-            graph,
-            result_cache_bytes=1e9,
-            tenant_cache_quotas={"acme": 0.5, "globex": 0.5},
-        )
-        requests = [
-            TaskRequest(0, "bppr", 8.0, 0.0, tenant="acme"),
-            TaskRequest(1, "bppr", 8.0, 1.0e6, tenant="globex"),  # hit
-        ]
-        metrics = service.run(requests)
-        assert metrics.tenant_cache is not None
-        summary = metrics.tenant_summary()
-        assert summary["acme"]["cache_stores"] == 1
-        assert summary["globex"]["cache_hits"] == 1
-        assert summary["acme"]["cache_bytes"] > 0
