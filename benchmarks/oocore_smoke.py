@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -62,8 +63,6 @@ def _parse_bytes(text: str) -> int:
 
 
 def _cap_address_space(cap_bytes: int) -> None:
-    import resource
-
     resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
 
 
@@ -90,17 +89,15 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
     from repro.graph.mirrors import build_mirror_plan
     from repro.graph.partition import hash_partition
     from repro.messages.routing import PointToPointRouter
-    from repro.perf import memory, timings
+    from repro.perf import timings
     from repro.rng import make_rng
     from repro.tasks.base import make_task
 
     configure_streaming(max_ram_bytes=STREAM_BUDGET_BYTES)
-    memory.note_phase("start")
     graph = load_dataset("twitter", scale=scale)
     if graph.directory is None or streaming_block_arcs(graph) is None:
         print("mapped: load_dataset did not build on disk, or will not stream")
         return 1
-    memory.note_phase("build")
     router = PointToPointRouter(
         graph, build_mirror_plan(graph, hash_partition(graph, 4))
     )
@@ -118,8 +115,6 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
         for steps[kind] in range(1, 65):
             if kernel.step().done:
                 break
-    memory.note_phase("kernel")
-    stats = memory.memory_stats()
     phases = timings.snapshot()
     # The heavy rounds pull along the A^T build_csr_on_disk wrote beside
     # the CSR files: one graph-transpose pass, one kernel.pull a round.
@@ -133,8 +128,10 @@ def _child_mapped(scale: int, cap_bytes: int) -> int:
                 "transpose_build_s": phases["graph-transpose"]["seconds"],
                 "cap_bytes": cap_bytes,
                 "stream_budget_bytes": STREAM_BUDGET_BYTES,
-                "peak_rss_bytes": stats["peak_rss_bytes"],
-                "phase_high_water_bytes": stats["phase_high_water_bytes"],
+                # ru_maxrss is in KiB on Linux.
+                "peak_rss_bytes": resource.getrusage(
+                    resource.RUSAGE_SELF
+                ).ru_maxrss * 1024,
             },
             sort_keys=True,
         )

@@ -95,20 +95,19 @@ ENTRY_POINTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
                    "--seed", "42", "--faults", "0.2", "--checkpoint-every",
                    "4", "--json")),
     ("experiment faults", (*_CLI, "experiment", "faults", "--quick")),
-    ("serve", (*_SERVE, "--bench-output", "{work}/b.json")),
-    ("serve preempt", (*_SERVE, *_PREEMPT, "--bench-output", "{work}/b.json")),
+    ("serve", _SERVE),
+    ("serve preempt", (*_SERVE, *_PREEMPT, "--json")),
     *(
         (f"serve preempt kernel-workers {workers}",
          (*_SERVE, "--scale", "100", *_PREEMPT, "--kernel-workers", workers,
-          "--bench-output", "{work}/b.json"))
+          "--json"))
         for workers in ("0", "2")
     ),
-    ("serve multi-tenant", (*_SERVE, *_TENANTS, "--bench-output",
-                            "{work}/b.json")),
+    ("serve multi-tenant", (*_SERVE, *_TENANTS, "--json")),
     *(
         (f"serve calibrated {leg}",
          (*_SERVE, "--calibrate", "--cache-dir", "{shared}/calibrated",
-          "--bench-output", "{work}/b.json"))
+          "--json"))
         for leg in ("cold", "warm")
     ),
     *(

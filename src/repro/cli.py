@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 from typing import List, Optional
 
 from repro.batching.executor import MultiProcessingJob
@@ -302,37 +301,7 @@ def cmd_experiment(args) -> int:
         print(result.to_text())
         print(f"[{time.time() - start:.1f}s]\n")
         failures += sum(1 for holds in result.claims.values() if not holds)
-        if result.extras.get("resilience"):
-            _merge_bench_section("resilience", result.extras["resilience"])
-            print("recorded resilience section in BENCH_perf.json\n")
-        if result.extras.get("tenants"):
-            _merge_bench_section("tenants", result.extras["tenants"])
-            print("recorded tenants section in BENCH_perf.json\n")
-        if result.extras.get("calibration"):
-            _merge_bench_section(
-                "calibration", result.extras["calibration"]
-            )
-            print("recorded calibration section in BENCH_perf.json\n")
     return 1 if failures else 0
-
-
-def _merge_bench_section(section: str, payload) -> None:
-    """Merge one top-level section into ``BENCH_perf.json`` in-place,
-    preserving whatever other sections (timings, sched) already exist."""
-    import json
-
-    bench_path = Path("BENCH_perf.json")
-    existing = {}
-    if bench_path.exists():
-        try:
-            with open(bench_path, encoding="utf-8") as fh:
-                existing = json.load(fh)
-        except (OSError, ValueError):
-            existing = {}
-    existing[section] = payload
-    with open(bench_path, "w", encoding="utf-8") as fh:
-        json.dump(existing, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_tune(args) -> int:
@@ -359,33 +328,34 @@ def cmd_tune(args) -> int:
 def cmd_report(args) -> int:
     """``vcrepro report``: write EXPERIMENTS.md from a full run.
 
-    Also prints the phase-timing table accumulated during the run and
-    dumps it (plus cache hit/miss counters and total wall-clock) as
-    ``BENCH_perf.json`` next to the report, so successive runs leave a
-    performance trajectory to regress against.
+    Also prints the phase-timing table accumulated during the run, the
+    process's peak RSS and the artifact-cache counters.
     """
+    import resource
+
     from repro.experiments.report import write_experiments_markdown
+    from repro.perf.kernel_pool import kernel_pool_stats
 
     _apply_runtime_knobs(args)
     config = ExperimentConfig(
         scale=args.scale, seed=args.seed, quick=args.quick
     )
-    from repro.perf import memory
-
     timings.reset()
-    memory.reset_memory_state()
     start = time.time()
     path = write_experiments_markdown(args.output, config)
     wall = time.time() - start
-    print(f"wrote {path}")
+    print(f"wrote {path} (wall {wall:.1f}s)")
     print()
     print(timings.render_table(subphases=args.phases))
-    mem_info = memory.memory_stats()
-    peak = mem_info["peak_rss_bytes"]
-    if peak:
-        print(f"memory: peak RSS {peak / 1e6:.1f} MB")
-    from repro.perf.kernel_pool import kernel_pool_stats
-
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform != "darwin":
+        peak *= 1024  # ru_maxrss is KiB on Linux, bytes on macOS
+    print(f"memory: peak RSS {peak / 1e6:.1f} MB")
+    cache = get_cache().stats
+    print(
+        f"artifact cache: {cache.hits} hits, {cache.disk_hits} disk hits, "
+        f"{cache.misses} misses, {cache.corruptions} corruptions"
+    )
     pool_info = kernel_pool_stats()
     if pool_info["sharded_dispatches"]:
         print(
@@ -394,19 +364,6 @@ def cmd_report(args) -> int:
             f"({pool_info['shards_executed']} shards, "
             f"{pool_info['serial_fallbacks']} serial fallbacks)"
         )
-    bench_path = str(Path(args.output).parent / "BENCH_perf.json")
-    timings.write_json(
-        bench_path,
-        extra={
-            "wall_seconds": wall,
-            "scale": config.scale,
-            "quick": config.quick,
-            "cache": get_cache().stats.to_dict(),
-            "memory": mem_info,
-            "kernel_pool": pool_info,
-        },
-    )
-    print(f"wrote {bench_path} (wall {wall:.1f}s)")
     return 0
 
 
@@ -451,10 +408,9 @@ def cmd_serve(args) -> int:
 
     Generates the seeded Poisson stream, builds a
     :class:`~repro.sched.service.SchedulerService` (training the
-    per-kind memory models first), runs the queue until it drains,
-    prints the latency/throughput table, and records the full metrics
-    under ``"sched"`` in ``BENCH_perf.json`` (merging with an existing
-    file so ``report`` benchmarks and serve runs share one trajectory).
+    per-kind memory models first), runs the queue until it drains and
+    prints the latency/throughput table, or with ``--json`` the full
+    metrics on stdout.
     """
     import json
 
@@ -547,30 +503,6 @@ def cmd_serve(args) -> int:
     else:
         print(metrics.summary())
         print(metrics.latency_table())
-    bench_path = Path(args.bench_output)
-    payload = {}
-    if bench_path.exists():
-        try:
-            with open(bench_path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            payload = {}
-    payload["sched"] = metrics.to_dict()
-    payload["resilience"] = metrics.resilience_summary()
-    if tenants is not None:
-        payload["tenants"] = metrics.tenant_summary()
-    if metrics.calibration is not None:
-        payload["calibration"] = metrics.calibration
-    with open(bench_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if not args.json:
-        sections = "sched + resilience"
-        if tenants is not None:
-            sections += " + tenants"
-        if metrics.calibration is not None:
-            sections += " + calibration"
-        print(f"wrote {bench_path} ({sections} sections)")
     return 0
 
 
@@ -641,23 +573,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="throughput experiment only: add the FIFO-versus-preemptive "
         "serving comparison (small urgent requests behind a large batch "
-        "job) and record its resilience counters in BENCH_perf.json",
+        "job)",
     )
     p_exp.add_argument(
         "--multi-tenant",
         action="store_true",
         help="throughput experiment only: add the single-versus-multi-"
         "tenant serving comparison (tenant quotas, Table-4 engine "
-        "routing, content-keyed result cache with request coalescing) "
-        "and record its tenants section in BENCH_perf.json",
+        "routing, content-keyed result cache with request coalescing)",
     )
     p_exp.add_argument(
         "--calibrate",
         action="store_true",
         help="throughput experiment only: add the static-versus-"
         "calibrated serving comparison (online ask-tell cost-model "
-        "refits on a deadline-bearing stream) and record its "
-        "calibration section in BENCH_perf.json",
+        "refits on a deadline-bearing stream)",
     )
     p_exp.set_defaults(fn=cmd_experiment)
 
@@ -677,8 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--phases",
         action="store_true",
         help="break the timing table down into kernel sub-phases "
-        "(expand/dedup/reduce/frontier); BENCH_perf.json always "
-        "contains the full breakdown",
+        "(expand/dedup/reduce/frontier)",
     )
     p_rep.set_defaults(fn=cmd_report)
 
@@ -859,11 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the full service metrics (with per-task latencies) "
         "as JSON",
-    )
-    p_srv.add_argument(
-        "--bench-output",
-        default="BENCH_perf.json",
-        help="perf-trajectory file to record the sched section in",
     )
     p_srv.set_defaults(fn=cmd_serve)
 

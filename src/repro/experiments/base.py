@@ -69,9 +69,6 @@ class ExperimentResult:
     paper_summary: str = ""
     notes: str = ""
     claims: Dict[str, bool] = field(default_factory=dict)
-    #: side-channel payloads (e.g. the throughput experiment's
-    #: resilience counters) that callers persist outside the table.
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     def add_row(self, **values: Any) -> None:
         """Append one table row (column -> value)."""

@@ -8,7 +8,6 @@ from typing import Optional
 
 from repro.experiments.base import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.perf import memory
 
 HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -44,9 +43,6 @@ def write_experiments_markdown(
     for eid in EXPERIMENTS:
         start = time.time()
         result = run_experiment(eid, config)
-        # One unthrottled RSS sample per experiment: the per-experiment
-        # high-water marks land in BENCH_perf.json's "memory" section.
-        memory.note_phase(f"experiment.{eid}")
         elapsed = time.time() - start
         total_claims += len(result.claims)
         total_held += result.claims_held

@@ -224,10 +224,10 @@ def write_csr_meta(
         "num_arcs": int(num_arcs),
     }
     meta["fingerprint"] = fingerprint or fingerprint_csr_dir(directory, meta)
-    _write_json(_meta_path(directory), meta)
+    _replace_json(_meta_path(directory), meta)
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _replace_json(path: str, payload: dict) -> None:
     """Write a sidecar or marker whole: renamed into place from a file
     of this process's own, so two writers never share a tmp file."""
     tmp = f"{path}.tmp-{os.getpid()}"
@@ -342,8 +342,8 @@ def quarantine_csr_dir(directory: PathLike) -> str:
     (:meth:`repro.perf.cache.ArtifactCache._load`): the bad bytes are
     preserved for post-mortem instead of being overwritten in place, a
     fresh build can recreate the directory under its original name,
-    and the event is counted in the cache stats (``corruptions``) so
-    it surfaces in ``BENCH_perf.json``. An earlier quarantine of the
+    and the event is counted in the cache stats (``corruptions``) that
+    ``vcrepro report`` prints. An earlier quarantine of the
     same directory is replaced — only the latest evidence is kept.
     Returns the quarantine path.
     """
@@ -516,7 +516,7 @@ def write_transposition(graph: Graph, directory: PathLike):
     del output
     for source, path in zip(tmp, paths):
         os.replace(source, path)
-    _write_json(marker, _transpose_marker(graph))
+    _replace_json(marker, _transpose_marker(graph))
     timings.add("graph-transpose", perf_counter() - tick)
     # Not through the marker: a concurrent writer may have unlinked it.
     return _map_transposition(graph, directory)

@@ -8,8 +8,8 @@ Three coordinated layers added on top of the simulator:
   beside it the serving tier's result cache (TTL, one LRU bytes
   budget, single-flight coalescing of in-flight duplicates).
 * :mod:`repro.perf.timings` — phase-timing spans (graph-gen /
-  partition / kernel / cost-model) surfaced by ``vcrepro report`` and
-  dumped as ``BENCH_perf.json``.
+  partition / kernel / cost-model) printed by ``vcrepro report`` and
+  read per layer by the layered benchmark.
 * :mod:`repro.perf.kernel_pool` — the persistent thread pool for
   *intra-task* kernel sharding (``--kernel-workers``): row-sharded
   expand/reduce rounds with a deterministic winner-key merge,

@@ -86,16 +86,6 @@ class CacheStats:
     #: quarantined (renamed to ``*.corrupt``) then rebuilt.
     corruptions: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        """Plain-dict form for reports and ``BENCH_perf.json``."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "evictions": self.evictions,
-            "corruptions": self.corruptions,
-        }
-
 
 @dataclass(frozen=True)
 class ArraySerializer:
@@ -327,7 +317,7 @@ class ResultCacheStats:
     evictions: int = 0
 
     def to_dict(self) -> Dict[str, int]:
-        """Plain-dict form for reports and ``BENCH_perf.json``."""
+        """Plain-dict form for ``ServiceMetrics.result_cache``."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -58,7 +58,7 @@ _CONFIG: Dict[str, int] = {
     "min_shard_candidates": DEFAULT_MIN_SHARD_CANDIDATES,
 }
 
-#: Dispatch counters for ``BENCH_perf.json`` (lock-protected; written
+#: Dispatch counters for ``vcrepro report`` (lock-protected; written
 #: once per sharded round, not per shard).
 _STATS: Dict[str, int] = {
     "sharded_dispatches": 0,
@@ -240,7 +240,7 @@ def _shutdown_pool() -> None:
 
 
 def kernel_pool_stats() -> Dict[str, object]:
-    """Counters for ``vcrepro report`` / ``BENCH_perf.json``."""
+    """Counters for ``vcrepro report`` and the layered benchmark."""
     with _STATS_LOCK:
         stats: Dict[str, object] = dict(_STATS)
     stats["workers"] = _CONFIG["workers"]

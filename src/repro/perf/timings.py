@@ -4,8 +4,7 @@ The library accumulates wall-clock spans per *phase* — ``graph-gen``,
 ``partition``, ``mirror-plan``, ``kernel``, ``cost-model``, plus one
 span per experiment — into a process-global table with near-zero
 overhead (one ``perf_counter`` pair per span). ``vcrepro report``
-surfaces the table and dumps it as ``BENCH_perf.json`` so successive
-PRs accumulate a performance trajectory to regress against.
+prints the table, and the layered benchmark reads it per layer.
 
 Hot paths use the raw :func:`add` accumulator instead of the
 :func:`span` context manager; the engine's round loop sums its two
@@ -14,13 +13,10 @@ phases in locals and books them once per batch (``count`` = rounds).
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
-
-from repro.perf import memory
 
 __all__ = [
     "PhaseTotal",
@@ -29,7 +25,6 @@ __all__ = [
     "snapshot",
     "reset",
     "render_table",
-    "write_json",
 ]
 
 
@@ -41,7 +36,7 @@ class PhaseTotal:
     count: int = 0
 
     def to_dict(self) -> Dict[str, float]:
-        """Plain-dict form for snapshots and ``BENCH_perf.json``."""
+        """Plain-dict form for :func:`snapshot`."""
         return {"seconds": self.seconds, "count": self.count}
 
 
@@ -56,10 +51,6 @@ def add(name: str, seconds: float, count: int = 1) -> None:
         total = _TIMINGS[name] = PhaseTotal()
     total.seconds += seconds
     total.count += count
-    # Piggyback the per-phase RSS high-water sampling on the timing
-    # ticks: the throttle inside note_phase keeps this off the hot
-    # path (one /proc read per SAMPLE_EVERY calls per phase).
-    memory.note_phase(name, sampled=True)
 
 
 @contextmanager
@@ -108,12 +99,3 @@ def render_table(
         )
     return "\n".join(lines)
 
-
-def write_json(path: str, extra: Optional[dict] = None) -> str:
-    """Write the phase table (plus ``extra`` metadata) as JSON to ``path``."""
-    payload = dict(extra or {})
-    payload["phases"] = snapshot()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

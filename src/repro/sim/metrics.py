@@ -762,7 +762,7 @@ class ServiceMetrics:
 
     def tenant_summary(self) -> Dict[str, Dict[str, Any]]:
         """Per-tenant latency percentiles and counters (the
-        ``"tenants"`` section of ``BENCH_perf.json``), keyed by tenant
+        ``"tenants"`` section of :meth:`to_dict`), keyed by tenant
         name in sorted order."""
         tenants: Dict[str, Dict[str, Any]] = {}
 
@@ -807,7 +807,7 @@ class ServiceMetrics:
 
     def resilience_summary(self) -> Dict[str, Any]:
         """Preemption/shedding/deadline counters (the ``"resilience"``
-        section of ``BENCH_perf.json``)."""
+        section of :meth:`to_dict`)."""
         return {
             "preemptions": self.preemptions,
             "resumes": self.resumes,

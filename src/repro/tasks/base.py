@@ -82,8 +82,6 @@ def alloc_state_matrix(
         if fill is None or fill == 0:
             return np.zeros(shape, dtype=dtype)
         return np.full(shape, fill, dtype=dtype)
-    from repro.perf.memory import record_state_spill
-
     scratch_dir = tempfile.mkdtemp(prefix="repro-state-")
     arr = np.lib.format.open_memmap(
         f"{scratch_dir}/state.npy", mode="w+", dtype=dtype, shape=shape
@@ -92,7 +90,6 @@ def alloc_state_matrix(
         arr[...] = fill
     # open_memmap zero-fills new pages, so fill == 0 needs no pass.
     weakref.finalize(arr, shutil.rmtree, scratch_dir, ignore_errors=True)
-    record_state_spill(nbytes)
     return arr
 
 

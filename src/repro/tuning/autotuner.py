@@ -13,7 +13,6 @@ from typing import List, Optional
 from repro.cluster.cluster import ClusterSpec
 from repro.engines.base import SimulatedEngine
 from repro.engines.registry import create_engine
-from repro.faults.recovery import OverloadRecovery
 from repro.rng import SeedLike
 from repro.sim.metrics import JobMetrics
 from repro.tuning.calibrate import Calibrator
@@ -40,26 +39,14 @@ class TuningReport:
             return float("inf")
         return self.full_parallelism.seconds / self.optimized.seconds
 
-    @property
-    def retry_history(self) -> List[dict]:
-        """Overload-recovery attempts the optimized run needed (the
-        closed loop: a mispredicted schedule is aborted and re-split
-        rather than reported at the cutoff)."""
-        return self.optimized.retry_history
-
     def summary(self) -> str:
         """One-line Optimized-vs-Full-Parallelism comparison."""
         sched = ", ".join(f"{w:.0f}" for w in self.schedule)
-        retries = (
-            f", {len(self.retry_history)} overload retries"
-            if self.retry_history
-            else ""
-        )
         return (
             f"W={self.workload:g}: Optimized [{sched}] -> "
             f"{self.optimized.time_label()} vs Full-Parallelism "
             f"{self.full_parallelism.time_label()} "
-            f"(speedup {self.speedup:.2f}x{retries})"
+            f"(speedup {self.speedup:.2f}x)"
         )
 
 
@@ -72,7 +59,6 @@ class AutoTuner:
     task_factory: TaskFactory
     overload_fraction: float = DEFAULT_OVERLOAD_FRACTION
     seed: SeedLike = None
-    recovery: Optional[OverloadRecovery] = None
     _model: Optional[MemoryCostModel] = field(default=None, repr=False)
     _training_seconds: float = field(default=0.0, repr=False)
 
@@ -84,14 +70,12 @@ class AutoTuner:
         task_factory: TaskFactory,
         overload_fraction: float = DEFAULT_OVERLOAD_FRACTION,
         seed: SeedLike = None,
-        recovery: Optional[OverloadRecovery] = None,
     ) -> "AutoTuner":
         return cls(
             engine=create_engine(engine_name, cluster),
             task_factory=task_factory,
             overload_fraction=overload_fraction,
             seed=seed,
-            recovery=recovery,
         )
 
     def train(self, reference_workload: float) -> MemoryCostModel:
@@ -123,28 +107,10 @@ class AutoTuner:
     def run(self, workload: float) -> TuningReport:
         """Plan and execute ``workload``; also run the Full-Parallelism
         baseline for the Figure-12 comparison.
-
-        With a ``recovery`` policy set, the optimized schedule runs
-        through :meth:`MultiProcessingJob.run_with_recovery`: if the
-        planner's memory model underestimated and a batch still
-        overloads, the batch is aborted and the remainder re-split
-        instead of stamping the run at the cutoff. The attempts land in
-        ``TuningReport.retry_history``.
         """
         schedule = self.plan(workload)
-        if self.recovery is not None:
-            from repro.batching.executor import MultiProcessingJob
-
-            optimized = MultiProcessingJob(self.engine).run_with_recovery(
-                self.task_factory,
-                workload,
-                batch_sizes=schedule,
-                seed=self.seed,
-                recovery=self.recovery,
-            )
-        else:
-            task = self.task_factory(workload)
-            optimized = self.engine.run_job(task, schedule, seed=self.seed)
+        task = self.task_factory(workload)
+        optimized = self.engine.run_job(task, schedule, seed=self.seed)
         baseline_task = self.task_factory(workload)
         baseline = self.engine.run_job(
             baseline_task, [float(workload)], seed=self.seed

@@ -78,8 +78,8 @@ RELATIVE_SCALE_FLOOR = 0.05
 
 @dataclass
 class CalibrationStats:
-    """Counters for one calibrator's trajectory, surfaced under the
-    ``"calibration"`` section of ``BENCH_perf.json``."""
+    """Counters for one calibrator's trajectory, surfaced under
+    ``"calibration"`` in ``ServiceMetrics.to_dict``."""
 
     #: probe executions this calibrator ran (0 on a warm restart).
     training_runs: int = 0
@@ -97,7 +97,7 @@ class CalibrationStats:
     rmse_after: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for reports and ``BENCH_perf.json``."""
+        """Plain-dict form for ``ServiceMetrics.calibration``."""
         return {
             "training_runs": self.training_runs,
             "probe_seconds_saved": self.probe_seconds_saved,

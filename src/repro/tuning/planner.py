@@ -186,9 +186,27 @@ def plan_batches(
                     "memory budget below the model's constant terms; "
                     "no feasible first batch"
                 )
-            # Residual memory of the processed workload leaves no
-            # headroom for the rest: the *total* workload is infeasible
-            # under Equation 1 no matter how it is batched.
+            # From ``d`` processed units a batch reaches at most
+            # ``d + A(d)``. A reach past ``done`` means Equation 5's
+            # largest batch, not the workload, ran out of headroom.
+            if integral:
+                probe = IncrementalPlanner(model, machine, overload_fraction)
+                reach = []
+                for d in range(int(planner.done) + 1):
+                    probe.done = float(d)
+                    reach.append(d + probe.admissible_workload())
+                best = max(range(len(reach)), key=reach.__getitem__)
+                if reach[best] > planner.done:
+                    raise TuningError(
+                        "Equation 5's largest-batch rule stranded the plan "
+                        f"after {planner.done:g} units with {remaining:g} "
+                        f"remaining: a batch from d = {best} processed "
+                        f"units reaches {reach[best]:g}; a schedule of "
+                        "smaller batches may cover the workload"
+                    )
+            # No batch from any ``d <= done`` reaches past ``done``, so
+            # the *total* workload is infeasible under Equation 1 no
+            # matter how it is batched.
             raise TuningError(
                 f"workload infeasible: after {planner.done:g} units the "
                 f"projected residual memory leaves no headroom for the "

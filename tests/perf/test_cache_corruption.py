@@ -134,12 +134,6 @@ class TestCorruptionRecovery:
             os.path.basename(_artifact_path(str(tmp_path)))
         ]
 
-    def test_stats_round_trip_corruptions(self):
-        cache = ArtifactCache()
-        cache.stats.corruptions = 3
-        snapshot = cache.stats.to_dict()
-        assert snapshot["corruptions"] == 3
-
 
 def packed(job) -> bytes:
     return pack_job(job)["payload"].tobytes()

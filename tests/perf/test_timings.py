@@ -1,6 +1,4 @@
-"""Phase-timing accumulator: add/span/render/dump."""
-
-import json
+"""Phase-timing accumulator: add/span/render."""
 
 from repro.perf import timings
 
@@ -32,11 +30,3 @@ class TestTimings:
         table = timings.render_table()
         assert "graph-gen" in table
         assert "1.500" in table
-
-    def test_write_json(self, tmp_path):
-        timings.add("partition", 0.125)
-        path = tmp_path / "BENCH_perf.json"
-        timings.write_json(str(path), extra={"wall_seconds": 9.0})
-        payload = json.loads(path.read_text())
-        assert payload["wall_seconds"] == 9.0
-        assert payload["phases"]["partition"]["seconds"] == 0.125

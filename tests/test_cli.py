@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -233,7 +235,7 @@ class TestFaultFlags:
 
 
 class TestServe:
-    def serve(self, bench_path, *extra):
+    def serve(self, *extra):
         return main(
             [
                 "serve",
@@ -245,52 +247,47 @@ class TestServe:
                 "42",
                 "--kinds",
                 "bppr",
-                "--bench-output",
-                str(bench_path),
                 *extra,
             ]
         )
 
-    def test_serve_smoke(self, tmp_path, capsys):
+    def serve_json(self, capsys):
         import json
 
-        bench = tmp_path / "BENCH_perf.json"
-        code = self.serve(bench)
+        assert self.serve("--json") == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_serve_smoke(self, capsys):
+        code = self.serve()
         assert code == 0
         out = capsys.readouterr().out
         assert "p50" in out and "p99" in out
-        payload = json.loads(bench.read_text())
-        sched = payload["sched"]
-        assert sched["completed_tasks"] > 0
-        assert sched["latency"]["p99_seconds"] >= sched["latency"][
+        assert "completed tasks" in out
+
+    def test_serve_json_and_bench_merge(self, tmp_path, monkeypatch, capsys):
+        """``--json`` prints the full metrics on stdout; a trajectory
+        file already in the working directory is left as it was."""
+        monkeypatch.chdir(tmp_path)
+        bench = tmp_path / "BENCH_perf.json"
+        bench.write_text('{"existing": {"keep": 1}}')
+        payload = self.serve_json(capsys)
+        assert payload["completed_tasks"] > 0
+        assert payload["latency"]["p99_seconds"] >= payload["latency"][
             "p50_seconds"
         ] > 0
-
-    def test_serve_json_and_bench_merge(self, tmp_path, capsys):
-        import json
-
-        bench = tmp_path / "BENCH_perf.json"
-        bench.write_text(json.dumps({"existing": {"keep": 1}}))
-        code = self.serve(bench, "--json")
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["completed_tasks"] > 0
         assert payload["tasks"]  # per-task latencies in --json mode
-        merged = json.loads(bench.read_text())
-        assert merged["existing"] == {"keep": 1}
-        assert "sched" in merged
+        assert bench.read_text() == '{"existing": {"keep": 1}}'
 
-    def test_serve_is_deterministic(self, tmp_path, capsys):
-        import json
+    def test_serve_is_deterministic(self, capsys):
+        assert self.serve_json(capsys) == self.serve_json(capsys)
 
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        assert self.serve(first) == 0
-        assert self.serve(second) == 0
-        capsys.readouterr()
-        assert json.loads(first.read_text()) == json.loads(
-            second.read_text()
-        )
+    def test_serve_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        """A run reports on stdout: it leaves its working directory
+        as empty as it found it."""
+        monkeypatch.chdir(tmp_path)
+        assert self.serve() == 0
+        assert "p99" in capsys.readouterr().out
+        assert os.listdir(tmp_path) == []
 
     def test_serve_inherits_shared_flags(self):
         args = build_parser().parse_args(

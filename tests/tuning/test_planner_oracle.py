@@ -127,3 +127,35 @@ def test_greedy_loses_where_reach_falls():
     assert not reach_is_monotone(model, machine, 50)
     assert fewest_batches(model, machine, 50) == 2
     assert greedy_batches(model, machine, 50) == 2
+
+
+def test_stranded_greedy_names_the_largest_reach():
+    """Where a smaller batch would have passed the ``done`` greedy
+    strands at, the error says the largest-batch rule stranded the
+    plan, not that the workload is infeasible: from ``d = 3`` a batch of
+    48 reaches 51 > 49."""
+    model = MemoryCostModel(
+        peak=PowerLawModel(a=9.0, b=1.0, c=0.0),
+        residual=PowerLawModel(a=1.0, b=2.0, c=7.0),
+    )
+    with pytest.raises(TuningError) as info:
+        plan_batches(model, 50, _machine(448.0))
+    message = str(info.value)
+    assert "largest-batch rule stranded the plan after 49 units" in message
+    assert "d = 3 processed units reaches 51" in message
+    assert "infeasible" not in message
+
+
+def test_truly_infeasible_workload_keeps_its_message():
+    """With ``Mr(W) = 1000·W² + 7`` any processed unit leaves no
+    headroom, so no schedule passes the first batch of 49: the reach
+    ``d + A(d)`` is at most 49 for every ``d <= 49``."""
+    model = MemoryCostModel(
+        peak=PowerLawModel(a=9.0, b=1.0, c=0.0),
+        residual=PowerLawModel(a=1000.0, b=2.0, c=7.0),
+    )
+    machine = _machine(448.0)
+    assert fewest_batches(model, machine, 50) is None
+    with pytest.raises(TuningError, match="workload infeasible: after 49 "
+                       "units"):
+        plan_batches(model, 50, machine)
