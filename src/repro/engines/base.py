@@ -956,8 +956,9 @@ class SimulatedEngine:
         of (engine profile, cluster, graph content, task settings,
         seed), so every caller deriving the same content key gets
         byte-identical bytes. The job is packed once, and the bytes are
-        what the artifact store keeps: the same ``run-*.npz`` file
-        :meth:`run_job` writes and reads for that one-batch split, so a
+        what the artifact store keeps, under a ``response`` key of their
+        own beside :meth:`run_job`'s ``run`` archives (which hold runs in
+        another format, :func:`~repro.sim.metrics.archive_job`), so a
         cold result cache over a warm store answers with the file's
         bytes, never rebuilding the job. The memory LRU is left to the
         caller's memo of the bytes.
@@ -970,8 +971,9 @@ class SimulatedEngine:
 
         if not _cacheable(seed):
             return render()
+        key = self._run_key(task, sizes, seed, None, None, 0.0)
         return get_cache().get_or_build(
-            self._run_key(task, sizes, seed, None, None, 0.0),
+            ("response",) + key[1:],
             render,
             serializer=PAYLOAD_SERIALIZER,
             use_memory=False,

@@ -18,7 +18,7 @@ import json
 import marshal
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -525,7 +525,7 @@ def _encode_with(obj, fields: Tuple[str, ...], name: str, text: str) -> str:
 
 
 def pack_job(job: JobMetrics) -> Dict[str, np.ndarray]:
-    """Pack a job into a byte array for the on-disk artifact cache.
+    """Render a job as the serving tier's response payload.
 
     The payload is the ``json.dumps(dataclasses.asdict(job))`` rendering,
     each round as its ``_asdict()``, byte for byte
@@ -539,7 +539,8 @@ def pack_job(job: JobMetrics) -> Dict[str, np.ndarray]:
     The bytes are a contract, not merely the values: the payload's
     length is the response size the serving tier's result cache budgets
     (:class:`repro.perf.cache.ResultCache`), so a format change would
-    move evictions, hit ratios and every simulated serve metric.
+    move evictions, hit ratios and every simulated serve metric. The
+    artifact store keeps runs in its own format (:func:`archive_job`).
     """
     twins: Dict[bytes, Tuple[str, str]] = {}
     batches = ", ".join(
@@ -552,24 +553,104 @@ def pack_job(job: JobMetrics) -> Dict[str, np.ndarray]:
     return {"payload": np.frombuffer(text.encode("utf-8"), dtype=np.uint8)}
 
 
-def unpack_job(arrays: Dict[str, np.ndarray]) -> JobMetrics:
-    """Rebuild a job packed by :func:`pack_job`.
+#: A run archive's payload is this tag, the header's length (8 bytes,
+#: little-endian), the header, then the round block. The header is the
+#: JSON of the job's and its batches' fields, each batch's ``rounds``
+#: its round count. The block holds every round of every batch as
+#: columns in field order: ``round_index`` int64, the float fields
+#: float64, ``network_saturated`` one byte.
+_ARCHIVE_TAG = b"vcrepro-run-archive-1\n"
+_ROUND_TYPES = tuple(
+    get_type_hints(RoundMetrics)[name] for name in RoundMetrics._fields
+)
+_FLOATS = len(_ROUND_TYPES) - 2
+assert _ROUND_TYPES == (int,) + (float,) * _FLOATS + (bool,)
+_ROUND_BYTES = 8 + 8 * _FLOATS + 1
 
-    JSON renders floats with ``repr`` (shortest round-trip form), so
-    the rebuilt metrics are bit-identical to the originals.
+
+def archive_job(job: JobMetrics) -> Dict[str, np.ndarray]:
+    """Pack a job into the artifact store's run archive.
+
+    Every round field is stored bit for bit, so
+    ``pack_job(unpack_job(archive_job(job))) == pack_job(job)``. That
+    holds only for a round whose every field is exactly its declared
+    type: a ``0`` where a float belongs renders ``0`` in JSON, not
+    ``0.0``. Such a round is refused with ``TypeError``, not coerced.
     """
-    payload = json.loads(bytes(arrays["payload"]).decode("utf-8"))
-    batches = []
-    for batch_payload in payload.pop("batches"):
-        rounds = [
-            RoundMetrics(**r) for r in batch_payload.pop("rounds")
-        ]
-        batches.append(BatchMetrics(rounds=rounds, **batch_payload))
-    return JobMetrics(batches=batches, **payload)
+    rounds = [r for b in job.batches for r in b.rounds]
+    columns = list(zip(*rounds)) or [()] * len(_ROUND_TYPES)
+    for name, column, kind in zip(RoundMetrics._fields, columns, _ROUND_TYPES):
+        strays = set(map(type, column)) - {kind}
+        if strays:
+            raise TypeError(
+                f"round field {name} must be {kind.__name__}, got "
+                + ", ".join(sorted(t.__name__ for t in strays))
+            )
+    head = {f: getattr(job, f) for f in _JOB_FIELDS}
+    head["batches"] = [
+        {**{f: getattr(b, f) for f in _BATCH_FIELDS}, "rounds": len(b.rounds)}
+        for b in job.batches
+    ]
+    header = _ENCODE(head).encode("utf-8")
+    payload = b"".join((
+        _ARCHIVE_TAG,
+        len(header).to_bytes(8, "little"),
+        header,
+        np.array(columns[0], dtype="<i8").tobytes(),
+        np.array(columns[1:-1], dtype="<f8").tobytes(),
+        np.array(columns[-1], dtype=np.uint8).tobytes(),
+    ))
+    return {"payload": np.frombuffer(payload, dtype=np.uint8)}
+
+
+def unpack_job(arrays: Dict[str, np.ndarray]) -> JobMetrics:
+    """Rebuild a job packed by :func:`archive_job`.
+
+    Any other payload raises ``ValueError``, which the artifact store
+    quarantines and rebuilds (:meth:`repro.perf.cache.ArtifactCache._load`).
+    """
+    data = bytes(arrays["payload"])
+    if not data.startswith(_ARCHIVE_TAG):
+        raise ValueError("not a run archive")
+    at = len(_ARCHIVE_TAG) + 8
+    end = at + int.from_bytes(data[at - 8:at], "little")
+    head = json.loads(data[at:end])
+    try:
+        batches = head.pop("batches")
+        counts = [b["rounds"] for b in batches]
+        if any(type(c) is not int or c < 0 for c in counts):
+            raise TypeError("a round count is not a count")
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ValueError(f"malformed run archive header: {error}") from None
+    n = sum(counts)
+    if len(data) - end != n * _ROUND_BYTES:
+        raise ValueError(
+            f"run archive holds {len(data) - end} round bytes, its header "
+            f"counts {n} rounds of {_ROUND_BYTES}"
+        )
+    flags = np.frombuffer(data, np.uint8, n, end + (_ROUND_BYTES - 1) * n)
+    if n and flags.max() > 1:
+        raise ValueError("run archive flag byte is neither 0 nor 1")
+    rounds = list(map(RoundMetrics._make, zip(
+        np.frombuffer(data, "<i8", n, end).tolist(),
+        *np.frombuffer(data, "<f8", _FLOATS * n, end + 8 * n)
+        .reshape(_FLOATS, n).tolist(),
+        flags.astype(bool).tolist(),
+    )))
+    start = 0
+    try:
+        for batch, count in zip(batches, counts):
+            batch["rounds"] = rounds[start:start + count]
+            start += count
+        return JobMetrics(
+            batches=[BatchMetrics(**b) for b in batches], **head
+        )
+    except TypeError as error:
+        raise ValueError(f"malformed run archive header: {error}") from None
 
 
 #: Serializer persisting whole engine runs in the shared artifact cache.
-JOB_SERIALIZER = ArraySerializer(pack=pack_job, unpack=unpack_job)
+JOB_SERIALIZER = ArraySerializer(pack=archive_job, unpack=unpack_job)
 
 
 def _pack_payload(payload: bytes) -> Dict[str, np.ndarray]:
@@ -580,9 +661,9 @@ def _unpack_payload(arrays: Dict[str, np.ndarray]) -> bytes:
     return bytes(arrays["payload"])
 
 
-#: The same archive as :data:`JOB_SERIALIZER`, holding a job already
-#: packed: the payload bytes go to disk and come back as they are, with
-#: no job rebuilt (:meth:`repro.engines.base.SimulatedEngine.run_canonical`).
+#: Serializer persisting a response already rendered by :func:`pack_job`:
+#: the bytes go to disk and come back as they are, with no job rebuilt
+#: (:meth:`repro.engines.base.SimulatedEngine.run_canonical`).
 PAYLOAD_SERIALIZER = ArraySerializer(pack=_pack_payload, unpack=_unpack_payload)
 
 

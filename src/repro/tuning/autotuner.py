@@ -30,7 +30,6 @@ class TuningReport:
     optimized: JobMetrics
     full_parallelism: JobMetrics
     model: MemoryCostModel
-    training_seconds: float
 
     @property
     def speedup(self) -> float:
@@ -60,7 +59,6 @@ class AutoTuner:
     overload_fraction: float = DEFAULT_OVERLOAD_FRACTION
     seed: SeedLike = None
     _model: Optional[MemoryCostModel] = field(default=None, repr=False)
-    _training_seconds: float = field(default=0.0, repr=False)
 
     @classmethod
     def for_engine(
@@ -122,5 +120,4 @@ class AutoTuner:
             optimized=optimized,
             full_parallelism=baseline,
             model=model,
-            training_seconds=self._training_seconds,
         )

@@ -9,7 +9,7 @@ from repro.cluster.cluster import docker32
 from repro.engines.registry import create_engine
 from repro.graph.datasets import load_dataset
 from repro.perf.cache import ArtifactCache, clear_cache, get_cache
-from repro.sim.metrics import clone_job, pack_job, unpack_job
+from repro.sim.metrics import JOB_SERIALIZER, clone_job, pack_job, unpack_job
 from repro.tasks.mssp import mssp_task
 
 #: Small stand-in scale: web-st shrinks to ~70 vertices.
@@ -127,7 +127,7 @@ class TestRunCache:
     def test_pack_unpack_round_trip(self, setting):
         graph, engine = setting
         job = engine.run_job(mssp_task(graph, 8.0), [4.0, 4.0], seed=11)
-        rebuilt = unpack_job(pack_job(job))
+        rebuilt = unpack_job(JOB_SERIALIZER.pack(job))
         assert dataclasses.asdict(rebuilt) == dataclasses.asdict(job)
 
     def test_run_persists_to_disk(self, setting, tmp_path):

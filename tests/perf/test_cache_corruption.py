@@ -7,6 +7,7 @@ directory is checked against the content fingerprint in its sidecar.
 """
 
 import glob
+import json
 import os
 import zipfile
 
@@ -224,7 +225,8 @@ class TestStoredArchives:
         with open(path, "r+b") as fh:
             # A member's bytes follow its local header: 30 fixed bytes,
             # the last four its name and extra-field lengths, then the
-            # name and extra field. The middle of them is JSON text.
+            # name and extra field. The middle of them is the round
+            # block.
             fh.seek(member.header_offset + 26)
             name_len, extra_len = np.frombuffer(fh.read(4), dtype="<u2")
             middle = (
@@ -241,6 +243,50 @@ class TestStoredArchives:
         assert packed(rebuilt) == packed(job)
         warm, stats = run()  # the rebuilt archive was stored again
         assert (stats.misses, stats.disk_hits) == (0, 1)
+
+    @staticmethod
+    def rewrite(path, payload: bytes) -> None:
+        """Store ``payload`` as the archive's payload, checksummed the
+        way the store does it: only the run decoder can refuse it."""
+        arrays = {"payload": np.frombuffer(payload, np.uint8)}
+        arrays[CHECKSUM_KEY] = cache_module._checksum_array(arrays)
+        with open(path, "wb") as fh:
+            ArtifactCache._write_npz(fh, arrays)
+
+    @pytest.mark.parametrize("damage", ["json", "truncated", "miscounted"])
+    def test_a_payload_that_is_no_run_archive_is_quarantined(
+        self, run, tmp_path, damage
+    ):
+        """An archive from an earlier version (the JSON response
+        rendering), a round block cut short, and a header whose round
+        counts disagree with the block: each is quarantined and
+        rebuilt."""
+        job, _ = run()
+        path = self.archive(str(tmp_path))
+        with np.load(path) as data:
+            payload = data["payload"].tobytes()
+        if damage == "json":
+            payload = packed(job)
+        elif damage == "truncated":
+            payload = payload[:-100]
+        else:
+            tag = payload[: payload.index(b"\n") + 1]
+            at = len(tag) + 8
+            end = at + int.from_bytes(payload[len(tag):at], "little")
+            header = json.loads(payload[at:end])
+            header["batches"][0]["rounds"] += 1
+            text = json.dumps(header).encode()
+            payload = (
+                tag + len(text).to_bytes(8, "little") + text + payload[end:]
+            )
+        self.rewrite(path, payload)
+        rebuilt, stats = run()
+        assert (stats.misses, stats.disk_hits, stats.corruptions) == (1, 0, 1)
+        assert os.path.exists(path + ".corrupt")
+        assert packed(rebuilt) == packed(job)
+        warm, stats = run()
+        assert (stats.misses, stats.disk_hits, stats.corruptions) == (0, 1, 0)
+        assert packed(warm) == packed(job)
 
 
 class TestGraphDirectoryRecovery:

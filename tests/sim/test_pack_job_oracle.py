@@ -41,6 +41,7 @@ from repro.sched.policy import ServicePolicy
 from repro.sched.service import SchedulerService
 from repro.sim import metrics as metrics_module
 from repro.sim.metrics import (
+    JOB_SERIALIZER,
     BatchMetrics,
     JobMetrics,
     RoundMetrics,
@@ -68,10 +69,7 @@ def packed(job: JobMetrics) -> bytes:
 
 
 def assert_contract(job: JobMetrics) -> None:
-    data = packed(job)
-    assert data == oracle(job)
-    # NaN never equals itself, so the round trip is compared as bytes.
-    assert packed(unpack_job({"payload": np.frombuffer(data, np.uint8)})) == data
+    assert packed(job) == oracle(job)
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +230,7 @@ def test_only_declared_fields_are_rendered():
     marked.batches[0].debug_note = "scratch"
     assert packed(marked) == packed(clean)
     assert_contract(clean)
-    rebuilt = unpack_job(pack_job(marked))
+    rebuilt = unpack_job(JOB_SERIALIZER.pack(marked))
     assert not hasattr(rebuilt.batches[0], "debug_note")
 
 
@@ -442,13 +440,14 @@ class TestPackedOnceThroughTheStore:
         responses, _ = self.serve(graph, cluster, rendering)
         assert len(set(responses.values())) == len(self.UNITS)
         assert len(packs) == len(self.UNITS)
-        # What was answered is what was stored (beside the probe runs
-        # the service trains its models on).
+        # What was answered is what was stored, in response archives of
+        # its own beside the run archives of the probe runs the service
+        # trains its models on.
         stored = set()
-        for path in tmp_path.glob("run-*.npz"):
+        for path in tmp_path.glob("response-*.npz"):
             with np.load(path) as archive:
                 stored.add(archive["payload"].tobytes())
-        assert set(responses.values()) <= stored
+        assert set(responses.values()) == stored
 
     def test_warm_store_answers_without_rebuilding_jobs(
         self, graph, cluster, monkeypatch, tmp_path
@@ -493,18 +492,28 @@ class TestPackedOnceThroughTheStore:
     def test_the_stored_bytes_are_the_run_job_archive(
         self, graph, cluster, tmp_path
     ):
-        """``run_canonical`` writes and reads the very file ``run_job``
-        does for the one-batch split: the one store serves both."""
+        """``run_canonical`` keeps its bytes in a ``response`` archive of
+        their own: ``pack_job`` of ``run_job``'s one-batch run, which a
+        ``run`` archive holds in the store's own format. A warm store
+        answers from the response archive."""
         configure_cache(directory=str(tmp_path))
-        engine = create_engine("pregel+", cluster)
         task = make_task("bppr", graph, 8.0)
-        payload = engine.run_canonical(task, seed=SEED)
-        assert len(list(tmp_path.glob("run-*.npz"))) == 1
-        clear_cache()
-        hits = get_cache().stats.disk_hits
+        payload = create_engine("pregel+", cluster).run_canonical(
+            task, seed=SEED
+        )
+        [response] = tmp_path.glob("response-*.npz")
+        assert not list(tmp_path.glob("run-*.npz"))
+        with np.load(response) as archive:
+            assert archive["payload"].tobytes() == payload
         job = create_engine("pregel+", cluster).run_job(
             task, [8.0], seed=SEED
         )
-        assert get_cache().stats.disk_hits == hits + 1
         assert packed(job) == payload
         assert len(list(tmp_path.glob("run-*.npz"))) == 1
+        clear_cache()
+        hits = get_cache().stats.disk_hits
+        again = create_engine("pregel+", cluster).run_canonical(
+            task, seed=SEED
+        )
+        assert get_cache().stats.disk_hits == hits + 1
+        assert again == payload
