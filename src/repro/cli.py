@@ -799,10 +799,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (``vcrepro report … | head -1``):
+        # point stdout at the null device so the interpreter's exit
+        # flush cannot raise again, and exit as SIGPIPE would (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

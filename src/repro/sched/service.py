@@ -223,17 +223,13 @@ class SchedulerService:
         if self.policy.calibrate:
             models: Dict[str, MemoryCostModel] = {}
             for kind in self.kinds:
-                # Warm restarts load the persisted coefficients and
-                # probe samples from the artifact cache — zero probe
-                # training runs, identical refit trajectory.
-                calibrator = Calibrator.load_or_train(
+                # Over a warm cache directory every probe is a hit on
+                # its run archive: no probe round is simulated again.
+                calibrator = Calibrator.train(
                     self.engines[kind],
                     self._task_factory(kind),
                     self.reference_workload,
-                    kind=kind,
-                    graph_fingerprint=graph.fingerprint,
                     seed=seed,
-                    cache=get_cache(),
                 )
                 self.calibrators[kind] = calibrator
                 self._model_versions[kind] = calibrator.version
@@ -977,21 +973,16 @@ class SchedulerService:
             "envelope_bumps",
         )
         summary: Dict[str, object] = {name: 0 for name in counters}
-        summary["probe_seconds_saved"] = 0.0
         kinds: Dict[str, Dict[str, object]] = {}
         before: List[float] = []
         after: List[float] = []
-        warm = bool(self.calibrators)
         for kind in sorted(self.calibrators):
             stats = self.calibrators[kind].stats
             kinds[kind] = stats.to_dict()
             for name in counters:
                 summary[name] += getattr(stats, name)
-            summary["probe_seconds_saved"] += stats.probe_seconds_saved
             before.append(stats.rmse_before)
             after.append(stats.rmse_after)
-            warm = warm and stats.warm_start
-        summary["warm_start"] = warm
         summary["rmse_before"] = (
             sum(before) / len(before) if before else 0.0
         )

@@ -792,13 +792,11 @@ class ServiceMetrics:
     #: off, and then absent from :meth:`to_dict` so cache-off digests
     #: keep the pre-cache shape.
     result_cache: Optional[Dict[str, Any]] = None
-    #: ask-tell calibration trajectory (training runs, refits, drift
-    #: events, RMSE before/after, probe seconds saved); ``None`` when
-    #: calibration was off, and then absent from :meth:`to_dict` so
-    #: calibration-off digests keep the pre-calibration shape.
+    #: ask-tell calibration trajectory (training runs, tells, refits,
+    #: drift events, RMSE before/after); ``None`` when calibration was
+    #: off, and then absent from :meth:`to_dict` so calibration-off
+    #: digests keep the pre-calibration shape.
     calibration: Optional[Dict[str, Any]] = None
-    #: tasks still queued when the stream ended (drained before stop).
-    extras: Dict[str, float] = field(default_factory=dict)
 
     @property
     def completed_tasks(self) -> int:
@@ -925,7 +923,6 @@ class ServiceMetrics:
             "latency": self.latency_percentiles(),
             "resilience": self.resilience_summary(),
             "batches": [dict(b) for b in self.batch_log],
-            "extras": dict(self.extras),
         }
         if self.result_cache is not None:
             # Only present when the result cache ran, so cache-off

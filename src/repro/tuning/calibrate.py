@@ -18,16 +18,17 @@ flow around an *ask-tell* loop:
 
 Startup probe training is just the calibrator's first tells
 (:meth:`Calibrator.train` collects the probe ladder and seeds the
-sample set the refits extend), and the fitted coefficients persist in
-the artifact cache keyed on ``(engine, kind, graph fingerprint)`` so a
-service restart skips probe training entirely
-(:meth:`Calibrator.load_or_train`).
+sample set the refits extend). The calibrator persists nothing of its
+own: every probe is an engine run, which the artifact cache already
+keeps as a ``run-*.npz`` archive, so a service restart over a warm
+cache directory reads the probes back, simulates no probe round, and
+refits.
 
 Determinism contract: tells are order-insensitive within a refit window
-(the refit sorts its sample set), the cold initial fit is bit-identical
-to :func:`repro.tuning.trainer.train_memory_models`, and a warm restart
-resumes from the persisted coefficients *and* probe samples so it
-replays the cold run's refit trajectory exactly.
+(the refit sorts its sample set), and the initial fit is bit-identical
+to :func:`repro.tuning.trainer.train_memory_models`, so a warm restart
+refits on the cold run's probe samples and replays its refit trajectory
+exactly.
 """
 
 from __future__ import annotations
@@ -52,14 +53,9 @@ from repro.tuning.trainer import (
 __all__ = [
     "CalibrationStats",
     "Calibrator",
-    "calibration_cache_key",
-    "CALIBRATION_VERSION",
     "DRIFT_WINDOW",
     "DRIFT_Z_THRESHOLD",
 ]
-
-#: Bump to invalidate persisted calibration artifacts on format change.
-CALIBRATION_VERSION = 1
 
 #: Number of consecutive tells whose standardized residuals are averaged
 #: before the drift detector may fire.
@@ -81,12 +77,9 @@ class CalibrationStats:
     """Counters for one calibrator's trajectory, surfaced under
     ``"calibration"`` in ``ServiceMetrics.to_dict``."""
 
-    #: probe executions this calibrator ran (0 on a warm restart).
+    #: probe runs the ladder asked for, simulated or read back from the
+    #: artifact cache.
     training_runs: int = 0
-    #: probe seconds a warm restart skipped by loading coefficients.
-    probe_seconds_saved: float = 0.0
-    #: whether the calibrator was restored from the artifact cache.
-    warm_start: bool = False
     tells: int = 0
     refits: int = 0
     drift_events: int = 0
@@ -100,8 +93,6 @@ class CalibrationStats:
         """Plain-dict form for ``ServiceMetrics.calibration``."""
         return {
             "training_runs": self.training_runs,
-            "probe_seconds_saved": self.probe_seconds_saved,
-            "warm_start": self.warm_start,
             "tells": self.tells,
             "refits": self.refits,
             "drift_events": self.drift_events,
@@ -109,26 +100,6 @@ class CalibrationStats:
             "rmse_before": self.rmse_before,
             "rmse_after": self.rmse_after,
         }
-
-
-def calibration_cache_key(
-    engine_name: str,
-    kind: str,
-    fingerprint: str,
-    reference_workload: float,
-    seed: SeedLike,
-) -> Tuple:
-    """Artifact-cache key for persisted coefficients: one calibration per
-    (engine, task kind, graph content, probe ladder, training seed)."""
-    return (
-        "calibration",
-        CALIBRATION_VERSION,
-        engine_name,
-        kind,
-        fingerprint,
-        float(reference_workload),
-        repr(seed),
-    )
 
 
 def _envelope_exact(
@@ -153,57 +124,12 @@ def _envelope_exact(
     return PowerLawModel(a=a, b=model.b, c=model.c, rmse=model.rmse)
 
 
-def _checked_archive(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Refuse a persisted calibration no training run could have written.
-
-    The artifact cache calls this on every disk load; the
-    :class:`ValueError` it raises makes the cache quarantine the archive
-    as ``*.corrupt`` and retrain, so a damaged or hostile archive is
-    never planned with. Models must lie in
-    :func:`~repro.tuning.lma.fit_power_law`'s own box (``a >= 0``,
-    ``0 <= b <= 4``, finite ``c``, finite ``rmse >= 0``); samples must
-    be finite, with a positive workload, non-negative memory and
-    seconds, and a 0/1 overload flag.
-    """
-    for name in ("peak", "residual"):
-        a, b, c, rmse = np.asarray(arrays[name], dtype=np.float64).ravel()
-        if not (
-            np.isfinite([a, b, c, rmse]).all()
-            and a >= 0.0
-            and 0.0 <= b <= 4.0
-            and rmse >= 0.0
-        ):
-            raise ValueError(
-                f"persisted {name} model {(a, b, c, rmse)} is outside the "
-                "fit's box"
-            )
-    samples = np.asarray(arrays["samples"], dtype=np.float64).reshape(-1, 5)
-    workload, peak, residual, seconds, overloaded = samples.T
-    if not (
-        np.isfinite(samples).all()
-        and (workload > 0.0).all()
-        and (peak >= 0.0).all()
-        and (residual >= 0.0).all()
-        and (seconds >= 0.0).all()
-        and np.isin(overloaded, (0.0, 1.0)).all()
-    ):
-        raise ValueError("persisted calibration samples are out of range")
-    (before,) = np.asarray(arrays["rmse_before"], dtype=np.float64).ravel()
-    if not (np.isfinite(before) and before >= 0.0):
-        raise ValueError(f"persisted rmse_before {before} is out of range")
-    return dict(arrays)
-
-
 class Calibrator:
     """Ask-tell calibration loop for one (engine, task kind).
 
-    Construction paths:
-
-    - :meth:`train` — cold start: run the probe ladder (the calibrator's
-      first tells) and fit; bit-identical to
-      :func:`~repro.tuning.trainer.train_memory_models`.
-    - :meth:`load_or_train` — warm start: restore coefficients and probe
-      samples from the artifact cache, skipping probe execution.
+    Built by :meth:`train`: run the probe ladder (the calibrator's first
+    tells) and fit; bit-identical to
+    :func:`~repro.tuning.trainer.train_memory_models`.
     """
 
     def __init__(
@@ -214,7 +140,6 @@ class Calibrator:
         seed: SeedLike = None,
         window: int = DRIFT_WINDOW,
         threshold: float = DRIFT_Z_THRESHOLD,
-        stats: Optional[CalibrationStats] = None,
     ) -> None:
         self._model = model
         self._samples: List[TrainingSample] = list(samples)
@@ -228,10 +153,9 @@ class Calibrator:
         self.seed = seed
         self.window = int(window)
         self.threshold = float(threshold)
-        self.stats = stats or CalibrationStats()
-        if stats is None:
-            self.stats.rmse_before = model.peak.rmse
-            self.stats.rmse_after = model.peak.rmse
+        self.stats = CalibrationStats(
+            rmse_before=model.peak.rmse, rmse_after=model.peak.rmse
+        )
         #: drift is measured against the model of the last refit, not the
         #: envelope-bumped live model — a regime shift keeps producing
         #: large z-scores even after the first bump covers it.
@@ -262,142 +186,18 @@ class Calibrator:
         *,
         seed: SeedLike = None,
     ) -> "Calibrator":
-        """Cold start: run the probe ladder and fit.
+        """Run the probe ladder and fit.
 
         The probe runs are exactly the trainer's, so the resulting
         memory model is bit-identical to
-        :func:`~repro.tuning.trainer.train_memory_models`.
+        :func:`~repro.tuning.trainer.train_memory_models`; over a warm
+        artifact cache every probe is read back from its run archive.
         """
         ladder = probe_workloads(total_workload)
         samples = collect_training_samples(
             engine, task_factory, ladder, seed=seed
         )
         return cls.from_samples(samples, seed=seed)
-
-    @classmethod
-    def load_or_train(
-        cls,
-        engine: SimulatedEngine,
-        task_factory: TaskFactory,
-        total_workload: float,
-        *,
-        kind: str,
-        graph_fingerprint: str,
-        seed: SeedLike = None,
-        cache=None,
-    ) -> "Calibrator":
-        """Restore persisted coefficients, or train and persist them.
-
-        With a cache, the cold path trains once and stores the fitted
-        coefficients *and* probe samples; a later service restart (same
-        engine, kind, graph content, seed) restores both — zero probe
-        runs, and refits replay on the identical sample set so the warm
-        run reproduces the cold run's scheduling trajectory.
-        """
-        if cache is None:
-            return cls.train(
-                engine, task_factory, total_workload, seed=seed
-            )
-        from repro.perf.cache import ArraySerializer
-
-        key = calibration_cache_key(
-            engine.name, kind, graph_fingerprint, total_workload, seed
-        )
-        built: Dict[str, Any] = {}
-
-        def build() -> Dict[str, np.ndarray]:
-            cal = cls.train(
-                engine, task_factory, total_workload, seed=seed
-            )
-            built["calibrator"] = cal
-            return cal.pack()
-
-        serializer = ArraySerializer(
-            pack=lambda arrays: arrays, unpack=_checked_archive
-        )
-        arrays = cache.get_or_build(key, build, serializer=serializer)
-        if "calibrator" in built:
-            return built["calibrator"]
-        return cls.unpack(arrays, seed=seed)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def pack(self) -> Dict[str, np.ndarray]:
-        """Arrays for the artifact cache (8 coefficients + samples).
-
-        Older archives also carry a ``"seconds"`` coefficient row;
-        :meth:`unpack` ignores it, so they still load warm.
-        """
-        def coeffs(model: PowerLawModel) -> np.ndarray:
-            return np.array(
-                [model.a, model.b, model.c, model.rmse], dtype=np.float64
-            )
-
-        samples = np.array(
-            [
-                (
-                    s.workload,
-                    s.peak_memory_bytes,
-                    s.residual_memory_bytes,
-                    s.seconds,
-                    1.0 if s.overloaded else 0.0,
-                )
-                for s in self._samples
-            ],
-            dtype=np.float64,
-        ).reshape(len(self._samples), 5)
-        return {
-            "peak": coeffs(self._model.peak),
-            "residual": coeffs(self._model.residual),
-            "samples": samples,
-            "rmse_before": np.float64(self.stats.rmse_before),
-        }
-
-    @classmethod
-    def unpack(
-        cls, arrays: Dict[str, np.ndarray], *, seed: SeedLike = None
-    ) -> "Calibrator":
-        """Rebuild a warm calibrator from :meth:`pack` arrays."""
-        def model_from(name: str) -> Optional[PowerLawModel]:
-            values = np.asarray(arrays[name], dtype=np.float64).ravel()
-            if np.isnan(values).any():
-                return None
-            return PowerLawModel(
-                a=float(values[0]),
-                b=float(values[1]),
-                c=float(values[2]),
-                rmse=float(values[3]),
-            )
-
-        peak = model_from("peak")
-        residual = model_from("residual")
-        if peak is None or residual is None:
-            raise TuningError("persisted calibration is missing models")
-        raw = np.asarray(arrays["samples"], dtype=np.float64)
-        samples = [
-            TrainingSample(
-                workload=float(row[0]),
-                peak_memory_bytes=float(row[1]),
-                residual_memory_bytes=float(row[2]),
-                seconds=float(row[3]),
-                overloaded=bool(row[4]),
-            )
-            for row in raw.reshape(-1, 5)
-        ]
-        stats = CalibrationStats(
-            training_runs=0,
-            probe_seconds_saved=float(sum(s.seconds for s in samples)),
-            warm_start=True,
-            rmse_before=float(np.asarray(arrays["rmse_before"]).ravel()[0]),
-            rmse_after=peak.rmse,
-        )
-        return cls(
-            MemoryCostModel(peak=peak, residual=residual),
-            samples,
-            seed=seed,
-            stats=stats,
-        )
 
     # ------------------------------------------------------------------
     # Ask / tell

@@ -6,11 +6,13 @@ streams prove that for the common path; the scenarios here reach the
 rest — ``max_queue`` eviction with partially executed and suspended
 requests queued, expiry sweeps, watermark shedding, deadline-margin
 and round-count preemption, tenant-quota skipping — each on a small
-seeded stream. Every digest in ``SCENARIOS`` was recorded on the last
-commit whose service loop still ranked a flat list (PR 11, ``3fdc17d``)
-and is the blake2b of ``ServiceMetrics.to_dict(include_latencies=True)``;
-the plain counters beside it say which path a scenario exists to reach,
-so a drifted digest can be told from a scenario that stopped biting.
+seeded stream. Every digest in ``SCENARIOS`` is the blake2b of
+``ServiceMetrics.to_dict(include_latencies=True)`` as recorded on
+``3fdc17d``, the last commit whose service loop still ranked a flat
+list, less the always-empty ``"extras"`` key the dict has dropped
+since (``REPAIRS``' digests likewise); the plain counters beside it say which path a scenario exists
+to reach, so a drifted digest can be told from a scenario that stopped
+biting.
 ``REPAIRS``, at the end, holds the streams that loop got wrong.
 """
 
@@ -87,21 +89,21 @@ SCENARIOS = {
         ),
         dict(seed=131, count=160, units=UNITS, span=5000.0,
              duplicate_ids=True),
-        "e3b042c3af406ea80b988c38d7b00a2c",
+        "21b4c7985bf564e41f3bf46dbb726ef7",
         ("drops_queue_full", "preemptions", "resumes", "flushes"),
     ),
     "drop_expired": (
         dict(priority_classes=3, aging_seconds=300.0, drop_expired=True),
         dict(seed=102, count=200, units=UNITS, span=9000.0,
              deadlines={0: 150.0, 1: 600.0, 2: 2000.0}),
-        "fcaee831b52b94ab6e9a73580394a22f",
+        "f268c7dc0e918880bf0f7bfb15e98f57",
         ("drops_expired", "deadline_misses", "completed_tasks"),
     ),
     "shed_watermark": (
         dict(priority_classes=3, aging_seconds=300.0, shed_watermark=0.05,
              max_queue=64),
         dict(seed=103, count=200, units=UNITS, span=9000.0),
-        "70f4693d7477c0edf7af0d992d099773",
+        "e6f2d194df0b9cb170e4037a90e67a23",
         ("drops_watermark", "flushes"),
     ),
     "preempt_deadline_margin": (
@@ -114,7 +116,7 @@ SCENARIOS = {
         ),
         dict(seed=104, count=180, units=UNITS, span=12000.0,
              deadlines={0: 120.0, 1: 900.0}),
-        "f8eefc2fe468d070f02348d0223c893b",
+        "640182a8e441e3fa3f77df8a8c5977e6",
         ("preemptions", "resumes", "deadline_misses"),
     ),
     "preempt_after_rounds": (
@@ -126,7 +128,7 @@ SCENARIOS = {
             max_suspends_per_batch=2,
         ),
         dict(seed=105, count=180, units=UNITS, span=12000.0),
-        "246fad7806a1b3532e1b19abfc9797da",
+        "de71214dcadd0b3a498f133b3cf68b82",
         ("preemptions", "resumes"),
     ),
     # Batch formation must skip the quota-blocked tenant's requests
@@ -141,7 +143,7 @@ SCENARIOS = {
             tenant_priorities={"batch": 2},
         ),
         dict(seed=106, count=200, units=UNITS, span=6000.0),
-        "4090809b3cad67eaf08ba4be3add6b5d",
+        "58aee4ed4b95c7d36184419b6010c2dc",
         ("flushes",),
     ),
 }
@@ -216,7 +218,7 @@ REPAIRS = {
         "pregel+",
         TIGHT_QUEUE,
         dict(seed=203, count=120, units=UNITS, span=3000.0),
-        "51392e065df113f5aaa08fba97bf487c",
+        "78dd1553e3b10a4d8ab1893012890c5e",
         ("drops_queue_full", "preemptions"),
     ),
     # A batch formed at the full admissible size, suspended, and
@@ -227,7 +229,7 @@ REPAIRS = {
         "pregel+",
         TIGHT_QUEUE,
         dict(seed=235, count=120, units=UNITS, span=3000.0),
-        "7378361ea38e603376b9d8c7ffe1ec19",
+        "b80840641cd0f91e7360171865c85f96",
         ("resumes", "flushes"),
     ),
     # On a whole-graph engine a flush costs simulated seconds, which
@@ -238,7 +240,7 @@ REPAIRS = {
         "pregel+(wholegraph)",
         dict(priority_classes=3, aging_seconds=60.0),
         dict(seed=304, count=150, units=UNITS, span=2000.0),
-        "fc9f98e08fb6fd1f4eed2c83405db771",
+        "b5e8ca96ab4dbd58869c7f314b961420",
         ("flushes", "flush_seconds"),
     ),
 }

@@ -296,3 +296,42 @@ class TestServe:
         assert args.arrivals == 1.0
         assert args.faults == 0.1
         assert args.cluster == "galaxy-8"
+
+
+class TestBrokenPipe:
+    """``vcrepro report … | head -1``: a reader that closes the pipe
+    early ends the run with SIGPIPE's exit status, not a traceback."""
+
+    def test_closed_stdout_returns_141(self, monkeypatch, capsys):
+        import io
+        import sys
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = io.TextIOWrapper(io.FileIO(write_end, "w"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["list"]) == 141
+            # The unflushed text now drains to the null device.
+            stdout.flush()
+        finally:
+            stdout.close()
+        assert capsys.readouterr().err == ""
+
+    def test_process_exits_quietly(self):
+        import subprocess
+        import sys
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == b""

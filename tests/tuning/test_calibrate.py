@@ -16,12 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tuning.calibrate import (
-    DRIFT_WINDOW,
-    Calibrator,
-    calibration_cache_key,
-)
-from repro.tuning.trainer import TrainingSample
+from repro.tuning.calibrate import DRIFT_WINDOW, Calibrator
+from repro.tuning.trainer import TrainingSample, probe_workloads
 
 #: Ground-truth generator the synthetic probes and tells share.
 TRUE_A, TRUE_B, TRUE_C = 3.0, 1.1, 50.0
@@ -178,177 +174,16 @@ class TestDriftDetector:
         assert cal.stats.drift_events == events
 
 
-class TestPersistence:
-    def test_pack_unpack_round_trip(self):
-        cal = probe_calibrator()
-        cal.tell(48.0, true_peak(48.0) * 1.2, 900.0, 2.5)
-        warm = Calibrator.unpack(cal.pack(), seed=5)
-        assert warm.model.peak == cal.model.peak
-        assert warm.model.residual == cal.model.residual
-        assert warm.stats.warm_start
-        assert warm.stats.training_runs == 0
-        assert warm.stats.probe_seconds_saved == pytest.approx(
-            sum(0.05 * w**1.05 + 0.2 for w in PROBE_LADDER) + 2.5
-        )
-        # Refits replay on the identical persisted sample multiset.
-        assert warm.refit().peak == cal.refit().peak
-
-    @pytest.mark.parametrize(
-        "seconds_row",
-        [[0.05, 1.05, 0.2, 0.0], [np.nan] * 4],
-        ids=["fitted", "degenerate"],
-    )
-    def test_archive_with_seconds_row_still_loads_warm(
-        self, tmp_path, seconds_row
-    ):
-        """Archives persisted while a seconds(W) fit existed carry a
-        third ``"seconds"`` coefficient row (NaN when that fit was
-        degenerate). They must still restore warm — same models, same
-        samples, zero probe runs — under the unchanged cache key."""
-        from types import SimpleNamespace
-
-        from repro.perf.cache import ArraySerializer, ArtifactCache
-
-        cal = probe_calibrator()
-        cal.tell(48.0, true_peak(48.0) * 1.2, 900.0, 2.5)
-        archive = dict(cal.pack())
-        archive["seconds"] = np.array(seconds_row, dtype=np.float64)
-        key = calibration_cache_key("pregel+", "bppr", "fp", 512.0, 5)
-        serializer = ArraySerializer(
-            pack=lambda arrays: arrays, unpack=lambda arrays: dict(arrays)
-        )
-        ArtifactCache(directory=str(tmp_path)).get_or_build(
-            key, lambda: archive, serializer=serializer
-        )
-
-        def exploding_factory(w):
-            raise AssertionError("warm restart must not run probes")
-
-        warm = Calibrator.load_or_train(
-            SimpleNamespace(name="pregel+"),
-            exploding_factory,
-            512.0,
-            kind="bppr",
-            graph_fingerprint="fp",
-            seed=5,
-            cache=ArtifactCache(directory=str(tmp_path)),
-        )
-        assert warm.stats.warm_start
-        assert warm.stats.training_runs == 0
-        assert warm.model.peak == cal.model.peak
-        assert warm.model.residual == cal.model.residual
-        restored = warm.pack()
-        assert "seconds" not in restored
-        assert restored["samples"].tobytes() == archive["samples"].tobytes()
-
-    def test_cache_key_separates_settings(self):
-        base = calibration_cache_key("pregel+", "bppr", "fp", 512.0, 3)
-        assert base != calibration_cache_key(
-            "graphlab", "bppr", "fp", 512.0, 3
-        )
-        assert base != calibration_cache_key(
-            "pregel+", "mssp", "fp", 512.0, 3
-        )
-        assert base != calibration_cache_key(
-            "pregel+", "bppr", "fp2", 512.0, 3
-        )
-        assert base != calibration_cache_key(
-            "pregel+", "bppr", "fp", 1024.0, 3
-        )
-        assert base != calibration_cache_key(
-            "pregel+", "bppr", "fp", 512.0, 4
-        )
-
-
-#: Archives no training run could have written, each stored under a
-#: valid checksum: ``(array, index, value)`` edits of a cold archive.
-HOSTILE_ARCHIVES = {
-    "peak-infinite-a-exponent-7-negative-c": [
-        ("peak", 0, np.inf), ("peak", 1, 7.0), ("peak", 2, -5.0)
-    ],
-    "residual-negative-a-and-exponent": [
-        ("residual", 0, -3.0), ("residual", 1, -1.0)
-    ],
-    "exponent-above-box": [("peak", 1, 4.5)],
-    "negative-rmse": [("residual", 3, -1.0)],
-    "negative-workload": [("samples", (0, 0), -8.0)],
-    "infinite-workload": [("samples", (1, 0), np.inf)],
-    "negative-peak-sample": [("samples", (2, 1), -1.0)],
-    "half-overloaded": [("samples", (0, 4), 0.5)],
-    "infinite-rmse-before": [("rmse_before", 0, np.inf)],
-}
-
-
-class TestHostileArchive:
-    """A warm start plans only with what a training run could have
-    written: anything else is quarantined as ``*.corrupt``, counted,
-    and retrained."""
+class TestColdFitIdentity:
+    """The cold fit is the trainer's, bit for bit. The calibrator keeps
+    no store of its own: its probes are engine runs, which the artifact
+    cache keeps as ``run-*.npz`` archives. A restart over a warm cache
+    directory reads every probe back — no probe round is simulated
+    again — and refits to the cold model; a damaged probe archive is
+    quarantined and simulated again, never used to plan."""
 
     W = 5120
 
-    @pytest.fixture(scope="class")
-    def setting(self):
-        from repro.cluster.cluster import galaxy8
-        from repro.engines.registry import create_engine
-        from repro.graph.datasets import load_dataset
-        from repro.tasks.bppr import bppr_task
-
-        graph = load_dataset("dblp", scale=400)
-        cluster = galaxy8(scale=400).with_machines(4)
-        engine = create_engine("pregel+", cluster)
-        factory = lambda w: bppr_task(graph, w)  # noqa: E731
-        cold = Calibrator.train(engine, factory, self.W, seed=3)
-        return engine, factory, graph.fingerprint, cold
-
-    @pytest.mark.parametrize(
-        "edits", list(HOSTILE_ARCHIVES.values()), ids=list(HOSTILE_ARCHIVES)
-    )
-    def test_hostile_archive_is_retrained(self, tmp_path, setting, edits):
-        from repro.perf.cache import ArraySerializer, ArtifactCache
-
-        engine, factory, fingerprint, cold = setting
-        archive = {
-            name: np.array(values, dtype=np.float64)
-            for name, values in cold.pack().items()
-        }
-        for name, index, value in edits:
-            target = archive[name]
-            if target.ndim == 0:
-                target = archive[name] = target.reshape(1)
-            target[index] = value
-        key = calibration_cache_key(
-            engine.name, "bppr", fingerprint, self.W, 3
-        )
-        ArtifactCache(directory=str(tmp_path)).get_or_build(
-            key,
-            lambda: archive,
-            serializer=ArraySerializer(
-                pack=lambda arrays: arrays,
-                unpack=lambda arrays: dict(arrays),
-            ),
-        )
-
-        cache = ArtifactCache(directory=str(tmp_path))
-        cal = Calibrator.load_or_train(
-            engine,
-            factory,
-            self.W,
-            kind="bppr",
-            graph_fingerprint=fingerprint,
-            seed=3,
-            cache=cache,
-        )
-        assert not cal.stats.warm_start
-        assert cal.stats.training_runs > 0
-        assert cache.stats.corruptions == 1
-        assert list(tmp_path.glob("*.corrupt"))
-        assert cal.model.peak == cold.model.peak
-        assert cal.model.residual == cold.model.residual
-        for workload in (1.0, 10.0, float(self.W)):
-            assert np.isfinite(cal.ask(workload))
-
-
-class TestColdFitIdentity:
     def test_cold_fit_matches_train_memory_models(self):
         from repro.cluster.cluster import galaxy8
         from repro.engines.registry import create_engine
@@ -367,45 +202,96 @@ class TestColdFitIdentity:
         )
         assert cal.model.peak == reference.peak
         assert cal.model.residual == reference.residual
-        assert cal.stats.training_runs == len(cal.pack()["samples"])
+        assert cal.stats.training_runs == len(probe_workloads(5120))
 
-    def test_warm_restart_skips_probes(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def setting(self):
         from repro.cluster.cluster import galaxy8
         from repro.engines.registry import create_engine
         from repro.graph.datasets import load_dataset
-        from repro.perf.cache import ArtifactCache
         from repro.tasks.bppr import bppr_task
 
         graph = load_dataset("dblp", scale=400)
         cluster = galaxy8(scale=400).with_machines(4)
-        factory = lambda w: bppr_task(graph, w)  # noqa: E731
-        cache = ArtifactCache(directory=str(tmp_path))
-        cold = Calibrator.load_or_train(
-            create_engine("pregel+", cluster),
-            factory,
-            5120,
-            kind="bppr",
-            graph_fingerprint=graph.fingerprint,
-            seed=3,
-            cache=cache,
-        )
-        assert not cold.stats.warm_start
-        assert cold.stats.training_runs > 0
+        engine = create_engine("pregel+", cluster)
+        return engine, lambda w: bppr_task(graph, w)
 
-        def exploding_factory(w):
-            raise AssertionError("warm restart must not run probes")
+    @pytest.fixture()
+    def train(self, setting, tmp_path, monkeypatch):
+        """``train()``: one calibrator through a fresh process-wide
+        cache over ``tmp_path``, with that cache's stats and the kernel
+        rounds it simulated."""
+        from repro.perf import cache as cache_module
+        from repro.perf import timings
 
-        warm = Calibrator.load_or_train(
-            create_engine("pregel+", cluster),
-            exploding_factory,
-            5120,
-            kind="bppr",
-            graph_fingerprint=graph.fingerprint,
-            seed=3,
-            cache=cache,
-        )
-        assert warm.stats.warm_start
-        assert warm.stats.training_runs == 0
-        assert warm.stats.probe_seconds_saved > 0
+        engine, factory = setting
+
+        def train():
+            cache = cache_module.ArtifactCache(directory=str(tmp_path))
+            monkeypatch.setattr(cache_module, "_GLOBAL", cache)
+            before = timings.snapshot().get("kernel", {"count": 0})
+            cal = Calibrator.train(engine, factory, self.W, seed=3)
+            after = timings.snapshot().get("kernel", {"count": 0})
+            return cal, cache.stats, after["count"] - before["count"]
+
+        return train
+
+    @staticmethod
+    def assert_same(warm, cold):
         assert warm.model.peak == cold.model.peak
         assert warm.model.residual == cold.model.residual
+        assert warm._samples == cold._samples
+        assert warm.stats == cold.stats
+
+    def test_warm_restart_skips_probes(self, train, tmp_path):
+        cold, stats, rounds = train()
+        probes = len(probe_workloads(self.W))
+        assert cold.stats.training_runs == probes
+        assert rounds > 0
+        assert len(list(tmp_path.glob("run-*.npz"))) == probes
+        warm, stats, rounds = train()
+        assert rounds == 0
+        assert (stats.misses, stats.disk_hits, stats.corruptions) == (
+            0,
+            probes,
+            0,
+        )
+        self.assert_same(warm, cold)
+        assert not list(tmp_path.glob("calibration-*"))
+
+    def test_damaged_probe_archive_is_simulated_again(self, train, tmp_path):
+        import zipfile
+
+        cold, _, _ = train()
+        path = sorted(tmp_path.glob("run-*.npz"))[0]
+        with zipfile.ZipFile(path) as archive:
+            member = archive.getinfo("payload.npy")
+        with open(path, "r+b") as fh:
+            # Flip one byte in the middle of the payload member's data,
+            # which follows its 30-byte local header, name and extra
+            # field.
+            fh.seek(member.header_offset + 26)
+            name_len, extra_len = np.frombuffer(fh.read(4), dtype="<u2")
+            middle = (
+                member.header_offset + 30 + int(name_len) + int(extra_len)
+                + member.file_size // 2
+            )
+            fh.seek(middle)
+            byte = fh.read(1)[0]
+            fh.seek(middle)
+            fh.write(bytes([byte ^ 0x01]))
+        rebuilt, stats, rounds = train()
+        probes = len(probe_workloads(self.W))
+        assert (stats.misses, stats.disk_hits, stats.corruptions) == (
+            1,
+            probes - 1,
+            1,
+        )
+        assert rounds > 0
+        assert path.with_name(path.name + ".corrupt").exists()
+        self.assert_same(rebuilt, cold)
+        # The re-simulated probe was stored again: the next restart
+        # reads every probe back.
+        warm, stats, rounds = train()
+        assert (rounds, stats.misses, stats.corruptions) == (0, 0, 0)
+        self.assert_same(warm, cold)
